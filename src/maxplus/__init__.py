@@ -6,10 +6,10 @@ from .core import (NEG_INF, UNITY, ZERO, TropicalMatrix, as_vector, mat_eq,
                    sotimes, vec_eq)
 from .csr import (CsrProduct, CsrTriple, csr_build, csr_group_check,
                   csr_product, csr_product_literal, csr_rotate)
-from .errors import (DimensionError, DivergentStarError, MaxplusError,
-                     NoCyclesError, NotCriticalPartError, NotDefiniteError,
-                     NotOrbitPeriodicError, OracleSizeError, ParseError,
-                     RotationUnavailableError, ThresholdError,
+from .errors import (AnalysisError, DimensionError, DivergentStarError,
+                     MaxplusError, NoCyclesError, NotCriticalPartError,
+                     NotDefiniteError, NotOrbitPeriodicError, OracleSizeError,
+                     ParseError, RotationUnavailableError, ThresholdError,
                      TrivialColumnError, ZeroVectorError)
 from .expansions import (DeflationStep, Expansion, ExpansionEvaluation, Term,
                          evaluate, fast_terms, nachtigall_expand,
@@ -34,7 +34,8 @@ __all__ = [
     "sotimes", "vec_eq",
     "CsrProduct", "CsrTriple", "csr_build", "csr_group_check", "csr_product",
     "csr_product_literal", "csr_rotate",
-    "DimensionError", "DivergentStarError", "MaxplusError", "NoCyclesError",
+    "AnalysisError", "DimensionError", "DivergentStarError", "MaxplusError",
+    "NoCyclesError",
     "NotCriticalPartError", "NotDefiniteError", "NotOrbitPeriodicError",
     "OracleSizeError", "ParseError", "RotationUnavailableError",
     "ThresholdError", "TrivialColumnError", "ZeroVectorError",

@@ -49,10 +49,15 @@ class TropicalMatrix:
     """Square matrix over the max-plus semiring.
 
     The wrapped array is marked read-only; all operations return new
-    matrices, so instances can be shared and cached safely.
+    matrices, so instances can be shared and cached safely.  The private
+    _memo dict holds per-instance analysis results (critical structure,
+    deflation steps, gamma_u, strong access) that `graphs` and
+    `expansions` compute at most once per matrix; it is sound because arr
+    never changes.
     """
 
     def __init__(self, entries, copy: bool = True):
+        self._memo = {}
         if isinstance(entries, TropicalMatrix):
             self.arr = entries.arr
             return
@@ -84,6 +89,12 @@ class TropicalMatrix:
     @property
     def n(self) -> int:
         return self.arr.shape[0]
+
+    def _cached(self, key, compute):
+        """compute() for key, evaluated at most once per instance."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def finite_mask(self) -> np.ndarray:
         return self.arr != NEG_INF
@@ -184,15 +195,21 @@ def mat_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(np.maximum(a.arr, b.arr), copy=False)
 
 
+def _arr_eq(x: np.ndarray, y: np.ndarray, tol: float = 0.0) -> bool:
+    """Equality of same-shape arrays: -inf patterns must coincide, finite
+    entries within tol (exact equality at tol 0)."""
+    if tol == 0.0:
+        return bool(np.array_equal(x, y))
+    fx, fy = x != NEG_INF, y != NEG_INF
+    if not np.array_equal(fx, fy):
+        return False
+    return bool(np.all(np.abs(x[fx] - y[fy]) <= tol))
+
+
 def mat_eq(a: TropicalMatrix, b: TropicalMatrix, tol: float = 0.0) -> bool:
     """Equality: -inf patterns must coincide, finite entries within tol."""
     _check_same_n(a, b)
-    if tol == 0.0:
-        return bool(np.array_equal(a.arr, b.arr))
-    fa, fb = a.finite_mask(), b.finite_mask()
-    if not np.array_equal(fa, fb):
-        return False
-    return bool(np.all(np.abs(a.arr[fa] - b.arr[fb]) <= tol))
+    return _arr_eq(a.arr, b.arr, tol)
 
 
 def as_vector(values, n: int | None = None) -> np.ndarray:
@@ -210,9 +227,4 @@ def as_vector(values, n: int | None = None) -> np.ndarray:
 def vec_eq(x, y, tol: float = 0.0) -> bool:
     x = as_vector(x)
     y = as_vector(y, x.shape[0])
-    if tol == 0.0:
-        return bool(np.array_equal(x, y))
-    fx, fy = x != NEG_INF, y != NEG_INF
-    if not np.array_equal(fx, fy):
-        return False
-    return bool(np.all(np.abs(x[fx] - y[fy]) <= tol))
+    return _arr_eq(x, y, tol)

@@ -44,6 +44,14 @@ class RotationUnavailableError(MaxplusError):
     """Cyclic-class rotation needs a Boolean S factor."""
 
 
+class AnalysisError(MaxplusError):
+    """The critical analysis is inconsistent at the working tolerance: a
+    deflation level has no critical node, or a cycle mean of the ultimate
+    expansion does not match exactly one canonical deflation level.  Seen
+    when the weights are too large for the absolute CRIT_TOL, or when
+    distinct cycle means lie closer together than it."""
+
+
 class ThresholdError(MaxplusError):
     """Requested exponent is below the validity threshold of the route."""
 

@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
-from .core import NEG_INF, TropicalMatrix, mat_mul, mat_oplus, mat_power, _mp_matmul
+from .core import (NEG_INF, TropicalMatrix, mat_mul, mat_oplus, mat_power,
+                   _arr_eq, _mp_matmul)
 from .csr import CsrTriple, csr_build, csr_product, _rotate_cols, _rotate_rows
-from .errors import NoCyclesError, ThresholdError
-from .graphs import CritSubgraph, CriticalStructure, critical_structure
+from .errors import AnalysisError, NoCyclesError, ThresholdError
+from .graphs import CritSubgraph, CriticalStructure, _critical
 from .kleene import apply_scaling, total_visualizing_scaling
 
 # enumeration budget for picking the smallest critical cycle
@@ -101,6 +101,9 @@ def _greedy_critical_cycle(cs: CriticalStructure):
 
 
 def _smallest_critical_cycle(cs: CriticalStructure):
+    # imported here: loading networkx doubles the start-up time of the CLI
+    import networkx as nx
+
     g = nx.DiGraph(cs.critical_edges)
     cycles = list(itertools.islice(nx.simple_cycles(g), _CYCLE_ENUM_CAP + 1))
     if len(cycles) > _CYCLE_ENUM_CAP:
@@ -117,16 +120,31 @@ def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
     raise ValueError("rule must be 'canonical' or 'cycle'")
 
 
+def _level(a: TropicalMatrix, keep) -> TropicalMatrix:
+    """a restricted to keep; a itself (with its memo) when nothing is cut."""
+    return a if len(keep) == a.n else a.restrict(keep)
+
+
 def _deflation_steps(a: TropicalMatrix, rule: str) -> list:
+    """Deflation levels of a under rule, computed once per matrix.  The list
+    is shared: callers copy it before handing it out."""
+    return a._cached(("deflation", rule), lambda: _deflate(a, rule))
+
+
+def _deflate(a: TropicalMatrix, rule: str) -> list:
     steps = []
     keep = set(range(a.n))
     mu = 0
     while keep:
-        a_mu = a.restrict(keep)
-        try:
-            cs = critical_structure(a_mu)
-        except NoCyclesError:
+        a_mu = _level(a, keep)
+        cs = _critical(a_mu)
+        if cs is None:
             break
+        if not cs.critical_nodes:
+            # nothing would be removed, so the next level would be this one
+            raise AnalysisError(
+                "deflation level %d (cycle mean %g) has no critical node"
+                % (mu, cs.lambda_global))
         crit = _select_crit(cs, rule)
         steps.append(DeflationStep(mu=mu, k_set=tuple(sorted(keep)), a_mu=a_mu,
                                    lambda_mu=float(cs.lambda_global), crit=crit,
@@ -139,7 +157,15 @@ def _deflation_steps(a: TropicalMatrix, rule: str) -> list:
 
 
 def _ultimate_steps(a: TropicalMatrix) -> list:
-    cs = critical_structure(a)
+    """Ultimate levels of a, computed once per matrix; shared like
+    _deflation_steps."""
+    return a._cached("ultimate", lambda: _ultimate_levels(a))
+
+
+def _ultimate_levels(a: TropicalMatrix) -> list:
+    cs = _critical(a)
+    if cs is None:
+        raise NoCyclesError("no cycles")
     groups = {}
     for c in cs.scc.nontrivial():
         groups.setdefault(float(cs.lambda_of_component[c]), []).append(c)
@@ -151,7 +177,7 @@ def _ultimate_steps(a: TropicalMatrix) -> list:
             edges.extend(cs.per_component[c].crit_edges)
             m_nodes.extend(cs.scc.components[c])
         steps.append(DeflationStep(mu=mu, k_set=tuple(sorted(keep)),
-                                   a_mu=a.restrict(keep), lambda_mu=lam,
+                                   a_mu=_level(a, keep), lambda_mu=lam,
                                    crit=CritSubgraph.from_edges(edges),
                                    m_set=tuple(sorted(m_nodes))))
         keep -= set(m_nodes)
@@ -168,7 +194,7 @@ def _build_expansion(a: TropicalMatrix, variant: str, steps: list,
         terms.append(Term(st.lambda_mu, triple))
         gamma = math.lcm(gamma, triple.gamma)
     threshold = 3 * a.n * a.n if variant.startswith("nachtigall") else None
-    return Expansion(variant=variant, n=a.n, terms=terms, steps=steps,
+    return Expansion(variant=variant, n=a.n, terms=terms, steps=list(steps),
                      sigma=sigma, gamma_u=gamma, validity_threshold=threshold)
 
 
@@ -196,7 +222,7 @@ def ultimate_expand(a: TropicalMatrix) -> Expansion:
         matches = [k for k, lam in enumerate(canon_lams)
                    if abs(lam - st.lambda_mu) <= 1e-9]
         if len(matches) != 1:
-            raise AssertionError(
+            raise AnalysisError(
                 "cycle mean %g of ultimate level %d matches canonical levels %s"
                 % (st.lambda_mu, st.mu, matches))
         sigma.append(matches[0])
@@ -221,7 +247,8 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
     """All term matrices P_mu^(t) without forming any Kleene star.
 
     Each deflated level is normalized, visualized by a total scaling,
-    raised to a power r >= 3 n^2 by repeated squaring, and its critical
+    raised to a power r >= 3 n^2 by repeated squaring (only its K_mu x K_mu
+    block: entries outside are -inf and change no max), and its critical
     rows and columns are read off and rotated along cyclic classes to the
     requested exponent; one multiplication then yields the term.  Results
     match the literal CSR products of the corresponding expansion.
@@ -253,12 +280,15 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
         r <<= 1
     out = []
     for st in steps:
-        powered = mat_power(a_vis.restrict(st.k_set).scale(-st.lambda_mu), r)
+        block = np.ix_(st.k_set, st.k_set)
+        level = TropicalMatrix(a_vis.arr[block], copy=False)
+        powered = np.full((n, n), NEG_INF)
+        powered[block] = mat_power(level.scale(-st.lambda_mu), r).arr
         nodes = sorted(st.crit.nodes)
         rows = np.full((n, n), NEG_INF)
-        rows[nodes, :] = powered.arr[nodes, :]
+        rows[nodes, :] = powered[nodes, :]
         cols = np.full((n, n), NEG_INF)
-        cols[:, nodes] = powered.arr[:, nodes]
+        cols[:, nodes] = powered[:, nodes]
         c_block = _rotate_cols(st.crit, cols, -r)
         str_block = _rotate_rows(st.crit, rows, t - r)
         term = mat_mul(TropicalMatrix(c_block, copy=False),
@@ -281,15 +311,6 @@ def _residue_eval(data, t: int) -> np.ndarray:
         contrib = arrs[t % len(arrs)] + lam * t
         acc = contrib if acc is None else np.maximum(acc, contrib)
     return acc
-
-
-def _arr_eq(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    if tol == 0.0:
-        return bool(np.array_equal(x, y))
-    fx, fy = x != NEG_INF, y != NEG_INF
-    if not np.array_equal(fx, fy):
-        return False
-    return bool(np.all(np.abs(x[fx] - y[fy]) <= tol))
 
 
 def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,

@@ -9,6 +9,7 @@ Node indices are 0-based throughout the library.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -129,9 +130,10 @@ def _tarjan(n: int, adj) -> list:
 def scc_decompose(g: Digraph | TropicalMatrix) -> SccDecomposition:
     """Strongly connected components plus the access relation."""
     if isinstance(g, TropicalMatrix):
-        g = Digraph.from_matrix(g)
-    n = g.n
-    adj = [[j for j, _ in g.adj[i]] for i in range(n)]
+        adj = [np.flatnonzero(row).tolist() for row in g.finite_mask()]
+    else:
+        adj = [[j for j, _ in g.adj[i]] for i in range(g.n)]
+    n = len(adj)
     comps = _tarjan(n, adj)
 
     comp_of = np.empty(n, dtype=int)
@@ -167,8 +169,8 @@ def scc_decompose(g: Digraph | TropicalMatrix) -> SccDecomposition:
     remap = {old: new for new, old in enumerate(order)}
     components = [comps[c] for c in order]
     component_of = np.array([remap[int(c)] for c in comp_of])
-    has_loop = [g.adj[v] and any(j == v for j, _ in g.adj[v]) for v in range(n)]
-    is_trivial = [len(nodes) == 1 and not has_loop[nodes[0]] for nodes in components]
+    is_trivial = [len(nodes) == 1 and nodes[0] not in adj[nodes[0]]
+                  for nodes in components]
 
     access = np.eye(k, dtype=bool)
     # components are accessed-first, so successors of p precede p
@@ -187,7 +189,6 @@ def max_cycle_mean(g: Digraph | TropicalMatrix, component=None) -> float:
     """
     if isinstance(g, TropicalMatrix):
         arr = g.arr
-        g = Digraph.from_matrix(g)
     else:
         arr = np.full((g.n, g.n), NEG_INF)
         for i, j, w in g.edges:
@@ -212,18 +213,14 @@ def _karp(arr: np.ndarray, nodes) -> float:
     d[0, 0] = 0.0
     for step in range(1, k + 1):
         d[step] = (d[step - 1][:, None] + sub).max(axis=0)
-    best = NEG_INF
-    for v in range(k):
-        if d[k, v] == NEG_INF:
-            continue
-        worst = math.inf
-        for j in range(k):
-            if d[j, v] == NEG_INF:
-                continue
-            worst = min(worst, (d[k, v] - d[j, v]) / (k - j))
-        if worst < math.inf:
-            best = max(best, worst)
-    return best
+    # max over v with d_k(v) finite of min over j of (d_k(v) - d_j(v)) / (k - j).
+    # A -inf d_j(v) yields +inf, which never attains the min; some j < k has
+    # d_j(v) finite, because a k-step walk to v contains a shorter simple path.
+    live = d[k] != NEG_INF
+    if not live.any():
+        return NEG_INF
+    means = (d[k, live] - d[:k, live]) / (k - np.arange(k))[:, None]
+    return means.min(axis=0).max()
 
 
 def _floyd_warshall_star(arr: np.ndarray) -> np.ndarray:
@@ -255,12 +252,11 @@ def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCritica
     lam = _karp(arr, nodes)
     sub = arr[np.ix_(nodes, nodes)] - lam
     star = _floyd_warshall_star(sub)
-    crit_edges = []
-    fin = sub != NEG_INF
-    for a in range(len(nodes)):
-        for b in range(len(nodes)):
-            if fin[a, b] and sub[a, b] + star[b, a] >= -tol:
-                crit_edges.append((nodes[a], nodes[b]))
+    # edge (a, b) is critical iff it closes a cycle of weight 0: a -inf
+    # entry of sub never passes, and np.nonzero keeps row-major edge order
+    aa, bb = np.nonzero(sub + star.T >= -tol)
+    idx = np.array(nodes)
+    crit_edges = list(zip(idx[aa].tolist(), idx[bb].tolist()))
     crit_nodes = sorted({v for e in crit_edges for v in e})
     comps, cyc, cls = _cyclic_classes(crit_nodes, crit_edges)
     return ComponentCriticals(nodes, lam, crit_nodes, crit_edges, comps, cyc, cls)
@@ -325,7 +321,32 @@ class CriticalStructure:
 
 
 def critical_structure(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStructure:
-    """Full critical analysis; raises NoCyclesError on acyclic input."""
+    """Full critical analysis; raises NoCyclesError on acyclic input.
+
+    Computed once per matrix and tol; every call returns a fresh copy.
+    """
+    cs = a._cached(("critical", tol), lambda: _analyse(a, tol))
+    if cs is None:
+        raise NoCyclesError("no cycles")
+    return copy.deepcopy(cs)
+
+
+def _critical(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStructure | None:
+    """The memoized structure itself (None when acyclic), for read-only use.
+
+    A miss goes through critical_structure, so that each analysis of a
+    matrix is one call of the public layer.
+    """
+    key = ("critical", tol)
+    if key not in a._memo:
+        try:
+            critical_structure(a, tol)
+        except NoCyclesError:
+            pass
+    return a._memo[key]
+
+
+def _analyse(a: TropicalMatrix, tol: float) -> CriticalStructure | None:
     dec = scc_decompose(a)
     per = [None] * dec.k
     lams = [NEG_INF] * dec.k
@@ -334,7 +355,7 @@ def critical_structure(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStru
         lams[c] = per[c].lam
     lam_global = max(lams, default=NEG_INF)
     if lam_global == NEG_INF:
-        raise NoCyclesError("no cycles")
+        return None
 
     crit_nodes, crit_edges, comps, cyc = [], [], [], []
     cls = {}
@@ -437,10 +458,13 @@ def gamma_u(a: TropicalMatrix, cs: CriticalStructure | None = None) -> int:
     """lcm of the critical cyclicities of all nontrivial components (1 when
     the digraph is acyclic)."""
     if cs is None:
-        try:
-            cs = critical_structure(a)
-        except NoCyclesError:
-            return 1
+        return a._cached("gamma_u", lambda: _cyclicity_lcm(_critical(a)))
+    return _cyclicity_lcm(cs)
+
+
+def _cyclicity_lcm(cs: CriticalStructure | None) -> int:
+    if cs is None:
+        return 1
     g = 1
     for pc in cs.per_component:
         if pc is None:
@@ -456,11 +480,13 @@ def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
 
     Checked on Boolean powers at t0 = 3 n^2 over a window of gamma_u
     consecutive exponents; the Boolean power sequence is periodic there and
-    its period divides gamma_u.
+    its period divides gamma_u.  Computed once per matrix; every call
+    returns a fresh copy.
     """
-    cached = getattr(a, "_strong_access", None)
-    if cached is not None:
-        return cached
+    return a._cached("strong_access", lambda: _strong_access(a)).copy()
+
+
+def _strong_access(a: TropicalMatrix) -> np.ndarray:
     n = a.n
     b = a.finite_mask()
     t0 = 3 * n * n
@@ -470,7 +496,6 @@ def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
     for _ in range(g - 1):
         window = _bool_matmul(window, b)
         acc &= window
-    a._strong_access = acc
     return acc
 
 

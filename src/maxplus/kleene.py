@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import NEG_INF, TropicalMatrix, as_vector
 from .errors import DivergentStarError, NotCriticalPartError
-from .graphs import CRIT_TOL, scc_decompose, _karp, _floyd_warshall_star
+from .graphs import CRIT_TOL, scc_decompose, _karp
 
 
 def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL,

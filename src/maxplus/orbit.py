@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NEG_INF, TropicalMatrix, as_vector
-from .errors import (NoCyclesError, NotOrbitPeriodicError, TrivialColumnError,
-                     ZeroVectorError)
+from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
 from .expansions import ultimate_expand
 from .csr import csr_product
-from .graphs import critical_structure, gamma_u as _gamma_u, scc_decompose, \
-    strong_access_matrix
+from .graphs import _critical, gamma_u as _gamma_u, strong_access_matrix
 
 
 @dataclass
@@ -64,13 +62,6 @@ class OrbitTrace:
     period: int | None
     growth_rate: float | None
     transient: int | None
-
-
-def _structure(a: TropicalMatrix):
-    try:
-        return critical_structure(a)
-    except NoCyclesError:
-        return None
 
 
 def _condition1(cs, tol: float):
@@ -135,7 +126,7 @@ def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
     """
     if method not in ("support", "strong-access", "both"):
         raise ValueError("method must be 'support', 'strong-access' or 'both'")
-    cs = _structure(a)
+    cs = _critical(a)
     if cs is None:
         return OrbitReport(True, [], [], [], 1, method)
     cond1 = _condition1(cs, tol)
@@ -146,7 +137,7 @@ def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
     if method in ("support", "both") and not cond1:
         supp = _support_violations(a, tol)
     verdict = not (cond1 or cond2 or supp)
-    return OrbitReport(verdict, cond1, cond2, supp, _gamma_u(a, cs), method)
+    return OrbitReport(verdict, cond1, cond2, supp, _gamma_u(a), method)
 
 
 def column_periodicity(a: TropicalMatrix, j: int, tol: float = 1e-9) -> bool:
@@ -155,7 +146,7 @@ def column_periodicity(a: TropicalMatrix, j: int, tol: float = 1e-9) -> bool:
     True iff no nontrivial component with access to j has a larger cycle
     mean than j's own component.  j must belong to a nontrivial component.
     """
-    cs = _structure(a)
+    cs = _critical(a)
     if cs is None:
         raise TrivialColumnError("trivial column: %d (digraph is acyclic)" % j)
     dec = cs.scc
@@ -179,7 +170,7 @@ def pair_periodicity(a: TropicalMatrix, i: int, j: int, tol: float = 1e-9) -> bo
     for v in (i, j):
         if not column_periodicity(a, v, tol):
             raise ValueError("column %d is not ultimately periodic" % v)
-    cs = _structure(a)
+    cs = _critical(a)
     lam_i = cs.lambda_of_node(i)
     lam_j = cs.lambda_of_node(j)
     if abs(lam_i - lam_j) <= tol:
@@ -201,7 +192,7 @@ def orbit_growth_rate(a: TropicalMatrix, y, tol: float = 1e-9) -> float:
         raise ZeroVectorError("zero vector")
     if not is_orbit_periodic(a, tol=tol).verdict:
         raise NotOrbitPeriodicError("not orbit periodic")
-    cs = _structure(a)
+    cs = _critical(a)
     if cs is None:
         return NEG_INF
     dec = cs.scc

@@ -69,6 +69,34 @@ def random_cyclic(rng, n: int, **kw) -> TropicalMatrix:
             return m
 
 
+def random_reducible(rng, n: int, blocks: int = 4) -> TropicalMatrix:
+    """Upper block-triangular matrix: diagonal blocks of random size with
+    their own weight offset, forward edges only between blocks."""
+    arr = np.full((n, n), NEG_INF)
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(n, blocks) - 1,
+                             replace=False).tolist())
+    bounds = list(zip([0] + cuts, cuts + [n]))
+    for lo, hi in bounds:
+        size = hi - lo
+        block = rng.integers(-6, 3, size=(size, size)) + int(rng.integers(-4, 5))
+        keep = rng.random((size, size)) < 0.6
+        arr[lo:hi, lo:hi] = np.where(keep, block, NEG_INF)
+    for lo, _ in bounds[1:]:
+        arr[int(rng.integers(0, lo)), lo] = float(rng.integers(-3, 3))
+    return TropicalMatrix(arr, copy=False)
+
+
+def scaled_hang_matrix() -> TropicalMatrix:
+    """Integer draw whose weights w -> 1e6 w + 1e7/3 leave level 0 with no
+    critical edge: normalizing weights near 1e7 by a fractional cycle mean
+    leaves rounding residues (about 2e-9 here) above the absolute
+    CRIT_TOL = 1e-9 on every cycle."""
+    rng = np.random.default_rng(7)
+    a = [random_cyclic(rng, 5) for _ in range(15)][14]
+    fin = a.finite_mask()
+    return TropicalMatrix(np.where(fin, 1e6 * a.arr + 1e7 / 3, NEG_INF))
+
+
 def random_definite(rng, n: int, **kw) -> TropicalMatrix:
     m = random_cyclic(rng, n, **kw)
     return m.scale(-max_cycle_mean(m))

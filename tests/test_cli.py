@@ -3,13 +3,17 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import maxplus
 import maxplus.cli as cli
-from conftest import DATA
+from conftest import DATA, scaled_hang_matrix
 from goldens import (EX1_A2, EX1_N1_0, EX1_THRESHOLD, EX2_THRESHOLD,
                      EX3_GAMMA_U)
 
@@ -310,3 +314,31 @@ def test_timing_goes_to_stderr(capsys):
     code, obj, err = run(capsys, "star", EX1)
     assert code == 0 and obj is not None
     assert "elapsed" in err and "ms" in err
+
+
+def _write_plain(path, a):
+    rows = [" ".join("*" if v == float("-inf") else repr(float(v)) for v in row)
+            for row in a.arr]
+    path.write_text("%d\n%s\n" % (a.n, "\n".join(rows)))
+
+
+def test_analysis_errors_exit_3(tmp_path, capsys):
+    # a deflation level without critical node, and an ultimate cycle mean
+    # matching two canonical levels, are precondition errors, not exit 1
+    f = tmp_path / "scaled.txt"
+    _write_plain(f, scaled_hang_matrix())
+    code, obj, err = run(capsys, "nachtigall", "--t", "75", str(f))
+    assert code == 3 and obj is None and "no critical node" in err
+    f = tmp_path / "close.txt"
+    f.write_text("3\n0 * *\n* -9e-10 *\n* * -1.8e-9\n")
+    code, obj, err = run(capsys, "ultimate", "--t", "5", str(f))
+    assert code == 3 and obj is None and "matches canonical levels" in err
+
+
+def test_import_does_not_load_networkx():
+    src = Path(maxplus.__file__).resolve().parents[1]
+    code = "import sys, maxplus.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -4,13 +4,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from maxplus import (NEG_INF, NoCyclesError, PathClassQuery, ThresholdError,
+from maxplus import (NEG_INF, AnalysisError, NoCyclesError, PathClassQuery, ThresholdError,
                      TropicalMatrix, best_path_weight, critical_structure,
                      csr_product, enumerate_small, evaluate, fast_terms,
                      mat_eq, mat_oplus, mat_power, nachtigall_expand,
                      scc_decompose, ultimate_expand, ultimate_threshold)
 
-from conftest import random_cyclic, random_matrix
+from conftest import (random_cyclic, random_matrix, random_reducible,
+                      scaled_hang_matrix)
 from goldens import (EX1_A2, EX1_A3, EX1_A4, EX1_A10, EX1_GAMMAS, EX1_LAMBDAS,
                      EX1_N1_0, EX1_N1_1, EX1_N2_0, EX1_N3_0, EX1_THRESHOLD,
                      EX2_C1_COL0, EX2_C1_COL1, EX2_C2_COL4_ROWS46,
@@ -475,3 +476,41 @@ def test_fast_terms_guards(ex1):
     acyclic = TropicalMatrix.from_rows([[None, 1.0], [None, None]])
     with pytest.raises(NoCyclesError):
         fast_terms(acyclic, 12)
+
+
+def test_fast_terms_match_literal_on_shrinking_levels():
+    # Each level is powered on its own K_mu block; n = 70 puts level 0
+    # above the broadcast-matmul size limit and the later blocks below it.
+    rng = np.random.default_rng(67)
+    for n in (5, 7, 9, 12, 70):
+        a = random_reducible(rng, n, blocks=6)
+        en = nachtigall_expand(a)
+        eu = ultimate_expand(a)
+        sizes = [len(st.k_set) for st in en.steps]
+        assert sizes[-1] < n
+        t = 3 * n * n + int(rng.integers(0, 12))
+        for e, variant in ((en, "nachtigall"), (eu, "ultimate")):
+            got = fast_terms(a, t, variant=variant)
+            assert len(got) == len(e.terms)
+            for m, term in zip(got, e.terms):
+                assert mat_eq(m, csr_product(term.triple, t).matrix, tol=TOL)
+
+
+def test_deflation_without_critical_node_raises():
+    a = scaled_hang_matrix()
+    assert critical_structure(a).critical_nodes == []
+    for rule in ("canonical", "cycle"):
+        with pytest.raises(AnalysisError, match="no critical node"):
+            nachtigall_expand(a, rule=rule)
+    with pytest.raises(AnalysisError):
+        fast_terms(a, 75)
+
+
+def test_ultimate_sigma_mismatch_raises():
+    # cycle means closer than 1e-9: the middle one matches both canonical
+    # levels, 0 and -1.8e-9
+    a = TropicalMatrix.from_rows([[0.0, None, None], [None, -9e-10, None],
+                                  [None, None, -1.8e-9]])
+    assert nachtigall_expand(a).lambdas == (0.0, -1.8e-9)
+    with pytest.raises(AnalysisError, match="matches canonical levels"):
+        ultimate_expand(a)

@@ -10,11 +10,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from maxplus import (CRIT_TOL, CritSubgraph, NEG_INF, NoCyclesError,
+from maxplus import (CRIT_TOL, CritSubgraph, Digraph, NEG_INF, NoCyclesError,
                      TropicalMatrix, apply_scaling, Scaling, boolean_power_reach,
                      critical_structure, cyclic_class_shift, gamma_u,
                      max_cycle_mean, scc_decompose, strong_access,
                      strong_access_matrix, wielandt)
+from maxplus.graphs import _component_criticals, _floyd_warshall_star, _karp
 
 from conftest import random_cyclic, random_definite, random_matrix
 
@@ -297,3 +298,80 @@ def test_strong_access_transitive():
                 for k in range(n):
                     if sa[i, j] and sa[j, k]:
                         assert sa[i, k]
+
+
+# ------------------------------------------- loop references of vector code
+
+def karp_loops(arr, nodes):
+    """Karp's formula with the scalar min/max loops of the first version."""
+    k = len(nodes)
+    sub = arr[np.ix_(nodes, nodes)]
+    d = np.full((k + 1, k), NEG_INF)
+    d[0, 0] = 0.0
+    for step in range(1, k + 1):
+        d[step] = (d[step - 1][:, None] + sub).max(axis=0)
+    best = NEG_INF
+    for v in range(k):
+        if d[k, v] == NEG_INF:
+            continue
+        worst = math.inf
+        for j in range(k):
+            if d[j, v] == NEG_INF:
+                continue
+            worst = min(worst, (d[k, v] - d[j, v]) / (k - j))
+        if worst < math.inf:
+            best = max(best, worst)
+    return best
+
+
+def critical_edges_loops(arr, nodes, tol):
+    """Critical-edge test of one component with the scalar double loop."""
+    sub = arr[np.ix_(nodes, nodes)] - karp_loops(arr, nodes)
+    star = _floyd_warshall_star(sub)
+    edges = []
+    for a in range(len(nodes)):
+        for b in range(len(nodes)):
+            if sub[a, b] != NEG_INF and sub[a, b] + star[b, a] >= -tol:
+                edges.append((nodes[a], nodes[b]))
+    return edges
+
+
+def fractional_matrix(rng, n):
+    """Weights with fractional cycle means: integers over a random
+    denominator, or unrounded normals; a random -inf pattern."""
+    den = int(rng.choice([1, 2, 3, 7]))
+    vals = (rng.integers(-20, 8, size=(n, n)) / den if rng.random() < 0.7
+            else rng.normal(size=(n, n)))
+    mask = rng.random((n, n)) < rng.uniform(0.15, 0.9)
+    return TropicalMatrix(np.where(mask, vals, NEG_INF), copy=False)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_vector_karp_and_criticals_match_loops():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        a = fractional_matrix(rng, int(rng.integers(1, 13)))
+        dec = scc_decompose(a)
+        assert bits(_karp(a.arr, list(range(a.n)))) == \
+            bits(karp_loops(a.arr, list(range(a.n))))
+        for c in dec.nontrivial():
+            nodes = dec.components[c]
+            assert bits(_karp(a.arr, nodes)) == bits(karp_loops(a.arr, nodes))
+            got = _component_criticals(a.arr, nodes, CRIT_TOL)
+            assert got.crit_edges == critical_edges_loops(a.arr, nodes,
+                                                          CRIT_TOL)
+
+
+def test_scc_same_from_digraph_and_matrix():
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        a = random_matrix(rng, int(rng.integers(1, 10)),
+                          density=float(rng.uniform(0.1, 0.6)))
+        x, y = scc_decompose(a), scc_decompose(Digraph.from_matrix(a))
+        assert x.components == y.components
+        assert x.is_trivial == y.is_trivial
+        assert np.array_equal(x.component_of, y.component_of)
+        assert np.array_equal(x.access, y.access)

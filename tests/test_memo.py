@@ -1,0 +1,95 @@
+"""One analysis per matrix: results do not depend on what ran before on
+the same instance, and nothing handed out aliases the cached analysis."""
+
+import numpy as np
+
+from maxplus import (TropicalMatrix, critical_structure, evaluate, fast_terms,
+                     is_orbit_periodic, nachtigall_expand, simulate_orbit,
+                     strong_access_matrix, ultimate_expand)
+from maxplus import graphs
+
+from conftest import random_cyclic, random_reducible
+
+
+def corpus():
+    rng = np.random.default_rng(41)
+    mats = [random_reducible(rng, int(rng.integers(3, 8))) for _ in range(8)]
+    return mats + [random_cyclic(rng, int(rng.integers(2, 7)))
+                   for _ in range(4)]
+
+
+def _facts(name: str, a: TropicalMatrix):
+    """Plain values (lists, floats) that identify a routine's result."""
+    t = 3 * a.n * a.n
+    if name == "critical":
+        cs = critical_structure(a)
+        return (cs.lambda_of_component, cs.critical_edges,
+                [None if pc is None else pc.crit_edges
+                 for pc in cs.per_component])
+    if name == "nachtigall":
+        e = nachtigall_expand(a)
+        return (e.lambdas, [st.k_set for st in e.steps],
+                evaluate(e, t).matrix.arr.tolist())
+    if name == "ultimate":
+        e = ultimate_expand(a)
+        return (e.lambdas, e.sigma, e.gamma_u,
+                evaluate(e, t).matrix.arr.tolist())
+    if name == "fast":
+        return [m.arr.tolist() for m in fast_terms(a, t)]
+    if name == "orbit-check":
+        return [is_orbit_periodic(a, method=m) for m in ("support", "both")]
+    if name == "simulate":
+        tr = simulate_orbit(a, np.zeros(a.n))
+        return (tr.samples.tolist(), tr.period, tr.growth_rate, tr.transient)
+    if name == "strong-access":
+        return strong_access_matrix(a).tolist()
+    raise AssertionError(name)
+
+
+NAMES = ("critical", "nachtigall", "ultimate", "fast", "orbit-check",
+         "simulate", "strong-access")
+
+
+def test_results_independent_of_call_order():
+    rng = np.random.default_rng(42)
+    for a in corpus():
+        fresh = {name: _facts(name, TropicalMatrix(a.arr)) for name in NAMES}
+        for _ in range(3):
+            shared = TropicalMatrix(a.arr)
+            for k in rng.permutation(len(NAMES)).tolist() * 2:
+                assert _facts(NAMES[k], shared) == fresh[NAMES[k]], NAMES[k]
+
+
+def test_second_pass_runs_no_analysis(monkeypatch):
+    calls = []
+    analyse = graphs._analyse
+    monkeypatch.setattr(graphs, "_analyse",
+                        lambda a, tol: calls.append(a) or analyse(a, tol))
+    for a in corpus():
+        for name in NAMES:
+            _facts(name, a)
+        first = len(calls)
+        # one analysis per distinct deflation level, the leftover included
+        assert first <= len(nachtigall_expand(a).steps) + 1
+        for name in NAMES:
+            _facts(name, a)
+        assert len(calls) == first
+        calls.clear()
+
+
+def test_mutating_results_leaves_later_calls_intact():
+    for a in corpus():
+        fresh = {name: _facts(name, TropicalMatrix(a.arr)) for name in NAMES}
+        e = nachtigall_expand(a)
+        e.steps.clear()
+        ultimate_expand(a).steps.reverse()
+        cs = critical_structure(a)
+        cs.critical_edges.clear()
+        cs.lambda_of_component.append(1.0)
+        cs.scc.components[0].append(a.n)
+        for pc in cs.per_component:
+            if pc is not None:
+                pc.crit_edges.clear()
+        strong_access_matrix(a)[:] = True
+        for name in NAMES:
+            assert _facts(name, a) == fresh[name], name

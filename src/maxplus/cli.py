@@ -22,22 +22,18 @@ import numpy as np
 
 from .core import NEG_INF, TropicalMatrix, mat_eq, mat_power
 from .csr import csr_build, csr_product
-from .errors import MaxplusError, NoCyclesError, OracleSizeError, ParseError
+from .errors import (DivergentStarError, MaxplusError, NoCyclesError,
+                     OracleSizeError, ParseError)
 from .expansions import (_select_crit, evaluate, nachtigall_expand,
                          ultimate_expand, ultimate_threshold)
-from .graphs import CritSubgraph, critical_structure, gamma_u
+from .graphs import CritSubgraph, critical_structure, gamma_u, scc_decompose
 from .kleene import kleene_star
-from .oracle import boolean_power_reach, enumerate_small
+from .oracle import boolean_power_reach, enumerate_small, _node_cap
 from .orbit import is_orbit_periodic, simulate_orbit
-from .errors import DivergentStarError
 
 
 def _tol() -> float:
     return float(os.environ.get("TROPICAL_TOL", "1e-9"))
-
-
-def _oracle_cap() -> int:
-    return int(os.environ.get("TROPICAL_ORACLE_CAP", "8"))
 
 
 # ---------------------------------------------------------------- parsing
@@ -210,7 +206,6 @@ def _cmd_lambda(a, args, report):
         per = [_num(x) for x in cs.lambda_of_component]
         comps = [_nodes1(c) for c in cs.scc.components]
     except NoCyclesError:
-        from .graphs import scc_decompose
         dec = scc_decompose(a)
         lam = NEG_INF
         per = [None] * dec.k
@@ -322,7 +317,7 @@ def _cmd_orbit(a, args, report):
 
 
 def _cmd_verify(a, args, report):
-    if a.n > _oracle_cap():
+    if a.n > _node_cap():
         raise OracleSizeError("too large for oracle")
     tol = _tol()
     checks = []

@@ -11,8 +11,8 @@ ultimate_threshold measures.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,11 +22,8 @@ from .core import (NEG_INF, TropicalMatrix, mat_mul, mat_oplus, mat_power,
                    _arr_eq, _mp_matmul)
 from .csr import CsrTriple, csr_build, csr_product, _rotate_cols, _rotate_rows
 from .errors import AnalysisError, NoCyclesError, ThresholdError
-from .graphs import CritSubgraph, CriticalStructure, _critical
+from .graphs import CRIT_TOL, CritSubgraph, CriticalStructure, _critical
 from .kleene import apply_scaling, total_visualizing_scaling
-
-# enumeration budget for picking the smallest critical cycle
-_CYCLE_ENUM_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -77,46 +74,40 @@ class ExpansionEvaluation:
     per_term: list
 
 
-def _rotate_to_min(cycle):
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
+def _shortest_critical_cycle(cs: CriticalStructure) -> list:
+    """Shortest critical cycle through the smallest critical node, as a node
+    sequence starting there.
 
-
-def _greedy_critical_cycle(cs: CriticalStructure):
-    """Deterministic fallback: walk min successors until a node repeats."""
+    Breadth-first search over the critical edges, visiting successors in
+    increasing order, so equally short cycles go to the one found first.
+    Every critical edge lies on a cycle of critical edges, so the search
+    returns to the start.  O(n^2): each critical edge is looked at once.
+    """
     succ = {}
-    for i, j in cs.critical_edges:
+    for i, j in cs.critical_edges:    # sorted, so each list is increasing
         succ.setdefault(i, []).append(j)
-    for i in succ:
-        succ[i].sort()
-    v = min(cs.critical_nodes)
-    seen = {v: 0}
-    walk = [v]
-    while True:
-        v = succ[v][0]
-        if v in seen:
-            return walk[seen[v]:]
-        seen[v] = len(walk)
-        walk.append(v)
-
-
-def _smallest_critical_cycle(cs: CriticalStructure):
-    # imported here: loading networkx doubles the start-up time of the CLI
-    import networkx as nx
-
-    g = nx.DiGraph(cs.critical_edges)
-    cycles = list(itertools.islice(nx.simple_cycles(g), _CYCLE_ENUM_CAP + 1))
-    if len(cycles) > _CYCLE_ENUM_CAP:
-        # critical graph too dense to enumerate; any critical cycle works
-        return _greedy_critical_cycle(cs)
-    return min(cycles, key=lambda c: (sorted(c), _rotate_to_min(c)))
+    root = min(cs.critical_nodes)
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in succ[v]:
+            if w == root:
+                cycle = []
+                while v is not None:
+                    cycle.append(v)
+                    v = parent[v]
+                return cycle[::-1]
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
 
 
 def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
     if rule == "canonical":
         return CritSubgraph.from_critical_structure(cs)
     if rule == "cycle":
-        return CritSubgraph.from_cycle(_smallest_critical_cycle(cs))
+        return CritSubgraph.from_cycle(_shortest_critical_cycle(cs))
     raise ValueError("rule must be 'canonical' or 'cycle'")
 
 
@@ -203,7 +194,9 @@ def nachtigall_expand(a: TropicalMatrix, rule: str = "canonical") -> Expansion:
 
     rule picks the critical selection per level: "canonical" removes the
     whole critical graph (cycle means then strictly decrease), "cycle"
-    removes only the smallest critical cycle (by sorted node list).
+    removes only the shortest critical cycle through the smallest critical
+    node (ties go to the cycle a breadth-first search over successors in
+    increasing order finds first).
     """
     steps = _deflation_steps(a, rule)
     return _build_expansion(a, "nachtigall-" + rule, steps, None)
@@ -220,7 +213,7 @@ def ultimate_expand(a: TropicalMatrix) -> Expansion:
     sigma = []
     for st in steps:
         matches = [k for k, lam in enumerate(canon_lams)
-                   if abs(lam - st.lambda_mu) <= 1e-9]
+                   if abs(lam - st.lambda_mu) <= CRIT_TOL]
         if len(matches) != 1:
             raise AnalysisError(
                 "cycle mean %g of ultimate level %d matches canonical levels %s"

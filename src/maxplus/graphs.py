@@ -9,9 +9,9 @@ Node indices are 0-based throughout the library.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,7 +224,7 @@ def _karp(arr: np.ndarray, nodes) -> float:
 
 
 def _floyd_warshall_star(arr: np.ndarray) -> np.ndarray:
-    """Kleene star by relaxation; caller guarantees cycle means <= 0."""
+    """Kleene star by relaxation; a positive cycle leaves a positive diagonal."""
     m = arr.copy()
     n = m.shape[0]
     idx = np.arange(n)
@@ -328,7 +328,8 @@ def critical_structure(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStru
     cs = a._cached(("critical", tol), lambda: _analyse(a, tol))
     if cs is None:
         raise NoCyclesError("no cycles")
-    return copy.deepcopy(cs)
+    # a pickle round trip is a deep copy too, about ten times faster here
+    return pickle.loads(pickle.dumps(cs, -1))
 
 
 def _critical(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStructure | None:
@@ -454,12 +455,10 @@ def _bool_power(b: np.ndarray, t: int) -> np.ndarray:
     return result
 
 
-def gamma_u(a: TropicalMatrix, cs: CriticalStructure | None = None) -> int:
+def gamma_u(a: TropicalMatrix) -> int:
     """lcm of the critical cyclicities of all nontrivial components (1 when
     the digraph is acyclic)."""
-    if cs is None:
-        return a._cached("gamma_u", lambda: _cyclicity_lcm(_critical(a)))
-    return _cyclicity_lcm(cs)
+    return a._cached("gamma_u", lambda: _cyclicity_lcm(_critical(a)))
 
 
 def _cyclicity_lcm(cs: CriticalStructure | None) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import NEG_INF, TropicalMatrix, as_vector
 from .errors import DivergentStarError, NotCriticalPartError
-from .graphs import CRIT_TOL, scc_decompose, _karp
+from .graphs import CRIT_TOL, scc_decompose, _floyd_warshall_star, _karp
 
 
 def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL,
@@ -22,9 +22,10 @@ def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL,
     """Max-plus Kleene star via Floyd-Warshall relaxation.
 
     With check=True components are screened first so the error can name the
-    component whose cycle mean is positive; the relaxation additionally
-    detects divergence through a positive diagonal entry.  Callers that
-    already know all cycle means are nonpositive may pass check=False.
+    component whose cycle mean is positive.  After the relaxation a positive
+    diagonal entry also means divergence (diagonal entries only grow), and
+    the error names the smallest such node.  Callers that already know all
+    cycle means are nonpositive may pass check=False.
     """
     if check:
         dec = scc_decompose(a)
@@ -35,17 +36,12 @@ def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL,
                     "divergent star: component %s has cycle mean %g"
                     % (dec.components[c], lam),
                     component=dec.components[c], value=float(lam))
-    m = a.arr.copy()
-    n = m.shape[0]
-    idx = np.arange(n)
-    m[idx, idx] = np.maximum(m[idx, idx], 0.0)
-    for k in range(n):
-        np.maximum(m, m[:, k, None] + m[k, None, :], out=m)
-        bad = np.nonzero(m[idx, idx] > tol)[0]
-        if bad.size:
-            raise DivergentStarError(
-                "divergent star: positive cycle through node %d" % bad[0],
-                node=int(bad[0]))
+    m = _floyd_warshall_star(a.arr)
+    bad = np.flatnonzero(np.diagonal(m) > tol)
+    if bad.size:
+        raise DivergentStarError(
+            "divergent star: positive cycle through node %d" % bad[0],
+            node=int(bad[0]))
     return TropicalMatrix(m, copy=False)
 
 

@@ -335,10 +335,21 @@ def test_analysis_errors_exit_3(tmp_path, capsys):
     assert code == 3 and obj is None and "matches canonical levels" in err
 
 
-def test_import_does_not_load_networkx():
+def test_import_does_not_load_networkx(capsys):
     src = Path(maxplus.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, maxplus.cli; print('networkx' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                         check=True, timeout=60)
+                         text=True, env=env, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+    # with networkx made unimportable the cycle rule still runs
+    for argv in (["nachtigall", "--t", "50", "--rule", "cycle", EX1],
+                 ["csr", "--t", "2", "--rule", "cycle", EX1]):
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        code = ("import sys; sys.modules['networkx'] = None; "
+                "import maxplus.cli; sys.exit(maxplus.cli.main(%r))" % argv)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == want

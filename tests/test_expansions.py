@@ -181,6 +181,32 @@ def test_cycle_rule_single_cycle_selection(ex1):
     assert evaluate(e, 48).matrix.eq(mat_power(ex1, 48))
 
 
+def loopless_zero(n: int) -> TropicalMatrix:
+    return TropicalMatrix(np.where(np.eye(n, dtype=bool), NEG_INF, 0.0))
+
+
+def test_cycle_rule_takes_shortest_cycle_through_smallest_node():
+    # zero-weight cycles 0->1->5->0 and 0->2->0: the shorter one is taken,
+    # although [0, 1, 5] is the lexicographically smaller node list
+    arr = np.full((6, 6), NEG_INF)
+    for i, j in [(0, 1), (1, 5), (5, 0), (0, 2), (2, 0)]:
+        arr[i, j] = 0.0
+    e = nachtigall_expand(TropicalMatrix(arr), rule="cycle")
+    assert set(e.steps[0].crit.nodes) == {0, 2}
+
+
+def test_cycle_rule_on_dense_critical_graph():
+    # every edge is critical and every 2-cycle is shortest: the rule takes
+    # node 0 and its smallest successor
+    e = nachtigall_expand(loopless_zero(40), rule="cycle")
+    assert set(e.steps[0].crit.nodes) == {0, 1}
+    a = loopless_zero(12)
+    e = nachtigall_expand(a, rule="cycle")
+    assert set(e.steps[0].crit.nodes) == {0, 1}
+    t0 = 3 * a.n * a.n
+    assert mat_eq(evaluate(e, t0).matrix, mat_power(a, t0))
+
+
 def test_per_suffix_identity():
     rng = np.random.default_rng(54)
     for _ in range(6):

@@ -69,6 +69,15 @@ def test_star_divergence_in_relaxation():
     assert exc.value.node == 0
 
 
+def test_star_divergence_after_relaxation_without_loops():
+    # no loop, so every diagonal entry starts at 0; the positive 2-cycle
+    # shows on the diagonal only once the relaxation has run
+    a = TropicalMatrix.from_rows([[None, 1.0], [1.0, None]])
+    with pytest.raises(DivergentStarError) as exc:
+        kleene_star(a, check=False)
+    assert exc.value.node == 0
+
+
 def test_apply_scaling_laws():
     rng = np.random.default_rng(32)
     for _ in range(10):

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .core import NEG_INF, TropicalMatrix, mat_eq, mat_power
-from .csr import csr_build, csr_product
+from .csr import _check_definite, csr_build, csr_product
 from .errors import (DivergentStarError, MaxplusError, NoCyclesError,
                      OracleSizeError, ParseError)
 from .expansions import (_select_crit, evaluate, nachtigall_expand,
@@ -241,8 +241,10 @@ def _cmd_classes(a, args, report):
 
 def _cmd_csr(a, args, report):
     cs = critical_structure(a)
+    # before the selection: the cycle rule needs a critical edge
+    _check_definite(a, _tol())
     crit = _select_crit(cs, args.rule)
-    triple = csr_build(a, crit, tol=_tol())
+    triple = csr_build(a, crit, tol=_tol(), check_definite=False)
     report["rule"] = args.rule
     report["t"] = args.t
     report["gamma"] = int(triple.gamma)

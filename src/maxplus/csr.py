@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NEG_INF, TropicalMatrix, mat_mul, mat_power
-from .errors import NotDefiniteError, RotationUnavailableError
+from .errors import (DivergentStarError, NotDefiniteError,
+                     RotationUnavailableError)
 from .graphs import CRIT_TOL, CritSubgraph, max_cycle_mean, wielandt
 from .kleene import kleene_star
 
@@ -53,6 +54,38 @@ class CsrProduct:
     t_residue: int
 
 
+def _check_definite(a: TropicalMatrix, tol: float):
+    lam = max_cycle_mean(a)
+    if not (abs(lam) <= tol):
+        raise NotDefiniteError("not definite: max cycle mean %g" % lam,
+                               value=float(lam))
+
+
+def _active_star_power(a: TropicalMatrix, gamma: int,
+                       tol: float) -> np.ndarray:
+    """(a^gamma)* formed on the nodes with a finite entry in their row or
+    column only.  Every other node has no edge, so no path passes through
+    it: its row and column of the star are -inf off a 0 diagonal, and the
+    active block comes out bit for bit as on the full matrix."""
+    fin = a.finite_mask()
+    active = np.flatnonzero(fin.any(axis=0) | fin.any(axis=1))
+    b = np.full((a.n, a.n), NEG_INF)
+    np.fill_diagonal(b, 0.0)
+    if active.size:
+        block = np.ix_(active, active)
+        sub = TropicalMatrix(a.arr[block], copy=False)
+        try:
+            b[block] = kleene_star(mat_power(sub, gamma), tol=tol,
+                                   check=False).arr
+        except DivergentStarError as exc:
+            # name the node of a, as the full-matrix star would
+            node = int(active[exc.node])
+            raise DivergentStarError(
+                "divergent star: positive cycle through node %d" % node,
+                node=node) from None
+    return b
+
+
 def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
               check_definite: bool = True) -> CsrTriple:
     """Build the triple of a definite matrix for a critical selection.
@@ -62,18 +95,15 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
     be definite; normalizing by the cycle mean is the caller's job.
     """
     if check_definite:
-        lam = max_cycle_mean(a)
-        if not (abs(lam) <= tol):
-            raise NotDefiniteError("not definite: max cycle mean %g" % lam,
-                                   value=float(lam))
+        _check_definite(a, tol)
     n = a.n
     gamma = crit.gamma
-    b = kleene_star(mat_power(a, gamma), tol=tol, check=False)
+    b = _active_star_power(a, gamma, tol)
     nodes = sorted(crit.nodes)
     col_mask = np.zeros(n, dtype=bool)
     col_mask[nodes] = True
-    c_arr = np.where(col_mask[None, :], b.arr, NEG_INF)
-    r_arr = np.where(col_mask[:, None], b.arr, NEG_INF)
+    c_arr = np.where(col_mask[None, :], b, NEG_INF)
+    r_arr = np.where(col_mask[:, None], b, NEG_INF)
     s_arr = np.full((n, n), NEG_INF)
     for i, j in crit.edges:
         s_arr[i, j] = a.arr[i, j]

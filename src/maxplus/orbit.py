@@ -14,6 +14,7 @@ orbit reaches the zero vector within n steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
 from .expansions import ultimate_expand
 from .csr import csr_product
 from .graphs import _critical, gamma_u as _gamma_u, strong_access_matrix
+
+# Equations compared per block in _detect's backward scan.
+_DETECT_CHUNK = 1024
 
 
 @dataclass
@@ -205,22 +209,62 @@ def orbit_growth_rate(a: TropicalMatrix, y, tol: float = 1e-9) -> float:
 
 
 def _divisors(g: int):
-    out = [d for d in range(1, g + 1) if g % d == 0]
-    return out
+    """Divisors of g in increasing order, from the pairs (d, g // d) with
+    d <= sqrt(g)."""
+    small, large = [], []
+    for d in range(1, math.isqrt(g) + 1):
+        if g % d == 0:
+            small.append(d)
+            if d * d != g:
+                large.append(g // d)
+    return small + large[::-1]
+
+
+def _last_failure(samples: np.ndarray, p: int, rate: float, tol: float):
+    """Largest s < t_max - p whose equation samples[s + p] =
+    p * rate + samples[s] fails, or -1 when all of them hold.
+
+    An equation holds when both rows have the same -inf pattern and every
+    finite entry is within tol (rate -inf: both rows are all -inf).  Rows
+    are compared _DETECT_CHUNK equations at a time from the tail down, so
+    the scratch arrays stay O(_DETECT_CHUNK * n).
+    """
+    hi = samples.shape[0] - 1 - p
+    shift = rate * p
+    while hi > 0:
+        lo = max(0, hi - _DETECT_CHUNK)
+        below, above = samples[lo:hi], samples[lo + p:hi + p]
+        fin = below != NEG_INF
+        fail = (fin != (above != NEG_INF)).any(axis=1)
+        if rate == NEG_INF:
+            fail |= fin.any(axis=1)
+        else:
+            with np.errstate(invalid="ignore"):
+                dev = above - below
+                dev -= shift
+            np.abs(dev, out=dev)
+            dev[~fin] = 0.0
+            # a per-row max, not any(dev > tol): a NaN deviation (float
+            # overflow to inf) then lets its row pass, as np.max does
+            fail |= dev.max(axis=1) > tol
+        bad = np.flatnonzero(fail)
+        if bad.size:
+            return lo + int(bad[-1])
+        hi = lo
+    return -1
 
 
 def _detect(samples: np.ndarray, gamma: int, tol: float):
     """Smallest (period dividing gamma, rate, transient) with the linear
     identity verified on at least gamma+1 trailing equations."""
     t_max = samples.shape[0] - 1
-    finite = samples != NEG_INF
     for p in _divisors(gamma):
         if t_max - p < 0:
             continue
         top, bot = samples[t_max], samples[t_max - p]
-        if not np.array_equal(finite[t_max], finite[t_max - p]):
+        mask = top != NEG_INF
+        if not np.array_equal(mask, bot != NEG_INF):
             continue
-        mask = finite[t_max]
         if mask.any():
             diffs = (top[mask] - bot[mask]) / p
             if np.ptp(diffs) > tol:
@@ -228,18 +272,7 @@ def _detect(samples: np.ndarray, gamma: int, tol: float):
             rate = float(diffs[0])
         else:
             rate = NEG_INF
-        t = t_max - p
-        while t >= 1:
-            s = t - 1
-            if not np.array_equal(finite[s + p], finite[s]):
-                break
-            m = finite[s]
-            if m.any():
-                if rate == NEG_INF:
-                    break
-                if np.max(np.abs(samples[s + p][m] - samples[s][m] - rate * p)) > tol:
-                    break
-            t = s
+        t = _last_failure(samples, p, rate, tol) + 1
         if t_max - p - t + 1 >= gamma + 1:
             return p, rate, t
     return None, None, None
@@ -250,8 +283,16 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
     """Record the orbit of y and look for ultimate linear periodicity.
 
     Candidate periods are the divisors of the critical lcm gamma_u in
-    increasing order; candidate transients increase from 0.  A detection
-    must be backed by at least gamma_u + 1 trailing steps.
+    increasing order; for each, the equations
+    samples[s + p] = p * rate + samples[s] are checked from the tail
+    backwards and the transient is one past the last failing one.  A
+    detection must be backed by at least gamma_u + 1 trailing steps.
+    t_max defaults to 6 n^2 + 2 gamma_u.
+
+    Each step writes a (x) samples[t-1] into samples[t] through one n x n
+    buffer, with the arithmetic of TropicalMatrix.apply.  Memory is the
+    (t_max + 1) x n sample array plus O(n^2 + _DETECT_CHUNK * n) scratch
+    (_DETECT_CHUNK rows per detection block).
     """
     y = as_vector(y, a.n)
     gamma = _gamma_u(a)
@@ -259,10 +300,10 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
         t_max = 6 * a.n * a.n + 2 * gamma
     samples = np.empty((t_max + 1, a.n))
     samples[0] = y
-    x = y
+    arr, buf = a.arr, np.empty((a.n, a.n))
     for t in range(1, t_max + 1):
-        x = a.apply(x)
-        samples[t] = x
+        np.add(arr, samples[t - 1], out=buf)
+        np.maximum.reduce(buf, axis=1, out=samples[t])
     samples.setflags(write=False)
     period, rate, transient = _detect(samples, gamma, tol)
     return OrbitTrace(y=y, samples=samples, period=period, growth_rate=rate,

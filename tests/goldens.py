@@ -133,3 +133,25 @@ EX3_U2_ESS = [[None, 0], [0, None]]
 # component-5 orbit values for the start vector e0 (+) e5
 EX3A_SEQ_FROM_T4 = [1, 1, 1, 1, 5, 5, 5, 5, 9, 9, 9, 9]
 EX3B_SEQ_FROM_T2 = [0, 0, 0, 1, 0, 4, 0, 5, 0, 8, 0, 9]
+
+# ------------------------------------------------------------ orbit CLI
+# sha256 of the stdout of `orbit --y Y [--tmax T] M` (the default-t_max
+# reports run to ~18 kB): examples 3a and 3b with y = example3x, and a
+# fractional-weight matrix (cycle mean 47/60, period 3, transient 3).
+
+ORBIT_FRAC_MATRIX = "3\n0.1 0.7 *\n* -0.3 1.45\n0.2 * 0.35\n"
+ORBIT_FRAC_Y = "3\n0 * -1.5\n"
+ORBIT_STDOUT_SHA256 = {
+    ("example3a", None):
+        "7a7490434515f0719573a04781afcadf5c033efacf760cc830f8487df026c65f",
+    ("example3a", 20):
+        "61c989741e74207cbc1b0f16e61b6d0a6eb66e329db839866db5f979504c29af",
+    ("example3b", None):
+        "c4c2ae5fb7c1acf323153dca61b20fa35b093f0f22ff62cdb0e9cd0a8cb3304d",
+    ("example3b", 20):
+        "4305a5eaba532157cb0c595acdd8642a5263912dcac5012fd57be3f2f08d52f3",
+    ("frac", None):
+        "0d9b770497c79c53d59f8374c2eaa2fbf5fa29b2aa9b58c1d31857f02c874cd1",
+    ("frac", 12):
+        "f554236f89ea3d5ba3d5f6da3399b79ea9f20b3a0731f9753224761e2efef033",
+}

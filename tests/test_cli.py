@@ -1,5 +1,6 @@
 """End-to-end command line tests: parsing, reports, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,8 @@ import maxplus
 import maxplus.cli as cli
 from conftest import DATA, scaled_hang_matrix
 from goldens import (EX1_A2, EX1_N1_0, EX1_THRESHOLD, EX2_THRESHOLD,
-                     EX3_GAMMA_U)
+                     EX3_GAMMA_U, ORBIT_FRAC_MATRIX, ORBIT_FRAC_Y,
+                     ORBIT_STDOUT_SHA256)
 
 EX1 = str(DATA / "example1.txt")
 EX2 = str(DATA / "example2.txt")
@@ -246,6 +248,21 @@ def test_orbit_example3(tmp_path, capsys):
     assert obj["transient"] is None
 
 
+def test_orbit_stdout_bytes(tmp_path, capsys):
+    frac, y_frac = tmp_path / "frac.txt", tmp_path / "y_frac.txt"
+    frac.write_text(ORBIT_FRAC_MATRIX)
+    y_frac.write_text(ORBIT_FRAC_Y)
+    y3 = str(DATA / "example3x.txt")
+    files = {"example3a": (EX3A, y3), "example3b": (EX3B, y3),
+             "frac": (str(frac), str(y_frac))}
+    for (name, tmax), digest in ORBIT_STDOUT_SHA256.items():
+        m, y = files[name]
+        extra = [] if tmax is None else ["--tmax", str(tmax)]
+        assert cli.main(["orbit", "--y", y] + extra + [m]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, (name, tmax)
+
+
 def test_orbit_flags_and_errors(tmp_path, capsys):
     y = tmp_path / "y.txt"
     y.write_text("6\n0 * * * * 0")
@@ -329,6 +346,11 @@ def test_analysis_errors_exit_3(tmp_path, capsys):
     _write_plain(f, scaled_hang_matrix())
     code, obj, err = run(capsys, "nachtigall", "--t", "75", str(f))
     assert code == 3 and obj is None and "no critical node" in err
+    # csr checks definiteness before either rule selects critical edges
+    for rule in ("canonical", "cycle"):
+        code, obj, err = run(capsys, "csr", "--t", "2", "--rule", rule, str(f))
+        assert (code, obj) == (3, None)
+        assert err == "error: not definite: max cycle mean 5.83333e+06\n"
     f = tmp_path / "close.txt"
     f.write_text("3\n0 * *\n* -9e-10 *\n* * -1.8e-9\n")
     code, obj, err = run(capsys, "ultimate", "--t", "5", str(f))

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from maxplus import (CritSubgraph, NEG_INF, NotDefiniteError, PathClassQuery,
+from maxplus import (CritSubgraph, DivergentStarError, NEG_INF,
+                     NotDefiniteError, PathClassQuery,
                      RotationUnavailableError, TropicalMatrix, apply_scaling,
                      best_path_weight, critical_structure, csr_build,
                      csr_group_check, csr_product, csr_product_literal,
                      csr_rotate, enumerate_small, kleene_star, mat_eq,
-                     mat_mul, mat_power, mat_scalar_mul, visualizing_scaling)
+                     mat_mul, mat_power, mat_scalar_mul, nachtigall_expand,
+                     ultimate_expand, visualizing_scaling)
 
-from conftest import random_definite
+from conftest import random_definite, random_reducible
 from goldens import (EX1_N1_0, EX1_N1_1, EX1_S_EDGES, EX1_STAR_COLS01,
                      EX1_STAR_ROWS01)
 
@@ -188,6 +190,37 @@ def test_crit_heavy_two_sided_bounds():
                     assert abs(p[i, j] - w) <= TOL
 
 
+def full_matrix_factors(a: TropicalMatrix, crit: CritSubgraph):
+    """C, S, R from (a^gamma)* over all n nodes, the unrestricted build."""
+    b = kleene_star(mat_power(a, crit.gamma), check=False).arr
+    mask = np.zeros(a.n, dtype=bool)
+    mask[sorted(crit.nodes)] = True
+    s = np.full((a.n, a.n), NEG_INF)
+    for i, j in crit.edges:
+        s[i, j] = a.arr[i, j]
+    return (np.where(mask[None, :], b, NEG_INF), s,
+            np.where(mask[:, None], b, NEG_INF))
+
+
+def test_build_on_restricted_levels_matches_full_matrix():
+    # deeper deflation levels leave rows and columns all -inf; the build
+    # stars only the rest.  n = 70 runs the rank-1 matmul loop on the
+    # first levels and the broadcast product on the small late ones.
+    rng = np.random.default_rng(68)
+    restricted = 0
+    for n in (6, 9, 12, 70):
+        a = random_reducible(rng, n, blocks=6)
+        for e in (nachtigall_expand(a), nachtigall_expand(a, rule="cycle"),
+                  ultimate_expand(a)):
+            for st, (_, triple) in zip(e.steps, e.terms):
+                level = st.a_mu.scale(-st.lambda_mu)
+                restricted += not level.finite_mask().any(axis=1).all()
+                want = full_matrix_factors(level, st.crit)
+                got = (triple.c.arr, triple.s.arr, triple.r.arr)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert restricted > 10
+
+
 def test_rotate_identity_shift(ex1):
     tr = full_triple(ex1)
     r0 = tr.periodicity_threshold()
@@ -251,6 +284,12 @@ def test_build_rejects_non_definite():
     good = TropicalMatrix([[0.0]])
     assert mat_eq(csr_build(good, crit, check_definite=False).c,
                   csr_build(good, crit).c)
+    # unscreened, a positive loop fails the star; the error names the node
+    # of the input although nodes 0 and 1 (no edges) are left out of it
+    a = TropicalMatrix.from_rows([[None] * 3, [None] * 3, [None, None, 1.0]])
+    with pytest.raises(DivergentStarError) as exc:
+        csr_build(a, CritSubgraph.from_edges([(2, 2)]), check_definite=False)
+    assert exc.value.node == 2 and "node 2" in str(exc.value)
 
 
 def test_product_negative_exponent(ex1):

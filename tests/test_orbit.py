@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maxplus import orbit
 from maxplus import (NEG_INF, NotOrbitPeriodicError, TrivialColumnError,
                      TropicalMatrix, ZeroVectorError, column_periodicity,
                      critical_structure, csr_product, gamma_u,
@@ -361,3 +362,153 @@ def test_path_implies_growth_lower_bound():
                     if level == NEG_INF:
                         continue
                     assert term_rate(e, i, j, l) >= level - TOL
+
+
+# ------------------------------------------------------- detector reference
+
+def detect_loop_reference(samples: np.ndarray, gamma: int, tol: float):
+    """The row-at-a-time detector that orbit._detect vectorizes."""
+    t_max = samples.shape[0] - 1
+    finite = samples != NEG_INF
+    for p in [d for d in range(1, gamma + 1) if gamma % d == 0]:
+        if t_max - p < 0:
+            continue
+        top, bot = samples[t_max], samples[t_max - p]
+        if not np.array_equal(finite[t_max], finite[t_max - p]):
+            continue
+        mask = finite[t_max]
+        if mask.any():
+            diffs = (top[mask] - bot[mask]) / p
+            if np.ptp(diffs) > tol:
+                continue
+            rate = float(diffs[0])
+        else:
+            rate = NEG_INF
+        t = t_max - p
+        while t >= 1:
+            s = t - 1
+            if not np.array_equal(finite[s + p], finite[s]):
+                break
+            m = finite[s]
+            if m.any():
+                if rate == NEG_INF:
+                    break
+                if np.max(np.abs(samples[s + p][m] - samples[s][m]
+                                 - rate * p)) > tol:
+                    break
+            t = s
+        if t_max - p - t + 1 >= gamma + 1:
+            return p, rate, t
+    return None, None, None
+
+
+def periodic_samples(rng, n: int, p: int, rate: float, t_max: int,
+                     transient: int, fractional: bool) -> np.ndarray:
+    """Rows x[t + p] = x[t] + p * rate from `transient` on (row by row,
+    in float arithmetic), random rows with random -inf patterns before."""
+    def row():
+        vals = rng.normal(0, 5, n) if fractional else rng.integers(-9, 10, n)
+        return np.where(rng.random(n) < 0.7, vals, NEG_INF)
+    x = np.empty((t_max + 1, n))
+    for t in range(t_max + 1):
+        x[t] = row() if t < transient + p else x[t - p] + p * rate
+    return x
+
+
+def assert_detect_matches(samples: np.ndarray, gamma: int, tol: float):
+    got = orbit._detect(samples, gamma, tol)
+    want = detect_loop_reference(samples, gamma, tol)
+    assert got == want
+    return got
+
+
+def test_divisors_in_increasing_order():
+    for g in list(range(1, 400)) + [510510, 720720, 9973 ** 2]:
+        want = [d for d in range(1, g + 1) if g % d == 0] if g < 10 ** 6 \
+            else [1, 9973, 9973 ** 2]
+        assert orbit._divisors(g) == want
+
+
+def test_detect_matches_reference_mixed_patterns():
+    rng = np.random.default_rng(80)
+    hits = 0
+    for k in range(120):
+        gamma = int(rng.choice([1, 2, 4, 6, 12]))
+        p = int(rng.choice([d for d in range(1, gamma + 1) if gamma % d == 0]))
+        n = int(rng.integers(1, 7))
+        rate = float(rng.integers(-3, 4)) if k % 2 else float(rng.normal())
+        t_max = int(rng.integers(0, 80))
+        x = periodic_samples(rng, n, p, rate, t_max,
+                             int(rng.integers(0, 40)), k % 2 == 0)
+        if k % 3 == 0 and t_max > 2:
+            # break one equation somewhere in the periodic part
+            s = int(rng.integers(0, t_max - 1))
+            x[s, int(rng.integers(n))] += float(rng.choice([1.0, NEG_INF]))
+        hits += assert_detect_matches(x, gamma, 1e-9)[0] is not None
+    assert hits > 30
+
+
+def test_detect_matches_reference_dying_orbits():
+    # tails all -inf (rate -inf), with and without finite rows before
+    rng = np.random.default_rng(81)
+    for k in range(40):
+        n, t_max = int(rng.integers(1, 6)), int(rng.integers(5, 60))
+        x = np.full((t_max + 1, n), NEG_INF)
+        alive = int(rng.integers(0, t_max + 1))
+        x[:alive] = np.where(rng.random((alive, n)) < 0.5,
+                             rng.normal(0, 3, (alive, n)), NEG_INF)
+        got = assert_detect_matches(x, int(rng.choice([1, 2, 3, 6])), 1e-9)
+        if alive < t_max - 8:
+            assert got[1] == NEG_INF
+
+
+def test_detect_matches_reference_near_ties():
+    # deviations placed just inside and just outside tol on finite entries
+    rng = np.random.default_rng(82)
+    for tol in (1e-9, 1e-6, 0.0):
+        for k in range(40):
+            n, p = int(rng.integers(1, 5)), int(rng.choice([1, 2, 4]))
+            t_max = 60
+            rate = float(rng.normal())
+            x = periodic_samples(rng, n, p, rate, t_max, 5, True)
+            for _ in range(int(rng.integers(1, 4))):
+                s, j = int(rng.integers(0, t_max + 1)), int(rng.integers(n))
+                if x[s, j] != NEG_INF:
+                    x[s, j] += float(rng.choice([-1, 1])) * tol * float(
+                        rng.choice([0.5, 1 - 1e-7, 1.0, 1 + 1e-7, 2.0]))
+            assert_detect_matches(x, 4, tol)
+
+
+def test_detect_matches_reference_across_chunks():
+    # t_max spans several scan blocks; the last failing equation sits on
+    # a block boundary, one row either side of it, or in the bottom block
+    chunk = orbit._DETECT_CHUNK
+    rng = np.random.default_rng(83)
+    gamma, p, n = 6, 3, 4
+    t_max = 3 * chunk + 17
+    top = t_max - p                     # first block scans [top - chunk, top)
+    base = periodic_samples(rng, n, p, 0.25, t_max, 0, True)
+    for s in (top - chunk, top - chunk - 1, top - chunk + 1,
+              top - 2 * chunk, top - 3 * chunk, 2, 0):
+        x = base.copy()
+        x[s, 1] += 0.5
+        p_got, _, t0 = assert_detect_matches(x, gamma, 1e-9)
+        assert (p_got, t0) == (p, s + 1)
+    assert assert_detect_matches(base, gamma, 1e-9)[::2] == (p, 0)
+
+
+def test_simulate_orbit_samples_equal_apply_loop():
+    rng = np.random.default_rng(84)
+    for _ in range(25):
+        n = int(rng.integers(1, 9))
+        arr = np.where(rng.random((n, n)) < 0.5, rng.normal(0, 2, (n, n)),
+                       NEG_INF)
+        a = TropicalMatrix(arr)
+        y = np.where(rng.random(n) < 0.6, rng.normal(0, 2, n) / 3, NEG_INF)
+        trace = simulate_orbit(a, y, t_max=int(rng.integers(0, 120)))
+        want = [np.array(y)]
+        for _ in range(trace.samples.shape[0] - 1):
+            want.append(a.apply(want[-1]))
+        assert np.array_equal(trace.samples, np.array(want))
+        assert (trace.period, trace.growth_rate, trace.transient) == \
+            detect_loop_reference(trace.samples, gamma_u(a), TOL)

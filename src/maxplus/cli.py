@@ -363,10 +363,10 @@ def _cmd_verify(a, args, report):
         ok = bool(mat_eq(evaluate(e, t0).matrix, mat_power(a, t0), tol))
         checks.append({"name": "nachtigall expansion matches power at "
                                "threshold", "ok": ok})
-        found = ultimate_threshold(a, tol=tol)
+        eu = ultimate_expand(a)
+        found = ultimate_threshold(a, eu, tol=tol)
         ok = found is not None
         if found is not None:
-            eu = ultimate_expand(a)
             ok = all(mat_eq(evaluate(eu, found + k).matrix,
                             mat_power(a, found + k), tol) for k in (0, 1))
         checks.append({"name": "ultimate expansion matches power from "

@@ -150,11 +150,11 @@ def _check_same_n(a: TropicalMatrix, b: TropicalMatrix):
 
 
 def _mp_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    if n <= _BROADCAST_LIMIT:
+    """c_ij = max_k (x_ik + y_kj) on arrays of shapes (m, k) and (k, p)."""
+    if x.shape[0] <= _BROADCAST_LIMIT:
         return (x[:, :, None] + y[None, :, :]).max(axis=1)
-    out = np.full((n, n), NEG_INF)
-    for k in range(n):
+    out = np.full((x.shape[0], y.shape[1]), NEG_INF)
+    for k in range(x.shape[1]):
         np.maximum(out, x[:, k, None] + y[k, None, :], out=out)
     return out
 

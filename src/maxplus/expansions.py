@@ -290,12 +290,84 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
     return out
 
 
-def _term_residue_arrays(e: Expansion) -> list:
-    data = []
-    for lam, triple in e.terms:
-        arrs = [csr_product(triple, res).matrix.arr for res in range(triple.gamma)]
-        data.append((lam, arrs))
-    return data
+def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
+                tol: float):
+    """Residues P(r) = C (x) S^r (x) R, r < gamma, of one term, and the
+    lines it adds to A (x) E(t) and to E(t + 1).
+
+    On t = r (mod gamma) the term adds to entry (i, j) a line of slope lam
+    with intercept (A (x) P(r))_ij on the first side and lam + P(r + 1)_ij
+    on the second; the line agrees when the two match within tol (two -inf
+    match).  Returns (residues, low, high): per entry, low is the lowest
+    agreeing intercept over all r (-inf as soon as one r disagrees or is
+    -inf), high the highest intercept of a disagreeing r (-inf if none).
+
+    One pass over r on the critical nodes only: the stacked block
+    [C; A (x) C] (x) S^r times [S | R] gives both the next block and
+    [P(r); A (x) P(r)], so each residue costs one multiplication.
+    """
+    n = a.n
+    low = np.full((n, n), np.inf)
+    high = np.full((n, n), NEG_INF)
+
+    def compare(ap, p_next):
+        x, y = ap, p_next + lam
+        with np.errstate(invalid="ignore"):
+            agree = (x == y) | (np.abs(x - y) <= tol)
+        np.minimum(low, np.where(agree, np.minimum(x, y), NEG_INF), out=low)
+        np.maximum(high, np.where(agree, NEG_INF, np.maximum(x, y)), out=high)
+
+    nodes = list(triple.n_c)
+    k = len(nodes)
+    c = triple.c.arr[:, nodes]
+    step = np.hstack([triple.s.arr[np.ix_(nodes, nodes)],
+                      triple.r.arr[nodes, :]])
+    block = np.vstack([c, _mp_matmul(a.arr, c)])
+    residues, ap = [], None
+    for _ in range(triple.gamma):
+        out = _mp_matmul(block, step)
+        residues.append(out[:n, k:].copy())
+        if ap is not None:
+            compare(ap, residues[-1])
+        block, ap = out[:, :k], out[n:, k:]
+    compare(ap, residues[0])
+    return residues, low, high
+
+
+def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
+    """Residue tables of the terms of e, and a bound T with
+    A (x) E(t) = E(t + 1) for every t >= T.
+
+    A line that disagrees (see _term_lines) shows in neither side once an
+    agreeing line of a larger slope lies above it for good.  Per entry and
+    disagreeing term, T has to pass the earliest such overtaking among
+    the terms of larger cycle mean, judged on the lowest agreeing and the
+    highest disagreeing intercepts, so the residue of t never matters.
+    Returns (data, T) with data the (lam, residues) of each term, and T
+    None when some disagreeing line has no agreeing line above it.
+
+    Costs sum(gamma) + len(terms) multiplications of blocks at most
+    2n x 2n, and O(len(terms)^2 n^2) array work; nothing is sized by
+    gamma_u.
+    """
+    lines = [(lam, _term_lines(a, lam, triple, tol)) for lam, triple in e.terms]
+    data = [(lam, residues) for lam, (residues, _, _) in lines]
+    bound = 0
+    for lam_mu, (_, _, high) in lines:
+        need = high != NEG_INF
+        if not need.any():
+            continue
+        first = np.full(need.shape, np.inf)
+        for lam_nu, (_, low, _) in lines:
+            if lam_nu > lam_mu:
+                ok = need & (low != NEG_INF)
+                cross = (high[ok] - low[ok]) / (lam_nu - lam_mu)
+                first[ok] = np.minimum(first[ok], np.floor(cross) + 1)
+        last = float(first[need].max())
+        if not math.isfinite(last):
+            return data, None
+        bound = max(bound, int(last))
+    return data, bound
 
 
 def _residue_eval(data, t: int) -> np.ndarray:
@@ -310,23 +382,38 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
                        t_max: int | None = None, tol: float = 1e-9) -> int | None:
     """Smallest t' <= t_max from which the ultimate expansion equals a^t.
 
-    Equality is verified on a window of gamma_u + ceil(log2 t_max) extra
-    exponents past the candidate.  Returns None when no qualifying t'
-    exists below t_max (reported, not raised).
+    The scan compares a^t with E(t) for t = 0, 1, ... and tracks the
+    current run of equal exponents.  It stops on a proof: a bound T with
+    A (x) E(t) = E(t + 1) for all t >= T (see _threshold_tables), so once
+    the run reaches some t >= T, induction carries a^t = E(t) to every
+    later t and the run's start is t'.  The bound costs O(sum of term
+    cyclicities) multiplications, nothing sized by gamma_u, and on nearly
+    all inputs T <= t', so the scan stops at t' itself.
+
+    When no bound exists, or it lies beyond the window below, the scan
+    falls back to accepting a run of gamma_u + ceil(log2 t_max) extra
+    equal exponents past its start.  A run accepted through the bound
+    never breaks, so both rules name the same t'.  Returns None when no
+    qualifying t' exists below t_max (reported, not raised); t_max
+    defaults to 30 n^2.
     """
     n = a.n
+    if t_max is not None and t_max < 0:
+        raise ValueError("negative t_max")
     if e is None:
         e = ultimate_expand(a)
     if t_max is None:
         t_max = 30 * n * n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
-    data = _term_residue_arrays(e)
+    data, bound = _threshold_tables(a, e, tol)
     cur = TropicalMatrix.identity(n).arr
     run_start = None
     for t in range(t_max + window + 1):
         if _arr_eq(cur, _residue_eval(data, t), tol):
             if run_start is None:
                 run_start = t
+            if bound is not None and t >= bound:
+                return run_start if run_start <= t_max else None
             if run_start <= t_max and t - run_start >= window:
                 return run_start
         else:

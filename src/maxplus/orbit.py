@@ -295,6 +295,8 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
     (_DETECT_CHUNK rows per detection block).
     """
     y = as_vector(y, a.n)
+    if t_max is not None and t_max < 0:
+        raise ValueError("negative t_max")
     gamma = _gamma_u(a)
     if t_max is None:
         t_max = 6 * a.n * a.n + 2 * gamma

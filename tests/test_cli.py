@@ -276,6 +276,16 @@ def test_orbit_flags_and_errors(tmp_path, capsys):
     assert code == 64                                  # missing --y
 
 
+def test_orbit_negative_tmax_exits_3(tmp_path, capsys):
+    y = tmp_path / "y.txt"
+    y.write_text("6\n0 * * * * 0")
+    for tmax in ("-1", "-3"):
+        code, obj, err = run(capsys, "orbit", "--y", str(y), "--tmax", tmax,
+                             EX3A)
+        assert code == 3 and obj is None
+        assert err == "error: negative t_max\n"
+
+
 # --------------------------------------------------------------- maxtimes
 
 def test_maxtimes_mapping(tmp_path, capsys):

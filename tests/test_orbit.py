@@ -99,6 +99,13 @@ def test_simulate_example3b(ex3b, ex3x):
     assert trace.samples[2:14, 5].tolist() == EX3B_SEQ_FROM_T2
 
 
+def test_simulate_negative_t_max_raises(ex3a, ex3x):
+    for t_max in (-1, -3):
+        with pytest.raises(ValueError, match="negative t_max"):
+            simulate_orbit(ex3a, ex3x, t_max=t_max)
+    assert simulate_orbit(ex3a, ex3x, t_max=0).samples.shape == (1, 6)
+
+
 def test_simulate_eigenvector_orbit():
     rng = np.random.default_rng(70)
     for _ in range(6):

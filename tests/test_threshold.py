@@ -1,0 +1,188 @@
+"""ultimate_threshold: the certified stop against the window scan it
+replaced, soundness of the bound, and the cost of a scan."""
+
+import math
+
+import numpy as np
+import pytest
+
+from maxplus import (NEG_INF, TropicalMatrix, csr_product, evaluate, mat_eq,
+                     mat_mul, ultimate_expand, ultimate_threshold)
+from maxplus import expansions
+from maxplus.core import _arr_eq, _mp_matmul
+
+from conftest import random_cyclic, random_reducible
+
+TOL = 1e-9
+
+
+def threshold_window_reference(a, e=None, t_max=None, tol=1e-9):
+    """The window scan ultimate_threshold used before it had a bound:
+    accept a run of equal exponents once it is gamma_u + ceil(log2 t_max)
+    long, with the residues of every term taken from csr_product."""
+    n = a.n
+    if e is None:
+        e = ultimate_expand(a)
+    if t_max is None:
+        t_max = 30 * n * n
+    window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
+    data = [(lam, [csr_product(triple, r).matrix.arr
+                   for r in range(triple.gamma)])
+            for lam, triple in e.terms]
+
+    def expansion_at(t):
+        return np.max([arrs[t % len(arrs)] + lam * t for lam, arrs in data],
+                      axis=0)
+
+    cur = TropicalMatrix.identity(n).arr
+    run_start = None
+    for t in range(t_max + window + 1):
+        if _arr_eq(cur, expansion_at(t), tol):
+            if run_start is None:
+                run_start = t
+            if run_start <= t_max and t - run_start >= window:
+                return run_start
+        else:
+            run_start = None
+            if t > t_max:
+                return None
+        cur = _mp_matmul(cur, a.arr)
+    return None
+
+
+def cycle_chain(rng, lengths=(3, 4, 5, 7), means=(-3, -1, 0, 2), tail=2):
+    """Disjoint cycles of the given lengths and integer cycle means, each
+    feeding the next by one edge, with a path of trivial tail nodes into
+    the first; gamma_u is the lcm of the lengths (420 by default).  Means
+    that rise along the chain make the ultimate expansion hold from some
+    exponent on."""
+    n = sum(lengths) + tail
+    arr = np.full((n, n), NEG_INF)
+    comps, start = [], tail
+    for length, mean in zip(lengths, means):
+        nodes = list(range(start, start + length))
+        start += length
+        w = rng.integers(-4, 5, size=length).astype(float)
+        w[-1] += length * mean - w.sum()
+        for k in range(length):
+            arr[nodes[k], nodes[(k + 1) % length]] = w[k]
+        comps.append(nodes)
+    for src, dst in zip(comps, comps[1:]):
+        arr[src[int(rng.integers(len(src)))],
+            dst[int(rng.integers(len(dst)))]] = float(rng.integers(-5, 3))
+    chain = list(range(tail)) + [comps[0][0]]
+    for u, v in zip(chain, chain[1:]):
+        arr[u, v] = float(rng.integers(-5, 3))
+    return TropicalMatrix(arr)
+
+
+def two_bipartite_levels():
+    """Two 2-cycles of means 1/2 (nodes 0, 1) and -5/2 (nodes 2, 3), the
+    first feeding the second.  The lower term disagrees on the row of
+    node 1, and only the upper term lies above it there, but that term is
+    -inf on every entry at one of its two residues, so its lowest line is
+    -inf and no bound comes out: the scan keeps the window."""
+    return TropicalMatrix.from_rows([[None, -2, None, None, None],
+                                     [3, None, -1, None, None],
+                                     [None, None, None, -6, -7],
+                                     [None, None, 1, None, None],
+                                     [None, None, None, None, None]])
+
+
+def fractional(rng, n, q):
+    a = random_cyclic(rng, n)
+    return TropicalMatrix(np.where(a.finite_mask(), a.arr / q, NEG_INF))
+
+
+def corpus():
+    rng = np.random.default_rng(601)
+    out = [random_cyclic(rng, n) for n in range(2, 10) for _ in range(8)]
+    out += [fractional(rng, int(rng.integers(2, 8)), q)
+            for q in (3, 7) for _ in range(15)]
+    out += [random_reducible(rng, n, blocks=int(rng.integers(2, 7)))
+            for n in (4, 6, 9, 12, 16, 20, 25, 30)]
+    return out
+
+
+# ------------------------------------------------------- same answers
+
+def test_matches_window_reference_on_corpora():
+    for a in corpus():
+        e = ultimate_expand(a)
+        assert ultimate_threshold(a, e) == threshold_window_reference(a, e)
+
+
+def test_matches_window_reference_on_chains():
+    rng = np.random.default_rng(602)
+    for _ in range(3):
+        a = cycle_chain(rng)
+        e = ultimate_expand(a)
+        assert e.gamma_u == 420
+        tp = ultimate_threshold(a, e)
+        assert tp is not None and tp == threshold_window_reference(a, e)
+
+
+def test_matches_window_reference_on_examples(ex1, ex2):
+    two_cycle = TropicalMatrix.from_rows([[None, 0.0], [0.0, None]])
+    for a in (ex1, ex2, two_cycle, two_bipartite_levels()):
+        assert ultimate_threshold(a) == threshold_window_reference(a)
+
+
+def test_small_t_max_matches_window_reference(ex1, ex2):
+    rng = np.random.default_rng(603)
+    mats = [ex1, ex2] + [random_cyclic(rng, int(rng.integers(3, 7)))
+                         for _ in range(6)]
+    for a in mats:
+        e = ultimate_expand(a)
+        tp = ultimate_threshold(a, e)
+        for t_max in sorted({0, 1, 2, max(tp - 1, 0), tp, tp + 1}):
+            want = threshold_window_reference(a, e, t_max=t_max)
+            assert ultimate_threshold(a, e, t_max=t_max) == want
+            assert (want is None) == (t_max < tp)
+
+
+def test_negative_t_max_raises(ex1):
+    with pytest.raises(ValueError, match="negative t_max"):
+        ultimate_threshold(ex1, t_max=-1)
+
+
+# ------------------------------------------------------------ the bound
+
+def test_bound_is_sound():
+    """A (x) E(t) = E(t + 1) on [T, T + 2 gamma_u + n^2], by brute force."""
+    rng = np.random.default_rng(604)
+    mats = corpus()[::3] + [cycle_chain(rng)]
+    for a in mats:
+        e = ultimate_expand(a)
+        _, bound = expansions._threshold_tables(a, e, TOL)
+        assert bound is not None
+        nxt = evaluate(e, bound).matrix
+        for t in range(bound, bound + 2 * e.gamma_u + a.n * a.n + 1):
+            cur, nxt = nxt, evaluate(e, t + 1).matrix
+            assert mat_eq(mat_mul(a, cur), nxt, TOL), t
+
+
+def test_no_bound_without_an_agreeing_line_above():
+    a = two_bipartite_levels()
+    _, bound = expansions._threshold_tables(a, ultimate_expand(a), TOL)
+    assert bound is None
+    assert ultimate_threshold(a) == 2
+
+
+def test_scan_is_not_sized_by_gamma_u(monkeypatch):
+    """Multiplications in one call: the scan up to t', one per residue of
+    each term, and one per term; the window scan made more than gamma_u."""
+    a = cycle_chain(np.random.default_rng(605))
+    e = ultimate_expand(a)
+    tp = ultimate_threshold(a, e)
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return _mp_matmul(x, y)
+
+    monkeypatch.setattr(expansions, "_mp_matmul", counted)
+    assert ultimate_threshold(a, e) == tp
+    gammas = [term.triple.gamma for term in e.terms]
+    assert len(calls) <= tp + sum(gammas) + len(gammas)
+    assert len(calls) < e.gamma_u

@@ -6,25 +6,65 @@ critical nodes, R keeps the critical rows, and S keeps the entries of a on
 critical edges.  The product C (x) S^t (x) R is periodic in t with period
 gamma from t = 0 on, satisfies the group law in t, and bounds a^t from
 below entrywise, with equality for large t.
+
+With the critical-path potential x, each walk i -> j of the selection
+weighs x_j - x_i, and C's columns minus x and R's rows plus x are constant
+on each cyclic class (slot).  So with C^ and R^ those columns and rows,
+one per slot, C (x) S^t (x) R = C^ (x) R^[sigma_t], where sigma_t moves
+each slot t classes on in its own component.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, TropicalMatrix, mat_mul, mat_power
+from .core import NEG_INF, TropicalMatrix, _mp_matmul, mat_mul, mat_power
 from .errors import (DivergentStarError, NotDefiniteError,
                      RotationUnavailableError)
-from .graphs import CRIT_TOL, CritSubgraph, max_cycle_mean, wielandt
+from .graphs import CRIT_TOL, CritSubgraph, _bfs, max_cycle_mean, wielandt
 from .kleene import kleene_star
+
+
+def _shift(slots: tuple, t: int) -> np.ndarray:
+    """sigma_t: the slot that walks of length t lead to from each slot."""
+    _, cls, cyc = slots
+    return np.arange(cls.size) + (cls + t) % cyc - cls
+
+
+def _class_product(c_hat: np.ndarray, r_hat: np.ndarray, slots: tuple,
+                   t: int) -> np.ndarray:
+    """C (x) S^t (x) R from the class factors: one n x m by m x n product."""
+    return _mp_matmul(c_hat, r_hat[_shift(slots, t)])
+
+
+def _class_factors(m: np.ndarray, crit: CritSubgraph, arr: np.ndarray,
+                   lam: float = 0.0) -> tuple:
+    """(C^, R^, slots), read-only: the columns of m minus x and its rows
+    plus x at the least node of each cyclic class (slot) of crit, slots
+    numbered component by component; x is the potential of the weights
+    arr - lam, 0 at each component's least node and summed along BFS
+    trees.  slots holds per slot that node, its class and the cyclicity of
+    its component."""
+    cyc = crit.cyclicity_of
+    rep = np.array([b[0] for buckets in crit.members for b in buckets])
+    cls = np.concatenate([np.arange(g) for g in cyc])
+    x = np.zeros(arr.shape[0])
+    _, parent, _ = _bfs(crit.edges, [min(comp) for comp in crit.components])
+    for w, v in parent.items():     # in visit order, parents first
+        if v is not None:
+            x[w] = x[v] + (arr[v, w] - lam)
+    slots = (rep, cls, np.repeat(cyc, cyc))
+    out = (m[:, rep] - x[rep], m[rep, :] + x[rep, None], slots)
+    for part in out[:2] + slots:
+        part.setflags(write=False)
+    return out
 
 
 @dataclass(eq=False)
 class CsrTriple:
-    """Factors C, S, R with the critical bookkeeping used for rotations."""
+    """Factors C, S, R, and the class factors C^, R^ and slots."""
 
     n: int
     crit: CritSubgraph
@@ -33,7 +73,9 @@ class CsrTriple:
     s: TropicalMatrix
     r: TropicalMatrix
     s_is_boolean: bool
-    _residues: dict = field(default_factory=dict, repr=False)
+    c_hat: np.ndarray
+    r_hat: np.ndarray
+    slots: tuple
 
     @property
     def n_c(self) -> tuple:
@@ -110,10 +152,12 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
     s = TropicalMatrix(s_arr, copy=False)
     edge_vals = np.array([a.arr[i, j] for i, j in crit.edges])
     boolean = bool(edge_vals.size == 0 or np.all(np.abs(edge_vals) <= tol))
+    c_hat, r_hat, slots = _class_factors(b, crit, a.arr)
     return CsrTriple(n=n, crit=crit, gamma=gamma,
                      c=TropicalMatrix(c_arr, copy=False), s=s,
                      r=TropicalMatrix(r_arr, copy=False),
-                     s_is_boolean=boolean)
+                     s_is_boolean=boolean, c_hat=c_hat, r_hat=r_hat,
+                     slots=slots)
 
 
 def csr_product_literal(triple: CsrTriple, t: int) -> TropicalMatrix:
@@ -124,19 +168,17 @@ def csr_product_literal(triple: CsrTriple, t: int) -> TropicalMatrix:
 
 
 def csr_product(triple: CsrTriple, t: int) -> CsrProduct:
-    """Periodic product at exponent t, computed at the residue t mod gamma.
+    """Periodic product at exponent t, equal to the literal product.
 
-    Equal to the literal product at t itself by periodicity; residue
-    results are cached on the triple.
+    Formed from the class factors (see the module docstring), one n x m
+    by m x n product for m cyclic classes; nothing is cached.  t_residue
+    is t mod gamma.
     """
     if t < 0:
         raise ValueError("negative exponent")
-    res = t % triple.gamma
-    cached = triple._residues.get(res)
-    if cached is None:
-        cached = csr_product_literal(triple, res)
-        triple._residues[res] = cached
-    return CsrProduct(matrix=cached, t_residue=res)
+    res = t % triple.gamma      # every slot's cyclicity divides gamma
+    arr = _class_product(triple.c_hat, triple.r_hat, triple.slots, res)
+    return CsrProduct(matrix=TropicalMatrix(arr, copy=False), t_residue=res)
 
 
 def csr_group_check(triple: CsrTriple, t1: int, t2: int, tol: float = 0.0) -> bool:
@@ -144,28 +186,6 @@ def csr_group_check(triple: CsrTriple, t1: int, t2: int, tol: float = 0.0) -> bo
     lhs = csr_product(triple, t1 + t2).matrix
     rhs = mat_mul(csr_product(triple, t1).matrix, csr_product(triple, t2).matrix)
     return lhs.eq(rhs, tol)
-
-
-def _rotate_rows(crit: CritSubgraph, arr: np.ndarray, dt: int) -> np.ndarray:
-    out = arr.copy()
-    for ci, buckets in enumerate(crit.members):
-        gamma = crit.cyclicity_of[ci]
-        for v in (v for bucket in buckets for v in bucket):
-            cls = crit.class_of[v][1]
-            src = buckets[(cls + dt) % gamma][0]
-            out[v, :] = arr[src, :]
-    return out
-
-
-def _rotate_cols(crit: CritSubgraph, arr: np.ndarray, dt: int) -> np.ndarray:
-    out = arr.copy()
-    for ci, buckets in enumerate(crit.members):
-        gamma = crit.cyclicity_of[ci]
-        for v in (v for bucket in buckets for v in bucket):
-            cls = crit.class_of[v][1]
-            src = buckets[(cls - dt) % gamma][0]
-            out[:, v] = arr[:, src]
-    return out
 
 
 def csr_rotate(triple: CsrTriple, m: TropicalMatrix, dt: int,
@@ -181,8 +201,16 @@ def csr_rotate(triple: CsrTriple, m: TropicalMatrix, dt: int,
         raise RotationUnavailableError("rotation requires a Boolean S factor")
     if m.n != triple.n:
         raise ValueError("block size mismatch")
+    if kind not in ("rows", "cols"):
+        raise ValueError("kind must be 'rows' or 'cols'")
+    rep, cls, _ = triple.slots
+    starts, nodes = np.flatnonzero(cls == 0), list(triple.n_c)
+    slot = [starts[k] + c for k, c in map(triple.crit.class_of.get, nodes)]
+    shift = (dt if kind == "rows" else -dt) % triple.gamma
+    src = rep[_shift(triple.slots, shift)[slot]]
+    out = m.arr.copy()
     if kind == "rows":
-        return TropicalMatrix(_rotate_rows(triple.crit, m.arr, dt), copy=False)
-    if kind == "cols":
-        return TropicalMatrix(_rotate_cols(triple.crit, m.arr, dt), copy=False)
-    raise ValueError("kind must be 'rows' or 'cols'")
+        out[nodes, :] = m.arr[src, :]
+    else:
+        out[:, nodes] = m.arr[:, src]
+    return TropicalMatrix(out, copy=False)

@@ -12,18 +12,19 @@ ultimate_threshold measures.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (NEG_INF, TropicalMatrix, mat_mul, mat_oplus, mat_power,
-                   _arr_eq, _mp_matmul)
-from .csr import CsrTriple, csr_build, csr_product, _rotate_cols, _rotate_rows
+from .core import (NEG_INF, TropicalMatrix, mat_oplus, mat_power, _arr_eq,
+                   _mp_matmul)
+from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
+                  _shift)
 from .errors import AnalysisError, NoCyclesError, ThresholdError
-from .graphs import CRIT_TOL, CritSubgraph, CriticalStructure, _critical
-from .kleene import apply_scaling, total_visualizing_scaling
+from .graphs import (CRIT_TOL, CritSubgraph, CriticalStructure, _bfs,
+                     _critical)
 
 
 @dataclass(frozen=True)
@@ -83,24 +84,14 @@ def _shortest_critical_cycle(cs: CriticalStructure) -> list:
     Every critical edge lies on a cycle of critical edges, so the search
     returns to the start.  O(n^2): each critical edge is looked at once.
     """
-    succ = {}
-    for i, j in cs.critical_edges:    # sorted, so each list is increasing
-        succ.setdefault(i, []).append(j)
     root = min(cs.critical_nodes)
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in succ[v]:
-            if w == root:
-                cycle = []
-                while v is not None:
-                    cycle.append(v)
-                    v = parent[v]
-                return cycle[::-1]
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
+    order, parent, succ = _bfs(cs.critical_edges, [root])
+    v = next(v for v in order if root in succ[v])
+    cycle = []
+    while v is not None:
+        cycle.append(v)
+        v = parent[v]
+    return cycle[::-1]
 
 
 def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
@@ -177,16 +168,16 @@ def _ultimate_levels(a: TropicalMatrix) -> list:
 
 def _build_expansion(a: TropicalMatrix, variant: str, steps: list,
                      sigma: tuple | None) -> Expansion:
-    terms = []
-    gamma = 1
-    for st in steps:
-        normalized = st.a_mu.scale(-st.lambda_mu)
-        triple = csr_build(normalized, st.crit, check_definite=False)
-        terms.append(Term(st.lambda_mu, triple))
-        gamma = math.lcm(gamma, triple.gamma)
+    """The expansion over steps, with its terms built once per matrix and
+    variant (the triples hold no mutable state) but fresh lists each call."""
+    terms = a._cached(("terms", variant), lambda: [
+        Term(st.lambda_mu, csr_build(st.a_mu.scale(-st.lambda_mu), st.crit,
+                                     check_definite=False)) for st in steps])
     threshold = 3 * a.n * a.n if variant.startswith("nachtigall") else None
-    return Expansion(variant=variant, n=a.n, terms=terms, steps=list(steps),
-                     sigma=sigma, gamma_u=gamma, validity_threshold=threshold)
+    return Expansion(variant=variant, n=a.n, terms=list(terms),
+                     steps=list(steps), sigma=sigma,
+                     gamma_u=math.lcm(*(tr.gamma for _, tr in terms)),
+                     validity_threshold=threshold)
 
 
 def nachtigall_expand(a: TropicalMatrix, rule: str = "canonical") -> Expansion:
@@ -226,25 +217,24 @@ def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
     """Max of lam^t-scaled periodic products over all terms."""
     if t < 0:
         raise ValueError("negative exponent")
-    per = []
-    total = None
-    for lam, triple in e.terms:
-        contrib = csr_product(triple, t).matrix.scale(lam * t)
-        per.append(contrib)
-        total = contrib if total is None else mat_oplus(total, contrib)
-    return ExpansionEvaluation(t=t, matrix=total, per_term=per)
+    per = [TropicalMatrix(_class_product(tr.c_hat, tr.r_hat, tr.slots,
+                                         t % tr.gamma) + lam * t, copy=False)
+           for lam, tr in e.terms]
+    return ExpansionEvaluation(t=t, matrix=reduce(mat_oplus, per),
+                               per_term=per)
 
 
 def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
                rule: str = "canonical") -> list:
     """All term matrices P_mu^(t) without forming any Kleene star.
 
-    Each deflated level is normalized, visualized by a total scaling,
-    raised to a power r >= 3 n^2 by repeated squaring (only its K_mu x K_mu
-    block: entries outside are -inf and change no max), and its critical
-    rows and columns are read off and rotated along cyclic classes to the
-    requested exponent; one multiplication then yields the term.  Results
-    match the literal CSR products of the corresponding expansion.
+    Each deflated level is normalized and raised to a power r >= 3 n^2 by
+    repeated squaring (only its K_mu x K_mu block: entries outside are
+    -inf and change no max).  Its critical columns and rows are then those
+    of C S^r and S^r R, and P(t) = C S^r (x) S^(t - 2r) (x) S^r R, so with
+    the potentials of the level's normalized weights they are class
+    factors (see csr) read at t - 2r: one n x m by m x n product, m cyclic
+    classes, and no scaling.  Results match the literal CSR products.
     """
     if t < 0:
         raise ValueError("negative exponent")
@@ -258,53 +248,34 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
     else:
         raise ValueError("variant must be 'nachtigall' or 'ultimate'")
 
-    s_parts = []
-    for st in steps:
-        s_arr = np.full((n, n), NEG_INF)
-        for i, j in st.crit.edges:
-            s_arr[i, j] = a.arr[i, j] - st.lambda_mu
-        s_parts.append(TropicalMatrix(s_arr, copy=False))
-    scaling = total_visualizing_scaling(s_parts, n)
-    a_vis = apply_scaling(a, scaling)
-    unscale = scaling.inverse()
-
     r = 1
     while r < 3 * n * n:
         r <<= 1
     out = []
     for st in steps:
         block = np.ix_(st.k_set, st.k_set)
-        level = TropicalMatrix(a_vis.arr[block], copy=False)
+        level = TropicalMatrix(a.arr[block], copy=False)
         powered = np.full((n, n), NEG_INF)
         powered[block] = mat_power(level.scale(-st.lambda_mu), r).arr
-        nodes = sorted(st.crit.nodes)
-        rows = np.full((n, n), NEG_INF)
-        rows[nodes, :] = powered[nodes, :]
-        cols = np.full((n, n), NEG_INF)
-        cols[:, nodes] = powered[:, nodes]
-        c_block = _rotate_cols(st.crit, cols, -r)
-        str_block = _rotate_rows(st.crit, rows, t - r)
-        term = mat_mul(TropicalMatrix(c_block, copy=False),
-                       TropicalMatrix(str_block, copy=False))
-        out.append(apply_scaling(term, unscale))
+        factors = _class_factors(powered, st.crit, a.arr, st.lambda_mu)
+        prod = _class_product(*factors, (t - 2 * r) % st.crit.gamma)
+        out.append(TropicalMatrix(prod, copy=False))
     return out
 
 
 def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
                 tol: float):
-    """Residues P(r) = C (x) S^r (x) R, r < gamma, of one term, and the
-    lines it adds to A (x) E(t) and to E(t + 1).
+    """The lines one term adds to A (x) E(t) and to E(t + 1).
 
     On t = r (mod gamma) the term adds to entry (i, j) a line of slope lam
     with intercept (A (x) P(r))_ij on the first side and lam + P(r + 1)_ij
     on the second; the line agrees when the two match within tol (two -inf
-    match).  Returns (residues, low, high): per entry, low is the lowest
-    agreeing intercept over all r (-inf as soon as one r disagrees or is
-    -inf), high the highest intercept of a disagreeing r (-inf if none).
+    match).  Returns (low, high): per entry, low is the lowest agreeing
+    intercept over all r (-inf as soon as one r disagrees or is -inf),
+    high the highest intercept of a disagreeing r (-inf if none).
 
-    One pass over r on the critical nodes only: the stacked block
-    [C; A (x) C] (x) S^r times [S | R] gives both the next block and
-    [P(r); A (x) P(r)], so each residue costs one multiplication.
+    One pass over r, keeping no residues: [C^; A (x) C^] (x) R^[sigma_r]
+    gives P(r) and A (x) P(r) in one multiplication.
     """
     n = a.n
     low = np.full((n, n), np.inf)
@@ -317,65 +288,50 @@ def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
         np.minimum(low, np.where(agree, np.minimum(x, y), NEG_INF), out=low)
         np.maximum(high, np.where(agree, NEG_INF, np.maximum(x, y)), out=high)
 
-    nodes = list(triple.n_c)
-    k = len(nodes)
-    c = triple.c.arr[:, nodes]
-    step = np.hstack([triple.s.arr[np.ix_(nodes, nodes)],
-                      triple.r.arr[nodes, :]])
-    block = np.vstack([c, _mp_matmul(a.arr, c)])
-    residues, ap = [], None
-    for _ in range(triple.gamma):
-        out = _mp_matmul(block, step)
-        residues.append(out[:n, k:].copy())
-        if ap is not None:
-            compare(ap, residues[-1])
-        block, ap = out[:, :k], out[n:, k:]
-    compare(ap, residues[0])
-    return residues, low, high
+    left = np.vstack([triple.c_hat, _mp_matmul(a.arr, triple.c_hat)])
+    p0 = ap = None
+    for r in range(triple.gamma):
+        out = _mp_matmul(left, triple.r_hat[_shift(triple.slots, r)])
+        if ap is None:
+            p0 = out[:n]
+        else:
+            compare(ap, out[:n])
+        ap = out[n:]
+    compare(ap, p0)
+    return low, high
 
 
 def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
-    """Residue tables of the terms of e, and a bound T with
-    A (x) E(t) = E(t + 1) for every t >= T.
+    """A bound T with A (x) E(t) = E(t + 1) for every t >= T.
 
     A line that disagrees (see _term_lines) shows in neither side once an
     agreeing line of a larger slope lies above it for good.  Per entry and
     disagreeing term, T has to pass the earliest such overtaking among
     the terms of larger cycle mean, judged on the lowest agreeing and the
     highest disagreeing intercepts, so the residue of t never matters.
-    Returns (data, T) with data the (lam, residues) of each term, and T
-    None when some disagreeing line has no agreeing line above it.
+    Returns None when some disagreeing line has no agreeing line above it.
 
-    Costs sum(gamma) + len(terms) multiplications of blocks at most
-    2n x 2n, and O(len(terms)^2 n^2) array work; nothing is sized by
-    gamma_u.
+    Costs sum(gamma) + len(terms) multiplications of 2n x m by m x n
+    blocks (m cyclic classes), O(len(terms)^2 n^2) array work and O(n m)
+    memory per term; nothing is sized by gamma_u.
     """
     lines = [(lam, _term_lines(a, lam, triple, tol)) for lam, triple in e.terms]
-    data = [(lam, residues) for lam, (residues, _, _) in lines]
     bound = 0
-    for lam_mu, (_, _, high) in lines:
+    for lam_mu, (_, high) in lines:
         need = high != NEG_INF
         if not need.any():
             continue
         first = np.full(need.shape, np.inf)
-        for lam_nu, (_, low, _) in lines:
+        for lam_nu, (low, _) in lines:
             if lam_nu > lam_mu:
                 ok = need & (low != NEG_INF)
                 cross = (high[ok] - low[ok]) / (lam_nu - lam_mu)
                 first[ok] = np.minimum(first[ok], np.floor(cross) + 1)
         last = float(first[need].max())
         if not math.isfinite(last):
-            return data, None
+            return None
         bound = max(bound, int(last))
-    return data, bound
-
-
-def _residue_eval(data, t: int) -> np.ndarray:
-    acc = None
-    for lam, arrs in data:
-        contrib = arrs[t % len(arrs)] + lam * t
-        acc = contrib if acc is None else np.maximum(acc, contrib)
-    return acc
+    return bound
 
 
 def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
@@ -388,7 +344,8 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     the run reaches some t >= T, induction carries a^t = E(t) to every
     later t and the run's start is t'.  The bound costs O(sum of term
     cyclicities) multiplications, nothing sized by gamma_u, and on nearly
-    all inputs T <= t', so the scan stops at t' itself.
+    all inputs T <= t', so the scan stops at t' itself.  E(t) is one
+    product of the terms' stacked class factors: O(n * classes) memory.
 
     When no bound exists, or it lies beyond the window below, the scan
     falls back to accepting a run of gamma_u + ceil(log2 t_max) extra
@@ -405,11 +362,18 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     if t_max is None:
         t_max = 30 * n * n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
-    data, bound = _threshold_tables(a, e, tol)
+    bound = _threshold_tables(a, e, tol)
+    # all terms side by side: a shift never leaves a term's own slots
+    c_all = np.hstack([triple.c_hat for _, triple in e.terms])
+    r_all = np.vstack([triple.r_hat for _, triple in e.terms])
+    slots = tuple(map(np.concatenate, zip(*(tr.slots for _, tr in e.terms))))
+    lams = np.concatenate([np.full((len(triple.r_hat), 1), lam)
+                           for lam, triple in e.terms])
     cur = TropicalMatrix.identity(n).arr
     run_start = None
     for t in range(t_max + window + 1):
-        if _arr_eq(cur, _residue_eval(data, t), tol):
+        right = r_all[_shift(slots, t)] + lams * t
+        if _arr_eq(cur, _mp_matmul(c_all, right), tol):
             if run_start is None:
                 run_start = t
             if bound is not None and t >= bound:

@@ -262,6 +262,21 @@ def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCritica
     return ComponentCriticals(nodes, lam, crit_nodes, crit_edges, comps, cyc, cls)
 
 
+def _bfs(edges, roots):
+    """Breadth-first search from roots over edges, successors in increasing
+    order: (visit order, parent of each visited node, successor lists)."""
+    succ = {}
+    for i, j in sorted(edges):
+        succ.setdefault(i, []).append(j)
+    order, parent = list(roots), dict.fromkeys(roots)
+    for v in order:             # order grows while it is read
+        for w in succ.get(v, ()):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return order, parent, succ
+
+
 def _cyclic_classes(nodes, edges):
     """SCCs of an edge set where every node lies on a cycle, with the
     cyclicity (gcd of cycle lengths) and BFS-level classes of each."""
@@ -277,18 +292,13 @@ def _cyclic_classes(nodes, edges):
     class_of = {}
     for ci, comp in enumerate(comps):
         comp_set = set(comp)
-        level = {min(comp): 0}
-        queue = [min(comp)]
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v]:
-                if w in comp_set and w not in level:
-                    level[w] = level[v] + 1
-                    queue.append(w)
+        inner = [(i, j) for i, j in edges if i in comp_set and j in comp_set]
+        level = {}
+        for v, u in _bfs(inner, [min(comp)])[1].items():    # parents first
+            level[v] = 0 if u is None else level[u] + 1
         g = 0
-        for i, j in edges:
-            if i in comp_set and j in comp_set:
-                g = math.gcd(g, level[i] + 1 - level[j])
+        for i, j in inner:
+            g = math.gcd(g, level[i] + 1 - level[j])
         g = max(g, 1)
         cyclicities.append(g)
         for v in comp:

@@ -97,26 +97,22 @@ def _condition2_strong(a: TropicalMatrix, cs, tol: float):
 
 
 def _support_violations(a: TropicalMatrix, tol: float):
-    e = ultimate_expand(a)
     supports = []
-    for lam, triple in e.terms:
-        u1 = csr_product(triple, 1).matrix.arr
-        cols = {i: set(np.nonzero(u1[:, i] != NEG_INF)[0].tolist())
-                for i in sorted(triple.crit.nodes)}
-        supports.append((lam, cols))
+    for lam, triple in ultimate_expand(a).terms:
+        nodes = list(triple.n_c)
+        u1 = csr_product(triple, 1).matrix.arr[:, nodes]
+        supports.append((lam, nodes, (u1 != NEG_INF).astype(int)))
     violations = []
-    for mu, (lam_mu, cols_mu) in enumerate(supports):
-        for nu, (lam_nu, cols_nu) in enumerate(supports):
+    for mu, (lam_mu, nodes_mu, supp_mu) in enumerate(supports):
+        for nu, (lam_nu, nodes_nu, supp_nu) in enumerate(supports):
             if not lam_mu < lam_nu - tol:
                 continue
-            for i, supp_i in cols_mu.items():
-                for j, supp_j in cols_nu.items():
-                    if not supp_i <= supp_j:
-                        violations.append((mu, nu, i, j))
-                        break
-                else:
-                    continue
-                break
+            # (i, j) counts the rows in the support of i and not of j; the
+            # first failing pair, i then j increasing, is the witness
+            bad = np.argwhere(supp_mu.T @ (1 - supp_nu) > 0)
+            if bad.size:
+                i, j = bad[0]
+                violations.append((mu, nu, nodes_mu[i], nodes_nu[j]))
     return violations
 
 

@@ -6,9 +6,11 @@ import pytest
 
 from maxplus import (NEG_INF, AnalysisError, NoCyclesError, PathClassQuery, ThresholdError,
                      TropicalMatrix, best_path_weight, critical_structure,
-                     csr_product, enumerate_small, evaluate, fast_terms,
-                     mat_eq, mat_oplus, mat_power, nachtigall_expand,
-                     scc_decompose, ultimate_expand, ultimate_threshold)
+                     csr_product, csr_product_literal, enumerate_small,
+                     evaluate, fast_terms, mat_eq, mat_oplus, mat_power,
+                     nachtigall_expand, scc_decompose, ultimate_expand,
+                     ultimate_threshold)
+from maxplus import csr, kleene
 
 from conftest import (random_cyclic, random_matrix, random_reducible,
                       scaled_hang_matrix)
@@ -520,6 +522,94 @@ def test_fast_terms_match_literal_on_shrinking_levels():
             assert len(got) == len(e.terms)
             for m, term in zip(got, e.terms):
                 assert mat_eq(m, csr_product(term.triple, t).matrix, tol=TOL)
+
+
+def divided(a: TropicalMatrix, q: int) -> TropicalMatrix:
+    return TropicalMatrix(np.where(a.finite_mask(), a.arr / q, NEG_INF))
+
+
+def two_zero_cycles_with_tail() -> TropicalMatrix:
+    """Disjoint zero-weight cycles 0 -> 1 -> 0 and 2 -> 3 -> 4 -> 2 fed by a
+    tail node 5: one critical selection with two components of
+    cyclicities 2 and 3, so each component shifts by its own cyclicity."""
+    arr = np.full((6, 6), NEG_INF)
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)):
+        arr[i, j] = 0.0
+    arr[5, 0], arr[5, 2] = -1.0, -2.0
+    return TropicalMatrix(arr)
+
+
+def literal_corpus():
+    """Reducible matrices up to n = 70 (so both matmul paths run), the
+    smaller ones also with weights /3 and /7, and two zero cycles."""
+    rng = np.random.default_rng(68)
+    ints = [random_reducible(rng, n, blocks=int(rng.integers(2, 7)))
+            for n in (4, 6, 9, 12, 20, 70)]
+    fracs = [divided(a, q) for a in ints[:5] for q in (3, 7)]
+    return ints + fracs + [two_zero_cycles_with_tail()]
+
+
+def is_integral(x) -> bool:
+    x = np.asarray(x, dtype=float)
+    x = x[x != NEG_INF]
+    return bool(np.array_equal(x, np.round(x)))
+
+
+def assert_literal(got, lam, a, triple, t):
+    """Bit for bit where the input and lam are integers, within TOL else."""
+    want = csr_product_literal(triple, t)
+    if is_integral(a.arr) and is_integral(lam):
+        assert np.array_equal(got.arr, want.arr), t
+    else:
+        assert mat_eq(got, want, tol=TOL), t
+
+
+def expansions_of(a):
+    return [nachtigall_expand(a), nachtigall_expand(a, rule="cycle"),
+            ultimate_expand(a)]
+
+
+def test_csr_product_matches_literal():
+    for a in literal_corpus():
+        t0 = 3 * a.n * a.n
+        for e in expansions_of(a):
+            for lam, triple in e.terms:
+                for t in [*range(2 * triple.gamma), t0, t0 + 7]:
+                    assert_literal(csr_product(triple, t).matrix, lam, a,
+                                   triple, t)
+
+
+def test_fast_terms_match_literal_bit_for_bit_on_integer_lambda():
+    exact = 0
+    for a in literal_corpus():
+        t0 = 3 * a.n * a.n
+        en, ec, eu = expansions_of(a)
+        gamma = max(triple.gamma for _, triple in eu.terms)
+        runs = [(en, "nachtigall", "canonical", t0 + d) for d in (0, 1, 5)]
+        runs += [(ec, "nachtigall", "cycle", t0 + 2)]
+        small = range(2 * gamma) if a.n <= 20 else ()
+        runs += [(eu, "ultimate", "canonical", t) for t in [*small, t0]]
+        for e, variant, rule, t in runs:
+            got = fast_terms(a, t, variant=variant, rule=rule)
+            assert len(got) == len(e.terms)
+            for m, (lam, triple) in zip(got, e.terms):
+                assert_literal(m, lam, a, triple, t)
+                exact += is_integral(a.arr) and is_integral(lam)
+    assert exact > 200
+
+
+def test_fast_terms_forms_no_kleene_star(monkeypatch, ex1):
+    want = fast_terms(ex1, 48)
+
+    def no_star(*args, **kw):
+        raise AssertionError("kleene_star called")
+
+    monkeypatch.setattr(kleene, "kleene_star", no_star)
+    monkeypatch.setattr(csr, "kleene_star", no_star)
+    got = fast_terms(TropicalMatrix(ex1.arr), 48)
+    assert [m.arr.tolist() for m in got] == [m.arr.tolist() for m in want]
+    with pytest.raises(AssertionError, match="kleene_star"):
+        nachtigall_expand(TropicalMatrix(ex1.arr))
 
 
 def test_deflation_without_critical_node_raises():

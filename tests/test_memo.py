@@ -5,8 +5,9 @@ import numpy as np
 
 from maxplus import (TropicalMatrix, critical_structure, evaluate, fast_terms,
                      is_orbit_periodic, nachtigall_expand, simulate_orbit,
-                     strong_access_matrix, ultimate_expand)
-from maxplus import graphs
+                     strong_access_matrix, ultimate_expand,
+                     ultimate_threshold)
+from maxplus import expansions, graphs
 
 from conftest import random_cyclic, random_reducible
 
@@ -82,6 +83,7 @@ def test_mutating_results_leaves_later_calls_intact():
         fresh = {name: _facts(name, TropicalMatrix(a.arr)) for name in NAMES}
         e = nachtigall_expand(a)
         e.steps.clear()
+        e.terms.clear()
         ultimate_expand(a).steps.reverse()
         cs = critical_structure(a)
         cs.critical_edges.clear()
@@ -93,3 +95,21 @@ def test_mutating_results_leaves_later_calls_intact():
         strong_access_matrix(a)[:] = True
         for name in NAMES:
             assert _facts(name, a) == fresh[name], name
+
+
+def test_expansion_terms_built_once(monkeypatch):
+    """The support route and ultimate_threshold share one ultimate
+    expansion per instance: csr_build runs once per term."""
+    calls = []
+    build = expansions.csr_build
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(expansions, "csr_build", counted)
+    for a in corpus():
+        is_orbit_periodic(a, method="support")
+        ultimate_threshold(a)
+        assert len(calls) == len(ultimate_expand(a).terms)
+        calls.clear()

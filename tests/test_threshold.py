@@ -2,12 +2,13 @@
 replaced, soundness of the bound, and the cost of a scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxplus import (NEG_INF, TropicalMatrix, csr_product, evaluate, mat_eq,
-                     mat_mul, ultimate_expand, ultimate_threshold)
+from maxplus import (NEG_INF, TropicalMatrix, csr_product_literal, evaluate,
+                     mat_eq, mat_mul, ultimate_expand, ultimate_threshold)
 from maxplus import expansions
 from maxplus.core import _arr_eq, _mp_matmul
 
@@ -19,14 +20,15 @@ TOL = 1e-9
 def threshold_window_reference(a, e=None, t_max=None, tol=1e-9):
     """The window scan ultimate_threshold used before it had a bound:
     accept a run of equal exponents once it is gamma_u + ceil(log2 t_max)
-    long, with the residues of every term taken from csr_product."""
+    long, with the residues of every term taken from csr_product_literal,
+    so the reference shares no evaluation code with the route it checks."""
     n = a.n
     if e is None:
         e = ultimate_expand(a)
     if t_max is None:
         t_max = 30 * n * n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
-    data = [(lam, [csr_product(triple, r).matrix.arr
+    data = [(lam, [csr_product_literal(triple, r).arr
                    for r in range(triple.gamma)])
             for lam, triple in e.terms]
 
@@ -154,7 +156,7 @@ def test_bound_is_sound():
     mats = corpus()[::3] + [cycle_chain(rng)]
     for a in mats:
         e = ultimate_expand(a)
-        _, bound = expansions._threshold_tables(a, e, TOL)
+        bound = expansions._threshold_tables(a, e, TOL)
         assert bound is not None
         nxt = evaluate(e, bound).matrix
         for t in range(bound, bound + 2 * e.gamma_u + a.n * a.n + 1):
@@ -164,14 +166,15 @@ def test_bound_is_sound():
 
 def test_no_bound_without_an_agreeing_line_above():
     a = two_bipartite_levels()
-    _, bound = expansions._threshold_tables(a, ultimate_expand(a), TOL)
+    bound = expansions._threshold_tables(a, ultimate_expand(a), TOL)
     assert bound is None
     assert ultimate_threshold(a) == 2
 
 
 def test_scan_is_not_sized_by_gamma_u(monkeypatch):
-    """Multiplications in one call: the scan up to t', one per residue of
-    each term, and one per term; the window scan made more than gamma_u."""
+    """Multiplications in one call: two per scanned exponent up to t' (A^t
+    and E(t)), one per residue of each term, and one per term; the window
+    scan made more than gamma_u."""
     a = cycle_chain(np.random.default_rng(605))
     e = ultimate_expand(a)
     tp = ultimate_threshold(a, e)
@@ -184,5 +187,35 @@ def test_scan_is_not_sized_by_gamma_u(monkeypatch):
     monkeypatch.setattr(expansions, "_mp_matmul", counted)
     assert ultimate_threshold(a, e) == tp
     gammas = [term.triple.gamma for term in e.terms]
-    assert len(calls) <= tp + sum(gammas) + len(gammas)
+    assert len(calls) <= 2 * (tp + 1) + sum(gammas) + len(gammas)
     assert len(calls) < e.gamma_u
+
+
+def disjoint_zero_cycles(lengths):
+    """Zero-weight cycles of the given lengths, each entered from one tail
+    node 0; gamma_u is the lcm of the lengths."""
+    n = 1 + sum(lengths)
+    arr = np.full((n, n), NEG_INF)
+    start = 1
+    for length in lengths:
+        for k in range(length):
+            arr[start + k, start + (k + 1) % length] = 0.0
+        arr[0, start] = 0.0
+        start += length
+    return TropicalMatrix(arr)
+
+
+def test_memory_is_not_sized_by_gamma_u():
+    """One term of cyclicity 2310 on n = 29: a table of its residues would
+    take 2310 * 29^2 * 8 bytes (15.5 MB)."""
+    a = disjoint_zero_cycles((2, 3, 5, 7, 11))
+    assert a.n == 29
+    tracemalloc.start()
+    try:
+        e = ultimate_expand(a)
+        tp = ultimate_threshold(a, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.gamma_u == 2310 and tp == 1
+    assert peak < 4e6

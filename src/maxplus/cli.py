@@ -4,7 +4,8 @@ Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
 1 verification mismatch (verify only), 2 input error, 3 precondition
-error, 64 usage error.
+error (including NonFiniteError: a report value overflowed to +inf or
+NaN), 64 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .core import NEG_INF, TropicalMatrix, mat_eq, mat_power
 from .csr import _check_definite, csr_build, csr_product
 from .errors import (DivergentStarError, MaxplusError, NoCyclesError,
-                     OracleSizeError, ParseError)
+                     NonFiniteError, OracleSizeError, ParseError)
 from .expansions import (_select_crit, evaluate, nachtigall_expand,
                          ultimate_expand, ultimate_threshold)
 from .graphs import CritSubgraph, critical_structure, gamma_u, scc_decompose
@@ -165,6 +166,9 @@ def _num(x):
     x = float(x)
     if x == NEG_INF:
         return None
+    if not math.isfinite(x):
+        raise NonFiniteError("non-finite value %r in report: the weights "
+                             "overflow float64" % x)
     if x == int(x) and abs(x) < 1e15:
         return int(x)
     return float("%.12g" % x)

@@ -165,18 +165,39 @@ def mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(_mp_matmul(a.arr, b.arr), copy=False)
 
 
-def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
-    """t-th max-plus power by repeated squaring; a^0 is the identity."""
-    if t < 0:
-        raise ValueError("negative power")
+def _power_chain(base: np.ndarray, t: int, product):
+    """base^t under `product` by square-and-multiply, with the fixed-point
+    stop of mat_power; None when t is 0."""
     result = None
-    base = a.arr
+    fixed = False
     while t:
         if t & 1:
-            result = base.copy() if result is None else _mp_matmul(result, base)
+            result = base.copy() if result is None else product(result, base)
         t >>= 1
-        if t:
-            base = _mp_matmul(base, base)
+        if t and not fixed:
+            square = product(base, base)
+            fixed = square.tobytes() == base.tobytes()
+            if fixed and result is None:
+                return square
+            base = square
+    return result
+
+
+def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
+    """t-th max-plus power by repeated squaring; a^0 is the identity.
+
+    Squaring stops once a square X (x) X equals its input X bit for bit
+    (compared as bytes, so -0.0 and 0.0 differ).  The product is a
+    deterministic function of its operands' bytes, so every later square
+    would be X again: the remaining bits of t multiply by X, and if no
+    bit has been multiplied in yet the power is X itself.  The result is
+    byte-identical to the full chain's on every input.  A normalized
+    level with cyclicity 1 and integer weights reaches such an X after its
+    transient.
+    """
+    if t < 0:
+        raise ValueError("negative power")
+    result = _power_chain(a.arr, t, _mp_matmul)
     if result is None:
         return TropicalMatrix.identity(a.n)
     return TropicalMatrix(result, copy=False)

@@ -72,6 +72,12 @@ class TrivialColumnError(MaxplusError):
     """Column index does not belong to any nontrivial component."""
 
 
+class NonFiniteError(MaxplusError):
+    """A value to report is +inf or NaN: the weights are so large that a
+    sum of them overflows float64 (e.g. a power of a matrix holding
+    1e308).  The CLI exits 3 on it."""
+
+
 class ParseError(MaxplusError):
     """Malformed matrix or vector input.
 

@@ -230,8 +230,12 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
 
     Each deflated level is normalized and raised to a power r >= 3 n^2 by
     repeated squaring (only its K_mu x K_mu block: entries outside are
-    -inf and change no max).  Its critical columns and rows are then those
-    of C S^r and S^r R, and P(t) = C S^r (x) S^(t - 2r) (x) S^r R, so with
+    -inf and change no max).  Squaring stops at the first square equal to
+    its input bit for bit, which a level with cyclicity 1 and integer
+    normalized weights reaches after its transient; levels with fractional
+    lambda, or a cyclicity that is not a power of 2, usually run the full
+    chain.  The level's critical columns and rows are then those of
+    C S^r and S^r R, and P(t) = C S^r (x) S^(t - 2r) (x) S^r R, so with
     the potentials of the level's normalized weights they are class
     factors (see csr) read at t - 2r: one n x m by m x n product, m cyclic
     classes, and no scaling.  Results match the literal CSR products.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NEG_INF, TropicalMatrix
+from .core import NEG_INF, TropicalMatrix, _power_chain
 from .errors import NoCyclesError
 
 # Tolerance for deciding criticality of an edge after normalizing by a
@@ -452,19 +452,6 @@ def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.astype(np.float32) @ y.astype(np.float32)) > 0
 
 
-def _bool_power(b: np.ndarray, t: int) -> np.ndarray:
-    n = b.shape[0]
-    result = np.eye(n, dtype=bool)
-    base = b
-    while t:
-        if t & 1:
-            result = _bool_matmul(result, base)
-        t >>= 1
-        if t:
-            base = _bool_matmul(base, base)
-    return result
-
-
 def gamma_u(a: TropicalMatrix) -> int:
     """lcm of the critical cyclicities of all nontrivial components (1 when
     the digraph is acyclic)."""
@@ -500,7 +487,7 @@ def _strong_access(a: TropicalMatrix) -> np.ndarray:
     b = a.finite_mask()
     t0 = 3 * n * n
     g = gamma_u(a)
-    window = _bool_power(b, t0)
+    window = _power_chain(b, t0, _bool_matmul)
     acc = window.copy()
     for _ in range(g - 1):
         window = _bool_matmul(window, b)

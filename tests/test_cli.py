@@ -119,6 +119,25 @@ def test_negative_power_exits_3(tmp_path, capsys):
     assert code == 3 and "negative power" in err
 
 
+def test_overflowing_report_exits_3(tmp_path, capsys):
+    f = tmp_path / "m.txt"
+    f.write_text("1\n1e308\n")
+    y = tmp_path / "y.txt"
+    y.write_text("1\n0\n")
+    for argv, value in ((["power", "--t", "2"], "inf"),
+                        (["nachtigall", "--t", "3"], "inf"),
+                        (["orbit", "--y", str(y)], "nan")):
+        code, obj, err = run(capsys, *argv, str(f))
+        assert (code, obj) == (3, None), argv
+        assert err.endswith("error: non-finite value %s in report: the "
+                            "weights overflow float64\n" % value), argv
+    # finite reports near the edge are unchanged
+    code, obj, _ = run(capsys, "power", "--t", "1", str(f))
+    assert code == 0 and obj["matrix"] == [[1e308]]
+    assert [cli._num(x) for x in (3.0, -0.0, 1e15, 2.5, float("-inf"))] == \
+        [3, 0, 1e15, 2.5, None]
+
+
 def test_verify_size_cap_exits_3(tmp_path, capsys):
     n = 9
     rows = [" ".join("0" if i == j else "*" for j in range(n))

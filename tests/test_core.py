@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from maxplus import (DimensionError, NEG_INF, TropicalMatrix, as_vector,
                      mat_eq, mat_mul, mat_oplus, mat_power, mat_scalar_mul,
-                     soplus, sotimes, vec_eq)
+                     max_cycle_mean, soplus, sotimes, vec_eq)
+from maxplus import core
 
-from conftest import random_matrix
+from conftest import random_matrix, random_reducible
 from goldens import EX1_A2, EX1_A10
 
 scalars = st.one_of(st.just(NEG_INF), st.integers(-40, 40).map(float),
@@ -151,6 +152,83 @@ def test_power_group_law():
 def test_power_negative_rejected(ex1):
     with pytest.raises(ValueError):
         mat_power(ex1, -1)
+
+
+def power_reference(a: TropicalMatrix, t: int) -> np.ndarray:
+    """The full square-and-multiply chain, with no fixed-point stop."""
+    result = None
+    base = a.arr
+    while t:
+        if t & 1:
+            result = base.copy() if result is None else core._mp_matmul(result, base)
+        t >>= 1
+        if t:
+            base = core._mp_matmul(base, base)
+    return TropicalMatrix.identity(a.n).arr if result is None else result
+
+
+def _power_corpus():
+    """Random and reducible matrices with integer, /3, /7 and x1e6 weights,
+    each also shifted to cycle mean 0, plus a matrix of signed zeros whose
+    squares are equal to it under == but not bit for bit."""
+    rng = np.random.default_rng(81)
+    draws = [random_matrix(rng, n, density=d)
+             for n, d in ((2, 0.9), (3, 0.7), (5, 0.5), (8, 0.6), (20, 0.4))]
+    draws += [random_reducible(rng, n) for n in (4, 9, 16)]
+    for a in draws:
+        fin = a.finite_mask()
+        for w in (a.arr, a.arr / 3, a.arr / 7, a.arr * 1e6):
+            m = TropicalMatrix(np.where(fin, w, NEG_INF))
+            yield m
+            lam = max_cycle_mean(m)
+            if lam != NEG_INF:
+                yield m.scale(-lam)
+    yield TropicalMatrix([[0.0, -0.0], [-0.0, 0.0]])
+
+
+def test_power_matches_full_chain_bit_for_bit():
+    for a in _power_corpus():
+        ts = {0, 1, 2, 3, 3 * a.n * a.n, 2 ** 15, 12345}
+        for k in (2, 4, 7, 10):
+            ts |= {2 ** k - 1, 2 ** k, 2 ** k + 1}
+        for t in sorted(ts):
+            assert mat_power(a, t).arr.tobytes() == power_reference(a, t).tobytes(), (a, t)
+
+
+def _count_products(monkeypatch, fn, a, t) -> int:
+    calls = [0]
+    product = core._mp_matmul
+
+    def counting(x, y):
+        calls[0] += 1
+        return product(x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(core, "_mp_matmul", counting)
+        fn(a, t)
+    return calls[0]
+
+
+def test_power_stops_squaring_at_fixed_point(monkeypatch):
+    zero = TropicalMatrix(np.zeros((6, 6)))
+    assert _count_products(monkeypatch, mat_power, zero, 2 ** 40) == 1
+    assert _count_products(monkeypatch, power_reference, zero, 2 ** 40) == 40
+    assert mat_power(zero, 2 ** 40) == zero
+    # bit 0 is multiplied in before the chain is fixed: one square, then
+    # one product for bit 40 and no further squares
+    assert _count_products(monkeypatch, mat_power, zero, 2 ** 40 + 1) == 2
+
+
+def test_power_without_fixed_point_runs_full_chain(monkeypatch):
+    cycle3 = TropicalMatrix.from_rows([[None, 0, None], [None, None, 0],
+                                       [0, None, None]])
+    # cycle mean 0 on the 2-cycle, -1 on the loop: entry (2, 2) decays
+    decaying = TropicalMatrix.from_rows([[None, 0, -3], [0, None, None],
+                                         [None, None, -1]])
+    for a in (cycle3, decaying):
+        for t in (5, 2 ** 12, 2 ** 12 + 7, 12345):
+            assert (_count_products(monkeypatch, mat_power, a, t)
+                    == _count_products(monkeypatch, power_reference, a, t))
 
 
 def test_scalar_mul():

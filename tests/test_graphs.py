@@ -15,9 +15,11 @@ from maxplus import (CRIT_TOL, CritSubgraph, Digraph, NEG_INF, NoCyclesError,
                      critical_structure, cyclic_class_shift, gamma_u,
                      max_cycle_mean, scc_decompose, strong_access,
                      strong_access_matrix, wielandt)
-from maxplus.graphs import _component_criticals, _floyd_warshall_star, _karp
+from maxplus.graphs import (_bool_matmul, _component_criticals,
+                            _floyd_warshall_star, _karp)
 
-from conftest import random_cyclic, random_definite, random_matrix
+from conftest import (random_cyclic, random_definite, random_matrix,
+                      random_reducible)
 
 TOL = 1e-9
 
@@ -285,6 +287,36 @@ def test_strong_access_matches_boolean_powers(ex3a, ex3b):
         # doubling the window does not change the verdict
         assert np.array_equal(acc, one_window)
         assert np.array_equal(strong_access_matrix(a), one_window)
+
+
+def _strong_access_full_chain(a: TropicalMatrix) -> np.ndarray:
+    """Strong access from the full Boolean square-and-multiply chain to
+    t0 = 3 n^2, with no fixed-point stop, then a gamma_u window."""
+    b = a.finite_mask()
+    t = 3 * a.n * a.n
+    window, base = np.eye(a.n, dtype=bool), b
+    while t:
+        if t & 1:
+            window = _bool_matmul(window, base)
+        t >>= 1
+        if t:
+            base = _bool_matmul(base, base)
+    acc = window.copy()
+    for _ in range(gamma_u(a) - 1):
+        window = _bool_matmul(window, b)
+        acc &= window
+    return acc
+
+
+def test_strong_access_matches_full_boolean_chain():
+    rng = np.random.default_rng(28)
+    mats = [random_matrix(rng, int(rng.integers(2, 25)),
+                          density=float(rng.choice([0.1, 0.3, 0.6, 1.0])))
+            for _ in range(24)]
+    mats += [random_reducible(rng, n) for n in (5, 12, 30)]
+    for a in mats:
+        assert np.array_equal(strong_access_matrix(a),
+                              _strong_access_full_chain(a))
 
 
 def test_strong_access_transitive():

@@ -7,9 +7,10 @@ from .core import (NEG_INF, UNITY, ZERO, TropicalMatrix, as_vector, mat_eq,
 from .csr import (CsrProduct, CsrTriple, csr_build, csr_group_check,
                   csr_product, csr_product_literal, csr_rotate)
 from .errors import (AnalysisError, DimensionError, DivergentStarError,
-                     MaxplusError, NoCyclesError, NotCriticalPartError,
-                     NotDefiniteError, NotOrbitPeriodicError, OracleSizeError,
-                     ParseError, RotationUnavailableError, ThresholdError,
+                     MaxplusError, NoCyclesError, NonFiniteError,
+                     NotCriticalPartError, NotDefiniteError,
+                     NotOrbitPeriodicError, OracleSizeError, ParseError,
+                     RotationUnavailableError, ThresholdError,
                      TrivialColumnError, ZeroVectorError)
 from .expansions import (DeflationStep, Expansion, ExpansionEvaluation, Term,
                          evaluate, fast_terms, nachtigall_expand,
@@ -35,7 +36,7 @@ __all__ = [
     "CsrProduct", "CsrTriple", "csr_build", "csr_group_check", "csr_product",
     "csr_product_literal", "csr_rotate",
     "AnalysisError", "DimensionError", "DivergentStarError", "MaxplusError",
-    "NoCyclesError",
+    "NoCyclesError", "NonFiniteError",
     "NotCriticalPartError", "NotDefiniteError", "NotOrbitPeriodicError",
     "OracleSizeError", "ParseError", "RotationUnavailableError",
     "ThresholdError", "TrivialColumnError", "ZeroVectorError",

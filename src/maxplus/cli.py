@@ -4,8 +4,8 @@ Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
 1 verification mismatch (verify only), 2 input error, 3 precondition
-error (including NonFiniteError: a report value overflowed to +inf or
-NaN), 64 usage error.
+error (including NonFiniteError: a sum of weights or a report value
+overflowed float64), 64 usage error.
 """
 
 from __future__ import annotations

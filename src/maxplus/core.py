@@ -3,15 +3,18 @@
 Scalars live in R united with -inf.  Semiring addition is max, semiring
 multiplication is ordinary +, so the zero element is -inf and the unit is 0.
 Matrices hold float64 entries that are finite or -inf; +inf and NaN are
-rejected at construction, which keeps every downstream max/+ combination
-NaN-free.
+rejected at construction, and a sum that overflows float64 raises
+NonFiniteError (mat_mul, mat_power, mat_scalar_mul, apply), which keeps
+every downstream max/+ combination NaN-free.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 NEG_INF = float("-inf")
 ZERO = NEG_INF      # semiring zero
@@ -20,6 +23,10 @@ UNITY = 0.0         # semiring unit
 # Broadcasted products allocate an n^3 temporary; above this size fall back
 # to a k-loop of rank-1 updates.
 _BROADCAST_LIMIT = 64
+
+# Floats in one power stack (n x k*n, see _power_stack): bounds the powers
+# per block of the orbit stepping and of the strong-access window.
+_STACK_FLOATS = 2 ** 14
 
 
 def soplus(x: float, y: float) -> float:
@@ -32,6 +39,21 @@ def sotimes(x: float, y: float) -> float:
     if x == NEG_INF or y == NEG_INF:
         return NEG_INF
     return x + y
+
+
+def _overflow_checked(fn):
+    """fn run with float overflow (a finite sum leaving float64, to +inf or
+    to -inf) raised as NonFiniteError, instead of leaving +inf, NaN or a
+    spurious -inf in its result."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError:
+            raise NonFiniteError("non-finite value: a sum of weights "
+                                 "overflows float64") from None
+    return checked
 
 
 def _as_entries(values) -> np.ndarray:
@@ -51,9 +73,10 @@ class TropicalMatrix:
     The wrapped array is marked read-only; all operations return new
     matrices, so instances can be shared and cached safely.  The private
     _memo dict holds per-instance analysis results (critical structure,
-    deflation steps, gamma_u, strong access) that `graphs` and
-    `expansions` compute at most once per matrix; it is sound because arr
-    never changes.
+    deflation steps, gamma_u, strong access, the power stack of
+    simulate_orbit's blocks) that `graphs`, `expansions` and `orbit`
+    compute at most once per matrix; it is sound because arr never
+    changes.
     """
 
     def __init__(self, entries, copy: bool = True):
@@ -111,6 +134,7 @@ class TropicalMatrix:
     def power(self, t: int) -> "TropicalMatrix":
         return mat_power(self, t)
 
+    @_overflow_checked
     def apply(self, y) -> np.ndarray:
         """Matrix-vector product A (x) y."""
         y = as_vector(y, self.n)
@@ -153,14 +177,21 @@ def _mp_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_ij = max_k (x_ik + y_kj) on arrays of shapes (m, k) and (k, p)."""
     if x.shape[0] <= _BROADCAST_LIMIT:
         return (x[:, :, None] + y[None, :, :]).max(axis=1)
+    return _mp_rank1(x, y)
+
+
+def _mp_rank1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_mp_matmul as a k-loop of rank-1 updates: every temporary has the
+    shape of the result."""
     out = np.full((x.shape[0], y.shape[1]), NEG_INF)
     for k in range(x.shape[1]):
         np.maximum(out, x[:, k, None] + y[k, None, :], out=out)
     return out
 
 
+@_overflow_checked
 def mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    """c_ij = max_k (a_ik + b_kj)."""
+    """c_ij = max_k (a_ik + b_kj); NonFiniteError when a sum overflows."""
     _check_same_n(a, b)
     return TropicalMatrix(_mp_matmul(a.arr, b.arr), copy=False)
 
@@ -183,6 +214,32 @@ def _power_chain(base: np.ndarray, t: int, product):
     return result
 
 
+def _power_stack(base: np.ndarray, k: int, product) -> np.ndarray:
+    """[base^1 | ... | base^k] side by side, an n x k*n array (k >= 1).
+
+    Built by doubling: with base^1 ... base^m in place, base^m times the
+    first min(m, k - m) of them gives the next ones, so ceil(log2 k)
+    products, each of n x n by n x (at most m*n).
+    """
+    n = base.shape[0]
+    stack = np.empty((n, k * n), dtype=base.dtype)
+    stack[:, :n] = base
+    m = 1
+    while m < k:
+        step = min(m, k - m)
+        stack[:, m * n:(m + step) * n] = product(stack[:, (m - 1) * n:m * n],
+                                                 stack[:, :step * n])
+        m += step
+    return stack
+
+
+def _stack_depth(n: int, k_max: int) -> int:
+    """Powers per stack: as many as _STACK_FLOATS allows, at least 1 and at
+    most k_max."""
+    return max(1, min(k_max, _STACK_FLOATS // (n * n)))
+
+
+@_overflow_checked
 def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
     """t-th max-plus power by repeated squaring; a^0 is the identity.
 
@@ -193,7 +250,7 @@ def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
     bit has been multiplied in yet the power is X itself.  The result is
     byte-identical to the full chain's on every input.  A normalized
     level with cyclicity 1 and integer weights reaches such an X after its
-    transient.
+    transient.  A sum that overflows float64 raises NonFiniteError.
     """
     if t < 0:
         raise ValueError("negative power")
@@ -203,6 +260,7 @@ def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
     return TropicalMatrix(result, copy=False)
 
 
+@_overflow_checked
 def mat_scalar_mul(lam: float, a: TropicalMatrix) -> TropicalMatrix:
     """Add lam to every finite entry (-inf entries stay -inf)."""
     if lam == NEG_INF:

@@ -73,9 +73,11 @@ class TrivialColumnError(MaxplusError):
 
 
 class NonFiniteError(MaxplusError):
-    """A value to report is +inf or NaN: the weights are so large that a
-    sum of them overflows float64 (e.g. a power of a matrix holding
-    1e308).  The CLI exits 3 on it."""
+    """A sum of weights overflows float64, to +inf or to -inf (e.g. a
+    power of a matrix holding 1e308 or -1e308).  The library raises it
+    too: mat_mul, mat_power, mat_scalar_mul, TropicalMatrix.apply and
+    simulate_orbit raise it when a sum overflows, and the CLI when a value
+    to report is +inf or NaN.  The CLI exits 3 on it."""
 
 
 class ParseError(MaxplusError):

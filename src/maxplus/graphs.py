@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NEG_INF, TropicalMatrix, _power_chain
+from .core import (NEG_INF, TropicalMatrix, _power_chain, _power_stack,
+                   _stack_depth)
 from .errors import NoCyclesError
 
 # Tolerance for deciding criticality of an edge after normalizing by a
@@ -476,7 +477,10 @@ def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
 
     Checked on Boolean powers at t0 = 3 n^2 over a window of gamma_u
     consecutive exponents; the Boolean power sequence is periodic there and
-    its period divides gamma_u.  Computed once per matrix; every call
+    its period divides gamma_u.  Past W = B^t0 the window is ANDed k
+    exponents at a time, k = min(gamma_u - 1, 2**14 // n^2) (at least 1):
+    W times the stack [B^1 | ... | B^k], split into its k blocks, and the
+    last block is the next W.  Computed once per matrix; every call
     returns a fresh copy.
     """
     return a._cached("strong_access", lambda: _strong_access(a)).copy()
@@ -485,13 +489,16 @@ def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
 def _strong_access(a: TropicalMatrix) -> np.ndarray:
     n = a.n
     b = a.finite_mask()
-    t0 = 3 * n * n
     g = gamma_u(a)
-    window = _power_chain(b, t0, _bool_matmul)
+    k = _stack_depth(n, g - 1)
+    stack = _power_stack(b, k, _bool_matmul)
+    window = _power_chain(b, 3 * n * n, _bool_matmul)
     acc = window.copy()
-    for _ in range(g - 1):
-        window = _bool_matmul(window, b)
-        acc &= window
+    for s in range(1, g, k):
+        r = min(k, g - s)
+        block = _bool_matmul(window, stack[:, :r * n])
+        acc &= block.reshape(n, r, n).all(axis=1)
+        window = block[:, -n:]
     return acc
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, TropicalMatrix, as_vector
+from .core import (NEG_INF, TropicalMatrix, _mp_rank1, _overflow_checked,
+                   _power_stack, _stack_depth, as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
 from .expansions import ultimate_expand
 from .csr import csr_product
@@ -274,6 +275,63 @@ def _detect(samples: np.ndarray, gamma: int, tol: float):
     return None, None, None
 
 
+def _exact_sums(arr: np.ndarray, y: np.ndarray, t_max: int) -> bool:
+    """True when every sum of an orbit up to t_max is exact in float64:
+    the finite entries of arr and y are integers, y holds no -0.0, and
+    |y|max + (t_max + 1) |arr|max < 2**53.  Max-plus products of such
+    input give the same bits in any grouping, and no -0.0 ever appears in
+    the samples."""
+    fa, fy = arr[arr != NEG_INF], y[y != NEG_INF]
+    if not (np.array_equal(fa, np.rint(fa))
+            and np.array_equal(fy, np.rint(fy))):
+        return False
+    if np.signbit(fy[fy == 0]).any():
+        return False
+    amax = int(np.abs(fa).max()) if fa.size else 0
+    ymax = int(np.abs(fy).max()) if fy.size else 0
+    return ymax + (t_max + 1) * amax < 2 ** 53
+
+
+@_overflow_checked
+def _step_rows(arr: np.ndarray, samples: np.ndarray):
+    """samples[t] = arr (x) samples[t-1], one row at a time through one
+    n x n buffer, with the arithmetic of TropicalMatrix.apply."""
+    buf = np.empty_like(arr)
+    for t in range(1, samples.shape[0]):
+        np.add(arr, samples[t - 1], out=buf)
+        np.maximum.reduce(buf, axis=1, out=samples[t])
+
+
+def _orbit_stack(a: TropicalMatrix, b: int) -> np.ndarray:
+    """stack[j, s*n + i] = (a^(s+1))_ij for s < b: the powers of a^T side
+    by side.  a's memo keeps one stack, the deepest built so far, and
+    shorter requests read its first b blocks."""
+    stack = a._memo.get("orbit_stack")
+    if stack is None or stack.shape[1] < b * a.n:
+        stack = _power_stack(a.arr.T, b, _mp_rank1)
+        stack.setflags(write=False)
+        a._memo["orbit_stack"] = stack
+    return stack[:, :b * a.n]
+
+
+def _step_blocks(stack: np.ndarray, samples: np.ndarray):
+    """The rows of _step_rows, b at a time: rows t+1 ... t+b come from
+    row t and the b powers in stack (see _orbit_stack) in one add and one
+    reduction.  Bit-identical to _step_rows only when _exact_sums holds:
+    then every stack entry is exact whatever depth it was built to, and no
+    sum can overflow."""
+    t_max, n = samples.shape[0] - 1, samples.shape[1]
+    b = stack.shape[1] // n
+    buf = np.empty_like(stack)
+    flat = samples.reshape(-1)
+    for t in range(0, t_max, b):
+        w = min(b, t_max - t) * n
+        np.add(stack[:, :w], samples[t][:, None], out=buf[:, :w])
+        # over the leading axis: a short-last-axis reduction is slower
+        np.maximum.reduce(buf[:, :w], axis=0,
+                          out=flat[(t + 1) * n:(t + 1) * n + w])
+
+
 def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
                    tol: float = 1e-9) -> OrbitTrace:
     """Record the orbit of y and look for ultimate linear periodicity.
@@ -285,10 +343,18 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
     detection must be backed by at least gamma_u + 1 trailing steps.
     t_max defaults to 6 n^2 + 2 gamma_u.
 
-    Each step writes a (x) samples[t-1] into samples[t] through one n x n
-    buffer, with the arithmetic of TropicalMatrix.apply.  Memory is the
-    (t_max + 1) x n sample array plus O(n^2 + _DETECT_CHUNK * n) scratch
-    (_DETECT_CHUNK rows per detection block).
+    When every sum is exact (finite entries of a and y integers, no -0.0
+    in y, |y|max + (t_max + 1) |a|max < 2**53), rows are computed b at a
+    time, b = min(t_max, 2**14 // n^2) (at least 1): the powers
+    a^1 ... a^b are stacked by doubling, once per matrix (a's memo keeps
+    the stack), and each block is one add and one reduction from the row
+    before it.  Other input steps one row at a time,
+    samples[t] = a (x) samples[t-1] with the arithmetic of
+    TropicalMatrix.apply.  Both give the samples of a repeated apply loop
+    bit for bit.  A sum that overflows float64 raises NonFiniteError.
+    Memory is the (t_max + 1) x n sample array, the stack (at most 2**14
+    floats, or n^2 when n > 128) and O(2**14 + _DETECT_CHUNK * n) scratch
+    floats (_DETECT_CHUNK rows per detection block).
     """
     y = as_vector(y, a.n)
     if t_max is not None and t_max < 0:
@@ -298,10 +364,10 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
         t_max = 6 * a.n * a.n + 2 * gamma
     samples = np.empty((t_max + 1, a.n))
     samples[0] = y
-    arr, buf = a.arr, np.empty((a.n, a.n))
-    for t in range(1, t_max + 1):
-        np.add(arr, samples[t - 1], out=buf)
-        np.maximum.reduce(buf, axis=1, out=samples[t])
+    if t_max and _exact_sums(a.arr, y, t_max):
+        _step_blocks(_orbit_stack(a, _stack_depth(a.n, t_max)), samples)
+    else:
+        _step_rows(a.arr, samples)
     samples.setflags(write=False)
     period, rate, transient = _detect(samples, gamma, tol)
     return OrbitTrace(y=y, samples=samples, period=period, growth_rate=rate,

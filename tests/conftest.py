@@ -86,6 +86,32 @@ def random_reducible(rng, n: int, blocks: int = 4) -> TropicalMatrix:
     return TropicalMatrix(arr, copy=False)
 
 
+def cycle_chain(rng, lengths=(3, 4, 5, 7), means=(-3, -1, 0, 2), tail=2):
+    """Disjoint cycles of the given lengths and integer cycle means, each
+    feeding the next by one edge, with a path of trivial tail nodes into
+    the first; gamma_u is the lcm of the lengths (420 by default).  Means
+    that rise along the chain make the ultimate expansion hold from some
+    exponent on."""
+    n = sum(lengths) + tail
+    arr = np.full((n, n), NEG_INF)
+    comps, start = [], tail
+    for length, mean in zip(lengths, means):
+        nodes = list(range(start, start + length))
+        start += length
+        w = rng.integers(-4, 5, size=length).astype(float)
+        w[-1] += length * mean - w.sum()
+        for k in range(length):
+            arr[nodes[k], nodes[(k + 1) % length]] = w[k]
+        comps.append(nodes)
+    for src, dst in zip(comps, comps[1:]):
+        arr[src[int(rng.integers(len(src)))],
+            dst[int(rng.integers(len(dst)))]] = float(rng.integers(-5, 3))
+    chain = list(range(tail)) + [comps[0][0]]
+    for u, v in zip(chain, chain[1:]):
+        arr[u, v] = float(rng.integers(-5, 3))
+    return TropicalMatrix(arr)
+
+
 def scaled_hang_matrix() -> TropicalMatrix:
     """Integer draw whose weights w -> 1e6 w + 1e7/3 leave level 0 with no
     critical edge: normalizing weights near 1e7 by a fractional cycle mean

@@ -119,23 +119,45 @@ def test_negative_power_exits_3(tmp_path, capsys):
     assert code == 3 and "negative power" in err
 
 
+SUM_OVERFLOW = "error: non-finite value: a sum of weights overflows float64\n"
+
+
 def test_overflowing_report_exits_3(tmp_path, capsys):
     f = tmp_path / "m.txt"
     f.write_text("1\n1e308\n")
     y = tmp_path / "y.txt"
     y.write_text("1\n0\n")
-    for argv, value in ((["power", "--t", "2"], "inf"),
-                        (["nachtigall", "--t", "3"], "inf"),
-                        (["orbit", "--y", str(y)], "nan")):
+    # power and orbit overflow in the library's sums; nachtigall only in
+    # the report
+    for argv, tail in (
+            (["power", "--t", "2"], SUM_OVERFLOW),
+            (["nachtigall", "--t", "3"], "error: non-finite value inf in "
+             "report: the weights overflow float64\n"),
+            (["orbit", "--y", str(y)], SUM_OVERFLOW)):
         code, obj, err = run(capsys, *argv, str(f))
         assert (code, obj) == (3, None), argv
-        assert err.endswith("error: non-finite value %s in report: the "
-                            "weights overflow float64\n" % value), argv
+        assert err.endswith(tail), argv
     # finite reports near the edge are unchanged
     code, obj, _ = run(capsys, "power", "--t", "1", str(f))
     assert code == 0 and obj["matrix"] == [[1e308]]
     assert [cli._num(x) for x in (3.0, -0.0, 1e15, 2.5, float("-inf"))] == \
         [3, 0, 1e15, 2.5, None]
+
+
+def test_negative_overflow_exits_3(tmp_path, capsys):
+    # -1e308 + -1e308 leaves float64 towards -inf: the power and the orbit
+    # used to print null (-inf) and exit 0
+    f = tmp_path / "m.txt"
+    f.write_text("1\n-1e308\n")
+    y = tmp_path / "y.txt"
+    y.write_text("1\n0\n")
+    for argv in (["power", "--t", "2"], ["orbit", "--y", str(y)],
+                 ["orbit", "--y", str(y), "--tmax", "2"]):
+        code, obj, err = run(capsys, *argv, str(f))
+        assert (code, obj) == (3, None), argv
+        assert err.endswith(SUM_OVERFLOW), argv
+    code, obj, _ = run(capsys, "orbit", "--y", str(y), "--tmax", "1", str(f))
+    assert code == 0 and obj["samples"] == [[0], [-1e308]]
 
 
 def test_verify_size_cap_exits_3(tmp_path, capsys):

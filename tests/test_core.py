@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplus import (DimensionError, NEG_INF, TropicalMatrix, as_vector,
-                     mat_eq, mat_mul, mat_oplus, mat_power, mat_scalar_mul,
-                     max_cycle_mean, soplus, sotimes, vec_eq)
+from maxplus import (DimensionError, NEG_INF, NonFiniteError, TropicalMatrix,
+                     as_vector, mat_eq, mat_mul, mat_oplus, mat_power,
+                     mat_scalar_mul, max_cycle_mean, soplus, sotimes, vec_eq)
 from maxplus import core
 
 from conftest import random_matrix, random_reducible
@@ -229,6 +229,55 @@ def test_power_without_fixed_point_runs_full_chain(monkeypatch):
         for t in (5, 2 ** 12, 2 ** 12 + 7, 12345):
             assert (_count_products(monkeypatch, mat_power, a, t)
                     == _count_products(monkeypatch, power_reference, a, t))
+
+
+def test_overflow_raises_typed_error():
+    for v in (1e308, -1e308):
+        a = TropicalMatrix([[v, NEG_INF], [0.0, 0.0]])
+        for fn in (lambda: mat_power(a, 2), lambda: mat_power(a, 12345),
+                   lambda: mat_mul(a, a), lambda: mat_scalar_mul(v, a),
+                   lambda: a.apply([v, 0.0])):
+            with pytest.raises(NonFiniteError, match="overflows float64"):
+                fn()
+        assert mat_power(a, 1).arr.tobytes() == a.arr.tobytes()
+    # n > 64 runs the rank-1 loop of the product
+    big = np.full((70, 70), NEG_INF)
+    big[3, 3] = -1e308
+    with pytest.raises(NonFiniteError):
+        mat_power(TropicalMatrix(big), 2)
+    # sums that stay finite, and -inf absorbing, raise nothing
+    near = TropicalMatrix([[1e307, NEG_INF], [NEG_INF, -1e307]])
+    assert mat_power(near, 5).arr.tolist() == [[5e307, NEG_INF],
+                                               [NEG_INF, -5e307]]
+
+
+def test_power_stack_blocks_are_powers():
+    rng = np.random.default_rng(85)
+    for n in (1, 2, 5, 13):
+        a = random_matrix(rng, n, density=0.6)
+        b = a.finite_mask()
+        for k in (1, 2, 3, 7, 8, 9, 28):
+            calls = [0]
+
+            def counting(x, y):
+                calls[0] += 1
+                return core._mp_rank1(x, y)
+
+            stack = core._power_stack(a.arr, k, counting)
+            assert stack.shape == (n, k * n)
+            assert calls[0] == (k - 1).bit_length()     # ceil(log2 k)
+            bools = core._power_stack(b, k, lambda x, y: (
+                x.astype(int) @ y.astype(int)) > 0)
+            assert bools.dtype == bool
+            for s in range(k):
+                block = stack[:, s * n:(s + 1) * n]
+                # integer weights: every grouping gives the same bits
+                assert block.tobytes() == mat_power(a, s + 1).arr.tobytes()
+                assert np.array_equal(bools[:, s * n:(s + 1) * n],
+                                      mat_power(a, s + 1).finite_mask())
+    assert core._stack_depth(24, 10 ** 6) == 28
+    assert core._stack_depth(24, 5) == 5
+    assert core._stack_depth(200, 10 ** 6) == 1
 
 
 def test_scalar_mul():

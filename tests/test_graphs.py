@@ -15,11 +15,12 @@ from maxplus import (CRIT_TOL, CritSubgraph, Digraph, NEG_INF, NoCyclesError,
                      critical_structure, cyclic_class_shift, gamma_u,
                      max_cycle_mean, scc_decompose, strong_access,
                      strong_access_matrix, wielandt)
+from maxplus.core import _stack_depth
 from maxplus.graphs import (_bool_matmul, _component_criticals,
                             _floyd_warshall_star, _karp)
 
-from conftest import (random_cyclic, random_definite, random_matrix,
-                      random_reducible)
+from conftest import (cycle_chain, random_cyclic, random_definite,
+                      random_matrix, random_reducible)
 
 TOL = 1e-9
 
@@ -315,6 +316,44 @@ def test_strong_access_matches_full_boolean_chain():
             for _ in range(24)]
     mats += [random_reducible(rng, n) for n in (5, 12, 30)]
     for a in mats:
+        assert np.array_equal(strong_access_matrix(a),
+                              _strong_access_full_chain(a))
+
+
+def test_strong_access_blocks_match_boolean_loop():
+    """Past B^t0 the window is ANDed k = _stack_depth(n, gamma_u - 1)
+    exponents a block: gamma_u = 1, the rest of the window in one block,
+    in several with a short last one, in an exact multiple of k, and far
+    above k; n = 1 and acyclic input."""
+    rng = np.random.default_rng(29)
+    acyclic = np.triu(rng.integers(-3, 4, (6, 6)).astype(float), 1)
+    acyclic[np.tril_indices(6)] = NEG_INF
+    dense = random_matrix(rng, 10, density=1.0).arr.copy()
+    dense[0, 0] = 10.0                  # the one critical cycle is a loop
+    zero_cycles = np.full((42, 42), NEG_INF)
+    start = 1
+    for length in (2, 3, 5, 7, 11, 13):
+        for k in range(length):
+            zero_cycles[start + k, start + (k + 1) % length] = 0.0
+        zero_cycles[0, start] = 0.0
+        start += length
+    cases = [
+        (TropicalMatrix([[0.0]]), "one"),
+        (TropicalMatrix.zeros(1), "one"),
+        (TropicalMatrix(acyclic), "one"),
+        (TropicalMatrix(dense), "one"),
+        (cycle_chain(rng, (3, 4), (-1, 0), tail=1), "one block"),
+        (cycle_chain(rng), "short last"),               # n 21, k 37
+        (cycle_chain(rng, tail=5), "short last"),       # n 24, k 28
+        (cycle_chain(rng, (3, 5), (0, 1), tail=38), "multiple"),  # k 7
+        (TropicalMatrix(zero_cycles), "short last"),    # k 9, 30030
+    ]
+    for a, regime in cases:
+        g = gamma_u(a)
+        k = _stack_depth(a.n, g - 1)
+        assert regime == ("one" if g == 1 else "one block" if g - 1 == k
+                          else "multiple" if (g - 1) % k == 0
+                          else "short last")
         assert np.array_equal(strong_access_matrix(a),
                               _strong_access_full_chain(a))
 

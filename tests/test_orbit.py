@@ -1,18 +1,21 @@
 """Orbit periodicity verdicts, orbit simulation, growth rates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from maxplus import orbit
-from maxplus import (NEG_INF, NotOrbitPeriodicError, TrivialColumnError,
-                     TropicalMatrix, ZeroVectorError, column_periodicity,
-                     critical_structure, csr_product, gamma_u,
-                     is_orbit_periodic, kleene_star, mat_mul, mat_power,
-                     mat_scalar_mul, max_cycle_mean, orbit_growth_rate,
-                     pair_periodicity, scc_decompose, simulate_orbit,
-                     ultimate_expand)
+from maxplus import core, orbit
+from maxplus import (NEG_INF, NonFiniteError, NotOrbitPeriodicError,
+                     TrivialColumnError, TropicalMatrix, ZeroVectorError,
+                     column_periodicity, critical_structure, csr_product,
+                     gamma_u, is_orbit_periodic, kleene_star, mat_mul,
+                     mat_power, mat_scalar_mul, max_cycle_mean,
+                     orbit_growth_rate, pair_periodicity, scc_decompose,
+                     simulate_orbit, ultimate_expand)
 
-from conftest import random_cyclic, random_matrix
+from conftest import (cycle_chain, random_cyclic, random_matrix,
+                      random_reducible)
 from goldens import EX3_GAMMA_U, EX3A_SEQ_FROM_T4, EX3B_SEQ_FROM_T2
 
 TOL = 1e-9
@@ -519,3 +522,152 @@ def test_simulate_orbit_samples_equal_apply_loop():
         assert np.array_equal(trace.samples, np.array(want))
         assert (trace.period, trace.growth_rate, trace.transient) == \
             detect_loop_reference(trace.samples, gamma_u(a), TOL)
+
+
+# ------------------------------------------------------- block stepping
+
+def orbit_loop_reference(a: TropicalMatrix, y, t_max: int) -> np.ndarray:
+    """Row-at-a-time stepping with the arithmetic of apply, written out
+    here so that it shares no code with the block path it referees."""
+    samples = np.empty((t_max + 1, a.n))
+    samples[0] = y
+    buf = np.empty((a.n, a.n))
+    for t in range(1, t_max + 1):
+        np.add(a.arr, samples[t - 1], out=buf)
+        np.maximum.reduce(buf, axis=1, out=samples[t])
+    return samples
+
+
+def assert_orbit_matches_loop(a: TropicalMatrix, y, t_max=None):
+    trace = simulate_orbit(a, y, t_max=t_max)
+    want = orbit_loop_reference(a, y, trace.samples.shape[0] - 1)
+    assert trace.samples.tobytes() == want.tobytes()
+    assert (trace.period, trace.growth_rate, trace.transient) == \
+        detect_loop_reference(want, gamma_u(a), TOL)
+    return trace
+
+
+def block_rows(n: int) -> int:
+    return max(1, core._STACK_FLOATS // (n * n))
+
+
+def start_vectors(rng, n: int) -> list:
+    """Dense, sparse (one finite entry) and all -inf integer vectors."""
+    return [rng.integers(-9, 10, n).astype(float),
+            unit(n, int(rng.integers(n))) + float(rng.integers(-5, 6)),
+            np.full(n, NEG_INF)]
+
+
+def test_block_steps_match_row_loop_on_integer_input():
+    # the default t_max runs first, so the explicit ones read the memoized
+    # stack sliced, or (t_max > default, as for n <= 2) build a deeper one
+    rng = np.random.default_rng(90)
+    mats = [random_matrix(rng, n, density=float(rng.choice([0.1, 0.3, 0.6])))
+            for n in list(range(1, 31)) + [64, 65]]
+    mats += [random_reducible(rng, n) for n in range(4, 31, 3)]
+    chains = [cycle_chain(rng), cycle_chain(rng, tail=5),
+              cycle_chain(rng, (2, 3, 5), (1, -2, 0))]
+    for k, a in enumerate(mats + chains):
+        b = block_rows(a.n)
+        vectors = start_vectors(rng, a.n)
+        for y in vectors if k >= len(mats) else [vectors[k % 3]]:
+            assert orbit._exact_sums(a.arr, y, 10 ** 4)
+            assert_orbit_matches_loop(a, y)
+        for t_max in sorted({0, 1, b - 1, b, b + 1}):
+            assert_orbit_matches_loop(a, vectors[(k + 1) % 3], t_max)
+
+
+def test_block_steps_match_row_loop_on_dying_orbits():
+    # strictly upper triangular: every orbit is all -inf from step n on
+    rng = np.random.default_rng(91)
+    for n in (1, 2, 5, 24, 40):
+        arr = np.triu(rng.integers(-5, 6, (n, n)).astype(float), 1)
+        arr[np.tril_indices(n)] = NEG_INF
+        a = TropicalMatrix(arr)
+        for y in start_vectors(rng, n):
+            trace = assert_orbit_matches_loop(a, y)
+            assert trace.growth_rate == NEG_INF
+            assert (trace.samples[n:] == NEG_INF).all()
+
+
+def test_block_gate_edges():
+    rng = np.random.default_rng(92)
+    # -0.0 in y: the block path rounds this zero to +0.0 at t = 2
+    a = TropicalMatrix([[NEG_INF, NEG_INF, 0.0], [0.0, -0.0, -1.0],
+                        [-0.0, -0.0, -0.0]])
+    y = np.array([NEG_INF, -0.0, 0.0])
+    assert not orbit._exact_sums(a.arr, y, 6)
+    trace = assert_orbit_matches_loop(a, y, 6)
+    assert np.signbit(trace.samples[2:, 1]).all()
+    # -0.0 in the matrix alone keeps the blocks and their bits
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        arr = rng.choice([-0.0, 0.0, NEG_INF, 1.0, -2.0], size=(n, n))
+        y = rng.choice([0.0, NEG_INF, -1.0, 3.0], size=n)
+        assert orbit._exact_sums(arr, y, 50)
+        assert_orbit_matches_loop(TropicalMatrix(arr), y, 50)
+    # the 2**53 bound, one step either side
+    for t_max in (0, 1, 40):
+        a = random_matrix(rng, 5, lo=-3, hi=3)
+        amax = int(np.abs(a.arr[a.arr != NEG_INF]).max())
+        for ymax, exact in ((2 ** 53 - 1 - (t_max + 1) * amax, True),
+                            (2 ** 53 - (t_max + 1) * amax, False)):
+            y = np.array([-ymax, ymax, 0.0, NEG_INF, 7.0])
+            assert orbit._exact_sums(a.arr, y, t_max) is exact
+            assert_orbit_matches_loop(a, y, t_max)
+    # fractional weights step row by row
+    for k in range(30):
+        a = random_cyclic(rng, int(rng.integers(1, 9)))
+        y = rng.integers(-6, 7, a.n).astype(float)
+        for frac in ((a.arr + 1 / 3, y), (a.arr + 0.5, y), (a.arr, y + 1 / 3),
+                     (a.arr, y + 0.5)):
+            assert not orbit._exact_sums(*frac, 100)
+            assert_orbit_matches_loop(TropicalMatrix(frac[0]), frac[1])
+
+
+def disjoint_cycles(rng, lengths) -> TropicalMatrix:
+    """Cycles of the given lengths with integer weights, each entered from
+    one tail node 0; gamma_u is the lcm of the lengths."""
+    n = 1 + sum(lengths)
+    arr = np.full((n, n), NEG_INF)
+    start = 1
+    for length in lengths:
+        for k in range(length):
+            arr[start + k, start + (k + 1) % length] = float(
+                rng.integers(-4, 5))
+        arr[0, start] = float(rng.integers(-4, 5))
+        start += length
+    return TropicalMatrix(arr)
+
+
+def test_block_steps_memory_is_the_samples():
+    """n = 42, gamma_u = 30030: the default t_max is 70644 steps, and
+    the scratch stays within 1 MB of the sample array."""
+    rng = np.random.default_rng(93)
+    a = disjoint_cycles(rng, (2, 3, 5, 7, 11, 13))
+    assert a.n == 42 and gamma_u(a) == 30030
+    y = rng.integers(-9, 10, a.n).astype(float)
+    tracemalloc.start()
+    try:
+        trace = simulate_orbit(a, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.samples.shape == (70645, 42)
+    assert peak <= trace.samples.nbytes + 2 ** 20
+    for t in (1, 9, 10, 1000, 30031, 70644):
+        assert np.array_equal(trace.samples[t], mat_power(a, t).apply(y))
+
+
+def test_overflow_raises_typed_error():
+    for v in (1e308, -1e308):
+        a = TropicalMatrix([[v]])
+        for t_max in (None, 2, 5):
+            with pytest.raises(NonFiniteError, match="overflows float64"):
+                simulate_orbit(a, [0.0], t_max=t_max)
+        assert simulate_orbit(a, [0.0], t_max=1).samples.tolist() == \
+            [[0.0], [v]]
+    # the block path's gate rules these out, and the row loop raises
+    a = TropicalMatrix([[0.0, 2.0 ** 1023], [NEG_INF, 0.0]])
+    with pytest.raises(NonFiniteError):
+        simulate_orbit(a, [0.0, 2.0 ** 1023], t_max=3)

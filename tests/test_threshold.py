@@ -12,7 +12,7 @@ from maxplus import (NEG_INF, TropicalMatrix, csr_product_literal, evaluate,
 from maxplus import expansions
 from maxplus.core import _arr_eq, _mp_matmul
 
-from conftest import random_cyclic, random_reducible
+from conftest import cycle_chain, random_cyclic, random_reducible
 
 TOL = 1e-9
 
@@ -50,32 +50,6 @@ def threshold_window_reference(a, e=None, t_max=None, tol=1e-9):
                 return None
         cur = _mp_matmul(cur, a.arr)
     return None
-
-
-def cycle_chain(rng, lengths=(3, 4, 5, 7), means=(-3, -1, 0, 2), tail=2):
-    """Disjoint cycles of the given lengths and integer cycle means, each
-    feeding the next by one edge, with a path of trivial tail nodes into
-    the first; gamma_u is the lcm of the lengths (420 by default).  Means
-    that rise along the chain make the ultimate expansion hold from some
-    exponent on."""
-    n = sum(lengths) + tail
-    arr = np.full((n, n), NEG_INF)
-    comps, start = [], tail
-    for length, mean in zip(lengths, means):
-        nodes = list(range(start, start + length))
-        start += length
-        w = rng.integers(-4, 5, size=length).astype(float)
-        w[-1] += length * mean - w.sum()
-        for k in range(length):
-            arr[nodes[k], nodes[(k + 1) % length]] = w[k]
-        comps.append(nodes)
-    for src, dst in zip(comps, comps[1:]):
-        arr[src[int(rng.integers(len(src)))],
-            dst[int(rng.integers(len(dst)))]] = float(rng.integers(-5, 3))
-    chain = list(range(tail)) + [comps[0][0]]
-    for u, v in zip(chain, chain[1:]):
-        arr[u, v] = float(rng.integers(-5, 3))
-    return TropicalMatrix(arr)
 
 
 def two_bipartite_levels():

@@ -16,8 +16,8 @@ from .expansions import (DeflationStep, Expansion, ExpansionEvaluation, Term,
                          evaluate, fast_terms, nachtigall_expand,
                          ultimate_expand, ultimate_threshold)
 from .graphs import (CRIT_TOL, CriticalStructure, CritSubgraph, Digraph,
-                     SccDecomposition, critical_structure, cyclic_class_shift,
-                     gamma_u, max_cycle_mean, scc_decompose, strong_access,
+                     SccDecomposition, critical_structure, gamma_u,
+                     max_cycle_mean, scc_decompose, strong_access,
                      strong_access_matrix, wielandt)
 from .kleene import (Scaling, apply_scaling, kleene_star,
                      total_visualizing_scaling, visualizing_scaling)
@@ -43,9 +43,8 @@ __all__ = [
     "DeflationStep", "Expansion", "ExpansionEvaluation", "Term", "evaluate",
     "fast_terms", "nachtigall_expand", "ultimate_expand", "ultimate_threshold",
     "CRIT_TOL", "CriticalStructure", "CritSubgraph", "Digraph",
-    "SccDecomposition", "critical_structure", "cyclic_class_shift", "gamma_u",
-    "max_cycle_mean", "scc_decompose", "strong_access", "strong_access_matrix",
-    "wielandt",
+    "SccDecomposition", "critical_structure", "gamma_u", "max_cycle_mean",
+    "scc_decompose", "strong_access", "strong_access_matrix", "wielandt",
     "Scaling", "apply_scaling", "kleene_star", "total_visualizing_scaling",
     "visualizing_scaling",
     "PathClassQuery", "best_path_weight", "boolean_power_reach",

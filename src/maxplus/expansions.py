@@ -19,12 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (NEG_INF, TropicalMatrix, mat_oplus, mat_power, _arr_eq,
-                   _mp_matmul)
+                   _mp_matmul, _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
 from .errors import AnalysisError, NoCyclesError, ThresholdError
-from .graphs import (CRIT_TOL, CritSubgraph, CriticalStructure, _bfs,
-                     _critical)
+from .graphs import (CRIT_TOL, CritSubgraph, CriticalStructure,
+                     _COMPONENT_MEMO, _bfs, _critical)
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,13 @@ def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
 
 
 def _level(a: TropicalMatrix, keep) -> TropicalMatrix:
-    """a restricted to keep; a itself (with its memo) when nothing is cut."""
-    return a if len(keep) == a.n else a.restrict(keep)
+    """a restricted to keep, sharing a's component analyses; a itself
+    (with its memo) when nothing is cut."""
+    if len(keep) == a.n:
+        return a
+    sub = a.restrict(keep)
+    sub._memo[_COMPONENT_MEMO] = a._cached(_COMPONENT_MEMO, dict)
+    return sub
 
 
 def _deflation_steps(a: TropicalMatrix, rule: str) -> list:
@@ -154,14 +159,13 @@ def _ultimate_levels(a: TropicalMatrix) -> list:
     steps = []
     keep = set(range(a.n))
     for mu, lam in enumerate(sorted(groups, reverse=True)):
-        edges, m_nodes = [], []
-        for c in groups[lam]:
-            edges.extend(cs.per_component[c].crit_edges)
-            m_nodes.extend(cs.scc.components[c])
+        crit = CritSubgraph._assemble([
+            (pc.crit_edges, pc.crit_components, pc.cyclicity_of, pc.class_of)
+            for pc in (cs.per_component[c] for c in groups[lam])])
+        m_nodes = [v for c in groups[lam] for v in cs.scc.components[c]]
         steps.append(DeflationStep(mu=mu, k_set=tuple(sorted(keep)),
                                    a_mu=_level(a, keep), lambda_mu=lam,
-                                   crit=CritSubgraph.from_edges(edges),
-                                   m_set=tuple(sorted(m_nodes))))
+                                   crit=crit, m_set=tuple(sorted(m_nodes))))
         keep -= set(m_nodes)
     return steps
 
@@ -169,10 +173,15 @@ def _ultimate_levels(a: TropicalMatrix) -> list:
 def _build_expansion(a: TropicalMatrix, variant: str, steps: list,
                      sigma: tuple | None) -> Expansion:
     """The expansion over steps, with its terms built once per matrix and
-    variant (the triples hold no mutable state) but fresh lists each call."""
-    terms = a._cached(("terms", variant), lambda: [
-        Term(st.lambda_mu, csr_build(st.a_mu.scale(-st.lambda_mu), st.crit,
-                                     check_definite=False)) for st in steps])
+    variant (the triples hold no mutable state) but fresh lists each call.
+    A term depends on its level's node set, cycle mean and critical edges
+    only, so levels that agree on those (the first canonical and ultimate
+    levels, mostly) share one term."""
+    terms = a._cached(("terms", variant), lambda: [a._cached(
+        ("term", st.k_set, st.lambda_mu.hex(), st.crit.edges),
+        lambda: Term(st.lambda_mu, csr_build(st.a_mu.scale(-st.lambda_mu),
+                                             st.crit, check_definite=False)))
+        for st in steps])
     threshold = 3 * a.n * a.n if variant.startswith("nachtigall") else None
     return Expansion(variant=variant, n=a.n, terms=list(terms),
                      steps=list(steps), sigma=sigma,
@@ -213,12 +222,15 @@ def ultimate_expand(a: TropicalMatrix) -> Expansion:
     return _build_expansion(a, "ultimate", steps, tuple(sigma))
 
 
+@_overflow_checked
 def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
-    """Max of lam^t-scaled periodic products over all terms."""
+    """Max of lam^t-scaled periodic products over all terms.
+    NonFiniteError when lam * t or a sum of it leaves float64."""
     if t < 0:
         raise ValueError("negative exponent")
     per = [TropicalMatrix(_class_product(tr.c_hat, tr.r_hat, tr.slots,
-                                         t % tr.gamma) + lam * t, copy=False)
+                                         t % tr.gamma) + np.float64(lam) * t,
+                          copy=False)
            for lam, tr in e.terms]
     return ExpansionEvaluation(t=t, matrix=reduce(mat_oplus, per),
                                per_term=per)

@@ -35,24 +35,16 @@ def wielandt(n: int) -> int:
 
 
 class Digraph:
-    """Adjacency view of the finite pattern of a matrix."""
+    """Weighted edges (i, j, w) of the finite pattern of a matrix."""
 
     def __init__(self, n: int, edges):
         self.n = n
         self.edges = list(edges)
-        self.adj = [[] for _ in range(n)]
-        for i, j, w in self.edges:
-            self.adj[i].append((j, w))
-        for lst in self.adj:
-            lst.sort()
 
     @classmethod
     def from_matrix(cls, a: TropicalMatrix) -> "Digraph":
         ii, jj = np.nonzero(a.finite_mask())
         return cls(a.n, [(int(i), int(j), float(a.arr[i, j])) for i, j in zip(ii, jj)])
-
-    def successors(self, i: int):
-        return [j for j, _ in self.adj[i]]
 
 
 @dataclass
@@ -79,107 +71,76 @@ class SccDecomposition:
         return [c for c in range(self.k) if not self.is_trivial[c]]
 
 
-def _tarjan(n: int, adj) -> list:
-    """Iterative Tarjan; returns components in pop order (sinks first)."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succ = adj[v]
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
+def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x.astype(np.float32) @ y.astype(np.float32)) > 0
+
+
+def _strong_components(b: np.ndarray):
+    """(reach, label) of a Boolean adjacency: reach is the reflexive-
+    transitive closure, (I or B)^t for a power of two t >= n - 1 squared
+    until it stops changing; label[i] is the least node of i's strong
+    component, the first j with reach[i, j] and reach[j, i]."""
+    n = b.shape[0]
+    if not n:
+        return b, np.zeros(0, dtype=int)
+    reach = _power_chain(b | np.eye(n, dtype=bool), 1 << (n - 1).bit_length(),
+                         _bool_matmul)
+    return reach, (reach & reach.T).argmax(axis=1)
+
+
+def _group(comp: np.ndarray, k: int):
+    """(node lists, sizes) of the k components numbered by comp, each
+    list in increasing order."""
+    sizes = np.bincount(comp, minlength=k)
+    nodes = np.argsort(comp, kind="stable").tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [nodes[s:e] for s, e in zip([0] + ends, ends)], sizes
+
+
+def _accessed_first(acc: np.ndarray) -> np.ndarray:
+    """Components, numbered by least node, in Kahn order on their access
+    block acc: each after every component it accesses, the least ready
+    one first.  A component with no access either way is ready
+    throughout, so it merges into the order of the others: it goes just
+    before the first of them with a larger least node."""
+    off = acc & ~np.eye(acc.shape[0], dtype=bool)
+    waits = np.count_nonzero(off, axis=1)
+    linked = (waits > 0) | off.any(axis=0)
+    ready = np.flatnonzero(linked & (waits == 0)).tolist()  # sorted: a heap
+    waits = waits.tolist()
+    chain = []
+    while ready:
+        c = heapq.heappop(ready)
+        chain.append(c)
+        for p in np.flatnonzero(off[:, c]).tolist():
+            waits[p] -= 1
+            if not waits[p]:
+                heapq.heappush(ready, p)
+    chain, free = np.array(chain, dtype=int), np.flatnonzero(~linked)
+    at = np.searchsorted(np.maximum.accumulate(chain), free, side="right")
+    return np.insert(chain, at, free)
 
 
 def scc_decompose(g: Digraph | TropicalMatrix) -> SccDecomposition:
-    """Strongly connected components plus the access relation."""
+    """Strongly connected components plus the access relation, both read
+    off the Boolean closure of the finite pattern."""
     if isinstance(g, TropicalMatrix):
-        adj = [np.flatnonzero(row).tolist() for row in g.finite_mask()]
+        b = g.finite_mask()
     else:
-        adj = [[j for j, _ in g.adj[i]] for i in range(g.n)]
-    n = len(adj)
-    comps = _tarjan(n, adj)
-
-    comp_of = np.empty(n, dtype=int)
-    for c, nodes in enumerate(comps):
-        for v in nodes:
-            comp_of[v] = c
-    k = len(comps)
-
-    # condensation edges, then order components so accessed ones come first
-    cond_succ = [set() for _ in range(k)]
-    for i in range(n):
-        for j in adj[i]:
-            if comp_of[i] != comp_of[j]:
-                cond_succ[comp_of[i]].add(int(comp_of[j]))
-    # accessed-first == topological order of the reversed condensation
-    indeg = [0] * k        # indegree in the reversed DAG = outdegree here
-    rev = [set() for _ in range(k)]
-    for p in range(k):
-        for q in cond_succ[p]:
-            rev[q].add(p)
-            indeg[p] += 1
-    heap = [(min(comps[c]), c) for c in range(k) if indeg[c] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        for p in rev[c]:
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                heapq.heappush(heap, (min(comps[p]), p))
-
-    remap = {old: new for new, old in enumerate(order)}
-    components = [comps[c] for c in order]
-    component_of = np.array([remap[int(c)] for c in comp_of])
-    is_trivial = [len(nodes) == 1 and nodes[0] not in adj[nodes[0]]
-                  for nodes in components]
-
-    access = np.eye(k, dtype=bool)
-    # components are accessed-first, so successors of p precede p
-    for p in range(k):
-        for q_old in cond_succ[order[p]]:
-            q = remap[q_old]
-            access[p] |= access[q]
-    return SccDecomposition(n, component_of, components, is_trivial, access)
+        b = np.zeros((g.n, g.n), dtype=bool)
+        for i, j, _ in g.edges:
+            b[i, j] = True
+    reach, least = _strong_components(b)
+    roots = np.flatnonzero(least == np.arange(g.n))
+    acc = reach[roots][:, roots]
+    order = _accessed_first(acc)
+    top = roots[order]
+    rank = np.empty(g.n, dtype=int)
+    rank[top] = np.arange(top.size)
+    components, sizes = _group(rank[least], top.size)
+    return SccDecomposition(g.n, rank[least], components,
+                            ((sizes == 1) & ~b[top, top]).tolist(),
+                            acc[order][:, order])
 
 
 def max_cycle_mean(g: Digraph | TropicalMatrix, component=None) -> float:
@@ -209,7 +170,7 @@ def max_cycle_mean(g: Digraph | TropicalMatrix, component=None) -> float:
 def _karp(arr: np.ndarray, nodes) -> float:
     """Karp on one strongly connected node set (source = nodes[0])."""
     k = len(nodes)
-    sub = arr[np.ix_(nodes, nodes)]
+    sub = arr[nodes][:, nodes]
     d = np.full((k + 1, k), NEG_INF)
     d[0, 0] = 0.0
     for step in range(1, k + 1):
@@ -251,16 +212,18 @@ class ComponentCriticals:
 def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCriticals:
     nodes = sorted(nodes)
     lam = _karp(arr, nodes)
-    sub = arr[np.ix_(nodes, nodes)] - lam
+    sub = arr[nodes][:, nodes] - lam
     star = _floyd_warshall_star(sub)
     # edge (a, b) is critical iff it closes a cycle of weight 0: a -inf
     # entry of sub never passes, and np.nonzero keeps row-major edge order
-    aa, bb = np.nonzero(sub + star.T >= -tol)
+    crit = sub + star.T >= -tol
+    aa, bb = np.nonzero(crit)
     idx = np.array(nodes)
     crit_edges = list(zip(idx[aa].tolist(), idx[bb].tolist()))
-    crit_nodes = sorted({v for e in crit_edges for v in e})
-    comps, cyc, cls = _cyclic_classes(crit_nodes, crit_edges)
-    return ComponentCriticals(nodes, lam, crit_nodes, crit_edges, comps, cyc, cls)
+    on = np.flatnonzero(crit.any(axis=0) | crit.any(axis=1))
+    comps, cyc, cls = _mask_classes(idx[on], crit[on][:, on])
+    return ComponentCriticals(nodes, lam, idx[on].tolist(), crit_edges, comps,
+                              cyc, cls)
 
 
 def _bfs(edges, roots):
@@ -278,33 +241,36 @@ def _bfs(edges, roots):
     return order, parent, succ
 
 
-def _cyclic_classes(nodes, edges):
-    """SCCs of an edge set where every node lies on a cycle, with the
-    cyclicity (gcd of cycle lengths) and BFS-level classes of each."""
-    adj = {v: [] for v in nodes}
-    for i, j in edges:
-        adj[i].append(j)
-    for v in adj:
-        adj[v].sort()
-    idx = {v: i for i, v in enumerate(nodes)}
-    comps_raw = _tarjan(len(nodes), [[idx[j] for j in adj[nodes[i]]] for i in range(len(nodes))])
-    comps = sorted(([nodes[i] for i in comp] for comp in comps_raw), key=min)
-    cyclicities = []
+def _mask_classes(nodes: np.ndarray, mask: np.ndarray):
+    """(components, cyclicities, class_of) of the edges mask[a, b]:
+    nodes[a] -> nodes[b], every node on a cycle.  Components are node
+    lists ordered by least node; the level of a node is its distance from
+    the least node of its component, the cyclicity is the gcd over the
+    component's edges (a, b) of level(a) + 1 - level(b) (the gcd of its
+    cycle lengths), and class_of maps each node to (component, level mod
+    cyclicity)."""
+    _, label = _strong_components(mask)
+    roots = np.flatnonzero(label == np.arange(label.size))
+    comp = np.searchsorted(roots, label)
+    members, _ = _group(comp, roots.size)
+    inner = mask & (label[:, None] == label)
+    level = np.full(label.size, -1)
+    front, depth = label == np.arange(label.size), 0
+    while front.any():          # breadth-first from every root at once
+        level[front] = depth
+        front = inner[front].any(axis=0) & (level < 0)
+        depth += 1
+    aa, bb = np.nonzero(inner)
+    cyc = np.zeros(roots.size, dtype=int)
+    np.gcd.at(cyc, comp[aa], level[aa] + 1 - level[bb])
+    cyc = np.maximum(cyc, 1)
+    cls = level % cyc[comp]
     class_of = {}
-    for ci, comp in enumerate(comps):
-        comp_set = set(comp)
-        inner = [(i, j) for i, j in edges if i in comp_set and j in comp_set]
-        level = {}
-        for v, u in _bfs(inner, [min(comp)])[1].items():    # parents first
-            level[v] = 0 if u is None else level[u] + 1
-        g = 0
-        for i, j in inner:
-            g = math.gcd(g, level[i] + 1 - level[j])
-        g = max(g, 1)
-        cyclicities.append(g)
-        for v in comp:
-            class_of[v] = (ci, level[v] % g)
-    return comps, cyclicities, class_of
+    for ci, part in enumerate(members):
+        class_of.update(zip(nodes[part].tolist(),
+                            zip([ci] * len(part), cls[part].tolist())))
+    return ([nodes[part].tolist() for part in members], cyc.tolist(),
+            class_of)
 
 
 @dataclass
@@ -331,16 +297,18 @@ class CriticalStructure:
         return self.lambda_of_component[int(self.scc.component_of[v])]
 
 
-def critical_structure(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStructure:
+def critical_structure(a: TropicalMatrix, tol: float = CRIT_TOL,
+                       _copy: bool = True) -> CriticalStructure:
     """Full critical analysis; raises NoCyclesError on acyclic input.
 
-    Computed once per matrix and tol; every call returns a fresh copy.
+    Computed once per matrix and tol; every call returns a fresh copy
+    (_copy=False is _critical's miss, which hands out nothing).
     """
     cs = a._cached(("critical", tol), lambda: _analyse(a, tol))
     if cs is None:
         raise NoCyclesError("no cycles")
     # a pickle round trip is a deep copy too, about ten times faster here
-    return pickle.loads(pickle.dumps(cs, -1))
+    return pickle.loads(pickle.dumps(cs, -1)) if _copy else cs
 
 
 def _critical(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStructure | None:
@@ -352,40 +320,43 @@ def _critical(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStructure | N
     key = ("critical", tol)
     if key not in a._memo:
         try:
-            critical_structure(a, tol)
+            critical_structure(a, tol, _copy=False)
         except NoCyclesError:
             pass
     return a._memo[key]
 
 
+# _memo key of the analyses by (component node tuple, tol).  A deflation
+# level keeps the root's entries on its nodes, so levels share the root's.
+_COMPONENT_MEMO = "components"
+
+
 def _analyse(a: TropicalMatrix, tol: float) -> CriticalStructure | None:
     dec = scc_decompose(a)
+    memo = a._cached(_COMPONENT_MEMO, dict)
     per = [None] * dec.k
-    lams = [NEG_INF] * dec.k
     for c in dec.nontrivial():
-        per[c] = _component_criticals(a.arr, dec.components[c], tol)
-        lams[c] = per[c].lam
+        key = (tuple(dec.components[c]), tol)
+        if key not in memo:
+            memo[key] = _component_criticals(a.arr, dec.components[c], tol)
+        per[c] = memo[key]
+    lams = [NEG_INF if pc is None else pc.lam for pc in per]
     lam_global = max(lams, default=NEG_INF)
     if lam_global == NEG_INF:
         return None
 
     crit_nodes, crit_edges, comps, cyc = [], [], [], []
     cls = {}
-    for c in dec.nontrivial():
-        pc = per[c]
-        if pc.lam < lam_global - tol:
+    for pc in per:
+        if pc is None or pc.lam < lam_global - tol:
             continue
         crit_nodes.extend(pc.crit_nodes)
         crit_edges.extend(pc.crit_edges)
-        for local_ci, comp in enumerate(pc.crit_components):
-            offset = len(comps)
-            comps.append(comp)
-            cyc.append(pc.cyclicity_of[local_ci])
+        for comp, g in zip(pc.crit_components, pc.cyclicity_of):
             for v in comp:
-                cls[v] = (offset, pc.class_of[v][1])
-    gamma = 1
-    for g in cyc:
-        gamma = math.lcm(gamma, g)
+                cls[v] = (len(comps), pc.class_of[v][1])
+            comps.append(comp)
+            cyc.append(g)
     return CriticalStructure(
         scc=dec,
         lambda_global=lam_global,
@@ -395,7 +366,7 @@ def _analyse(a: TropicalMatrix, tol: float) -> CriticalStructure | None:
         critical_components=comps,
         cyclicity_of=cyc,
         class_of=cls,
-        gamma_lcm=gamma,
+        gamma_lcm=math.lcm(*cyc),
         per_component=per,
     )
 
@@ -415,42 +386,46 @@ class CritSubgraph:
 
     @classmethod
     def from_edges(cls, edges) -> "CritSubgraph":
-        edges = sorted(set((int(i), int(j)) for i, j in edges))
-        nodes = sorted({v for e in edges for v in e})
-        comps, cyc, class_of = _cyclic_classes(nodes, edges)
-        gamma = 1
-        for g in cyc:
-            gamma = math.lcm(gamma, g)
-        members = []
-        for ci, comp in enumerate(comps):
-            buckets = [[] for _ in range(cyc[ci])]
-            for v in sorted(comp):
+        edges = {(int(i), int(j)) for i, j in edges}
+        nodes, ends = np.unique(np.array(list(edges), dtype=int).reshape(-1, 2),
+                                return_inverse=True)
+        mask = np.zeros((nodes.size, nodes.size), dtype=bool)
+        mask[tuple(ends.reshape(-1, 2).T)] = True
+        return cls._assemble([(edges, *_mask_classes(nodes, mask))])
+
+    @classmethod
+    def _assemble(cls, parts) -> "CritSubgraph":
+        """The selection from class data already at hand: parts are (edges,
+        components, cyclicities, class_of) of disjoint node sets, the last
+        three as _mask_classes returns them.  Components are renumbered by
+        least node, as from_edges numbers them, so both give equal
+        selections."""
+        found = sorted(((comp, g, class_of) for _, comps, cyc, class_of in parts
+                        for comp, g in zip(comps, cyc)),
+                       key=lambda part: part[0][0])
+        comps, cyc, class_of, members = [], [], {}, []
+        for ci, (comp, g, part_classes) in enumerate(found):
+            buckets = [[] for _ in range(g)]
+            for v in comp:
+                class_of[v] = (ci, part_classes[v][1])
                 buckets[class_of[v][1]].append(v)
+            comps.append(list(comp))
+            cyc.append(g)
             members.append(buckets)
-        return cls(frozenset(nodes), frozenset(edges), comps, cyc, class_of,
-                   gamma, members)
+        return cls(frozenset(v for comp in comps for v in comp),
+                   frozenset(e for part in parts for e in part[0]), comps,
+                   cyc, class_of, math.lcm(*cyc), members)
 
     @classmethod
     def from_critical_structure(cls, cs: CriticalStructure) -> "CritSubgraph":
-        return cls.from_edges(cs.critical_edges)
+        return cls._assemble([(cs.critical_edges, cs.critical_components,
+                               cs.cyclicity_of, cs.class_of)])
 
     @classmethod
     def from_cycle(cls, cycle) -> "CritSubgraph":
         """Selection consisting of one cycle given as a node sequence."""
         edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
         return cls.from_edges(edges)
-
-
-def cyclic_class_shift(crit, component: int, t: int) -> list:
-    """Class permutation induced by paths of length t within one critical
-    component: class c maps to class (c + t) mod gamma.  Accepts a
-    CritSubgraph or a CriticalStructure (both carry cyclicity_of)."""
-    gamma = crit.cyclicity_of[component]
-    return [(c + t) % gamma for c in range(gamma)]
-
-
-def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x.astype(np.float32) @ y.astype(np.float32)) > 0
 
 
 def gamma_u(a: TropicalMatrix) -> int:
@@ -462,13 +437,8 @@ def gamma_u(a: TropicalMatrix) -> int:
 def _cyclicity_lcm(cs: CriticalStructure | None) -> int:
     if cs is None:
         return 1
-    g = 1
-    for pc in cs.per_component:
-        if pc is None:
-            continue
-        for c in pc.cyclicity_of:
-            g = math.lcm(g, c)
-    return g
+    return math.lcm(*(g for pc in cs.per_component if pc is not None
+                      for g in pc.cyclicity_of))
 
 
 def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:

@@ -4,7 +4,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from maxplus import (NEG_INF, AnalysisError, NoCyclesError, PathClassQuery, ThresholdError,
+from maxplus import (NEG_INF, AnalysisError, NoCyclesError, NonFiniteError,
+                     PathClassQuery, ThresholdError,
                      TropicalMatrix, best_path_weight, critical_structure,
                      csr_product, csr_product_literal, enumerate_small,
                      evaluate, fast_terms, mat_eq, mat_oplus, mat_power,
@@ -630,3 +631,24 @@ def test_ultimate_sigma_mismatch_raises():
     assert nachtigall_expand(a).lambdas == (0.0, -1.8e-9)
     with pytest.raises(AnalysisError, match="matches canonical levels"):
         ultimate_expand(a)
+
+
+def test_evaluate_overflow_raises_typed_error():
+    """lam * t, or a term plus it, leaving float64 is a NonFiniteError in
+    both expansions and both directions, not a silent -inf ("no path") or
+    +inf."""
+    for w in (-1e308, 1e308):
+        a = TropicalMatrix([[w]])
+        for e in (nachtigall_expand(a), ultimate_expand(a)):
+            assert evaluate(e, 1).matrix.arr.tolist() == [[w]]
+            with pytest.raises(NonFiniteError):
+                evaluate(e, 3)
+    # lam * 2 = +-1e308 is finite; the term's 1e308 on top of it is not
+    for s in (-1.0, 1.0):
+        a = TropicalMatrix.from_rows([[s * 5e307, s * 1.5e308],
+                                      [None, s * 5e307]])
+        for e in (nachtigall_expand(a), ultimate_expand(a)):
+            assert len(e.terms) == 1
+            evaluate(e, 1)
+            with pytest.raises(NonFiniteError):
+                evaluate(e, 2)

@@ -1,9 +1,11 @@
 """Digraph analysis: components, cycle means, critical graphs, classes.
 
-Reference values come from exhaustive simple-cycle enumeration (networkx)
-and Boolean reachability, never from the routines under test.
+Reference values come from exhaustive simple-cycle enumeration (networkx),
+Boolean reachability and a test-local Tarjan, never from the routines
+under test.
 """
 
+import heapq
 import math
 
 import networkx as nx
@@ -12,15 +14,16 @@ import pytest
 
 from maxplus import (CRIT_TOL, CritSubgraph, Digraph, NEG_INF, NoCyclesError,
                      TropicalMatrix, apply_scaling, Scaling, boolean_power_reach,
-                     critical_structure, cyclic_class_shift, gamma_u,
-                     max_cycle_mean, scc_decompose, strong_access,
-                     strong_access_matrix, wielandt)
+                     critical_structure, csr_build, gamma_u, max_cycle_mean,
+                     nachtigall_expand, scc_decompose, strong_access,
+                     strong_access_matrix, ultimate_expand, wielandt)
 from maxplus.core import _stack_depth
+from maxplus.csr import _shift
 from maxplus.graphs import (_bool_matmul, _component_criticals,
                             _floyd_warshall_star, _karp)
 
-from conftest import (cycle_chain, random_cyclic, random_definite,
-                      random_matrix, random_reducible)
+from conftest import (cycle_chain, has_cycle, random_cyclic,
+                      random_definite, random_matrix, random_reducible)
 
 TOL = 1e-9
 
@@ -203,19 +206,20 @@ def test_critical_structure_scaling_invariant():
 # ---------------------------------------------------------- cyclic classes
 
 def test_class_shift_identity_and_composition(ex3a):
+    """Paths of length t move each slot (cyclic class) t classes on within
+    its component: sigma_t of csr._shift."""
     crit = CritSubgraph.from_critical_structure(critical_structure(ex3a))
+    slots = csr_build(ex3a.scale(-1.0), crit, check_definite=False).slots
     gamma = crit.cyclicity_of[0]
-    assert gamma == 4
-    assert cyclic_class_shift(crit, 0, 0) == [0, 1, 2, 3]
-    assert cyclic_class_shift(crit, 0, gamma) == [0, 1, 2, 3]
-    assert cyclic_class_shift(crit, 0, 1) == [1, 2, 3, 0]
+    assert gamma == 4 and slots[1].tolist() == [0, 1, 2, 3]
+    assert _shift(slots, 0).tolist() == [0, 1, 2, 3]
+    assert _shift(slots, gamma).tolist() == [0, 1, 2, 3]
+    assert _shift(slots, 1).tolist() == [1, 2, 3, 0]
     s1, s2 = 3, 6
-    once = cyclic_class_shift(crit, 0, s1)
-    composed = [cyclic_class_shift(crit, 0, s2)[c] for c in once]
     # shifting by s1 then s2 equals shifting by s1 + s2
-    shifted = cyclic_class_shift(crit, 0, s1 + s2)
-    assert [shifted[c] for c in range(gamma)] == \
-        [((c + s1) + s2) % gamma for c in range(gamma)] == composed
+    composed = _shift(slots, s2)[_shift(slots, s1)]
+    assert _shift(slots, s1 + s2).tolist() == composed.tolist() == \
+        [((c + s1) + s2) % gamma for c in range(gamma)]
 
 
 def test_class_membership_example3(ex3a):
@@ -446,3 +450,142 @@ def test_scc_same_from_digraph_and_matrix():
         assert x.is_trivial == y.is_trivial
         assert np.array_equal(x.component_of, y.component_of)
         assert np.array_equal(x.access, y.access)
+
+
+# --------------------------------------- SCC reference: Tarjan plus Kahn
+
+def tarjan_reference(n: int, adj) -> list:
+    """Iterative Tarjan; components in pop order (sinks first)."""
+    index, low = [-1] * n, [0] * n
+    on_stack, stack, comps, counter = [False] * n, [], [], 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(adj[v]):
+                w = adj[v][pi]
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
+def scc_reference(a: TropicalMatrix):
+    """(components, component_of, is_trivial, access) from Tarjan and a
+    Kahn order on the condensation: accessed components first, the ready
+    one with the least node next; access closed along condensation edges."""
+    adj = [np.flatnonzero(row).tolist() for row in a.finite_mask()]
+    comps = tarjan_reference(a.n, adj)
+    comp_of = [0] * a.n
+    for c, nodes in enumerate(comps):
+        for v in nodes:
+            comp_of[v] = c
+    succ = [set() for _ in comps]
+    for i in range(a.n):
+        for j in adj[i]:
+            if comp_of[i] != comp_of[j]:
+                succ[comp_of[i]].add(comp_of[j])
+    waits = [len(s) for s in succ]
+    users = [[p for p in range(len(comps)) if c in succ[p]]
+             for c in range(len(comps))]
+    heap = [(min(comps[c]), c) for c in range(len(comps)) if not waits[c]]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        order.append(c)
+        for p in users[c]:
+            waits[p] -= 1
+            if not waits[p]:
+                heapq.heappush(heap, (min(comps[p]), p))
+    rank = {c: k for k, c in enumerate(order)}
+    access = np.eye(len(comps), dtype=bool)
+    for p, c in enumerate(order):       # successors come first
+        for q in succ[c]:
+            access[p] |= access[rank[q]]
+    components = [comps[c] for c in order]
+    return (components, [rank[c] for c in comp_of],
+            [len(nodes) == 1 and nodes[0] not in adj[nodes[0]]
+             for nodes in components], access)
+
+
+def test_scc_matches_tarjan_reference():
+    rng = np.random.default_rng(33)
+    loops = np.full((7, 7), NEG_INF)
+    loops[[0, 3, 4, 6], [0, 3, 4, 6]] = 0.0
+    mats = [TropicalMatrix([[0.0]]), TropicalMatrix.zeros(1),
+            TropicalMatrix.zeros(5), TropicalMatrix(loops)]
+    for density in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6):
+        mats += [random_matrix(rng, int(rng.integers(1, 31)), density=density)
+                 for _ in range(12)]
+    mats += [random_reducible(rng, int(rng.integers(4, 25))) for _ in range(10)]
+    mats.append(cycle_chain(rng))
+    # deflation levels: restrictions that leave isolated nodes behind
+    for a in list(mats):
+        if has_cycle(a):
+            for e in (nachtigall_expand(a), nachtigall_expand(a, "cycle"),
+                      ultimate_expand(a)):
+                mats += [st.a_mu for st in e.steps[1:]]
+    assert sum(not a.finite_mask().any(axis=1).all() for a in mats) > 50
+    for a in mats:
+        comps, comp_of, trivial, access = scc_reference(a)
+        for dec in (scc_decompose(a), scc_decompose(Digraph.from_matrix(a))):
+            assert dec.components == comps
+            assert dec.component_of.tolist() == comp_of
+            assert dec.is_trivial == trivial
+            assert dec.access.dtype == bool
+            assert np.array_equal(dec.access, access)
+
+
+def test_assembled_crit_subgraph_equals_class_search(ex1, ex2, ex3a, ex3b):
+    """The canonical and ultimate selections are assembled from the
+    per-component class data; a class search on their edges gives the
+    same selection."""
+    rng = np.random.default_rng(34)
+    mats = [ex1, ex2, ex3a, ex3b, cycle_chain(rng), cycle_chain(rng, tail=5)]
+    mats += [random_cyclic(rng, int(rng.integers(2, 12))) for _ in range(30)]
+    mats += [random_reducible(rng, int(rng.integers(4, 16))) for _ in range(30)]
+    mats += [random_definite(rng, int(rng.integers(2, 9))) for _ in range(10)]
+    assembled = 0
+    for a in mats:
+        crits = [CritSubgraph.from_critical_structure(critical_structure(a))]
+        crits += [st.crit for st in nachtigall_expand(a).steps]
+        crits += [st.crit for st in ultimate_expand(a).steps]
+        for crit in crits:
+            want = CritSubgraph.from_edges(crit.edges)
+            assert crit.nodes == want.nodes and crit.edges == want.edges
+            assert crit.components == want.components
+            assert crit.cyclicity_of == want.cyclicity_of
+            assert crit.class_of == want.class_of
+            assert crit.members == want.members
+            assert crit.gamma == want.gamma
+            assembled += len(crit.components) > 1
+    assert assembled > 20

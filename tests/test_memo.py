@@ -3,10 +3,10 @@ the same instance, and nothing handed out aliases the cached analysis."""
 
 import numpy as np
 
-from maxplus import (TropicalMatrix, critical_structure, evaluate, fast_terms,
-                     is_orbit_periodic, nachtigall_expand, simulate_orbit,
-                     strong_access_matrix, ultimate_expand,
-                     ultimate_threshold)
+from maxplus import (CRIT_TOL, TropicalMatrix, critical_structure, evaluate,
+                     fast_terms, is_orbit_periodic, nachtigall_expand,
+                     scc_decompose, simulate_orbit, strong_access_matrix,
+                     ultimate_expand, ultimate_threshold)
 from maxplus import expansions, graphs
 
 from conftest import random_cyclic, random_reducible
@@ -113,3 +113,82 @@ def test_expansion_terms_built_once(monkeypatch):
         ultimate_threshold(a)
         assert len(calls) == len(ultimate_expand(a).terms)
         calls.clear()
+
+
+def test_component_analysis_once_per_node_set(monkeypatch):
+    """Deflation levels and selection rules of one matrix share its
+    per-component analyses: each (node set, tol) is analysed once, and
+    exactly the nontrivial components of the analysed levels are."""
+    calls = []
+    analyse = graphs._component_criticals
+
+    def counted(arr, nodes, tol):
+        calls.append((tuple(nodes), tol))
+        return analyse(arr, nodes, tol)
+
+    monkeypatch.setattr(graphs, "_component_criticals", counted)
+    for a in corpus():
+        for name in NAMES:
+            _facts(name, a)
+        levels = [st.a_mu for rule in ("canonical", "cycle")
+                  for st in nachtigall_expand(a, rule=rule).steps]
+        critical_structure(a, tol=1e-6)
+        want = {(tuple(dec.components[c]), tol)
+                for tol, mats in ((CRIT_TOL, levels), (1e-6, [a]))
+                for dec in map(scc_decompose, mats)
+                for c in dec.nontrivial()}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == want
+        calls.clear()
+
+
+def test_first_canonical_and_ultimate_levels_share_a_term(monkeypatch):
+    """Levels with the same node set, cycle mean and critical edges build
+    one CSR term between them; the shared term is the one a build of
+    either level gives."""
+    calls = []
+    build = expansions.csr_build
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(expansions, "csr_build", counted)
+    mats, shared = corpus(), 0
+    for a in mats:
+        canon, ult = nachtigall_expand(a), ultimate_expand(a)
+        keys = {(st.k_set, st.lambda_mu, st.crit.edges)
+                for st in canon.steps + ult.steps}
+        assert len(calls) == len(keys)
+        calls.clear()
+        first = canon.steps[0], ult.steps[0]
+        if first[0].lambda_mu == first[1].lambda_mu and \
+                first[0].crit.edges == first[1].crit.edges:
+            shared += 1
+            triple = canon.terms[0].triple
+            assert ult.terms[0].triple is triple
+            for st in first:
+                fresh = build(st.a_mu.scale(-st.lambda_mu), st.crit,
+                              check_definite=False)
+                assert fresh.c_hat.tobytes() == triple.c_hat.tobytes()
+                assert fresh.r_hat.tobytes() == triple.r_hat.tobytes()
+    assert shared >= len(mats) // 2
+
+
+def test_mutating_level_copies_leaves_shared_analyses_intact():
+    """Copies handed out for one level do not alias the component analyses
+    that the other levels share."""
+    for a in corpus():
+        fresh = {name: _facts(name, TropicalMatrix(a.arr)) for name in NAMES}
+        for st in nachtigall_expand(a).steps + ultimate_expand(a).steps:
+            cs = critical_structure(st.a_mu)
+            for pc in cs.per_component:
+                if pc is not None:
+                    pc.nodes.append(a.n)
+                    pc.crit_edges.clear()
+                    pc.crit_components[0].append(a.n)
+                    pc.cyclicity_of[0] = 0
+                    pc.class_of.clear()
+        nachtigall_expand(a, rule="cycle")
+        for name in NAMES:
+            assert _facts(name, a) == fresh[name], name

@@ -5,12 +5,11 @@ from .core import (NEG_INF, UNITY, ZERO, TropicalMatrix, as_vector, mat_eq,
                    mat_mul, mat_oplus, mat_power, mat_scalar_mul, soplus,
                    sotimes, vec_eq)
 from .csr import (CsrProduct, CsrTriple, csr_build, csr_group_check,
-                  csr_product, csr_product_literal, csr_rotate)
+                  csr_product, csr_product_literal)
 from .errors import (AnalysisError, DimensionError, DivergentStarError,
                      MaxplusError, NoCyclesError, NonFiniteError,
-                     NotCriticalPartError, NotDefiniteError,
-                     NotOrbitPeriodicError, OracleSizeError, ParseError,
-                     RotationUnavailableError, ThresholdError,
+                     NotDefiniteError, NotOrbitPeriodicError,
+                     OracleSizeError, ParseError, ThresholdError,
                      TrivialColumnError, ZeroVectorError)
 from .expansions import (DeflationStep, Expansion, ExpansionEvaluation, Term,
                          evaluate, fast_terms, nachtigall_expand,
@@ -19,8 +18,7 @@ from .graphs import (CRIT_TOL, CriticalStructure, CritSubgraph, Digraph,
                      SccDecomposition, critical_structure, gamma_u,
                      max_cycle_mean, scc_decompose, strong_access,
                      strong_access_matrix, wielandt)
-from .kleene import (Scaling, apply_scaling, kleene_star,
-                     total_visualizing_scaling, visualizing_scaling)
+from .kleene import kleene_star
 from .oracle import (PathClassQuery, best_path_weight, boolean_power_reach,
                      enumerate_small)
 from .orbit import (OrbitReport, OrbitTrace, column_periodicity,
@@ -34,19 +32,17 @@ __all__ = [
     "mat_mul", "mat_oplus", "mat_power", "mat_scalar_mul", "soplus",
     "sotimes", "vec_eq",
     "CsrProduct", "CsrTriple", "csr_build", "csr_group_check", "csr_product",
-    "csr_product_literal", "csr_rotate",
+    "csr_product_literal",
     "AnalysisError", "DimensionError", "DivergentStarError", "MaxplusError",
     "NoCyclesError", "NonFiniteError",
-    "NotCriticalPartError", "NotDefiniteError", "NotOrbitPeriodicError",
-    "OracleSizeError", "ParseError", "RotationUnavailableError",
-    "ThresholdError", "TrivialColumnError", "ZeroVectorError",
+    "NotDefiniteError", "NotOrbitPeriodicError", "OracleSizeError",
+    "ParseError", "ThresholdError", "TrivialColumnError", "ZeroVectorError",
     "DeflationStep", "Expansion", "ExpansionEvaluation", "Term", "evaluate",
     "fast_terms", "nachtigall_expand", "ultimate_expand", "ultimate_threshold",
     "CRIT_TOL", "CriticalStructure", "CritSubgraph", "Digraph",
     "SccDecomposition", "critical_structure", "gamma_u", "max_cycle_mean",
     "scc_decompose", "strong_access", "strong_access_matrix", "wielandt",
-    "Scaling", "apply_scaling", "kleene_star", "total_visualizing_scaling",
-    "visualizing_scaling",
+    "kleene_star",
     "PathClassQuery", "best_path_weight", "boolean_power_reach",
     "enumerate_small",
     "OrbitReport", "OrbitTrace", "column_periodicity", "is_orbit_periodic",

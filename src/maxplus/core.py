@@ -214,6 +214,24 @@ def _power_chain(base: np.ndarray, t: int, product):
     return result
 
 
+def _exact_sums(arr: np.ndarray, y: np.ndarray, t_max: int) -> bool:
+    """True when every sum of an orbit of y under arr up to t_max (with y
+    empty: of a power arr^t, t <= t_max) is exact in float64: the finite
+    entries of arr and y are integers, y holds no -0.0, and
+    |y|max + (t_max + 1) |arr|max < 2**53.  Max-plus products of such
+    input give the same bits in any grouping, and no -0.0 ever appears in
+    the samples."""
+    fa, fy = arr[arr != NEG_INF], y[y != NEG_INF]
+    if not (np.array_equal(fa, np.rint(fa))
+            and np.array_equal(fy, np.rint(fy))):
+        return False
+    if np.signbit(fy[fy == 0]).any():
+        return False
+    amax = int(np.abs(fa).max()) if fa.size else 0
+    ymax = int(np.abs(fy).max()) if fy.size else 0
+    return ymax + (t_max + 1) * amax < 2 ** 53
+
+
 def _power_stack(base: np.ndarray, k: int, product) -> np.ndarray:
     """[base^1 | ... | base^k] side by side, an n x k*n array (k >= 1).
 

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NEG_INF, TropicalMatrix, _mp_matmul, mat_mul, mat_power
-from .errors import (DivergentStarError, NotDefiniteError,
-                     RotationUnavailableError)
+from .errors import DivergentStarError, NotDefiniteError
 from .graphs import CRIT_TOL, CritSubgraph, _bfs, max_cycle_mean, wielandt
-from .kleene import kleene_star
+from .kleene import _diagonal_checked, kleene_star
 
 
 def _shift(slots: tuple, t: int) -> np.ndarray:
@@ -103,12 +102,13 @@ def _check_definite(a: TropicalMatrix, tol: float):
                                value=float(lam))
 
 
-def _active_star_power(a: TropicalMatrix, gamma: int,
-                       tol: float) -> np.ndarray:
+def _active_star_power(a: TropicalMatrix, gamma: int, tol: float,
+                       star: np.ndarray | None) -> np.ndarray:
     """(a^gamma)* formed on the nodes with a finite entry in their row or
     column only.  Every other node has no edge, so no path passes through
     it: its row and column of the star are -inf off a 0 diagonal, and the
-    active block comes out bit for bit as on the full matrix."""
+    active block comes out bit for bit as on the full matrix.  A star of
+    the active block already at hand is checked and used instead."""
     fin = a.finite_mask()
     active = np.flatnonzero(fin.any(axis=0) | fin.any(axis=1))
     b = np.full((a.n, a.n), NEG_INF)
@@ -117,8 +117,8 @@ def _active_star_power(a: TropicalMatrix, gamma: int,
         block = np.ix_(active, active)
         sub = TropicalMatrix(a.arr[block], copy=False)
         try:
-            b[block] = kleene_star(mat_power(sub, gamma), tol=tol,
-                                   check=False).arr
+            b[block] = (kleene_star(mat_power(sub, gamma), tol=tol, check=False)
+                        if star is None else _diagonal_checked(star, tol)).arr
         except DivergentStarError as exc:
             # name the node of a, as the full-matrix star would
             node = int(active[exc.node])
@@ -129,18 +129,21 @@ def _active_star_power(a: TropicalMatrix, gamma: int,
 
 
 def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
-              check_definite: bool = True) -> CsrTriple:
+              check_definite: bool = True,
+              _star: np.ndarray | None = None) -> CsrTriple:
     """Build the triple of a definite matrix for a critical selection.
 
     crit must be a completely reducible subgraph of critical edges of a
     (the full critical graph, or a single critical cycle).  a itself must
     be definite; normalizing by the cycle mean is the caller's job.
+    _star, when given, is (a^gamma)* on a's active nodes (see
+    _active_star_power), formed elsewhere and only checked here.
     """
     if check_definite:
         _check_definite(a, tol)
     n = a.n
     gamma = crit.gamma
-    b = _active_star_power(a, gamma, tol)
+    b = _active_star_power(a, gamma, tol, _star)
     nodes = sorted(crit.nodes)
     col_mask = np.zeros(n, dtype=bool)
     col_mask[nodes] = True
@@ -187,30 +190,3 @@ def csr_group_check(triple: CsrTriple, t1: int, t2: int, tol: float = 0.0) -> bo
     rhs = mat_mul(csr_product(triple, t1).matrix, csr_product(triple, t2).matrix)
     return lhs.eq(rhs, tol)
 
-
-def csr_rotate(triple: CsrTriple, m: TropicalMatrix, dt: int,
-               kind: str = "rows") -> TropicalMatrix:
-    """Advance a periodic-regime block by dt steps via cyclic classes.
-
-    kind="rows": m is S^r R for some r past the periodicity threshold; the
-    result is S^(r+dt) R.  kind="cols": m is C S^r and the result is
-    C S^(r+dt).  Rows (columns) within one cyclic class coincide there, so
-    the rotation just re-addresses representatives.  Requires a Boolean S.
-    """
-    if not triple.s_is_boolean:
-        raise RotationUnavailableError("rotation requires a Boolean S factor")
-    if m.n != triple.n:
-        raise ValueError("block size mismatch")
-    if kind not in ("rows", "cols"):
-        raise ValueError("kind must be 'rows' or 'cols'")
-    rep, cls, _ = triple.slots
-    starts, nodes = np.flatnonzero(cls == 0), list(triple.n_c)
-    slot = [starts[k] + c for k, c in map(triple.crit.class_of.get, nodes)]
-    shift = (dt if kind == "rows" else -dt) % triple.gamma
-    src = rep[_shift(triple.slots, shift)[slot]]
-    out = m.arr.copy()
-    if kind == "rows":
-        out[nodes, :] = m.arr[src, :]
-    else:
-        out[:, nodes] = m.arr[:, src]
-    return TropicalMatrix(out, copy=False)

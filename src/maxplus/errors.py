@@ -35,15 +35,6 @@ class NotDefiniteError(MaxplusError):
         self.value = value
 
 
-class NotCriticalPartError(MaxplusError):
-    """Matrix is not a critical-part matrix (some edge is off every
-    maximal-mean cycle, or the cycle mean is not zero)."""
-
-
-class RotationUnavailableError(MaxplusError):
-    """Cyclic-class rotation needs a Boolean S factor."""
-
-
 class AnalysisError(MaxplusError):
     """The critical analysis is inconsistent at the working tolerance: a
     deflation level has no critical node, or a cycle mean of the ultimate

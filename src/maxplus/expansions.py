@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (NEG_INF, TropicalMatrix, mat_oplus, mat_power, _arr_eq,
-                   _mp_matmul, _overflow_checked)
+                   _exact_sums, _mp_matmul, _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
 from .errors import AnalysisError, NoCyclesError, ThresholdError
@@ -83,10 +83,19 @@ def _shortest_critical_cycle(cs: CriticalStructure) -> list:
     increasing order, so equally short cycles go to the one found first.
     Every critical edge lies on a cycle of critical edges, so the search
     returns to the start.  O(n^2): each critical edge is looked at once.
+    When the tolerance has let that fail (weights too large for CRIT_TOL),
+    AnalysisError names a critical node with no outgoing critical edge.
     """
     root = min(cs.critical_nodes)
     order, parent, succ = _bfs(cs.critical_edges, [root])
-    v = next(v for v in order if root in succ[v])
+    for v in order:
+        if v not in succ:
+            raise AnalysisError("critical node %d has no outgoing critical "
+                                "edge" % v)
+        if root in succ[v]:
+            break
+    else:
+        raise AnalysisError("no critical cycle through node %d" % root)
     cycle = []
     while v is not None:
         cycle.append(v)
@@ -170,6 +179,18 @@ def _ultimate_levels(a: TropicalMatrix) -> list:
     return steps
 
 
+def _shared_star(st: DeflationStep) -> np.ndarray | None:
+    """The star the component analysis formed of the level minus its cycle
+    mean, when that is the (A - lam)^gamma* csr_build needs: the level is
+    one component (so all its nodes are active), gamma is 1 and lam is the
+    component's.  The entries and the subtraction are the same, so the
+    arrays are equal bit for bit."""
+    pc = st.a_mu._memo.get(_COMPONENT_MEMO, {}).get((st.k_set, CRIT_TOL))
+    if pc is None or st.crit.gamma != 1 or pc.lam != st.lambda_mu:
+        return None
+    return pc.star
+
+
 def _build_expansion(a: TropicalMatrix, variant: str, steps: list,
                      sigma: tuple | None) -> Expansion:
     """The expansion over steps, with its terms built once per matrix and
@@ -180,7 +201,8 @@ def _build_expansion(a: TropicalMatrix, variant: str, steps: list,
     terms = a._cached(("terms", variant), lambda: [a._cached(
         ("term", st.k_set, st.lambda_mu.hex(), st.crit.edges),
         lambda: Term(st.lambda_mu, csr_build(st.a_mu.scale(-st.lambda_mu),
-                                             st.crit, check_definite=False)))
+                                             st.crit, check_definite=False,
+                                             _star=_shared_star(st))))
         for st in steps])
     threshold = 3 * a.n * a.n if variant.startswith("nachtigall") else None
     return Expansion(variant=variant, n=a.n, terms=list(terms),
@@ -236,21 +258,68 @@ def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
                                per_term=per)
 
 
+def _periodic_steps(start: np.ndarray, step: np.ndarray, r: int, gamma: int,
+                    budget: int) -> np.ndarray | None:
+    """start (x) step^r, stepped one product at a time until the sequence
+    repeats bit for bit after gamma steps; None when that takes more than
+    budget steps.  Each term is a deterministic function of the bits of
+    the one before, so from a repeat on the sequence is periodic and the
+    term at r is one of the last gamma seen."""
+    seen = [start]
+    for k in range(1, budget + 1):
+        seen.append(_mp_matmul(seen[-1], step))
+        if k >= gamma and seen[k].tobytes() == seen[k - gamma].tobytes():
+            return seen[k - gamma + (r - k) % gamma]
+    return None
+
+
+def _class_power(s: np.ndarray, rep: np.ndarray, gamma: int,
+                 r: int) -> tuple | None:
+    """(columns, rows) of s^r at the positions rep (the columns held as
+    rows), stepped from the unit vectors there until they repeat after
+    gamma steps; None when the stepping does not apply.
+
+    It applies when every sum of r + 1 weights of s is exact (_exact_sums),
+    so the result equals the squaring chain's bit for bit up to the sign
+    of a zero (a -0.0 weight sums to -0.0 there, to 0.0 from a unit
+    start), which no term keeps: R^ adds potentials that are never -0.0.
+    And it applies only within about two n x n squarings of work: each of
+    the two sequences gets ceil(n / m) steps of an m x n by n x n product
+    (m = rep.size classes), and a level with gamma above that is not
+    tried."""
+    budget = -(-len(s) // rep.size)
+    if gamma >= budget or not _exact_sums(s, np.empty(0), r):
+        return None
+    unit = np.full((rep.size, len(s)), NEG_INF)
+    unit[np.arange(rep.size), rep] = 0.0
+    cols = _periodic_steps(unit, s.T, r, gamma, budget)
+    rows = None if cols is None else _periodic_steps(unit, s, r, gamma, budget)
+    return None if rows is None else (cols, rows)
+
+
 def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
                rule: str = "canonical") -> list:
     """All term matrices P_mu^(t) without forming any Kleene star.
 
-    Each deflated level is normalized and raised to a power r >= 3 n^2 by
-    repeated squaring (only its K_mu x K_mu block: entries outside are
-    -inf and change no max).  Squaring stops at the first square equal to
-    its input bit for bit, which a level with cyclicity 1 and integer
-    normalized weights reaches after its transient; levels with fractional
-    lambda, or a cyclicity that is not a power of 2, usually run the full
-    chain.  The level's critical columns and rows are then those of
-    C S^r and S^r R, and P(t) = C S^r (x) S^(t - 2r) (x) S^r R, so with
-    the potentials of the level's normalized weights they are class
-    factors (see csr) read at t - 2r: one n x m by m x n product, m cyclic
-    classes, and no scaling.  Results match the literal CSR products.
+    Each deflated level is normalized to S and only the columns and rows
+    of S^r at its class representatives are needed, for the power of two
+    r >= 3 n^2 (only the K_mu x K_mu block: entries outside are -inf and
+    change no max).  When every sum is exact (integer normalized weights,
+    |w|max (r + 1) < 2**53), they are stepped from the unit vectors, m x n
+    by n x n products for m classes, until each sequence repeats after
+    gamma steps (_class_power); critical columns and rows turn periodic
+    after a transient bounded independently of the weights (Merlet,
+    Nowak, Schneider and Sergeev, 2014), so this mostly ends long before
+    a squaring chain would.  The stepping gets a budget of about two
+    n x n squarings.  A level with fractional lambda, huge weights, a
+    gamma beyond the budget or a longer transient is raised to S^r by
+    repeated squaring instead (mat_power, which stops at a bitwise fixed
+    point).  Both routes give the same terms, bit for bit.  The level's
+    critical columns and rows are then those of C S^r and S^r R, and
+    P(t) = C S^r (x) S^(t - 2r) (x) S^r R, so with the potentials of the
+    level's normalized weights they are class factors (see csr) read at
+    t - 2r: one n x m by m x n product, and no scaling.  Results match
+    the literal CSR products.
     """
     if t < 0:
         raise ValueError("negative exponent")
@@ -269,10 +338,18 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
         r <<= 1
     out = []
     for st in steps:
-        block = np.ix_(st.k_set, st.k_set)
-        level = TropicalMatrix(a.arr[block], copy=False)
+        k = np.array(st.k_set)
+        level = TropicalMatrix(a.arr[np.ix_(k, k)],
+                               copy=False).scale(-st.lambda_mu)
+        rep = np.array([b[0] for bs in st.crit.members for b in bs])
         powered = np.full((n, n), NEG_INF)
-        powered[block] = mat_power(level.scale(-st.lambda_mu), r).arr
+        found = _class_power(level.arr, np.searchsorted(k, rep),
+                             st.crit.gamma, r)
+        if found is None:
+            powered[np.ix_(k, k)] = mat_power(level, r).arr
+        else:
+            powered[np.ix_(k, rep)] = found[0].T
+            powered[np.ix_(rep, k)] = found[1]
         factors = _class_factors(powered, st.crit, a.arr, st.lambda_mu)
         prod = _class_product(*factors, (t - 2 * r) % st.crit.gamma)
         out.append(TropicalMatrix(prod, copy=False))

@@ -198,7 +198,8 @@ def _floyd_warshall_star(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ComponentCriticals:
-    """Critical data of one nontrivial component, computed in isolation."""
+    """Critical data of one nontrivial component, computed in isolation;
+    star is the read-only Kleene star of its block minus lam."""
 
     nodes: list
     lam: float
@@ -207,6 +208,7 @@ class ComponentCriticals:
     crit_components: list      # list of node lists
     cyclicity_of: list         # per crit component
     class_of: dict             # node -> (crit component index, class id)
+    star: np.ndarray
 
 
 def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCriticals:
@@ -214,6 +216,7 @@ def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCritica
     lam = _karp(arr, nodes)
     sub = arr[nodes][:, nodes] - lam
     star = _floyd_warshall_star(sub)
+    star.setflags(write=False)
     # edge (a, b) is critical iff it closes a cycle of weight 0: a -inf
     # entry of sub never passes, and np.nonzero keeps row-major edge order
     crit = sub + star.T >= -tol
@@ -223,7 +226,7 @@ def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCritica
     on = np.flatnonzero(crit.any(axis=0) | crit.any(axis=1))
     comps, cyc, cls = _mask_classes(idx[on], crit[on][:, on])
     return ComponentCriticals(nodes, lam, idx[on].tolist(), crit_edges, comps,
-                              cyc, cls)
+                              cyc, cls, star)
 
 
 def _bfs(edges, roots):
@@ -374,7 +377,7 @@ def _analyse(a: TropicalMatrix, tol: float) -> CriticalStructure | None:
 @dataclass
 class CritSubgraph:
     """A completely reducible critical selection: nodes, edges, and the
-    cyclic-class bookkeeping needed for CSR factors and rotations."""
+    cyclic-class bookkeeping needed for CSR factors."""
 
     nodes: frozenset
     edges: frozenset

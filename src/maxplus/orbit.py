@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NEG_INF, TropicalMatrix, _mp_rank1, _overflow_checked,
-                   _power_stack, _stack_depth, as_vector)
+from .core import (NEG_INF, TropicalMatrix, _exact_sums, _mp_rank1,
+                   _overflow_checked, _power_stack, _stack_depth, as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
 from .expansions import ultimate_expand
 from .csr import csr_product
@@ -273,23 +273,6 @@ def _detect(samples: np.ndarray, gamma: int, tol: float):
         if t_max - p - t + 1 >= gamma + 1:
             return p, rate, t
     return None, None, None
-
-
-def _exact_sums(arr: np.ndarray, y: np.ndarray, t_max: int) -> bool:
-    """True when every sum of an orbit up to t_max is exact in float64:
-    the finite entries of arr and y are integers, y holds no -0.0, and
-    |y|max + (t_max + 1) |arr|max < 2**53.  Max-plus products of such
-    input give the same bits in any grouping, and no -0.0 ever appears in
-    the samples."""
-    fa, fy = arr[arr != NEG_INF], y[y != NEG_INF]
-    if not (np.array_equal(fa, np.rint(fa))
-            and np.array_equal(fy, np.rint(fy))):
-        return False
-    if np.signbit(fy[fy == 0]).any():
-        return False
-    amax = int(np.abs(fa).max()) if fa.size else 0
-    ymax = int(np.abs(fy).max()) if fy.size else 0
-    return ymax + (t_max + 1) * amax < 2 ** 53
 
 
 @_overflow_checked

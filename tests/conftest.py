@@ -123,6 +123,16 @@ def scaled_hang_matrix() -> TropicalMatrix:
     return TropicalMatrix(np.where(fin, 1e6 * a.arr + 1e7 / 3, NEG_INF))
 
 
+def dead_end_critical_matrix() -> TropicalMatrix:
+    """Weights near 1e6 whose rounding residues pass the absolute CRIT_TOL
+    on edges into node 0 but not out of it: a critical node with no
+    outgoing critical edge."""
+    return TropicalMatrix([
+        [333333.3333333335, 2333333.3333333335, NEG_INF],
+        [-666666.6666666665, -2666666.6666666665, 5333333.333333334],
+        [-1666666.6666666665, NEG_INF, NEG_INF]])
+
+
 def random_definite(rng, n: int, **kw) -> TropicalMatrix:
     m = random_cyclic(rng, n, **kw)
     return m.scale(-max_cycle_mean(m))

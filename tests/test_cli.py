@@ -14,7 +14,7 @@ import pytest
 
 import maxplus
 import maxplus.cli as cli
-from conftest import DATA, scaled_hang_matrix
+from conftest import DATA, dead_end_critical_matrix, scaled_hang_matrix
 from goldens import (EX1_A2, EX1_N1_0, EX1_THRESHOLD, EX2_THRESHOLD,
                      EX3_GAMMA_U, ORBIT_FRAC_MATRIX, ORBIT_FRAC_Y,
                      ORBIT_STDOUT_SHA256)
@@ -405,6 +405,16 @@ def test_analysis_errors_exit_3(tmp_path, capsys):
     f.write_text("3\n0 * *\n* -9e-10 *\n* * -1.8e-9\n")
     code, obj, err = run(capsys, "ultimate", "--t", "5", str(f))
     assert code == 3 and obj is None and "matches canonical levels" in err
+
+
+def test_cycle_rule_dead_end_exits_3(tmp_path, capsys):
+    # used to print a KeyError traceback and exit 1
+    f = tmp_path / "dead_end.txt"
+    _write_plain(f, dead_end_critical_matrix())
+    code, obj, err = run(capsys, "nachtigall", "--t", "2", "--rule", "cycle",
+                         str(f))
+    assert (code, obj) == (3, None)
+    assert err == "error: critical node 0 has no outgoing critical edge\n"
 
 
 def test_import_does_not_load_networkx(capsys):

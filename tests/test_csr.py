@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from maxplus import (CritSubgraph, DivergentStarError, NEG_INF,
-                     NotDefiniteError, PathClassQuery,
-                     RotationUnavailableError, TropicalMatrix, apply_scaling,
+                     NotDefiniteError, PathClassQuery, TropicalMatrix,
                      best_path_weight, critical_structure, csr_build,
                      csr_group_check, csr_product, csr_product_literal,
-                     csr_rotate, enumerate_small, kleene_star, mat_eq,
-                     mat_mul, mat_power, mat_scalar_mul, nachtigall_expand,
-                     ultimate_expand, visualizing_scaling)
+                     enumerate_small, kleene_star, mat_eq, mat_mul, mat_power,
+                     mat_scalar_mul, nachtigall_expand, ultimate_expand)
+from maxplus.csr import _shift
 
 from conftest import random_definite, random_reducible
 from goldens import (EX1_N1_0, EX1_N1_1, EX1_S_EDGES, EX1_STAR_COLS01,
@@ -27,17 +26,6 @@ def vec_close(x: np.ndarray, y: np.ndarray) -> bool:
 def full_triple(a: TropicalMatrix):
     crit = CritSubgraph.from_critical_structure(critical_structure(a))
     return csr_build(a, crit)
-
-
-def visualized_definite(rng, n: int) -> TropicalMatrix:
-    """Random definite matrix whose critical entries are scaled to 0."""
-    a = random_definite(rng, n)
-    cs = critical_structure(a)
-    part = np.full((n, n), NEG_INF)
-    for i, j in cs.critical_edges:
-        part[i, j] = a.arr[i, j]
-    z = visualizing_scaling(TropicalMatrix(part, copy=False))
-    return apply_scaling(a, z)
 
 
 def test_build_single_loop():
@@ -221,57 +209,92 @@ def test_build_on_restricted_levels_matches_full_matrix():
     assert restricted > 10
 
 
+# ------------------------------------------------ rotations by cyclic class
+
+def visualized_definite(rng, n: int) -> TropicalMatrix:
+    """Random definite matrix, diagonally rescaled so that its critical
+    edges weigh 0 (a Boolean S): a potential z summed along each critical
+    component from its least node, then a_ij + z_i - z_j."""
+    a = random_definite(rng, n)
+    crit = CritSubgraph.from_critical_structure(critical_structure(a))
+    z = np.zeros(n)
+    for comp in crit.components:
+        seen, stack = {min(comp)}, [min(comp)]
+        while stack:
+            v = stack.pop()
+            for i, j in crit.edges:
+                if i == v and j not in seen:
+                    z[j] = z[v] + a.arr[v, j]
+                    seen.add(j)
+                    stack.append(j)
+    return TropicalMatrix(a.arr + (z[:, None] - z[None, :]))
+
+
+def slot_of(tr, node: int) -> int:
+    """The slot (cyclic class, numbered component by component) of node."""
+    starts = np.flatnonzero(tr.slots[1] == 0)
+    k, c = tr.crit.class_of[node]
+    return int(starts[k] + c)
+
+
+def rotated_rows(tr, t: int) -> np.ndarray:
+    """Critical rows of S^t R read off R^ moved t classes on, as in
+    csr_product (x vanishes on a Boolean S)."""
+    nodes = list(tr.n_c)
+    return tr.r_hat[_shift(tr.slots, t)][[slot_of(tr, i) for i in nodes]]
+
+
+def rotated_cols(tr, t: int) -> np.ndarray:
+    """Critical columns of C S^t read off C^ moved t classes back."""
+    nodes = list(tr.n_c)
+    return tr.c_hat[:, _shift(tr.slots, -t)][:, [slot_of(tr, j) for j in nodes]]
+
+
 def test_rotate_identity_shift(ex1):
     tr = full_triple(ex1)
-    r0 = tr.periodicity_threshold()
-    m = mat_mul(mat_power(tr.s, r0), tr.r)
-    assert mat_eq(csr_rotate(tr, m, 0), m)
-    assert mat_eq(csr_rotate(tr, m, tr.gamma), m)
-    assert mat_eq(csr_rotate(tr, m, -tr.gamma), m)
+    assert tr.s_is_boolean
+    r0, nodes = tr.periodicity_threshold(), list(tr.n_c)
+    m = mat_mul(mat_power(tr.s, r0), tr.r).arr[nodes]
+    for shift in (0, tr.gamma, -tr.gamma):
+        assert np.array_equal(rotated_rows(tr, r0 + shift), m)
+        assert np.array_equal(tr.r_hat[_shift(tr.slots, shift)], tr.r_hat)
 
 
 def test_rotate_example3_block(ex3a):
     a1 = mat_scalar_mul(-1.0, ex3a)
     tr = full_triple(a1)
     assert tr.gamma == 4 and tr.s_is_boolean
-    r0 = tr.periodicity_threshold()
-    m = mat_mul(mat_power(tr.s, r0), tr.r)
-    want = mat_mul(mat_power(tr.s, r0 + 1), tr.r)
-    assert mat_eq(csr_rotate(tr, m, 1), want)
+    r0, nodes = tr.periodicity_threshold(), list(tr.n_c)
+    m = mat_mul(mat_power(tr.s, r0), tr.r).arr[nodes]
+    want = mat_mul(mat_power(tr.s, r0 + 1), tr.r).arr[nodes]
+    assert np.array_equal(rotated_rows(tr, r0 + 1), want)
+    # one step on moves each critical row one cyclic class on
+    nxt = [nodes.index(tr.crit.members[0][(tr.crit.class_of[i][1] + 1) % 4][0])
+           for i in nodes]
+    assert np.array_equal(m[nxt], want)
 
 
 def test_rotate_matches_literal_products():
     rng = np.random.default_rng(47)
+    checked = 0
     for _ in range(8):
         a = visualized_definite(rng, int(rng.integers(2, 6)))
         tr = full_triple(a)
         if not tr.s_is_boolean:
             continue
-        r0 = tr.periodicity_threshold()
-        rows = mat_mul(mat_power(tr.s, r0), tr.r)
-        cols = mat_mul(tr.c, mat_power(tr.s, r0))
+        checked += 1
+        r0, nodes = tr.periodicity_threshold(), list(tr.n_c)
         for dt in range(0, 2 * tr.gamma + 1):
-            assert mat_eq(csr_rotate(tr, rows, dt),
-                          mat_mul(mat_power(tr.s, r0 + dt), tr.r), tol=TOL)
-            assert mat_eq(csr_rotate(tr, cols, dt, kind="cols"),
-                          mat_mul(tr.c, mat_power(tr.s, r0 + dt)), tol=TOL)
+            rows = mat_mul(mat_power(tr.s, r0 + dt), tr.r).arr[nodes]
+            cols = mat_mul(tr.c, mat_power(tr.s, r0 + dt)).arr[:, nodes]
+            assert vec_close(rotated_rows(tr, r0 + dt), rows)
+            assert vec_close(rotated_cols(tr, r0 + dt), cols)
+            assert mat_eq(csr_product(tr, r0 + dt).matrix,
+                          csr_product_literal(tr, r0 + dt), tol=TOL)
         d1, d2 = int(rng.integers(0, 9)), int(rng.integers(0, 9))
-        assert mat_eq(csr_rotate(tr, csr_rotate(tr, rows, d1), d2),
-                      csr_rotate(tr, rows, d1 + d2), tol=TOL)
-
-
-def test_rotate_guards():
-    a = TropicalMatrix.from_rows([[None, 1.0], [-1.0, None]])
-    tr = full_triple(a)
-    assert not tr.s_is_boolean
-    m = csr_product_literal(tr, 0)
-    with pytest.raises(RotationUnavailableError):
-        csr_rotate(tr, m, 1)
-    tr2 = full_triple(TropicalMatrix([[0.0]]))
-    with pytest.raises(ValueError, match="size"):
-        csr_rotate(tr2, TropicalMatrix.identity(3), 1)
-    with pytest.raises(ValueError, match="kind"):
-        csr_rotate(tr2, TropicalMatrix.identity(1), 1, kind="diag")
+        assert np.array_equal(tr.r_hat[_shift(tr.slots, d2)[_shift(tr.slots, d1)]],
+                              tr.r_hat[_shift(tr.slots, d1 + d2)])
+    assert checked >= 6
 
 
 def test_build_rejects_non_definite():

@@ -11,10 +11,10 @@ from maxplus import (NEG_INF, AnalysisError, NoCyclesError, NonFiniteError,
                      evaluate, fast_terms, mat_eq, mat_oplus, mat_power,
                      nachtigall_expand, scc_decompose, ultimate_expand,
                      ultimate_threshold)
-from maxplus import csr, kleene
+from maxplus import csr, expansions, kleene
 
-from conftest import (random_cyclic, random_matrix, random_reducible,
-                      scaled_hang_matrix)
+from conftest import (cycle_chain, dead_end_critical_matrix, random_cyclic,
+                      random_matrix, random_reducible, scaled_hang_matrix)
 from goldens import (EX1_A2, EX1_A3, EX1_A4, EX1_A10, EX1_GAMMAS, EX1_LAMBDAS,
                      EX1_N1_0, EX1_N1_1, EX1_N2_0, EX1_N3_0, EX1_THRESHOLD,
                      EX2_C1_COL0, EX2_C1_COL1, EX2_C2_COL4_ROWS46,
@@ -611,6 +611,187 @@ def test_fast_terms_forms_no_kleene_star(monkeypatch, ex1):
     assert [m.arr.tolist() for m in got] == [m.arr.tolist() for m in want]
     with pytest.raises(AssertionError, match="kleene_star"):
         nachtigall_expand(TropicalMatrix(ex1.arr))
+
+
+def fast_terms_by_squaring(a, t, variant="nachtigall", rule="canonical"):
+    """Reference: every level raised to S^r by mat_power, as fast_terms did
+    before it stepped class rows and columns."""
+    steps = (expansions._deflation_steps(a, rule) if variant == "nachtigall"
+             else expansions._ultimate_steps(a))
+    n, r = a.n, 1
+    while r < 3 * n * n:
+        r <<= 1
+    out = []
+    for st in steps:
+        block = np.ix_(st.k_set, st.k_set)
+        level = TropicalMatrix(a.arr[block], copy=False)
+        powered = np.full((n, n), NEG_INF)
+        powered[block] = mat_power(level.scale(-st.lambda_mu), r).arr
+        factors = csr._class_factors(powered, st.crit, a.arr, st.lambda_mu)
+        out.append(csr._class_product(*factors,
+                                      (t - 2 * r) % st.crit.gamma))
+    return out
+
+
+def critical_cycle_matrix(rng, n: int, length: int) -> np.ndarray:
+    """Dense weights in [-9, -1] and a zero-weight cycle 0 -> 1 -> ... ->
+    length - 1 -> 0: level 0 has cycle mean 0 and a periodic critical
+    graph of cyclicity length."""
+    arr = rng.integers(-9, 0, size=(n, n)).astype(float)
+    for v in range(length):
+        arr[v, (v + 1) % length] = 0.0
+    return arr
+
+
+def long_transient_matrix(n: int = 80, w: float = 1e5) -> TropicalMatrix:
+    """A 0-weight 2-cycle on nodes 0 and 1, loops of -1 on 2 ... n-1
+    chained 2 -> 3 -> ... -> n-1 at 0 with n-1 -> 2 at -1, and 0 -> 2 at
+    w, n-1 -> 0 at -w: one critical component whose columns and rows
+    take longer than the stepping budget to turn periodic."""
+    arr = np.full((n, n), NEG_INF)
+    arr[0, 1] = arr[1, 0] = 0.0
+    for v in range(2, n):
+        arr[v, v] = -1.0
+    for v in range(2, n - 1):
+        arr[v, v + 1] = 0.0
+    arr[n - 1, 2] = -1.0
+    arr[0, 2], arr[n - 1, 0] = w, -w
+    return TropicalMatrix(arr)
+
+
+def fast_terms_routes(monkeypatch, a, t, **kw):
+    """fast_terms(a, t) with, per level, whether its class rows and columns
+    were stepped and how many sequences were stepped at all; mat_power
+    must run on exactly the levels that were not stepped."""
+    stepped, powered, tried, calls = [], [], [], []
+    class_power = expansions._class_power
+    periodic = expansions._periodic_steps
+    power = expansions.mat_power
+
+    def spy_class_power(*args):
+        before = len(calls)
+        found = class_power(*args)
+        stepped.append(found is not None)
+        tried.append(len(calls) - before)
+        return found
+
+    def spy_periodic(*args):
+        calls.append(1)
+        return periodic(*args)
+
+    def spy_power(m, r):
+        powered.append(m.n)
+        return power(m, r)
+
+    monkeypatch.setattr(expansions, "_class_power", spy_class_power)
+    monkeypatch.setattr(expansions, "_periodic_steps", spy_periodic)
+    monkeypatch.setattr(expansions, "mat_power", spy_power)
+    got = fast_terms(a, t, **kw)
+    monkeypatch.undo()
+    steps = (expansions._deflation_steps(a, kw.get("rule", "canonical"))
+             if kw.get("variant", "nachtigall") == "nachtigall"
+             else expansions._ultimate_steps(a))
+    assert powered == [len(st.k_set) for st, s in zip(steps, stepped)
+                       if not s]
+    return got, stepped, tried
+
+
+def assert_as_squaring(a, t, variant="nachtigall", rule="canonical"):
+    got = fast_terms(a, t, variant=variant, rule=rule)
+    want = fast_terms_by_squaring(a, t, variant, rule)
+    assert len(got) == len(want)
+    for m, w in zip(got, want):
+        assert m.arr.tobytes() == w.tobytes(), (variant, rule, t)
+
+
+def test_fast_terms_bytes_equal_the_squaring_chain():
+    rng = np.random.default_rng(69)
+    mats = literal_corpus()
+    mats += [random_cyclic(rng, n) for n in (16, 40, 64, 72)]
+    mats += [cycle_chain(rng) for _ in range(3)]
+    mats += [TropicalMatrix(critical_cycle_matrix(rng, n, g))
+             for n, g in ((12, 2), (30, 3), (40, 4))]
+    for a in mats:
+        t0 = 3 * a.n * a.n
+        gamma = max(st.crit.gamma for st in expansions._ultimate_steps(a))
+        for t in (t0, t0 + 1, t0 + gamma, t0 + gamma + 1):
+            for variant, rule in (("nachtigall", "canonical"),
+                                  ("nachtigall", "cycle"),
+                                  ("ultimate", "canonical")):
+                assert_as_squaring(a, t, variant, rule)
+
+
+def test_fast_terms_steps_periodic_critical_levels(monkeypatch):
+    """Levels with gamma 2...4 inside the budget are stepped, not squared."""
+    rng = np.random.default_rng(70)
+    for n, g in ((12, 2), (30, 3), (40, 4)):
+        a = TropicalMatrix(critical_cycle_matrix(rng, n, g))
+        assert expansions._deflation_steps(a, "canonical")[0].crit.gamma == g
+        _, stepped, _ = fast_terms_routes(monkeypatch, a, 3 * n * n)
+        assert stepped[0]
+
+
+def test_fast_terms_integer_level_of_80_makes_no_full_power(monkeypatch):
+    a = random_cyclic(np.random.default_rng(71), 80)
+    _, stepped, _ = fast_terms_routes(monkeypatch, a, 3 * 80 * 80)
+    assert stepped[0]
+    assert_as_squaring(a, 3 * 80 * 80)
+
+
+def test_fast_terms_fallbacks(monkeypatch):
+    rng = np.random.default_rng(72)
+    n = 30
+    t = 3 * n * n
+    r = 4096                    # the power of two r >= 3 n^2
+    base = critical_cycle_matrix(rng, n, 3)
+    a = TropicalMatrix(base)
+    _, stepped, _ = fast_terms_routes(monkeypatch, a, t)
+    assert stepped[0]
+    # fractional lambda: the 2-cycle 0 <-> 1 weighs 1, lambda 0.5
+    frac = base.copy()
+    frac[1, 0] = 1.0
+    a = TropicalMatrix(frac)
+    assert expansions._deflation_steps(a, "canonical")[0].lambda_mu == 0.5
+    _, stepped, _ = fast_terms_routes(monkeypatch, a, t)
+    assert not stepped[0]
+    assert_as_squaring(a, t)
+    # |w|max (r + 1) just below and at 2**53, on an edge off the cycle
+    w = (2 ** 53 - 1) // (r + 1)
+    for weight, exact in ((w, True), (w + 1, False)):
+        big = base.copy()
+        big[1, 0] = -float(weight)
+        a = TropicalMatrix(big)
+        _, stepped, _ = fast_terms_routes(monkeypatch, a, t)
+        assert stepped[0] is exact
+        assert_as_squaring(a, t)
+    # a -0.0 cycle: S^r holds -0.0 where the stepping holds 0.0, and the
+    # terms do not show it
+    neg = critical_cycle_matrix(rng, n, 2)
+    neg[[0, 1], [1, 0]] = -0.0
+    a = TropicalMatrix(neg)
+    for u in (t, t + 1):
+        _, stepped, _ = fast_terms_routes(monkeypatch, a, u)
+        assert stepped[0]
+        assert_as_squaring(a, u)
+    # gamma 9 with 9 classes on 12 nodes: a budget of 2 steps, not tried
+    a = TropicalMatrix(critical_cycle_matrix(rng, 12, 9))
+    _, stepped, tried = fast_terms_routes(monkeypatch, a, 3 * 12 * 12)
+    assert not stepped[0] and not tried[0]
+    assert_as_squaring(a, 3 * 12 * 12)
+    # the columns and rows need more than the 80 steps of the budget
+    a = long_transient_matrix()
+    _, stepped, tried = fast_terms_routes(monkeypatch, a, 3 * 80 * 80)
+    assert stepped == [False] and tried == [1]
+    assert_as_squaring(a, 3 * 80 * 80)
+
+
+def test_cycle_rule_names_critical_node_without_outgoing_edge():
+    """Weights too large for the absolute CRIT_TOL can leave a critical node
+    with no outgoing critical edge; the cycle rule reports it typed."""
+    a = dead_end_critical_matrix()
+    with pytest.raises(AnalysisError,
+                       match="critical node 0 has no outgoing critical edge"):
+        nachtigall_expand(a, rule="cycle")
 
 
 def test_deflation_without_critical_node_raises():

@@ -7,7 +7,7 @@ from maxplus import (CRIT_TOL, TropicalMatrix, critical_structure, evaluate,
                      fast_terms, is_orbit_periodic, nachtigall_expand,
                      scc_decompose, simulate_orbit, strong_access_matrix,
                      ultimate_expand, ultimate_threshold)
-from maxplus import expansions, graphs
+from maxplus import expansions, graphs, kleene
 
 from conftest import random_cyclic, random_reducible
 
@@ -173,6 +173,39 @@ def test_first_canonical_and_ultimate_levels_share_a_term(monkeypatch):
                 assert fresh.c_hat.tobytes() == triple.c_hat.tobytes()
                 assert fresh.r_hat.tobytes() == triple.r_hat.tobytes()
     assert shared >= len(mats) // 2
+
+
+def test_first_level_reuses_its_component_star(monkeypatch):
+    """A first level that is one component with gamma 1 takes the star of
+    its component analysis for its CSR term: one Floyd-Warshall star fewer
+    over both expansions, and the same factors as a build that forms it."""
+    arr = random_cyclic(np.random.default_rng(42), 80).arr
+    calls = []
+    relax = graphs._floyd_warshall_star
+
+    def counted(m):
+        calls.append(m.shape[0])
+        return relax(m)
+
+    monkeypatch.setattr(graphs, "_floyd_warshall_star", counted)
+    monkeypatch.setattr(kleene, "_floyd_warshall_star", counted)
+    runs = []
+    for share in (True, False):
+        if not share:
+            monkeypatch.setattr(expansions, "_shared_star", lambda st: None)
+        a = TropicalMatrix(arr)
+        canon, ult = nachtigall_expand(a), ultimate_expand(a)
+        runs.append((len(calls), canon.terms + ult.terms))
+        calls.clear()
+    st = canon.steps[0]
+    assert st.crit.gamma == 1 and len(st.k_set) == 80
+    assert runs[0][0] == runs[1][0] - 1
+    for (_, shared), (_, formed) in zip(runs[0][1], runs[1][1]):
+        for got, want in ((shared.c.arr, formed.c.arr),
+                          (shared.r.arr, formed.r.arr),
+                          (shared.c_hat, formed.c_hat),
+                          (shared.r_hat, formed.r_hat)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_mutating_level_copies_leaves_shared_analyses_intact():

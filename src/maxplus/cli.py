@@ -3,9 +3,15 @@
 Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
-1 verification mismatch (verify only), 2 input error, 3 precondition
-error (including NonFiniteError: a sum of weights or a report value
-overflowed float64), 64 usage error.
+1 verification mismatch (verify only), 2 input error (including a
+TROPICAL_TOL that is not a finite number >= 0), 3 precondition error
+(including NonFiniteError: a sum of weights or a report value overflowed
+float64), 64 usage error.
+
+TROPICAL_TOL (default CRIT_TOL) is the tol that csr, nachtigall,
+ultimate, threshold, orbit-check, orbit and verify pass to the library;
+its equalities hold when both values are -inf or both are finite and
+within tol (core._agree).  The critical analysis itself runs at CRIT_TOL.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import time
 
 import numpy as np
 
-from .core import NEG_INF, TropicalMatrix, mat_eq, mat_power
+from .core import CRIT_TOL, NEG_INF, TropicalMatrix, mat_eq, mat_power
 from .csr import _check_definite, csr_build, csr_product
 from .errors import (DivergentStarError, MaxplusError, NoCyclesError,
                      NonFiniteError, OracleSizeError, ParseError)
@@ -34,7 +40,15 @@ from .orbit import is_orbit_periodic, simulate_orbit
 
 
 def _tol() -> float:
-    return float(os.environ.get("TROPICAL_TOL", "1e-9"))
+    raw = os.environ.get("TROPICAL_TOL")
+    try:
+        tol = CRIT_TOL if raw is None else float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParseError("TROPICAL_TOL must be a finite number >= 0, got %r"
+                         % raw)
+    return tol
 
 
 # ---------------------------------------------------------------- parsing

@@ -20,6 +20,13 @@ NEG_INF = float("-inf")
 ZERO = NEG_INF      # semiring zero
 UNITY = 0.0         # semiring unit
 
+# Tolerance for deciding criticality of an edge after normalizing by a
+# possibly fractional cycle mean, and the default of every equality decided
+# at a tolerance (_agree).  Integer inputs keep residues below 1e-12 at desk
+# scale, while distinct rational cycle means differ by at least 1/n^2, so
+# 1e-9 separates cleanly.
+CRIT_TOL = 1e-9
+
 # Broadcasted products allocate an n^3 temporary; above this size fall back
 # to a k-loop of rank-1 updates.
 _BROADCAST_LIMIT = 64
@@ -292,15 +299,21 @@ def mat_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(np.maximum(a.arr, b.arr), copy=False)
 
 
+def _agree(x, y, tol: float) -> np.ndarray:
+    """Tolerance equality of max-plus values, elementwise over broadcast
+    operands: true where both are -inf, or both are finite and
+    |x - y| <= tol.  At tol 0 that is exact equality, -0.0 and 0.0 equal.
+    Every equality the library decides at a tolerance goes through here."""
+    with np.errstate(invalid="ignore"):     # -inf - -inf
+        dev = np.asarray(np.subtract(x, y))
+    # abs in place: a second float temporary doubles a _detect block's time
+    np.abs(dev, out=dev)
+    return (dev <= tol) | ((x == NEG_INF) & (y == NEG_INF))
+
+
 def _arr_eq(x: np.ndarray, y: np.ndarray, tol: float = 0.0) -> bool:
-    """Equality of same-shape arrays: -inf patterns must coincide, finite
-    entries within tol (exact equality at tol 0)."""
-    if tol == 0.0:
-        return bool(np.array_equal(x, y))
-    fx, fy = x != NEG_INF, y != NEG_INF
-    if not np.array_equal(fx, fy):
-        return False
-    return bool(np.all(np.abs(x[fx] - y[fy]) <= tol))
+    """Equality of same-shape arrays: every entry pair agrees (_agree)."""
+    return bool(_agree(x, y, tol).all())
 
 
 def mat_eq(a: TropicalMatrix, b: TropicalMatrix, tol: float = 0.0) -> bool:

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, TropicalMatrix, _mp_matmul, mat_mul, mat_power
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _mp_matmul,
+                   mat_mul, mat_power)
 from .errors import DivergentStarError, NotDefiniteError
-from .graphs import CRIT_TOL, CritSubgraph, _bfs, max_cycle_mean, wielandt
+from .graphs import CritSubgraph, _bfs, max_cycle_mean, wielandt
 from .kleene import _diagonal_checked, kleene_star
 
 
@@ -97,7 +98,7 @@ class CsrProduct:
 
 def _check_definite(a: TropicalMatrix, tol: float):
     lam = max_cycle_mean(a)
-    if not (abs(lam) <= tol):
+    if not _agree(lam, 0.0, tol):
         raise NotDefiniteError("not definite: max cycle mean %g" % lam,
                                value=float(lam))
 
@@ -154,7 +155,7 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
         s_arr[i, j] = a.arr[i, j]
     s = TropicalMatrix(s_arr, copy=False)
     edge_vals = np.array([a.arr[i, j] for i, j in crit.edges])
-    boolean = bool(edge_vals.size == 0 or np.all(np.abs(edge_vals) <= tol))
+    boolean = bool(_agree(edge_vals, 0.0, tol).all())
     c_hat, r_hat, slots = _class_factors(b, crit, a.arr)
     return CsrTriple(n=n, crit=crit, gamma=gamma,
                      c=TropicalMatrix(c_arr, copy=False), s=s,

@@ -72,7 +72,7 @@ class NonFiniteError(MaxplusError):
 
 
 class ParseError(MaxplusError):
-    """Malformed matrix or vector input.
+    """Malformed input: matrix or vector text, or a TROPICAL_TOL setting.
 
     line/column are 1-based positions into the source text when available.
     """

@@ -18,13 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (NEG_INF, TropicalMatrix, mat_oplus, mat_power, _arr_eq,
-                   _exact_sums, _mp_matmul, _overflow_checked)
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
+                   _agree, _arr_eq, _exact_sums, _mp_matmul,
+                   _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
 from .errors import AnalysisError, NoCyclesError, ThresholdError
-from .graphs import (CRIT_TOL, CritSubgraph, CriticalStructure,
-                     _COMPONENT_MEMO, _bfs, _critical)
+from .graphs import (CritSubgraph, CriticalStructure, _COMPONENT_MEMO, _bfs,
+                     _critical)
 
 
 @dataclass(frozen=True)
@@ -231,11 +232,10 @@ def ultimate_expand(a: TropicalMatrix) -> Expansion:
     expansion term with the same cycle mean.
     """
     steps = _ultimate_steps(a)
-    canon_lams = [st.lambda_mu for st in _deflation_steps(a, "canonical")]
+    lams = np.array([st.lambda_mu for st in _deflation_steps(a, "canonical")])
     sigma = []
     for st in steps:
-        matches = [k for k, lam in enumerate(canon_lams)
-                   if abs(lam - st.lambda_mu) <= CRIT_TOL]
+        matches = np.flatnonzero(_agree(lams, st.lambda_mu, CRIT_TOL)).tolist()
         if len(matches) != 1:
             raise AnalysisError(
                 "cycle mean %g of ultimate level %d matches canonical levels %s"
@@ -376,8 +376,7 @@ def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
 
     def compare(ap, p_next):
         x, y = ap, p_next + lam
-        with np.errstate(invalid="ignore"):
-            agree = (x == y) | (np.abs(x - y) <= tol)
+        agree = _agree(x, y, tol)
         np.minimum(low, np.where(agree, np.minimum(x, y), NEG_INF), out=low)
         np.maximum(high, np.where(agree, NEG_INF, np.maximum(x, y)), out=high)
 
@@ -428,7 +427,8 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
 
 
 def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
-                       t_max: int | None = None, tol: float = 1e-9) -> int | None:
+                       t_max: int | None = None,
+                       tol: float = CRIT_TOL) -> int | None:
     """Smallest t' <= t_max from which the ultimate expansion equals a^t.
 
     The scan compares a^t with E(t) for t = 0, 1, ... and tracks the

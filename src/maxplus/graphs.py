@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NEG_INF, TropicalMatrix, _power_chain, _power_stack,
-                   _stack_depth)
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _power_chain,
+                   _power_stack, _stack_depth)
 from .errors import NoCyclesError
-
-# Tolerance for deciding criticality of an edge after normalizing by a
-# possibly fractional cycle mean.  Integer inputs keep residues below 1e-12
-# at desk scale, while distinct rational cycle means differ by at least
-# 1/n^2, so 1e-9 separates cleanly.
-CRIT_TOL = 1e-9
 
 
 def wielandt(n: int) -> int:
@@ -32,19 +26,6 @@ def wielandt(n: int) -> int:
     if n <= 1:
         return 1
     return (n - 1) ** 2 + 1
-
-
-class Digraph:
-    """Weighted edges (i, j, w) of the finite pattern of a matrix."""
-
-    def __init__(self, n: int, edges):
-        self.n = n
-        self.edges = list(edges)
-
-    @classmethod
-    def from_matrix(cls, a: TropicalMatrix) -> "Digraph":
-        ii, jj = np.nonzero(a.finite_mask())
-        return cls(a.n, [(int(i), int(j), float(a.arr[i, j])) for i, j in zip(ii, jj)])
 
 
 @dataclass
@@ -121,42 +102,32 @@ def _accessed_first(acc: np.ndarray) -> np.ndarray:
     return np.insert(chain, at, free)
 
 
-def scc_decompose(g: Digraph | TropicalMatrix) -> SccDecomposition:
+def scc_decompose(a: TropicalMatrix) -> SccDecomposition:
     """Strongly connected components plus the access relation, both read
     off the Boolean closure of the finite pattern."""
-    if isinstance(g, TropicalMatrix):
-        b = g.finite_mask()
-    else:
-        b = np.zeros((g.n, g.n), dtype=bool)
-        for i, j, _ in g.edges:
-            b[i, j] = True
+    b = a.finite_mask()
     reach, least = _strong_components(b)
-    roots = np.flatnonzero(least == np.arange(g.n))
+    roots = np.flatnonzero(least == np.arange(a.n))
     acc = reach[roots][:, roots]
     order = _accessed_first(acc)
     top = roots[order]
-    rank = np.empty(g.n, dtype=int)
+    rank = np.empty(a.n, dtype=int)
     rank[top] = np.arange(top.size)
     components, sizes = _group(rank[least], top.size)
-    return SccDecomposition(g.n, rank[least], components,
+    return SccDecomposition(a.n, rank[least], components,
                             ((sizes == 1) & ~b[top, top]).tolist(),
                             acc[order][:, order])
 
 
-def max_cycle_mean(g: Digraph | TropicalMatrix, component=None) -> float:
+def max_cycle_mean(a: TropicalMatrix, component=None) -> float:
     """Maximum cycle mean by Karp's algorithm.
 
     With component=None the whole node set is used and the result is the
     global maximum over all components (-inf when the digraph is acyclic).
     """
-    if isinstance(g, TropicalMatrix):
-        arr = g.arr
-    else:
-        arr = np.full((g.n, g.n), NEG_INF)
-        for i, j, w in g.edges:
-            arr[i, j] = w
+    arr = a.arr
     if component is None:
-        dec = scc_decompose(g)
+        dec = scc_decompose(a)
         best = NEG_INF
         for c in dec.nontrivial():
             best = max(best, _karp(arr, dec.components[c]))

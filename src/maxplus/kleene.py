@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TropicalMatrix
+from .core import CRIT_TOL, TropicalMatrix
 from .errors import DivergentStarError
-from .graphs import CRIT_TOL, scc_decompose, _floyd_warshall_star, _karp
+from .graphs import scc_decompose, _floyd_warshall_star, _karp
 
 
 def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL,

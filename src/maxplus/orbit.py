@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NEG_INF, TropicalMatrix, _exact_sums, _mp_rank1,
-                   _overflow_checked, _power_stack, _stack_depth, as_vector)
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _exact_sums,
+                   _mp_rank1, _overflow_checked, _power_stack, _stack_depth,
+                   as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
 from .expansions import ultimate_expand
 from .csr import csr_product
@@ -89,7 +90,8 @@ def _condition2_strong(a: TropicalMatrix, cs, tol: float):
     for x in range(len(nontrivial)):
         for y in range(x + 1, len(nontrivial)):
             p, q = nontrivial[x], nontrivial[y]
-            if abs(cs.lambda_of_component[p] - cs.lambda_of_component[q]) <= tol:
+            if _agree(cs.lambda_of_component[p], cs.lambda_of_component[q],
+                      tol):
                 continue
             i, j = min(dec.components[p]), min(dec.components[q])
             if not (sa[i, j] or sa[j, i]):
@@ -118,7 +120,7 @@ def _support_violations(a: TropicalMatrix, tol: float):
 
 
 def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
-                      tol: float = 1e-9) -> OrbitReport:
+                      tol: float = CRIT_TOL) -> OrbitReport:
     """Decide orbit periodicity.
 
     method "support" settles condition 2 through the ultimate-expansion
@@ -141,7 +143,8 @@ def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
     return OrbitReport(verdict, cond1, cond2, supp, _gamma_u(a), method)
 
 
-def column_periodicity(a: TropicalMatrix, j: int, tol: float = 1e-9) -> bool:
+def column_periodicity(a: TropicalMatrix, j: int,
+                       tol: float = CRIT_TOL) -> bool:
     """Is the column orbit {a^t e_j} ultimately linear periodic?
 
     True iff no nontrivial component with access to j has a larger cycle
@@ -161,7 +164,8 @@ def column_periodicity(a: TropicalMatrix, j: int, tol: float = 1e-9) -> bool:
     return True
 
 
-def pair_periodicity(a: TropicalMatrix, i: int, j: int, tol: float = 1e-9) -> bool:
+def pair_periodicity(a: TropicalMatrix, i: int, j: int,
+                     tol: float = CRIT_TOL) -> bool:
     """Is the orbit of e_i (+) e_j ultimately linear periodic?
 
     Requires both single columns to be periodic; then the pair orbit is
@@ -174,13 +178,13 @@ def pair_periodicity(a: TropicalMatrix, i: int, j: int, tol: float = 1e-9) -> bo
     cs = _critical(a)
     lam_i = cs.lambda_of_node(i)
     lam_j = cs.lambda_of_node(j)
-    if abs(lam_i - lam_j) <= tol:
+    if _agree(lam_i, lam_j, tol):
         return True
     sa = strong_access_matrix(a)
     return bool(sa[i, j] or sa[j, i])
 
 
-def orbit_growth_rate(a: TropicalMatrix, y, tol: float = 1e-9) -> float:
+def orbit_growth_rate(a: TropicalMatrix, y, tol: float = CRIT_TOL) -> float:
     """Growth rate of the orbit of y for an orbit periodic matrix.
 
     The rate is the largest cycle mean among nontrivial components that
@@ -221,29 +225,22 @@ def _last_failure(samples: np.ndarray, p: int, rate: float, tol: float):
     """Largest s < t_max - p whose equation samples[s + p] =
     p * rate + samples[s] fails, or -1 when all of them hold.
 
-    An equation holds when both rows have the same -inf pattern and every
-    finite entry is within tol (rate -inf: both rows are all -inf).  Rows
-    are compared _DETECT_CHUNK equations at a time from the tail down, so
-    the scratch arrays stay O(_DETECT_CHUNK * n).
+    An equation holds when its rows agree entrywise (_agree) after the
+    shift (rate -inf: both rows are all -inf).  Rows are compared
+    _DETECT_CHUNK equations at a time from the tail down, so the scratch
+    arrays stay O(_DETECT_CHUNK * n).
     """
     hi = samples.shape[0] - 1 - p
     shift = rate * p
     while hi > 0:
         lo = max(0, hi - _DETECT_CHUNK)
         below, above = samples[lo:hi], samples[lo + p:hi + p]
-        fin = below != NEG_INF
-        fail = (fin != (above != NEG_INF)).any(axis=1)
         if rate == NEG_INF:
-            fail |= fin.any(axis=1)
+            fail = (np.maximum(below, above) != NEG_INF).any(axis=1)
         else:
-            with np.errstate(invalid="ignore"):
-                dev = above - below
-                dev -= shift
-            np.abs(dev, out=dev)
-            dev[~fin] = 0.0
-            # a per-row max, not any(dev > tol): a NaN deviation (float
-            # overflow to inf) then lets its row pass, as np.max does
-            fail |= dev.max(axis=1) > tol
+            # the shift comes off the later row: adding it to the earlier
+            # one rounds exact equations into failures on scaled weights
+            fail = ~_agree(above - shift, below, tol).all(axis=1)
         bad = np.flatnonzero(fail)
         if bad.size:
             return lo + int(bad[-1])
@@ -316,7 +313,7 @@ def _step_blocks(stack: np.ndarray, samples: np.ndarray):
 
 
 def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
-                   tol: float = 1e-9) -> OrbitTrace:
+                   tol: float = CRIT_TOL) -> OrbitTrace:
     """Record the orbit of y and look for ultimate linear periodicity.
 
     Candidate periods are the divisors of the critical lcm gamma_u in

@@ -181,6 +181,33 @@ def test_verify_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     assert bad and "boolean" in bad[0]["name"]
 
 
+def test_bad_tolerance_setting_exits_2(tmp_path, capsys, monkeypatch):
+    # used to exit 3 (abc), report "not definite" (nan), a null threshold
+    # (-1) or matches_power false (nan, -1)
+    f = tmp_path / "definite.txt"
+    f.write_text("2\n0 -1\n-2 0\n")
+    commands = (["csr", "--t", "3"], ["nachtigall", "--t", "12"],
+                ["threshold"])
+    want = {}
+    for argv in commands:
+        code, want[argv[0]], _ = run(capsys, *argv, str(f))
+        assert code == 0
+    assert want["nachtigall"]["matches_power"] is True
+    assert want["threshold"]["threshold"] is not None
+    for value in ("abc", "nan", "inf", "-1"):
+        monkeypatch.setenv("TROPICAL_TOL", value)
+        for argv in commands:
+            code, obj, err = run(capsys, *argv, str(f))
+            assert (code, obj) == (2, None), (value, argv)
+            assert err == ("error: TROPICAL_TOL must be a finite number "
+                           ">= 0, got %r\n" % value)
+    for value in ("0", "1e-6"):
+        monkeypatch.setenv("TROPICAL_TOL", value)
+        for argv in commands:
+            code, obj, _ = run(capsys, *argv, str(f))
+            assert (code, obj) == (0, want[argv[0]]), (value, argv)
+
+
 # ----------------------------------------------------------- the commands
 
 def test_lambda_example2(capsys):

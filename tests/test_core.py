@@ -1,5 +1,7 @@
 """Scalar and matrix semiring arithmetic against brute-force references."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from maxplus import (DimensionError, NEG_INF, NonFiniteError, TropicalMatrix,
                      as_vector, mat_eq, mat_mul, mat_oplus, mat_power,
                      mat_scalar_mul, max_cycle_mean, soplus, sotimes, vec_eq)
+import maxplus
 from maxplus import core
 
 from conftest import random_matrix, random_reducible
@@ -313,6 +316,52 @@ def test_eq_tolerance():
     pattern = np.array(a.arr)
     pattern[1, 1] = 0.0
     assert not mat_eq(a, TropicalMatrix(pattern), tol=1e6)
+
+
+def test_agree_rule():
+    agree = core._agree
+    # -inf agrees only with -inf, at any tolerance
+    assert agree(NEG_INF, NEG_INF, 0.0)
+    assert not agree(NEG_INF, 0.0, 1e300) and not agree(-1e300, NEG_INF, 1e300)
+    # -0.0 and 0.0 agree at tol 0
+    assert agree(-0.0, 0.0, 0.0)
+    # |x - y| = tol agrees, the next float past it does not
+    x, tol = 1.5, 2.0 ** -20
+    assert agree(x + tol, x, tol) and agree(x - tol, x, tol)
+    assert not agree(np.nextafter(x + tol, np.inf), x, tol)
+    assert not agree(np.nextafter(x - tol, -np.inf), x, tol)
+    # a negative or NaN tolerance lets no finite pair agree
+    assert not agree(1.0, 1.0, -1.0) and not agree(1.0, 1.0, float("nan"))
+    # elementwise over broadcast operands: a row against a scalar and a
+    # column against a row
+    row = np.array([0.0, 1e-10, NEG_INF, 2e-9])
+    assert agree(row, 0.0, 1e-9).tolist() == [True, True, False, False]
+    assert agree(row, NEG_INF, 1e-9).tolist() == [False, False, True, False]
+    got = agree(row[:, None], np.array([0.0, NEG_INF]), 1e-9)
+    assert got.shape == (4, 2)
+    assert got.tolist() == [[True, False], [True, False], [False, True],
+                            [False, False]]
+
+
+def test_public_tol_defaults_name_crit_tol():
+    """A tolerance default is CRIT_TOL itself (the same object, so an
+    equal literal 1e-9 fails) or the exact 0.0."""
+    seen = 0
+    for name in maxplus.__all__:
+        obj = getattr(maxplus, name)
+        if inspect.isclass(obj):
+            funcs = [f for k, f in vars(obj).items()
+                     if inspect.isfunction(f) and not k.startswith("_")]
+        else:
+            funcs = [obj] if inspect.isfunction(obj) else []
+        for fn in funcs:
+            param = inspect.signature(fn).parameters.get("tol")
+            if param is not None and param.default is not param.empty:
+                seen += 1
+                default = param.default
+                assert default is maxplus.CRIT_TOL or (
+                    type(default) is float and default == 0.0), fn.__qualname__
+    assert seen >= 13
 
 
 def test_restrict():

@@ -12,7 +12,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from maxplus import (CRIT_TOL, CritSubgraph, Digraph, NEG_INF, NoCyclesError,
+from maxplus import (CRIT_TOL, CritSubgraph, NEG_INF, NoCyclesError,
                      TropicalMatrix, boolean_power_reach,
                      critical_structure, csr_build, gamma_u, max_cycle_mean,
                      nachtigall_expand, scc_decompose, strong_access,
@@ -445,18 +445,6 @@ def test_vector_karp_and_criticals_match_loops():
                                                           CRIT_TOL)
 
 
-def test_scc_same_from_digraph_and_matrix():
-    rng = np.random.default_rng(32)
-    for _ in range(30):
-        a = random_matrix(rng, int(rng.integers(1, 10)),
-                          density=float(rng.uniform(0.1, 0.6)))
-        x, y = scc_decompose(a), scc_decompose(Digraph.from_matrix(a))
-        assert x.components == y.components
-        assert x.is_trivial == y.is_trivial
-        assert np.array_equal(x.component_of, y.component_of)
-        assert np.array_equal(x.access, y.access)
-
-
 # --------------------------------------- SCC reference: Tarjan plus Kahn
 
 def tarjan_reference(n: int, adj) -> list:
@@ -562,12 +550,12 @@ def test_scc_matches_tarjan_reference():
     assert sum(not a.finite_mask().any(axis=1).all() for a in mats) > 50
     for a in mats:
         comps, comp_of, trivial, access = scc_reference(a)
-        for dec in (scc_decompose(a), scc_decompose(Digraph.from_matrix(a))):
-            assert dec.components == comps
-            assert dec.component_of.tolist() == comp_of
-            assert dec.is_trivial == trivial
-            assert dec.access.dtype == bool
-            assert np.array_equal(dec.access, access)
+        dec = scc_decompose(a)
+        assert dec.components == comps
+        assert dec.component_of.tolist() == comp_of
+        assert dec.is_trivial == trivial
+        assert dec.access.dtype == bool
+        assert np.array_equal(dec.access, access)
 
 
 def test_assembled_crit_subgraph_equals_class_search(ex1, ex2, ex3a, ex3b):

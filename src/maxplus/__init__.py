@@ -4,8 +4,8 @@ matrix powers, and orbit periodicity of reducible matrices."""
 from .core import (CRIT_TOL, NEG_INF, UNITY, ZERO, TropicalMatrix, as_vector,
                    mat_eq, mat_mul, mat_oplus, mat_power, mat_scalar_mul,
                    soplus, sotimes, vec_eq)
-from .csr import (CsrProduct, CsrTriple, csr_build, csr_group_check,
-                  csr_product, csr_product_literal)
+from .csr import (CsrProduct, CsrTriple, csr_build, csr_product,
+                  csr_product_literal)
 from .errors import (AnalysisError, DimensionError, DivergentStarError,
                      MaxplusError, NoCyclesError, NonFiniteError,
                      NotDefiniteError, NotOrbitPeriodicError,
@@ -31,7 +31,7 @@ __all__ = [
     "CRIT_TOL", "NEG_INF", "UNITY", "ZERO", "TropicalMatrix", "as_vector",
     "mat_eq", "mat_mul", "mat_oplus", "mat_power", "mat_scalar_mul",
     "soplus", "sotimes", "vec_eq",
-    "CsrProduct", "CsrTriple", "csr_build", "csr_group_check", "csr_product",
+    "CsrProduct", "CsrTriple", "csr_build", "csr_product",
     "csr_product_literal",
     "AnalysisError", "DimensionError", "DivergentStarError", "MaxplusError",
     "NoCyclesError", "NonFiniteError",

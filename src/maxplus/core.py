@@ -80,10 +80,9 @@ class TropicalMatrix:
     The wrapped array is marked read-only; all operations return new
     matrices, so instances can be shared and cached safely.  The private
     _memo dict holds per-instance analysis results (critical structure,
-    deflation steps, gamma_u, strong access, the power stack of
-    simulate_orbit's blocks) that `graphs`, `expansions` and `orbit`
-    compute at most once per matrix; it is sound because arr never
-    changes.
+    deflation steps, strong access, the power stack of simulate_orbit's
+    blocks) that `graphs`, `expansions` and `orbit` compute at most once
+    per matrix; it is sound because arr never changes.
     """
 
     def __init__(self, entries, copy: bool = True):

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _mp_matmul,
                    mat_mul, mat_power)
 from .errors import DivergentStarError, NotDefiniteError
-from .graphs import CritSubgraph, _bfs, max_cycle_mean, wielandt
+from .graphs import CritSubgraph, _bfs, _critical, wielandt
 from .kleene import _diagonal_checked, kleene_star
 
 
@@ -97,7 +97,8 @@ class CsrProduct:
 
 
 def _check_definite(a: TropicalMatrix, tol: float):
-    lam = max_cycle_mean(a)
+    cs = _critical(a)
+    lam = NEG_INF if cs is None else cs.lambda_global
     if not _agree(lam, 0.0, tol):
         raise NotDefiniteError("not definite: max cycle mean %g" % lam,
                                value=float(lam))
@@ -118,7 +119,7 @@ def _active_star_power(a: TropicalMatrix, gamma: int, tol: float,
         block = np.ix_(active, active)
         sub = TropicalMatrix(a.arr[block], copy=False)
         try:
-            b[block] = (kleene_star(mat_power(sub, gamma), tol=tol, check=False)
+            b[block] = (kleene_star(mat_power(sub, gamma), tol=tol)
                         if star is None else _diagonal_checked(star, tol)).arr
         except DivergentStarError as exc:
             # name the node of a, as the full-matrix star would
@@ -137,8 +138,12 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
     crit must be a completely reducible subgraph of critical edges of a
     (the full critical graph, or a single critical cycle).  a itself must
     be definite; normalizing by the cycle mean is the caller's job.
-    _star, when given, is (a^gamma)* on a's active nodes (see
-    _active_star_power), formed elsewhere and only checked here.
+    check_definite reads the cycle mean off a's memoized critical
+    analysis (NotDefiniteError when it is not 0 within tol).  A divergent
+    (a^gamma)* raises DivergentStarError naming the smallest node of a
+    with a diagonal entry above tol.  _star, when given, is (a^gamma)* on
+    a's active nodes (see _active_star_power), formed elsewhere and only
+    checked here.
     """
     if check_definite:
         _check_definite(a, tol)
@@ -183,11 +188,4 @@ def csr_product(triple: CsrTriple, t: int) -> CsrProduct:
     res = t % triple.gamma      # every slot's cyclicity divides gamma
     arr = _class_product(triple.c_hat, triple.r_hat, triple.slots, res)
     return CsrProduct(matrix=TropicalMatrix(arr, copy=False), t_residue=res)
-
-
-def csr_group_check(triple: CsrTriple, t1: int, t2: int, tol: float = 0.0) -> bool:
-    """Does product(t1 + t2) equal product(t1) (x) product(t2)?"""
-    lhs = csr_product(triple, t1 + t2).matrix
-    rhs = mat_mul(csr_product(triple, t1).matrix, csr_product(triple, t2).matrix)
-    return lhs.eq(rhs, tol)
 

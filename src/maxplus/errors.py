@@ -16,8 +16,10 @@ class NoCyclesError(MaxplusError):
 class DivergentStarError(MaxplusError):
     """Kleene star diverges: some component has positive max cycle mean.
 
-    Attributes carry the offending component (node list) and its cycle mean
-    when known, and the node where a positive diagonal appeared otherwise.
+    node is always the smallest node where the relaxed star has a diagonal
+    entry above tol.  component (node list) and value (its cycle mean)
+    name the first nontrivial component whose cycle mean exceeds tol, when
+    there is one (kleene_star only), and are None otherwise.
     """
 
     def __init__(self, message, component=None, value=None, node=None):
@@ -66,9 +68,10 @@ class TrivialColumnError(MaxplusError):
 class NonFiniteError(MaxplusError):
     """A sum of weights overflows float64, to +inf or to -inf (e.g. a
     power of a matrix holding 1e308 or -1e308).  The library raises it
-    too: mat_mul, mat_power, mat_scalar_mul, TropicalMatrix.apply and
-    simulate_orbit raise it when a sum overflows, and the CLI when a value
-    to report is +inf or NaN.  The CLI exits 3 on it."""
+    too: mat_mul, mat_power, mat_scalar_mul, TropicalMatrix.apply,
+    simulate_orbit, evaluate, the critical analysis (Karp) and kleene_star
+    raise it when a sum overflows, and the CLI when a value to report is
+    +inf or NaN.  The CLI exits 3 on it."""
 
 
 class ParseError(MaxplusError):

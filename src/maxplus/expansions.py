@@ -186,7 +186,7 @@ def _shared_star(st: DeflationStep) -> np.ndarray | None:
     one component (so all its nodes are active), gamma is 1 and lam is the
     component's.  The entries and the subtraction are the same, so the
     arrays are equal bit for bit."""
-    pc = st.a_mu._memo.get(_COMPONENT_MEMO, {}).get((st.k_set, CRIT_TOL))
+    pc = st.a_mu._memo.get(_COMPONENT_MEMO, {}).get(st.k_set)
     if pc is None or st.crit.gamma != 1 or pc.lam != st.lambda_mu:
         return None
     return pc.star

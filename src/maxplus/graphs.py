@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _power_chain,
-                   _power_stack, _stack_depth)
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _overflow_checked,
+                   _power_chain, _power_stack, _stack_depth)
 from .errors import NoCyclesError
 
 
@@ -119,25 +119,22 @@ def scc_decompose(a: TropicalMatrix) -> SccDecomposition:
                             acc[order][:, order])
 
 
-def max_cycle_mean(a: TropicalMatrix, component=None) -> float:
-    """Maximum cycle mean by Karp's algorithm.
+def max_cycle_mean(a: TropicalMatrix) -> float:
+    """Maximum cycle mean by Karp's algorithm, over every nontrivial
+    component (-inf when the digraph is acyclic).
 
-    With component=None the whole node set is used and the result is the
-    global maximum over all components (-inf when the digraph is acyclic).
+    The library reads cycle means off the memoized critical analysis
+    (critical_structure(a).lambda_global, lambda_of_component); this loop
+    of its own stays as an independent referee.
     """
-    arr = a.arr
-    if component is None:
-        dec = scc_decompose(a)
-        best = NEG_INF
-        for c in dec.nontrivial():
-            best = max(best, _karp(arr, dec.components[c]))
-        return best
-    nodes = sorted(component)
-    if len(nodes) == 1 and arr[nodes[0], nodes[0]] == NEG_INF:
-        return NEG_INF
-    return _karp(arr, nodes)
+    dec = scc_decompose(a)
+    best = NEG_INF
+    for c in dec.nontrivial():
+        best = max(best, _karp(a.arr, dec.components[c]))
+    return best
 
 
+@_overflow_checked
 def _karp(arr: np.ndarray, nodes) -> float:
     """Karp on one strongly connected node set (source = nodes[0])."""
     k = len(nodes)
@@ -156,6 +153,7 @@ def _karp(arr: np.ndarray, nodes) -> float:
     return means.min(axis=0).max()
 
 
+@_overflow_checked
 def _floyd_warshall_star(arr: np.ndarray) -> np.ndarray:
     """Kleene star by relaxation; a positive cycle leaves a positive diagonal."""
     m = arr.copy()
@@ -182,7 +180,7 @@ class ComponentCriticals:
     star: np.ndarray
 
 
-def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCriticals:
+def _component_criticals(arr: np.ndarray, nodes) -> ComponentCriticals:
     nodes = sorted(nodes)
     lam = _karp(arr, nodes)
     sub = arr[nodes][:, nodes] - lam
@@ -190,7 +188,7 @@ def _component_criticals(arr: np.ndarray, nodes, tol: float) -> ComponentCritica
     star.setflags(write=False)
     # edge (a, b) is critical iff it closes a cycle of weight 0: a -inf
     # entry of sub never passes, and np.nonzero keeps row-major edge order
-    crit = sub + star.T >= -tol
+    crit = sub + star.T >= -CRIT_TOL
     aa, bb = np.nonzero(crit)
     idx = np.array(nodes)
     crit_edges = list(zip(idx[aa].tolist(), idx[bb].tolist()))
@@ -271,48 +269,47 @@ class CriticalStructure:
         return self.lambda_of_component[int(self.scc.component_of[v])]
 
 
-def critical_structure(a: TropicalMatrix, tol: float = CRIT_TOL,
-                       _copy: bool = True) -> CriticalStructure:
-    """Full critical analysis; raises NoCyclesError on acyclic input.
+def critical_structure(a: TropicalMatrix, _copy: bool = True) -> CriticalStructure:
+    """Full critical analysis at CRIT_TOL; raises NoCyclesError on acyclic
+    input.
 
-    Computed once per matrix and tol; every call returns a fresh copy
-    (_copy=False is _critical's miss, which hands out nothing).
+    Computed once per matrix; every call returns a fresh copy (_copy=False
+    is _critical's miss, which hands out nothing).
     """
-    cs = a._cached(("critical", tol), lambda: _analyse(a, tol))
+    cs = a._cached("critical", lambda: _analyse(a))
     if cs is None:
         raise NoCyclesError("no cycles")
     # a pickle round trip is a deep copy too, about ten times faster here
     return pickle.loads(pickle.dumps(cs, -1)) if _copy else cs
 
 
-def _critical(a: TropicalMatrix, tol: float = CRIT_TOL) -> CriticalStructure | None:
+def _critical(a: TropicalMatrix) -> CriticalStructure | None:
     """The memoized structure itself (None when acyclic), for read-only use.
 
     A miss goes through critical_structure, so that each analysis of a
     matrix is one call of the public layer.
     """
-    key = ("critical", tol)
-    if key not in a._memo:
+    if "critical" not in a._memo:
         try:
-            critical_structure(a, tol, _copy=False)
+            critical_structure(a, _copy=False)
         except NoCyclesError:
             pass
-    return a._memo[key]
+    return a._memo["critical"]
 
 
-# _memo key of the analyses by (component node tuple, tol).  A deflation
-# level keeps the root's entries on its nodes, so levels share the root's.
+# _memo key of the analyses by component node tuple.  A deflation level
+# keeps the root's entries on its nodes, so levels share the root's.
 _COMPONENT_MEMO = "components"
 
 
-def _analyse(a: TropicalMatrix, tol: float) -> CriticalStructure | None:
+def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
     dec = scc_decompose(a)
     memo = a._cached(_COMPONENT_MEMO, dict)
     per = [None] * dec.k
     for c in dec.nontrivial():
-        key = (tuple(dec.components[c]), tol)
+        key = tuple(dec.components[c])
         if key not in memo:
-            memo[key] = _component_criticals(a.arr, dec.components[c], tol)
+            memo[key] = _component_criticals(a.arr, dec.components[c])
         per[c] = memo[key]
     lams = [NEG_INF if pc is None else pc.lam for pc in per]
     lam_global = max(lams, default=NEG_INF)
@@ -322,7 +319,7 @@ def _analyse(a: TropicalMatrix, tol: float) -> CriticalStructure | None:
     crit_nodes, crit_edges, comps, cyc = [], [], [], []
     cls = {}
     for pc in per:
-        if pc is None or pc.lam < lam_global - tol:
+        if pc is None or pc.lam < lam_global - CRIT_TOL:
             continue
         crit_nodes.extend(pc.crit_nodes)
         crit_edges.extend(pc.crit_edges)
@@ -404,11 +401,8 @@ class CritSubgraph:
 
 def gamma_u(a: TropicalMatrix) -> int:
     """lcm of the critical cyclicities of all nontrivial components (1 when
-    the digraph is acyclic)."""
-    return a._cached("gamma_u", lambda: _cyclicity_lcm(_critical(a)))
-
-
-def _cyclicity_lcm(cs: CriticalStructure | None) -> int:
+    the digraph is acyclic), read off the memoized critical analysis."""
+    cs = _critical(a)
     if cs is None:
         return 1
     return math.lcm(*(g for pc in cs.per_component if pc is not None

@@ -10,29 +10,31 @@ import numpy as np
 
 from .core import CRIT_TOL, TropicalMatrix
 from .errors import DivergentStarError
-from .graphs import scc_decompose, _floyd_warshall_star, _karp
+from .graphs import _critical, _floyd_warshall_star
 
 
-def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL,
-                check: bool = True) -> TropicalMatrix:
+def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL) -> TropicalMatrix:
     """Max-plus Kleene star via Floyd-Warshall relaxation.
 
-    With check=True components are screened first so the error can name the
-    component whose cycle mean is positive.  After the relaxation a positive
-    diagonal entry also means divergence (diagonal entries only grow), and
-    the error names the smallest such node.  Callers that already know all
-    cycle means are nonpositive may pass check=False.
+    Diagonal entries only grow under the relaxation, so one above tol
+    means divergence.  Only then is the memoized critical analysis read:
+    the error names the first nontrivial component (in SCC order) whose
+    cycle mean exceeds tol, or, when none does, the node alone.  node is
+    the smallest node with a diagonal entry above tol either way.
     """
-    if check:
-        dec = scc_decompose(a)
-        for c in dec.nontrivial():
-            lam = _karp(a.arr, dec.components[c])
+    try:
+        return _diagonal_checked(_floyd_warshall_star(a.arr), tol)
+    except DivergentStarError as exc:
+        cs = _critical(a)
+        for c in [] if cs is None else cs.scc.nontrivial():
+            lam = cs.lambda_of_component[c]
             if lam > tol:
+                comp = list(cs.scc.components[c])
                 raise DivergentStarError(
                     "divergent star: component %s has cycle mean %g"
-                    % (dec.components[c], lam),
-                    component=dec.components[c], value=float(lam))
-    return _diagonal_checked(_floyd_warshall_star(a.arr), tol)
+                    % (comp, lam),
+                    component=comp, value=float(lam), node=exc.node) from None
+        raise
 
 
 def _diagonal_checked(m: np.ndarray, tol: float) -> TropicalMatrix:

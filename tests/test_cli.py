@@ -10,11 +10,13 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import maxplus
 import maxplus.cli as cli
-from conftest import DATA, dead_end_critical_matrix, scaled_hang_matrix
+from conftest import (DATA, dead_end_critical_matrix, random_cyclic,
+                      scaled_hang_matrix)
 from goldens import (EX1_A2, EX1_N1_0, EX1_THRESHOLD, EX2_THRESHOLD,
                      EX3_GAMMA_U, ORBIT_FRAC_MATRIX, ORBIT_FRAC_Y,
                      ORBIT_STDOUT_SHA256)
@@ -75,6 +77,8 @@ def test_parse_error_reporting(tmp_path, capsys):
         ("", "empty input"),
         ("{bad", "invalid JSON"),
         ('{"n": 2, "rows": [[0, 1]]}', "matrix must be square"),
+        ('{"n": 2, "rows": [[0, 1], [0]]}', "row 2 must have 2 entries"),
+        ('{"n": 1, "rows": [[true]]}', "bad entry at row 1 column 1"),
     ]
     for text, needle in cases:
         f = tmp_path / "m.txt"
@@ -157,6 +161,17 @@ def test_negative_overflow_exits_3(tmp_path, capsys):
         assert err.endswith(SUM_OVERFLOW), argv
     code, obj, _ = run(capsys, "orbit", "--y", str(y), "--tmax", "1", str(f))
     assert code == 0 and obj["samples"] == [[0], [-1e308]]
+
+
+def test_overflow_in_critical_analysis_exits_3(tmp_path, capsys):
+    # Karp's sums and the star's relaxation leave float64 on this input
+    f = tmp_path / "m.txt"
+    f.write_text("2\n1e308 1e308\n1e308 1e308\n")
+    for argv in (["classes"], ["lambda"], ["critical"], ["star"],
+                 ["csr", "--t", "3"], ["threshold"], ["orbit-check"],
+                 ["ultimate", "--t", "12"]):
+        code, obj, err = run(capsys, *argv, str(f))
+        assert (code, obj, err) == (3, None, SUM_OVERFLOW), argv
 
 
 def test_verify_size_cap_exits_3(tmp_path, capsys):
@@ -339,6 +354,12 @@ def test_orbit_flags_and_errors(tmp_path, capsys):
     bad.write_text("2 0 0")
     code, _, err = run(capsys, "orbit", "--y", str(bad), EX3A)
     assert code == 2 and "does not match matrix size" in err
+    bad.write_text('{"n": 6, "values": [0, 0]}')
+    code, _, err = run(capsys, "orbit", "--y", str(bad), EX3A)
+    assert code == 2 and "expected 6 values" in err
+    code, _, err = run(capsys, "orbit", "--y", str(tmp_path / "none.txt"),
+                       EX3A)
+    assert code == 2 and "none.txt" in err
     code, _, _ = run(capsys, "orbit", EX3A)
     assert code == 64                                  # missing --y
 
@@ -382,6 +403,18 @@ def test_verify_example1(capsys):
     assert all(c["ok"] for c in obj["checks"])
     names = [c["name"] for c in obj["checks"]]
     assert len(set(names)) == len(names)
+
+
+def test_verify_fractional_weights(tmp_path, capsys):
+    # on weights / 3 the power and the path oracle sum in different
+    # orders, so they agree within the tolerance but not bit for bit
+    a = random_cyclic(np.random.default_rng(3), 4)
+    rows = [[None if v == -math.inf else v / 3 for v in row]
+            for row in a.arr.tolist()]
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"n": a.n, "rows": rows}))
+    code, obj, _ = run(capsys, "verify", str(f))
+    assert code == 0 and obj["all_ok"] is True
 
 
 def test_verify_divergent_matrix(tmp_path, capsys):

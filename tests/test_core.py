@@ -361,7 +361,7 @@ def test_public_tol_defaults_name_crit_tol():
                 default = param.default
                 assert default is maxplus.CRIT_TOL or (
                     type(default) is float and default == 0.0), fn.__qualname__
-    assert seen >= 13
+    assert seen >= 11
 
 
 def test_restrict():

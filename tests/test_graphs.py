@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from maxplus import (CRIT_TOL, CritSubgraph, NEG_INF, NoCyclesError,
-                     TropicalMatrix, boolean_power_reach,
+                     NonFiniteError, TropicalMatrix, boolean_power_reach,
                      critical_structure, csr_build, gamma_u, max_cycle_mean,
                      nachtigall_expand, scc_decompose, strong_access,
                      strong_access_matrix, ultimate_expand, wielandt)
@@ -122,10 +122,16 @@ def test_max_cycle_mean_example_and_acyclic(ex1):
         critical_structure(acyclic)
 
 
+def test_max_cycle_mean_overflow_raises():
+    a = TropicalMatrix(np.full((2, 2), 1e308))
+    with pytest.raises(NonFiniteError):
+        max_cycle_mean(a)
+
+
 def test_max_cycle_mean_per_component(ex2):
-    dec = scc_decompose(ex2)
-    assert max_cycle_mean(ex2, component=dec.components[0]) == 0.0
-    assert max_cycle_mean(ex2, component=dec.components[1]) == -1.0
+    cs = critical_structure(ex2)
+    assert cs.lambda_of_component[0] == 0.0
+    assert cs.lambda_of_component[1] == -1.0
 
 
 # ------------------------------------------------------- critical graphs
@@ -440,7 +446,7 @@ def test_vector_karp_and_criticals_match_loops():
         for c in dec.nontrivial():
             nodes = dec.components[c]
             assert bits(_karp(a.arr, nodes)) == bits(karp_loops(a.arr, nodes))
-            got = _component_criticals(a.arr, nodes, CRIT_TOL)
+            got = _component_criticals(a.arr, nodes)
             assert got.crit_edges == critical_edges_loops(a.arr, nodes,
                                                           CRIT_TOL)
 

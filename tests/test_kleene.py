@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from maxplus import (DivergentStarError, NEG_INF, PathClassQuery,
+from maxplus import (CRIT_TOL, DivergentStarError, NEG_INF, PathClassQuery,
                      TropicalMatrix, best_path_weight, kleene_star, mat_eq,
-                     mat_mul)
+                     mat_mul, scc_decompose)
+from maxplus import graphs
 
-from conftest import random_definite
+from conftest import random_definite, random_matrix, random_reducible
 from goldens import EX2_STAR_A2
 
 TOL = 1e-9
@@ -63,7 +64,7 @@ def test_star_divergence_component_screen():
 def test_star_divergence_in_relaxation():
     a = TropicalMatrix([[1.0]])
     with pytest.raises(DivergentStarError) as exc:
-        kleene_star(a, check=False)
+        kleene_star(a)
     assert exc.value.node == 0
 
 
@@ -72,6 +73,66 @@ def test_star_divergence_after_relaxation_without_loops():
     # shows on the diagonal only once the relaxation has run
     a = TropicalMatrix.from_rows([[None, 1.0], [1.0, None]])
     with pytest.raises(DivergentStarError) as exc:
-        kleene_star(a, check=False)
+        kleene_star(a)
     assert exc.value.node == 0
 
+
+
+def test_star_divergence_below_tol_names_the_node():
+    # the 2-cycle weighs 1.5e-9 > tol, but its mean 7.5e-10 does not
+    # exceed tol, so no component is named
+    a = TropicalMatrix.from_rows([[None, 1e-9], [5e-10, None]])
+    with pytest.raises(DivergentStarError) as exc:
+        kleene_star(a)
+    assert str(exc.value) == "divergent star: positive cycle through node 0"
+    assert (exc.value.component, exc.value.value, exc.value.node) == \
+        (None, None, 0)
+
+
+def test_convergent_star_runs_no_cycle_analysis(monkeypatch):
+    rng = np.random.default_rng(33)
+    mats = [random_definite(rng, int(rng.integers(1, 9))) for _ in range(20)]
+    want = [kleene_star(TropicalMatrix(a.arr)).arr for a in mats]
+
+    def forbidden(*args):
+        raise AssertionError("cycle analysis on a convergent star")
+
+    monkeypatch.setattr(graphs, "scc_decompose", forbidden)
+    monkeypatch.setattr(graphs, "_karp", forbidden)
+    for a, w in zip(mats, want):
+        fresh = TropicalMatrix(a.arr)
+        assert kleene_star(fresh).arr.tobytes() == w.tobytes()
+        assert "critical" not in fresh._memo
+
+
+def eager_screen(a: TropicalMatrix, tol: float):
+    """(message, component, value, node) of a divergent star as a screen
+    of every component's cycle mean before the relaxation reports it."""
+    node = int(np.flatnonzero(
+        np.diagonal(graphs._floyd_warshall_star(a.arr)) > tol)[0])
+    dec = scc_decompose(a)
+    for c in dec.nontrivial():
+        lam = graphs._karp(a.arr, dec.components[c])
+        if lam > tol:
+            return ("divergent star: component %s has cycle mean %g"
+                    % (dec.components[c], lam), dec.components[c],
+                    float(lam), node)
+    return ("divergent star: positive cycle through node %d" % node, None,
+            None, node)
+
+
+def test_divergent_star_error_matches_eager_screen():
+    rng = np.random.default_rng(34)
+    seen = 0
+    for k in range(400):
+        n = int(rng.integers(1, 8))
+        a = random_matrix(rng, n) if k % 2 else random_reducible(rng, n + 1)
+        shift = float(rng.integers(1, 7)) / int(rng.choice([1, 3, 7]))
+        a = TropicalMatrix(np.where(a.finite_mask(), a.arr + shift, NEG_INF))
+        try:
+            kleene_star(a)
+        except DivergentStarError as exc:
+            got = (str(exc), exc.component, exc.value, exc.node)
+            assert got == eager_screen(a, CRIT_TOL)
+            seen += 1
+    assert seen > 200

@@ -3,13 +3,13 @@ the same instance, and nothing handed out aliases the cached analysis."""
 
 import numpy as np
 
-from maxplus import (CRIT_TOL, TropicalMatrix, critical_structure, evaluate,
+from maxplus import (TropicalMatrix, critical_structure, evaluate,
                      fast_terms, is_orbit_periodic, nachtigall_expand,
                      scc_decompose, simulate_orbit, strong_access_matrix,
                      ultimate_expand, ultimate_threshold)
-from maxplus import expansions, graphs, kleene
+from maxplus import cli, expansions, graphs, kleene
 
-from conftest import random_cyclic, random_reducible
+from conftest import DATA, random_cyclic, random_reducible
 
 
 def corpus():
@@ -65,7 +65,7 @@ def test_second_pass_runs_no_analysis(monkeypatch):
     calls = []
     analyse = graphs._analyse
     monkeypatch.setattr(graphs, "_analyse",
-                        lambda a, tol: calls.append(a) or analyse(a, tol))
+                        lambda a: calls.append(a) or analyse(a))
     for a in corpus():
         for name in NAMES:
             _facts(name, a)
@@ -76,6 +76,21 @@ def test_second_pass_runs_no_analysis(monkeypatch):
             _facts(name, a)
         assert len(calls) == first
         calls.clear()
+
+
+def test_cli_csr_analyses_its_matrix_once(monkeypatch, capsys):
+    """The csr command's definiteness check reads the analysis that
+    selected the critical graph."""
+    calls = []
+    analyse = graphs._analyse
+    monkeypatch.setattr(graphs, "_analyse",
+                        lambda a: calls.append(a) or analyse(a))
+    for rule in ("canonical", "cycle"):
+        assert cli.main(["csr", "--t", "3", "--rule", rule,
+                         str(DATA / "example1.txt")]) == 0
+        assert len(calls) == 1, rule
+        calls.clear()
+    capsys.readouterr()
 
 
 def test_mutating_results_leaves_later_calls_intact():
@@ -117,14 +132,14 @@ def test_expansion_terms_built_once(monkeypatch):
 
 def test_component_analysis_once_per_node_set(monkeypatch):
     """Deflation levels and selection rules of one matrix share its
-    per-component analyses: each (node set, tol) is analysed once, and
-    exactly the nontrivial components of the analysed levels are."""
+    per-component analyses: each node set is analysed once, and exactly
+    the nontrivial components of the analysed levels are."""
     calls = []
     analyse = graphs._component_criticals
 
-    def counted(arr, nodes, tol):
-        calls.append((tuple(nodes), tol))
-        return analyse(arr, nodes, tol)
+    def counted(arr, nodes):
+        calls.append(tuple(nodes))
+        return analyse(arr, nodes)
 
     monkeypatch.setattr(graphs, "_component_criticals", counted)
     for a in corpus():
@@ -132,10 +147,8 @@ def test_component_analysis_once_per_node_set(monkeypatch):
             _facts(name, a)
         levels = [st.a_mu for rule in ("canonical", "cycle")
                   for st in nachtigall_expand(a, rule=rule).steps]
-        critical_structure(a, tol=1e-6)
-        want = {(tuple(dec.components[c]), tol)
-                for tol, mats in ((CRIT_TOL, levels), (1e-6, [a]))
-                for dec in map(scc_decompose, mats)
+        want = {tuple(dec.components[c])
+                for dec in map(scc_decompose, levels)
                 for c in dec.nontrivial()}
         assert len(calls) == len(set(calls))
         assert set(calls) == want

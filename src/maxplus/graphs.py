@@ -12,13 +12,13 @@ from __future__ import annotations
 import heapq
 import math
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _overflow_checked,
-                   _power_chain, _power_stack, _stack_depth)
-from .errors import NoCyclesError
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _exact_sums,
+                   _overflow_checked, _power_chain, _power_stack, _stack_depth)
+from .errors import NoCyclesError, NonFiniteError
 
 
 def wielandt(n: int) -> int:
@@ -136,7 +136,9 @@ def max_cycle_mean(a: TropicalMatrix) -> float:
 
 @_overflow_checked
 def _karp(arr: np.ndarray, nodes) -> float:
-    """Karp on one strongly connected node set (source = nodes[0])."""
+    """Karp on one strongly connected node set (source = nodes[0]): the
+    max_cycle_mean referee, and the component analysis's fallback when
+    _certified_mean certifies no candidate."""
     k = len(nodes)
     sub = arr[nodes][:, nodes]
     d = np.full((k + 1, k), NEG_INF)
@@ -181,10 +183,15 @@ class ComponentCriticals:
 
 
 def _component_criticals(arr: np.ndarray, nodes) -> ComponentCriticals:
+    """Critical data of one nontrivial component; lam is Karp's unless
+    _certified_mean gives the same float more cheaply."""
     nodes = sorted(nodes)
-    lam = _karp(arr, nodes)
-    sub = arr[nodes][:, nodes] - lam
-    star = _floyd_warshall_star(sub)
+    block = arr[nodes][:, nodes]
+    lam, star = _certified_mean(block)
+    if star is None:
+        lam = _karp(arr, nodes)
+        star = _floyd_warshall_star(block - lam)
+    sub = block - lam
     star.setflags(write=False)
     # edge (a, b) is critical iff it closes a cycle of weight 0: a -inf
     # entry of sub never passes, and np.nonzero keeps row-major edge order
@@ -196,6 +203,58 @@ def _component_criticals(arr: np.ndarray, nodes) -> ComponentCriticals:
     comps, cyc, cls = _mask_classes(idx[on], crit[on][:, on])
     return ComponentCriticals(nodes, lam, idx[on].tolist(), crit_edges, comps,
                               cyc, cls, star)
+
+
+def _certified_mean(block: np.ndarray):
+    """(mu, star of block - mu) when mu, the best cycle mean of the graph
+    keeping each node's heaviest out-edge (Howard's first policy), is
+    certified as the block's maximum cycle mean; (None, None) otherwise.
+
+    The certificate is a star diagonal <= CRIT_TOL.  It is a proof on
+    integer weights with k^3 |w|max < 2**50 (k = block size): a better
+    cycle would weigh at least 1/k under block - mu, and rounding takes
+    less than 5/(8k) off it, leaving more than CRIT_TOL.  There mu, an
+    exact integer sum over a length, rounds the same rational as Karp's
+    (d_k - d_j) / (k - j): the same float, so the same star.  A star that
+    overflows (under a mu below the maximum each pivot doubles a positive
+    cycle, past float64 near k = 1100) is a failed certificate.
+    """
+    k = block.shape[0]
+    if not _exact_sums(block, np.empty(0), 8 * k ** 3):
+        return None, None
+    num, den = _policy_cycle(block)
+    mu = num / den              # Python ints: correctly rounded, never -0.0
+    try:
+        star = _floyd_warshall_star(block - mu)
+    except NonFiniteError:
+        return None, None
+    if star.diagonal().max() > CRIT_TOL:
+        return None, None
+    return mu, star
+
+
+def _policy_cycle(block: np.ndarray):
+    """(weight sum, length) of the best cycle, by exact mean, of the
+    functional graph i -> argmax of row i, with integer weights summed
+    as Python ints.  Each walk stops at the first node seen before; a
+    node seen on the current walk closes a new cycle."""
+    succ = block.argmax(axis=1).tolist()
+    weight = block.max(axis=1).astype(np.int64).tolist()
+    walk_of = [-1] * len(succ)
+    best = None
+    for start in range(len(succ)):
+        v = start
+        while walk_of[v] < 0:
+            walk_of[v] = start
+            v = succ[v]
+        if walk_of[v] != start:
+            continue
+        num, den, u = weight[v], 1, succ[v]
+        while u != v:
+            num, den, u = num + weight[u], den + 1, succ[u]
+        if best is None or num * best[1] > best[0] * den:
+            best = num, den
+    return best
 
 
 def _bfs(edges, roots):
@@ -279,8 +338,21 @@ def critical_structure(a: TropicalMatrix, _copy: bool = True) -> CriticalStructu
     cs = a._cached("critical", lambda: _analyse(a))
     if cs is None:
         raise NoCyclesError("no cycles")
-    # a pickle round trip is a deep copy too, about ten times faster here
-    return pickle.loads(pickle.dumps(cs, -1)) if _copy else cs
+    return _copy_sharing_stars(cs) if _copy else cs
+
+
+def _copy_sharing_stars(cs: CriticalStructure) -> CriticalStructure:
+    """A deep copy of cs whose components share cs's read-only stars.  A
+    pickle round trip is a deep copy, about ten times faster here than
+    copy.deepcopy; the stars stay out of it."""
+    shell = replace(cs, per_component=[
+        None if pc is None else replace(pc, star=None)
+        for pc in cs.per_component])
+    out = pickle.loads(pickle.dumps(shell, pickle.HIGHEST_PROTOCOL))
+    for pc, src in zip(out.per_component, cs.per_component):
+        if pc is not None:
+            pc.star = src.star
+    return out
 
 
 def _critical(a: TropicalMatrix) -> CriticalStructure | None:

@@ -17,6 +17,7 @@ from maxplus import (CRIT_TOL, CritSubgraph, NEG_INF, NoCyclesError,
                      critical_structure, csr_build, gamma_u, max_cycle_mean,
                      nachtigall_expand, scc_decompose, strong_access,
                      strong_access_matrix, ultimate_expand, wielandt)
+from maxplus import graphs
 from maxplus.core import _stack_depth
 from maxplus.csr import _shift
 from maxplus.graphs import (_bool_matmul, _component_criticals,
@@ -126,6 +127,8 @@ def test_max_cycle_mean_overflow_raises():
     a = TropicalMatrix(np.full((2, 2), 1e308))
     with pytest.raises(NonFiniteError):
         max_cycle_mean(a)
+    with pytest.raises(NonFiniteError):     # too large to certify: Karp
+        critical_structure(a)
 
 
 def test_max_cycle_mean_per_component(ex2):
@@ -588,3 +591,186 @@ def test_assembled_crit_subgraph_equals_class_search(ex1, ex2, ex3a, ex3b):
             assert crit.gamma == want.gamma
             assembled += len(crit.components) > 1
     assert assembled > 20
+
+
+# ------------------------------------- certified cycle means, Karp fallback
+
+def karp_first(arr, nodes):
+    """The component analysis with lambda from Karp's loops and the star
+    formed after it, as before the certified route."""
+    nodes = sorted(nodes)
+    block = arr[np.ix_(nodes, nodes)]
+    lam = karp_loops(arr, nodes)
+    return lam, _floyd_warshall_star(block - lam)
+
+
+def component_fields(pc):
+    return (pc.nodes, bits(pc.lam), pc.crit_nodes, pc.crit_edges,
+            pc.crit_components, pc.cyclicity_of, pc.class_of,
+            pc.star.tobytes())
+
+
+def negative_zeros(a: TropicalMatrix) -> TropicalMatrix:
+    return TropicalMatrix(np.where(a.arr == 0, -0.0, a.arr))
+
+
+def exact_corpus(rng):
+    mats = []
+    for n in range(1, 41):
+        mats += [random_matrix(rng, n), random_matrix(rng, n, density=0.15)]
+        if n >= 2:
+            mats.append(random_reducible(rng, n))
+        mats.append(random_matrix(rng, n, hi=0))       # lambda 0 mostly
+    mats += [cycle_chain(rng) for _ in range(4)]
+    mats += [negative_zeros(m) for m in mats[::2]]
+    return mats
+
+
+def test_certified_route_is_bit_identical_to_karp_first(monkeypatch):
+    """On exact input, lambda and every ComponentCriticals field equal the
+    Karp-first analysis bit for bit, star included; the certificate
+    carries most of the corpus."""
+    certify = graphs._certified_mean
+    hits = []
+
+    def counted(block):
+        mu, star = certify(block)
+        hits.append(star is not None)
+        return mu, star
+
+    monkeypatch.setattr(graphs, "_certified_mean", counted)
+    for a in exact_corpus(np.random.default_rng(151)):
+        dec = scc_decompose(a)
+        for c in dec.nontrivial():
+            nodes = dec.components[c]
+            got = _component_criticals(a.arr, nodes)
+            lam, star = karp_first(a.arr, nodes)
+            assert bits(got.lam) == bits(lam)
+            assert got.star.tobytes() == star.tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "_certified_mean", lambda _: (None, None))
+                want = _component_criticals(a.arr, nodes)
+            assert component_fields(got) == component_fields(want)
+    assert sum(hits) > 0.6 * len(hits) and not all(hits)
+
+
+def count_karp(monkeypatch):
+    calls = []
+
+    def counted(arr, nodes):
+        calls.append(list(nodes))
+        return _karp(arr, nodes)
+
+    monkeypatch.setattr(graphs, "_karp", counted)
+    return calls
+
+
+# The heaviest out-edges 0 -> 1, 1 -> 0 and 2 -> 1 close the cycle 0 1 of
+# mean 0, but the cycle 1 2 has mean 3.
+CANDIDATE_MISS = [[NEG_INF, 3, NEG_INF], [-3, NEG_INF, -4],
+                  [NEG_INF, 10, NEG_INF]]
+
+
+def test_failed_certificate_falls_back_to_karp(monkeypatch):
+    """The star of A - 0 has a positive diagonal, so Karp runs once and
+    gives lambda."""
+    calls = count_karp(monkeypatch)
+    a = TropicalMatrix(CANDIDATE_MISS)
+    assert graphs._policy_cycle(a.arr) == (0, 2)
+    cs = critical_structure(a)
+    assert calls == [[0, 1, 2]]
+    assert cs.lambda_global == 3.0
+    assert cs.critical_edges == [(1, 2), (2, 1)]
+
+
+def test_overflowing_candidate_star_is_a_failed_certificate(monkeypatch):
+    """A star under a candidate below lambda can overflow (about k = 1100
+    on dense input): that fails the certificate, and Karp decides."""
+    relax = graphs._floyd_warshall_star
+    stars = []
+
+    def overflows_first(arr):
+        stars.append(arr)
+        if len(stars) == 1:
+            raise NonFiniteError("non-finite value")
+        return relax(arr)
+
+    monkeypatch.setattr(graphs, "_floyd_warshall_star", overflows_first)
+    calls = count_karp(monkeypatch)
+    cs = critical_structure(TropicalMatrix(CANDIDATE_MISS))
+    assert len(stars) == 2 and calls == [[0, 1, 2]]
+    assert cs.lambda_global == 3.0
+
+
+def test_certified_component_runs_no_karp(monkeypatch):
+    calls = count_karp(monkeypatch)
+    rng = np.random.default_rng(152)
+    certified = 0
+    for _ in range(60):
+        a = random_cyclic(rng, int(rng.integers(2, 25)))
+        dec = scc_decompose(a)
+        for c in dec.nontrivial():
+            nodes = dec.components[c]
+            if graphs._certified_mean(a.arr[np.ix_(nodes, nodes)])[1] is None:
+                continue
+            certified += 1
+            _component_criticals(a.arr, nodes)
+            assert calls == []
+    assert certified > 40
+
+
+def test_inexact_input_runs_karp_first(monkeypatch):
+    """A component with a fractional weight (/3, x1e6 with an offset,
+    normals), or with integer weights too large for the certificate,
+    never reaches the candidate: Karp analyses it."""
+    policy = graphs._policy_cycle
+
+    def certifiable_only(block):
+        fin = block[block != NEG_INF]
+        assert np.array_equal(fin, np.rint(fin))
+        assert np.abs(fin).max() * block.shape[0] ** 3 < 2 ** 50
+        return policy(block)
+
+    monkeypatch.setattr(graphs, "_policy_cycle", certifiable_only)
+    calls = count_karp(monkeypatch)
+    critical_structure(TropicalMatrix([[2.0 ** 48, 1], [0, 3]]))
+    assert calls == [[0, 1]]    # integers, but past the certificate's bound
+    calls.clear()
+    rng = np.random.default_rng(153)
+    fractional = 0
+    for _ in range(40):
+        a = random_cyclic(rng, int(rng.integers(1, 12)))
+        fin = a.finite_mask()
+        normals = rng.normal(size=a.arr.shape)
+        for arr in (a.arr / 3, np.where(fin, 1e6 * a.arr + 1e7 / 3, NEG_INF),
+                    np.where(fin, normals, NEG_INF)):
+            m = TropicalMatrix(arr)
+            dec = scc_decompose(m)
+            if dec.nontrivial():
+                critical_structure(m)
+            for c in dec.nontrivial():
+                nodes = dec.components[c]
+                block = arr[np.ix_(nodes, nodes)]
+                if not np.array_equal(block, np.rint(block)):
+                    fractional += 1
+                    assert nodes in calls
+            calls.clear()
+    assert fractional > 100
+
+
+def test_max_cycle_mean_never_reaches_the_candidate(monkeypatch):
+    """max_cycle_mean is the referee of the certified route: it shares
+    none of its code."""
+    def refuse(block):
+        raise AssertionError("referee reached the certified route")
+
+    monkeypatch.setattr(graphs, "_policy_cycle", refuse)
+    monkeypatch.setattr(graphs, "_certified_mean", refuse)
+    rng = np.random.default_rng(154)
+    for _ in range(60):
+        a = (random_cyclic(rng, int(rng.integers(1, 16))) if rng.random() < 0.7
+             else random_reducible(rng, int(rng.integers(2, 16))))
+        dec = scc_decompose(a)
+        want = max((karp_loops(a.arr, dec.components[c])
+                    for c in dec.nontrivial()), default=NEG_INF)
+        assert bits(max_cycle_mean(a)) == bits(want)

@@ -112,6 +112,30 @@ def test_mutating_results_leaves_later_calls_intact():
             assert _facts(name, a) == fresh[name], name
 
 
+def test_public_copy_shares_the_read_only_stars():
+    """critical_structure hands out a deep copy that shares each
+    component's read-only star with the memo; changing the copy's lists,
+    or dropping its stars, leaves later calls intact."""
+    for a in corpus():
+        fresh = _facts("critical", TropicalMatrix(a.arr))
+        memo = graphs._critical(a)
+        cs = critical_structure(a)
+        for pc, own in zip(cs.per_component, memo.per_component):
+            assert (pc is None) == (own is None)
+            if pc is None:
+                continue
+            assert pc is not own and pc.star is own.star
+            assert not pc.star.flags.writeable
+            pc.nodes.append(a.n)
+            pc.crit_components.clear()
+            pc.class_of.clear()
+            pc.star = None
+        cs.scc.component_of[:] = -1
+        assert _facts("critical", a) == fresh
+        for pc in critical_structure(a).per_component:
+            assert pc is None or not pc.star.flags.writeable
+
+
 def test_expansion_terms_built_once(monkeypatch):
     """The support route and ultimate_threshold share one ultimate
     expansion per instance: csr_build runs once per term."""

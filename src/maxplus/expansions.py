@@ -27,6 +27,10 @@ from .errors import AnalysisError, NoCyclesError, ThresholdError
 from .graphs import (CritSubgraph, CriticalStructure, _COMPONENT_MEMO, _bfs,
                      _critical)
 
+# Floats in one chunk of residues of _term_lines and in the broadcast that
+# forms it: bounds its memory independently of gamma.
+_CHUNK_FLOATS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class DeflationStep:
@@ -163,16 +167,25 @@ def _ultimate_levels(a: TropicalMatrix) -> list:
     cs = _critical(a)
     if cs is None:
         raise NoCyclesError("no cycles")
-    groups = {}
-    for c in cs.scc.nontrivial():
-        groups.setdefault(float(cs.lambda_of_component[c]), []).append(c)
+    # components by falling cycle mean (ties in component order); one joins
+    # the current group when it agrees within CRIT_TOL with the group's
+    # first, largest mean, so means that float sums left an ulp apart share
+    # a level at that mean
+    groups = []
+    for c in sorted(cs.scc.nontrivial(),
+                    key=lambda c: -cs.lambda_of_component[c]):
+        lam = float(cs.lambda_of_component[c])
+        if groups and _agree(groups[-1][0], lam, CRIT_TOL):
+            groups[-1][1].append(c)
+        else:
+            groups.append((lam, [c]))
     steps = []
     keep = set(range(a.n))
-    for mu, lam in enumerate(sorted(groups, reverse=True)):
+    for mu, (lam, members) in enumerate(groups):
         crit = CritSubgraph._assemble([
             (pc.crit_edges, pc.crit_components, pc.cyclicity_of, pc.class_of)
-            for pc in (cs.per_component[c] for c in groups[lam])])
-        m_nodes = [v for c in groups[lam] for v in cs.scc.components[c]]
+            for pc in (cs.per_component[c] for c in members)])
+        m_nodes = [v for c in members for v in cs.scc.components[c]]
         steps.append(DeflationStep(mu=mu, k_set=tuple(sorted(keep)),
                                    a_mu=_level(a, keep), lambda_mu=lam,
                                    crit=crit, m_set=tuple(sorted(m_nodes))))
@@ -367,29 +380,39 @@ def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
     intercept over all r (-inf as soon as one r disagrees or is -inf),
     high the highest intercept of a disagreeing r (-inf if none).
 
-    One pass over r, keeping no residues: [C^; A (x) C^] (x) R^[sigma_r]
-    gives P(r) and A (x) P(r) in one multiplication.
+    [C^; A (x) C^] (x) R^[sigma_r] gives P(r) and A (x) P(r) together,
+    for a chunk of residues at once: one broadcast over (classes,
+    residues, 2n, n) reduced over the class axis, or a class at a time
+    when that broadcast would pass _CHUNK_FLOATS floats, which also bounds
+    the chunk.  So one multiplication for A (x) C^ and one batched product
+    per chunk (each also forms the residue after it), O(n^2 +
+    _CHUNK_FLOATS) memory, and the lines of one product per residue, bit
+    for bit.
     """
     n = a.n
     low = np.full((n, n), np.inf)
     high = np.full((n, n), NEG_INF)
-
-    def compare(ap, p_next):
-        x, y = ap, p_next + lam
+    left = np.vstack([triple.c_hat, _mp_matmul(a.arr, triple.c_hat)]).T
+    m, gamma = len(left), triple.gamma
+    chunk = max(1, min(gamma, _CHUNK_FLOATS // (2 * n * n) - 1))
+    for start in range(0, gamma, chunk):
+        # and the residue after the chunk, to pair its last A (x) P(r)
+        # with P(r + 1); P(gamma) is P(0)
+        rs = np.arange(start, min(start + chunk, gamma) + 1)
+        right = triple.r_hat[_shift(triple.slots, rs[:, None]).T]
+        if m * rs.size * 2 * n * n <= _CHUNK_FLOATS:
+            out = (left[:, None, :, None] + right[:, :, None, :]).max(axis=0)
+        else:   # a class at a time
+            out = left[0, None, :, None] + right[0, :, None, :]
+            for c in range(1, m):
+                np.maximum(out, left[c, None, :, None] + right[c, :, None, :],
+                           out=out)
+        x, y = out[:-1, n:], out[1:, :n] + lam
         agree = _agree(x, y, tol)
-        np.minimum(low, np.where(agree, np.minimum(x, y), NEG_INF), out=low)
-        np.maximum(high, np.where(agree, NEG_INF, np.maximum(x, y)), out=high)
-
-    left = np.vstack([triple.c_hat, _mp_matmul(a.arr, triple.c_hat)])
-    p0 = ap = None
-    for r in range(triple.gamma):
-        out = _mp_matmul(left, triple.r_hat[_shift(triple.slots, r)])
-        if ap is None:
-            p0 = out[:n]
-        else:
-            compare(ap, out[:n])
-        ap = out[n:]
-    compare(ap, p0)
+        np.minimum(low, np.where(agree, np.minimum(x, y), NEG_INF).min(axis=0),
+                   out=low)
+        np.maximum(high, np.where(agree, NEG_INF, np.maximum(x, y)).max(axis=0),
+                   out=high)
     return low, high
 
 
@@ -403,9 +426,10 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
     highest disagreeing intercepts, so the residue of t never matters.
     Returns None when some disagreeing line has no agreeing line above it.
 
-    Costs sum(gamma) + len(terms) multiplications of 2n x m by m x n
-    blocks (m cyclic classes), O(len(terms)^2 n^2) array work and O(n m)
-    memory per term; nothing is sized by gamma_u.
+    Costs one n x n by n x m multiplication per term and one chunked
+    broadcast per _CHUNK_FLOATS floats of residues (see _term_lines),
+    O(len(terms)^2 n^2) array work and O(n m + _CHUNK_FLOATS) memory per
+    term (m cyclic classes); nothing is sized by gamma_u.
     """
     lines = [(lam, _term_lines(a, lam, triple, tol)) for lam, triple in e.terms]
     bound = 0
@@ -426,6 +450,35 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
     return bound
 
 
+def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,
+                            t_max: int, matches) -> int | None:
+    """Smallest t in (lo, t_max] with matches(A^t, t), given cur = A^lo
+    that does not match; None if there is none.
+
+    Only for a lo past the bound of _threshold_tables, where a match
+    holds at every later exponent once it holds at one, and for input
+    whose powers are the same bits in any grouping: it gallops with
+    A^lo (x) A^(2^j) over j = 0, 1, ... while that fails, then lifts by
+    the same squares, largest first.  O(log(t' - lo)) products, each
+    square formed when a probe first needs it, and no power past t_max.
+    """
+    squares = [a.arr]
+    j = 0
+    while lo + (1 << j) <= t_max:
+        if j == len(squares):
+            squares.append(_mp_matmul(squares[-1], squares[-1]))
+        probe = _mp_matmul(cur, squares[j])
+        if matches(probe, lo + (1 << j)):
+            break
+        cur, lo, j = probe, lo + (1 << j), j + 1
+    for i in range(j - 1, -1, -1):
+        if lo + (1 << i) <= t_max:
+            probe = _mp_matmul(cur, squares[i])
+            if not matches(probe, lo + (1 << i)):
+                cur, lo = probe, lo + (1 << i)
+    return lo + 1 if lo < t_max else None
+
+
 def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
                        t_max: int | None = None,
                        tol: float = CRIT_TOL) -> int | None:
@@ -435,10 +488,16 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     current run of equal exponents.  It stops on a proof: a bound T with
     A (x) E(t) = E(t + 1) for all t >= T (see _threshold_tables), so once
     the run reaches some t >= T, induction carries a^t = E(t) to every
-    later t and the run's start is t'.  The bound costs O(sum of term
-    cyclicities) multiplications, nothing sized by gamma_u, and on nearly
-    all inputs T <= t', so the scan stops at t' itself.  E(t) is one
-    product of the terms' stacked class factors: O(n * classes) memory.
+    later t and the run's start is t'.  The bound costs a product per term
+    and per chunk of residues, nothing sized by gamma_u.  The scan steps
+    one product for a^t and one for E(t) per exponent (E(t) is one
+    product of the terms' stacked class factors: O(n * classes) memory)
+    until the first unequal exponent at or past T.  From there on a^t =
+    E(t), once true, stays true, so when every power's sums are exact
+    (_exact_sums) the first equal exponent is searched for by galloping
+    and halving over the squares of A (_first_equal_past_bound):
+    O(log(t' - T)) products instead of t' - T.  On other input the scan
+    keeps stepping.
 
     When no bound exists, or it lies beyond the window below, the scan
     falls back to accepting a run of gamma_u + ceil(log2 t_max) extra
@@ -462,11 +521,17 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     slots = tuple(map(np.concatenate, zip(*(tr.slots for _, tr in e.terms))))
     lams = np.concatenate([np.full((len(triple.r_hat), 1), lam)
                            for lam, triple in e.terms])
+
+    def matches(power, t):
+        right = r_all[_shift(slots, t)] + lams * t
+        return _arr_eq(power, _mp_matmul(c_all, right), tol)
+
+    search = bound is not None and _exact_sums(a.arr, np.empty(0),
+                                               t_max + window)
     cur = TropicalMatrix.identity(n).arr
     run_start = None
     for t in range(t_max + window + 1):
-        right = r_all[_shift(slots, t)] + lams * t
-        if _arr_eq(cur, _mp_matmul(c_all, right), tol):
+        if matches(cur, t):
             if run_start is None:
                 run_start = t
             if bound is not None and t >= bound:
@@ -477,5 +542,7 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
             run_start = None
             if t > t_max:
                 return None
+            if search and t >= bound:
+                return _first_equal_past_bound(a, cur, t, t_max, matches)
         cur = _mp_matmul(cur, a.arr)
     return None

@@ -462,7 +462,8 @@ def test_analysis_errors_exit_3(tmp_path, capsys):
         assert (code, obj) == (3, None)
         assert err == "error: not definite: max cycle mean 5.83333e+06\n"
     f = tmp_path / "close.txt"
-    f.write_text("3\n0 * *\n* -9e-10 *\n* * -1.8e-9\n")
+    f.write_text("5\n0 -5 * * *\n-5 * -5e-10 * *\n* * * -5e-10 *\n"
+                 "* * * * -5e-10\n* -5e-10 * * *\n")
     code, obj, err = run(capsys, "ultimate", "--t", "5", str(f))
     assert code == 3 and obj is None and "matches canonical levels" in err
 

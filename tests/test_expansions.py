@@ -805,13 +805,48 @@ def test_deflation_without_critical_node_raises():
 
 
 def test_ultimate_sigma_mismatch_raises():
-    # cycle means closer than 1e-9: the middle one matches both canonical
-    # levels, 0 and -1.8e-9
-    a = TropicalMatrix.from_rows([[0.0, None, None], [None, -9e-10, None],
-                                  [None, None, -1.8e-9]])
-    assert nachtigall_expand(a).lambdas == (0.0, -1.8e-9)
+    # one component of cycle mean 0 (the loop at node 0) holding a 4-cycle
+    # of mean -5e-10 whose edges are not critical: the canonical deflation
+    # peels that cycle off as a level of its own, within 1e-9 of the first
+    w = -5e-10
+    a = TropicalMatrix.from_rows([[0.0, -5, None, None, None],
+                                  [-5, None, w, None, None],
+                                  [None, None, None, w, None],
+                                  [None, None, None, None, w],
+                                  [None, w, None, None, None]])
+    assert nachtigall_expand(a).lambdas == (0.0, w)
     with pytest.raises(AnalysisError, match="matches canonical levels"):
         ultimate_expand(a)
+
+
+def test_equal_cycle_means_share_one_ultimate_level():
+    """Both components below have mean -1/3, but the 7-node one's float
+    comes out one ulp above the loop's at node 3.  They form one level at
+    the larger of the two, as the integer matrix (x3) does; two levels
+    made the expansion wrong at every t and left no threshold."""
+    rows = ["-1 -1 .  .  .  .  .  .",
+            "-5 .  -8 .  .  .  .  -6",
+            "2  .  -2 .  .  .  -5 0",
+            ".  .  .  -1 2  -3 -3 3",
+            "3  -2 -9 .  -2 1  -8 .",
+            ".  .  -7 .  .  -9 .  .",
+            "0  0  2  .  0  .  .  -5",
+            "-9 -5 -3 .  -3 .  .  ."]
+    a = TropicalMatrix.from_rows([[None if v == "." else int(v) / 3
+                                   for v in row.split()] for row in rows])
+    lams = critical_structure(a).lambda_of_component
+    assert lams[0] == -0.3333333333333332 and lams[1] == -1 / 3
+    e = ultimate_expand(a)
+    assert e.lambdas == (lams[0],)
+    assert ultimate_threshold(a, e) == 9
+    for t in range(9, 109):
+        assert mat_eq(evaluate(e, t).matrix, mat_power(a, t), TOL), t
+    # means 0, -9e-10 and -1.8e-9: the first two within 1e-9 of the
+    # group's largest, the third not, as in the canonical deflation
+    a = TropicalMatrix.from_rows([[0.0, None, None], [None, -9e-10, None],
+                                  [None, None, -1.8e-9]])
+    assert (ultimate_expand(a).lambdas == nachtigall_expand(a).lambdas
+            == (0.0, -1.8e-9))
 
 
 def test_evaluate_overflow_raises_typed_error():

@@ -1,18 +1,22 @@
-"""ultimate_threshold: the certified stop against the window scan it
-replaced, soundness of the bound, and the cost of a scan."""
+"""ultimate_threshold: the certified stop and the search past it against
+the window scan they replaced, soundness of the bound, and the cost of a
+scan."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxplus import (NEG_INF, TropicalMatrix, csr_product_literal, evaluate,
-                     mat_eq, mat_mul, ultimate_expand, ultimate_threshold)
+from maxplus import (NEG_INF, MaxplusError, TropicalMatrix, csr_product_literal,
+                     evaluate, mat_eq, mat_mul, ultimate_expand,
+                     ultimate_threshold)
 from maxplus import expansions
-from maxplus.core import _arr_eq, _mp_matmul
+from maxplus.core import _agree, _arr_eq, _mp_matmul
+from maxplus.csr import _shift
 
-from conftest import cycle_chain, random_cyclic, random_reducible
+from conftest import cycle_chain, random_cyclic, random_definite, random_reducible
 
 TOL = 1e-9
 
@@ -70,6 +74,24 @@ def fractional(rng, n, q):
     return TropicalMatrix(np.where(a.finite_mask(), a.arr / q, NEG_INF))
 
 
+def reweighted(a, f):
+    """a with every finite weight w replaced by f(w)."""
+    return TropicalMatrix(np.where(a.finite_mask(), f(a.arr), NEG_INF))
+
+
+# integer, /3, /7, x1e6 + 1e7/3 (inexact at that scale) and x2^40 weights
+WEIGHTS = {"integer": lambda w: w, "third": lambda w: w / 3,
+           "seventh": lambda w: w / 7,
+           "scaled": lambda w: w * 1e6 + 1e7 / 3,
+           "pow2": lambda w: w * 2.0 ** 40}
+
+
+def two_loops(k):
+    """Loops of weight 0 and -1 joined by edges of weight -k: t' = 2k and
+    the bound T is 0, so nearly all of the scan lies past the bound."""
+    return TropicalMatrix.from_rows([[0, -k], [-k, -1]])
+
+
 def corpus():
     rng = np.random.default_rng(601)
     out = [random_cyclic(rng, n) for n in range(2, 10) for _ in range(8)]
@@ -117,6 +139,49 @@ def test_small_t_max_matches_window_reference(ex1, ex2):
             assert (want is None) == (t_max < tp)
 
 
+def oracle_corpus(f):
+    """Small random_cyclic, random_reducible, cycle_chain and
+    random_definite draws, two_bipartite_levels, a zero-cycle family and
+    two_loops, every weight mapped through f."""
+    rng = np.random.default_rng(606)
+    base = [random_cyclic(rng, int(rng.integers(2, 8))) for _ in range(8)]
+    base += [random_reducible(rng, int(rng.integers(4, 10)),
+                              blocks=int(rng.integers(2, 5)))
+             for _ in range(4)]
+    base += [random_definite(rng, int(rng.integers(2, 7))) for _ in range(3)]
+    base += [cycle_chain(rng, lengths=(2, 3), means=(-1, 1), tail=1),
+             two_bipartite_levels(), disjoint_zero_cycles((2, 3)),
+             two_loops(7)]
+    return [reweighted(a, f) for a in base]
+
+
+@pytest.mark.parametrize("weights", [
+    "integer", "third", "seventh", "pow2",
+    pytest.param("scaled", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: near 1e7 the absolute CRIT_TOL lies below the "
+        "float spacing, and the reference's literal products round "
+        "differently from the class factors")))])
+def test_search_matches_the_stepping_oracle(weights):
+    """Over a sweep of t_max, including the small ones where the last
+    stretch below t_max has to be probed and not galloped past."""
+    built = 0
+    for a in oracle_corpus(WEIGHTS[weights]):
+        try:
+            e = ultimate_expand(a)
+        except MaxplusError:
+            continue    # weights near 1e7 the absolute CRIT_TOL cannot analyse
+        built += 1
+        tp = threshold_window_reference(a, e)
+        sweep = {0, 1, 2, None}
+        if tp is not None:
+            sweep |= {max(tp - 1, 0), tp, tp + 1, 2 * tp}
+        for t_max in sweep:
+            want = tp if t_max is None else threshold_window_reference(
+                a, e, t_max=t_max)
+            assert ultimate_threshold(a, e, t_max=t_max) == want, (a, t_max)
+    assert built >= 15
+
+
 def test_negative_t_max_raises(ex1):
     with pytest.raises(ValueError, match="negative t_max"):
         ultimate_threshold(ex1, t_max=-1)
@@ -145,13 +210,8 @@ def test_no_bound_without_an_agreeing_line_above():
     assert ultimate_threshold(a) == 2
 
 
-def test_scan_is_not_sized_by_gamma_u(monkeypatch):
-    """Multiplications in one call: two per scanned exponent up to t' (A^t
-    and E(t)), one per residue of each term, and one per term; the window
-    scan made more than gamma_u."""
-    a = cycle_chain(np.random.default_rng(605))
-    e = ultimate_expand(a)
-    tp = ultimate_threshold(a, e)
+def counting_matmul(monkeypatch):
+    """Record each _mp_matmul call expansions makes in the list returned."""
     calls = []
 
     def counted(x, y):
@@ -159,10 +219,113 @@ def test_scan_is_not_sized_by_gamma_u(monkeypatch):
         return _mp_matmul(x, y)
 
     monkeypatch.setattr(expansions, "_mp_matmul", counted)
+    return calls
+
+
+def test_scan_is_not_sized_by_gamma_u(monkeypatch):
+    """Multiplications in one call stay within the cost of stepping every
+    exponent up to t' (A^t and E(t)) plus one per residue of each term and
+    one per term; the bound now batches the residues, and the search past
+    it takes O(log t') products.  The window scan made more than
+    gamma_u."""
+    a = cycle_chain(np.random.default_rng(605))
+    e = ultimate_expand(a)
+    tp = ultimate_threshold(a, e)
+    calls = counting_matmul(monkeypatch)
     assert ultimate_threshold(a, e) == tp
     gammas = [term.triple.gamma for term in e.terms]
     assert len(calls) <= 2 * (tp + 1) + sum(gammas) + len(gammas)
     assert len(calls) < e.gamma_u
+
+
+def test_search_past_the_bound_costs_log_products(monkeypatch):
+    """t' = 100 past T = 0: stepping made 203 products."""
+    a = two_loops(50)
+    e = ultimate_expand(a)
+    bound = expansions._threshold_tables(a, e, TOL)
+    assert bound == 0
+    calls = counting_matmul(monkeypatch)
+    assert ultimate_threshold(a, e) == 100
+    t_max = 30 * a.n * a.n
+    window = e.gamma_u + math.ceil(math.log2(t_max))
+    gammas = [term.triple.gamma for term in e.terms]
+    assert len(calls) <= (sum(gammas) + len(gammas) + 2 * (bound + 1)
+                          + 4 * math.ceil(math.log2(t_max + window + 1)))
+
+
+def test_weight_sized_threshold_is_found_quickly():
+    """t' = 2 * 10^5: stepping every exponent took seconds."""
+    a = two_loops(10 ** 5)
+    start = time.perf_counter()
+    assert ultimate_threshold(a, t_max=10 ** 6) == 200000
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("weights,enters", [
+    ("integer", True), ("third", False), ("scaled", False)])
+def test_only_exact_input_is_searched(monkeypatch, weights, enters):
+    """Past the bound, inexact weights keep stepping: their powers can
+    round differently when grouped as squares."""
+    found = []
+    search = expansions._first_equal_past_bound
+
+    def counted(*args):
+        found.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(expansions, "_first_equal_past_bound", counted)
+    mats = oracle_corpus(WEIGHTS[weights])
+    if not enters:  # zero weights stay integers under either map
+        mats = [a for a in mats
+                if (a.arr != np.rint(a.arr))[a.finite_mask()].any()]
+        assert len(mats) >= 15
+    for a in mats:
+        try:
+            ultimate_threshold(a)
+        except MaxplusError:
+            pass
+    assert (len(found) >= 10) if enters else not found
+
+
+def term_lines_per_residue(a, lam, triple, tol):
+    """_term_lines as one product per residue, kept as its reference."""
+    n = a.n
+    low = np.full((n, n), np.inf)
+    high = np.full((n, n), NEG_INF)
+
+    def compare(ap, p_next):
+        x, y = ap, p_next + lam
+        agree = _agree(x, y, tol)
+        np.minimum(low, np.where(agree, np.minimum(x, y), NEG_INF), out=low)
+        np.maximum(high, np.where(agree, NEG_INF, np.maximum(x, y)), out=high)
+
+    left = np.vstack([triple.c_hat, _mp_matmul(a.arr, triple.c_hat)])
+    p0 = ap = None
+    for r in range(triple.gamma):
+        out = _mp_matmul(left, triple.r_hat[_shift(triple.slots, r)])
+        if ap is None:
+            p0 = out[:n]
+        else:
+            compare(ap, out[:n])
+        ap = out[n:]
+    compare(ap, p0)
+    return low, high
+
+
+def test_term_lines_match_one_product_per_residue():
+    """Byte for byte, on terms whose residues fit one broadcast, and on
+    gamma = 210 at n = 18, which takes several chunks formed a class at a
+    time."""
+    rng = np.random.default_rng(607)
+    mats = [disjoint_zero_cycles((2, 3, 5, 7)),
+            reweighted(cycle_chain(rng), WEIGHTS["seventh"])]
+    mats += [reweighted(random_reducible(rng, 12), WEIGHTS[w])
+             for w in ("integer", "third", "seventh") for _ in range(3)]
+    for a in mats:
+        for lam, triple in ultimate_expand(a).terms:
+            got = expansions._term_lines(a, lam, triple, TOL)
+            want = term_lines_per_residue(a, lam, triple, TOL)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def disjoint_zero_cycles(lengths):

@@ -179,6 +179,11 @@ def _check_same_n(a: TropicalMatrix, b: TropicalMatrix):
         raise DimensionError("dimension: %d vs %d" % (a.n, b.n))
 
 
+def _check_node(a: TropicalMatrix, v: int):
+    if not 0 <= v < a.n:
+        raise DimensionError("dimension: node %d outside 0..%d" % (v, a.n - 1))
+
+
 def _mp_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_ij = max_k (x_ik + y_kj) on arrays of shapes (m, k) and (k, p)."""
     if x.shape[0] <= _BROADCAST_LIMIT:
@@ -220,22 +225,32 @@ def _power_chain(base: np.ndarray, t: int, product):
     return result
 
 
-def _exact_sums(arr: np.ndarray, y: np.ndarray, t_max: int) -> bool:
-    """True when every sum of an orbit of y under arr up to t_max (with y
-    empty: of a power arr^t, t <= t_max) is exact in float64: the finite
-    entries of arr and y are integers, y holds no -0.0, and
-    |y|max + (t_max + 1) |arr|max < 2**53.  Max-plus products of such
-    input give the same bits in any grouping, and no -0.0 ever appears in
-    the samples."""
-    fa, fy = arr[arr != NEG_INF], y[y != NEG_INF]
-    if not (np.array_equal(fa, np.rint(fa))
-            and np.array_equal(fy, np.rint(fy))):
-        return False
-    if np.signbit(fy[fy == 0]).any():
-        return False
-    amax = int(np.abs(fa).max()) if fa.size else 0
-    ymax = int(np.abs(fy).max()) if fy.size else 0
-    return ymax + (t_max + 1) * amax < 2 ** 53
+_EXACT_MEMO = "exact"    # _memo key of _exactness, shared by deflation levels
+
+
+def _integral_max(values: np.ndarray) -> tuple:
+    """(finite values all integers, int of their largest |value| or 0)."""
+    fin = values[values != NEG_INF]
+    return np.array_equal(fin, np.rint(fin)), int(np.abs(fin).max(initial=0))
+
+
+def _exactness(a: TropicalMatrix) -> tuple:
+    """_integral_max of a's entries: their one scan, cached per matrix."""
+    return a._cached(_EXACT_MEMO, lambda: _integral_max(a.arr))
+
+
+def _exact_sums(a: TropicalMatrix, steps: int, lam=0.0, y=None) -> bool:
+    """True when every sum of a power (a - lam)^t, t <= steps (with y: of
+    an orbit of y under a up to steps), is exact in float64: a's finite
+    entries (_exactness), lam and y's are integers, y holds no -0.0, and
+    |y|max + (steps + 1) (|a|max + |lam|) < 2**53.  Max-plus products of
+    such input give the same bits in any grouping, and no -0.0 ever
+    appears in the samples."""
+    integral, amax = _exactness(a)
+    y_integral, ymax = (True, 0) if y is None else _integral_max(y)
+    return (integral and y_integral and float(lam).is_integer()
+            and (y is None or not np.signbit(y[y == 0]).any())
+            and ymax + (steps + 1) * (amax + abs(int(lam))) < 2 ** 53)
 
 
 def _power_stack(base: np.ndarray, k: int, product) -> np.ndarray:

@@ -16,10 +16,13 @@ class NoCyclesError(MaxplusError):
 class DivergentStarError(MaxplusError):
     """Kleene star diverges: some component has positive max cycle mean.
 
-    node is always the smallest node where the relaxed star has a diagonal
-    entry above tol.  component (node list) and value (its cycle mean)
-    name the first nontrivial component whose cycle mean exceeds tol, when
-    there is one (kleene_star only), and are None otherwise.
+    component (node list) and value (its cycle mean) name the first
+    nontrivial component whose cycle mean exceeds tol, when there is one
+    (kleene_star only), and are None otherwise.  node is the smallest node
+    where the relaxed star has a diagonal entry above tol; when a sum
+    overflows float64 in the relaxation first (kleene_star raises this
+    error then only if such a component exists), it is that component's
+    smallest node.
     """
 
     def __init__(self, message, component=None, value=None, node=None):

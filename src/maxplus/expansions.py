@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
-                   _agree, _arr_eq, _exact_sums, _mp_matmul,
-                   _overflow_checked)
+                   _EXACT_MEMO, _agree, _arr_eq, _exact_sums, _exactness,
+                   _mp_matmul, _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
 from .errors import AnalysisError, NoCyclesError, ThresholdError
@@ -117,12 +117,13 @@ def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
 
 
 def _level(a: TropicalMatrix, keep) -> TropicalMatrix:
-    """a restricted to keep, sharing a's component analyses; a itself
-    (with its memo) when nothing is cut."""
+    """a restricted to keep, sharing a's component analyses and its
+    exactness record; a itself (with its memo) when nothing is cut."""
     if len(keep) == a.n:
         return a
     sub = a.restrict(keep)
     sub._memo[_COMPONENT_MEMO] = a._cached(_COMPONENT_MEMO, dict)
+    sub._memo[_EXACT_MEMO] = _exactness(a)
     return sub
 
 
@@ -286,22 +287,22 @@ def _periodic_steps(start: np.ndarray, step: np.ndarray, r: int, gamma: int,
     return None
 
 
-def _class_power(s: np.ndarray, rep: np.ndarray, gamma: int,
-                 r: int) -> tuple | None:
+def _class_power(s: np.ndarray, rep: np.ndarray, gamma: int, r: int,
+                 exact: bool) -> tuple | None:
     """(columns, rows) of s^r at the positions rep (the columns held as
     rows), stepped from the unit vectors there until they repeat after
     gamma steps; None when the stepping does not apply.
 
-    It applies when every sum of r + 1 weights of s is exact (_exact_sums),
-    so the result equals the squaring chain's bit for bit up to the sign
-    of a zero (a -0.0 weight sums to -0.0 there, to 0.0 from a unit
-    start), which no term keeps: R^ adds potentials that are never -0.0.
+    It applies when every sum of r + 1 weights of s is exact (exact: see
+    fast_terms), so the result equals the squaring chain's bit for bit up
+    to the sign of a zero (a -0.0 weight sums to -0.0 there, to 0.0 from a
+    unit start), which no term keeps: R^ adds potentials never -0.0.
     And it applies only within about two n x n squarings of work: each of
     the two sequences gets ceil(n / m) steps of an m x n by n x n product
     (m = rep.size classes), and a level with gamma above that is not
     tried."""
     budget = -(-len(s) // rep.size)
-    if gamma >= budget or not _exact_sums(s, np.empty(0), r):
+    if gamma >= budget or not exact:
         return None
     unit = np.full((rep.size, len(s)), NEG_INF)
     unit[np.arange(rep.size), rep] = 0.0
@@ -317,8 +318,8 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
     Each deflated level is normalized to S and only the columns and rows
     of S^r at its class representatives are needed, for the power of two
     r >= 3 n^2 (only the K_mu x K_mu block: entries outside are -inf and
-    change no max).  When every sum is exact (integer normalized weights,
-    |w|max (r + 1) < 2**53), they are stepped from the unit vectors, m x n
+    change no max).  When every sum is exact (_exact_sums(a, r, lambda)),
+    they are stepped from the unit vectors, m x n
     by n x n products for m classes, until each sequence repeats after
     gamma steps (_class_power); critical columns and rows turn periodic
     after a transient bounded independently of the weights (Merlet,
@@ -357,7 +358,7 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
         rep = np.array([b[0] for bs in st.crit.members for b in bs])
         powered = np.full((n, n), NEG_INF)
         found = _class_power(level.arr, np.searchsorted(k, rep),
-                             st.crit.gamma, r)
+                             st.crit.gamma, r, _exact_sums(a, r, st.lambda_mu))
         if found is None:
             powered[np.ix_(k, k)] = mat_power(level, r).arr
         else:
@@ -526,8 +527,7 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
         right = r_all[_shift(slots, t)] + lams * t
         return _arr_eq(power, _mp_matmul(c_all, right), tol)
 
-    search = bound is not None and _exact_sums(a.arr, np.empty(0),
-                                               t_max + window)
+    search = bound is not None and _exact_sums(a, t_max + window)
     cur = TropicalMatrix.identity(n).arr
     run_start = None
     for t in range(t_max + window + 1):

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _exact_sums,
-                   _overflow_checked, _power_chain, _power_stack, _stack_depth)
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _check_node,
+                   _exact_sums, _overflow_checked, _power_chain, _power_stack,
+                   _stack_depth)
 from .errors import NoCyclesError, NonFiniteError
 
 
@@ -182,14 +183,15 @@ class ComponentCriticals:
     star: np.ndarray
 
 
-def _component_criticals(arr: np.ndarray, nodes) -> ComponentCriticals:
+def _component_criticals(a: TropicalMatrix, nodes) -> ComponentCriticals:
     """Critical data of one nontrivial component; lam is Karp's unless
     _certified_mean gives the same float more cheaply."""
     nodes = sorted(nodes)
-    block = arr[nodes][:, nodes]
-    lam, star = _certified_mean(block)
+    block = a.arr[nodes][:, nodes]
+    lam, star = (_certified_mean(block) if _exact_sums(a, 8 * len(nodes) ** 3)
+                 else (None, None))
     if star is None:
-        lam = _karp(arr, nodes)
+        lam = _karp(a.arr, nodes)
         star = _floyd_warshall_star(block - lam)
     sub = block - lam
     star.setflags(write=False)
@@ -211,17 +213,15 @@ def _certified_mean(block: np.ndarray):
     certified as the block's maximum cycle mean; (None, None) otherwise.
 
     The certificate is a star diagonal <= CRIT_TOL.  It is a proof on
-    integer weights with k^3 |w|max < 2**50 (k = block size): a better
-    cycle would weigh at least 1/k under block - mu, and rounding takes
-    less than 5/(8k) off it, leaving more than CRIT_TOL.  There mu, an
-    exact integer sum over a length, rounds the same rational as Karp's
-    (d_k - d_j) / (k - j): the same float, so the same star.  A star that
-    overflows (under a mu below the maximum each pivot doubles a positive
-    cycle, past float64 near k = 1100) is a failed certificate.
+    integer weights with k^3 |w|max < 2**50 (k = block size; the caller
+    gates on _exact_sums): a better cycle would weigh at least 1/k under
+    block - mu, and rounding takes less than 5/(8k) off it, leaving more
+    than CRIT_TOL.  There mu, an exact integer sum over a length, rounds
+    the same rational as Karp's (d_k - d_j) / (k - j): the same float, so
+    the same star.  A star that overflows (under a mu below the maximum
+    each pivot doubles a positive cycle, past float64 near k = 1100) is a
+    failed certificate.
     """
-    k = block.shape[0]
-    if not _exact_sums(block, np.empty(0), 8 * k ** 3):
-        return None, None
     num, den = _policy_cycle(block)
     mu = num / den              # Python ints: correctly rounded, never -0.0
     try:
@@ -381,7 +381,7 @@ def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
     for c in dec.nontrivial():
         key = tuple(dec.components[c])
         if key not in memo:
-            memo[key] = _component_criticals(a.arr, dec.components[c])
+            memo[key] = _component_criticals(a, dec.components[c])
         per[c] = memo[key]
     lams = [NEG_INF if pc is None else pc.lam for pc in per]
     lam_global = max(lams, default=NEG_INF)
@@ -513,4 +513,6 @@ def _strong_access(a: TropicalMatrix) -> np.ndarray:
 
 
 def strong_access(a: TropicalMatrix, i: int, j: int) -> bool:
+    _check_node(a, i)
+    _check_node(a, j)
     return bool(strong_access_matrix(a)[i, j])

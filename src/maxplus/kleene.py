@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CRIT_TOL, TropicalMatrix
-from .errors import DivergentStarError
+from .errors import DivergentStarError, NonFiniteError
 from .graphs import _critical, _floyd_warshall_star
 
 
@@ -17,14 +17,17 @@ def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL) -> TropicalMatrix:
     """Max-plus Kleene star via Floyd-Warshall relaxation.
 
     Diagonal entries only grow under the relaxation, so one above tol
-    means divergence.  Only then is the memoized critical analysis read:
-    the error names the first nontrivial component (in SCC order) whose
-    cycle mean exceeds tol, or, when none does, the node alone.  node is
-    the smallest node with a diagonal entry above tol either way.
+    means divergence.  Only then, or when a sum overflows in the
+    relaxation (a positive cycle about doubles with each pivot), is the
+    memoized critical analysis read: the error names the first nontrivial
+    component (in SCC order) whose cycle mean exceeds tol, or, when none
+    does, the node alone (an overflow re-raises NonFiniteError).  node is
+    the smallest node with a diagonal entry above tol, or after an
+    overflow the component's smallest node.
     """
     try:
         return _diagonal_checked(_floyd_warshall_star(a.arr), tol)
-    except DivergentStarError as exc:
+    except (DivergentStarError, NonFiniteError) as exc:
         cs = _critical(a)
         for c in [] if cs is None else cs.scc.nontrivial():
             lam = cs.lambda_of_component[c]
@@ -32,8 +35,8 @@ def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL) -> TropicalMatrix:
                 comp = list(cs.scc.components[c])
                 raise DivergentStarError(
                     "divergent star: component %s has cycle mean %g"
-                    % (comp, lam),
-                    component=comp, value=float(lam), node=exc.node) from None
+                    % (comp, lam), component=comp, value=float(lam),
+                    node=getattr(exc, "node", comp[0])) from None
         raise
 
 

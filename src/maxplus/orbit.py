@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _exact_sums,
-                   _mp_rank1, _overflow_checked, _power_stack, _stack_depth,
-                   as_vector)
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
+                   _exact_sums, _mp_rank1, _overflow_checked, _power_stack,
+                   _stack_depth, as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
 from .expansions import ultimate_expand
 from .csr import csr_product
@@ -148,8 +148,10 @@ def column_periodicity(a: TropicalMatrix, j: int,
     """Is the column orbit {a^t e_j} ultimately linear periodic?
 
     True iff no nontrivial component with access to j has a larger cycle
-    mean than j's own component.  j must belong to a nontrivial component.
+    mean than j's own component.  j must belong to a nontrivial component
+    (DimensionError for a j outside 0 ... n - 1).
     """
+    _check_node(a, j)
     cs = _critical(a)
     if cs is None:
         raise TrivialColumnError("trivial column: %d (digraph is acyclic)" % j)
@@ -344,7 +346,7 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
         t_max = 6 * a.n * a.n + 2 * gamma
     samples = np.empty((t_max + 1, a.n))
     samples[0] = y
-    if t_max and _exact_sums(a.arr, y, t_max):
+    if t_max and _exact_sums(a, t_max, y=y):
         _step_blocks(_orbit_stack(a, _stack_depth(a.n, t_max)), samples)
     else:
         _step_rows(a.arr, samples)

@@ -116,6 +116,16 @@ def test_divergent_star_exits_3(tmp_path, capsys):
     assert code == 3 and obj is None and "error:" in err
 
 
+def test_divergent_star_that_overflows_names_the_component(tmp_path,
+                                                           capsys):
+    f = tmp_path / "m.txt"
+    f.write_text("60\n" + "\n".join([" ".join(["1e295"] * 60)] * 60))
+    code, obj, err = run(capsys, "star", str(f))
+    assert code == 3 and obj is None
+    assert err.startswith("error: divergent star: component [0, 1, 2,")
+    assert "has cycle mean 1e+295" in err
+
+
 def test_negative_power_exits_3(tmp_path, capsys):
     f = tmp_path / "m.txt"
     f.write_text("1 0")

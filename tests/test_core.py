@@ -396,3 +396,37 @@ def test_vec_eq():
     assert vec_eq([0.0, NEG_INF], [0.0, NEG_INF])
     assert not vec_eq([0.0, NEG_INF], [0.0, 0.0])
     assert vec_eq([0.0], [1e-10], tol=1e-9)
+
+
+def test_exact_sums_bound_adds_lambda():
+    """|y|max + (steps + 1)(|w|max + |lam|) < 2**53, one step either side;
+    lam and the entries must be integers."""
+    a = TropicalMatrix([[3.0, NEG_INF], [-5.0, 1.0]])    # |w|max 5
+    last = (2 ** 53 - 1) // 7 - 1
+    for lam in (2.0, -2.0):
+        assert core._exact_sums(a, last, lam)
+        assert not core._exact_sums(a, last + 1, lam)
+    assert core._exact_sums(a, (2 ** 53 - 1) // 5 - 1)
+    assert not core._exact_sums(a, (2 ** 53 - 1) // 5)
+    assert not core._exact_sums(a, 1, 0.5)
+    assert not core._exact_sums(a, 1, NEG_INF)
+    assert not core._exact_sums(TropicalMatrix([[0.5]]), 1)
+    assert core._exact_sums(TropicalMatrix([[NEG_INF]]), 2 ** 60)
+
+
+def test_exact_sums_scans_the_entries_once(monkeypatch):
+    scans = []
+    integral_max = core._integral_max
+
+    def counted(values):
+        scans.append(values.ndim)
+        return integral_max(values)
+
+    monkeypatch.setattr(core, "_integral_max", counted)
+    a = TropicalMatrix([[3.0, NEG_INF], [-5.0, 1.0]])
+    y = np.array([1.0, NEG_INF])
+    for steps, lam in ((1, 0.0), (10, 2.0), (10 ** 9, -7.0), (5, 0.5)):
+        core._exact_sums(a, steps, lam)
+        core._exact_sums(a, steps, y=y)
+    assert scans == [2] + [1] * 4
+    assert a._memo[core._EXACT_MEMO] == (True, 5)

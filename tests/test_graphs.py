@@ -12,9 +12,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from maxplus import (CRIT_TOL, CritSubgraph, NEG_INF, NoCyclesError,
-                     NonFiniteError, TropicalMatrix, boolean_power_reach,
-                     critical_structure, csr_build, gamma_u, max_cycle_mean,
+from maxplus import (CRIT_TOL, CritSubgraph, DimensionError, NEG_INF,
+                     NoCyclesError, NonFiniteError, TropicalMatrix,
+                     boolean_power_reach, critical_structure, csr_build, gamma_u, max_cycle_mean,
                      nachtigall_expand, scc_decompose, strong_access,
                      strong_access_matrix, ultimate_expand, wielandt)
 from maxplus import graphs
@@ -280,6 +280,12 @@ def test_strong_access_loops():
     assert not strong_access(TropicalMatrix.zeros(1), 0, 0)
 
 
+def test_strong_access_rejects_nodes_out_of_range(ex3a):
+    for i, j in ((6, 0), (0, 6), (-1, 0), (0, -7)):
+        with pytest.raises(DimensionError, match="outside 0..5"):
+            strong_access(ex3a, i, j)
+
+
 def test_strong_access_example3(ex3a, ex3b):
     assert strong_access(ex3a, 5, 2)
     assert not strong_access(ex3b, 5, 2)
@@ -449,7 +455,7 @@ def test_vector_karp_and_criticals_match_loops():
         for c in dec.nontrivial():
             nodes = dec.components[c]
             assert bits(_karp(a.arr, nodes)) == bits(karp_loops(a.arr, nodes))
-            got = _component_criticals(a.arr, nodes)
+            got = _component_criticals(a, nodes)
             assert got.crit_edges == critical_edges_loops(a.arr, nodes,
                                                           CRIT_TOL)
 
@@ -643,13 +649,13 @@ def test_certified_route_is_bit_identical_to_karp_first(monkeypatch):
         dec = scc_decompose(a)
         for c in dec.nontrivial():
             nodes = dec.components[c]
-            got = _component_criticals(a.arr, nodes)
+            got = _component_criticals(a, nodes)
             lam, star = karp_first(a.arr, nodes)
             assert bits(got.lam) == bits(lam)
             assert got.star.tobytes() == star.tobytes()
             with monkeypatch.context() as m:
                 m.setattr(graphs, "_certified_mean", lambda _: (None, None))
-                want = _component_criticals(a.arr, nodes)
+                want = _component_criticals(a, nodes)
             assert component_fields(got) == component_fields(want)
     assert sum(hits) > 0.6 * len(hits) and not all(hits)
 
@@ -714,7 +720,7 @@ def test_certified_component_runs_no_karp(monkeypatch):
             if graphs._certified_mean(a.arr[np.ix_(nodes, nodes)])[1] is None:
                 continue
             certified += 1
-            _component_criticals(a.arr, nodes)
+            _component_criticals(a, nodes)
             assert calls == []
     assert certified > 40
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from maxplus import (CRIT_TOL, DivergentStarError, NEG_INF, PathClassQuery,
-                     TropicalMatrix, best_path_weight, kleene_star, mat_eq,
-                     mat_mul, scc_decompose)
+from maxplus import (CRIT_TOL, DivergentStarError, NEG_INF, NonFiniteError,
+                     PathClassQuery, TropicalMatrix, best_path_weight,
+                     kleene_star, mat_eq, mat_mul, max_cycle_mean,
+                     scc_decompose)
 from maxplus import graphs
 
 from conftest import random_definite, random_matrix, random_reducible
@@ -76,6 +77,27 @@ def test_star_divergence_after_relaxation_without_loops():
         kleene_star(a)
     assert exc.value.node == 0
 
+
+
+def test_star_divergence_that_overflows_names_the_component():
+    # each pivot about doubles the positive cycles, so the relaxation
+    # overflows float64 before it reads the diagonal
+    a = TropicalMatrix(np.full((60, 60), 1e295))
+    with pytest.raises(NonFiniteError):
+        graphs._floyd_warshall_star(a.arr)
+    with pytest.raises(DivergentStarError) as exc:
+        kleene_star(a)
+    assert exc.value.component == list(range(60))
+    assert exc.value.value == max_cycle_mean(a)
+    assert exc.value.node == 0
+    assert str(exc.value).startswith("divergent star: component [0, 1, 2,")
+
+
+def test_star_overflow_without_positive_cycle_stays_non_finite():
+    a = TropicalMatrix.from_rows([[None, -1e308, None], [None, None, -1e308],
+                                  [None, None, None]])
+    with pytest.raises(NonFiniteError):
+        kleene_star(a)
 
 
 def test_star_divergence_below_tol_names_the_node():

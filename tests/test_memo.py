@@ -7,9 +7,9 @@ from maxplus import (TropicalMatrix, critical_structure, evaluate,
                      fast_terms, is_orbit_periodic, nachtigall_expand,
                      scc_decompose, simulate_orbit, strong_access_matrix,
                      ultimate_expand, ultimate_threshold)
-from maxplus import cli, expansions, graphs, kleene
+from maxplus import NEG_INF, cli, core, expansions, graphs, kleene
 
-from conftest import DATA, random_cyclic, random_reducible
+from conftest import DATA, cycle_chain, random_cyclic, random_reducible
 
 
 def corpus():
@@ -161,9 +161,9 @@ def test_component_analysis_once_per_node_set(monkeypatch):
     calls = []
     analyse = graphs._component_criticals
 
-    def counted(arr, nodes):
+    def counted(a, nodes):
         calls.append(tuple(nodes))
-        return analyse(arr, nodes)
+        return analyse(a, nodes)
 
     monkeypatch.setattr(graphs, "_component_criticals", counted)
     for a in corpus():
@@ -262,3 +262,66 @@ def test_mutating_level_copies_leaves_shared_analyses_intact():
         nachtigall_expand(a, rule="cycle")
         for name in NAMES:
             assert _facts(name, a) == fresh[name], name
+
+
+def test_one_entry_scan_per_matrix(monkeypatch):
+    """Every exact-sum gate of a full job reads one scan of the root's
+    entries: each deflation level holds the root's record, and only the
+    start vectors are scanned again."""
+    scans = []
+    integral_max = core._integral_max
+
+    def counted(values):
+        if values.ndim == 2:
+            scans.append(values)
+        return integral_max(values)
+
+    monkeypatch.setattr(core, "_integral_max", counted)
+    rng = np.random.default_rng(44)
+    for a in corpus() + [cycle_chain(rng), random_cyclic(rng, 24)]:
+        t = 3 * a.n * a.n
+        critical_structure(a)
+        steps = nachtigall_expand(a).steps + ultimate_expand(a).steps
+        steps += nachtigall_expand(a, rule="cycle").steps
+        for variant in ("nachtigall", "ultimate"):
+            fast_terms(a, t, variant=variant)
+        ultimate_threshold(a)
+        is_orbit_periodic(a)
+        for y in (np.zeros(a.n), rng.integers(-5, 6, a.n).astype(float)):
+            simulate_orbit(a, y)
+        assert len(scans) == 1 and scans[0] is a.arr
+        for st in steps:
+            assert st.a_mu._memo[core._EXACT_MEMO] is a._memo[core._EXACT_MEMO]
+        scans.clear()
+
+
+def level_scan_gate(a: TropicalMatrix, st, r: int) -> bool:
+    """The gate a level had from a scan of its own normalized block:
+    integer entries with (r + 1) |w|max < 2**53."""
+    k = np.array(st.k_set)
+    s = a.arr[np.ix_(k, k)] - st.lambda_mu
+    fin = s[s != NEG_INF]
+    return bool(np.array_equal(fin, np.round(fin))
+                and (r + 1) * int(np.abs(fin).max(initial=0)) < 2 ** 53)
+
+
+def test_root_record_gate_implies_the_level_scan():
+    """The stepping gate read off the root's record admits no level that
+    a scan of the level itself would refuse; it may refuse more (a
+    fractional level whose entries minus lambda are integers)."""
+    rng = np.random.default_rng(45)
+    mats = corpus() + [random_cyclic(rng, int(rng.integers(2, 12)))
+                       for _ in range(20)]
+    mats += [TropicalMatrix(np.where(m.finite_mask(), m.arr / 2 + 0.5,
+                                     NEG_INF)) for m in mats]
+    mats.append(TropicalMatrix([[2.0 ** 40, 1.0], [0.0, 3.0]]))
+    admitted = refused = 0
+    for a in mats:
+        r = 1 << (3 * a.n * a.n - 1).bit_length()
+        for st in (expansions._deflation_steps(a, "canonical")
+                   + expansions._ultimate_steps(a)):
+            exact = core._exact_sums(a, r, st.lambda_mu)
+            assert not exact or level_scan_gate(a, st, r)
+            admitted += exact
+            refused += level_scan_gate(a, st, r) and not exact
+    assert admitted and refused

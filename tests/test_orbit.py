@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from maxplus import core, orbit
-from maxplus import (NEG_INF, NonFiniteError, NotOrbitPeriodicError,
+from maxplus import (NEG_INF, DimensionError, NonFiniteError,
+                     NotOrbitPeriodicError,
                      TrivialColumnError, TropicalMatrix, ZeroVectorError,
                      column_periodicity, critical_structure, csr_product,
                      gamma_u, is_orbit_periodic, kleene_star, mat_mul,
@@ -220,6 +221,19 @@ def test_column_periodicity_trivial_errors():
     with pytest.raises(TrivialColumnError, match="trivial column: 0"):
         column_periodicity(mixed, 0)
     assert column_periodicity(mixed, 1)
+
+
+def test_column_periodicity_rejects_nodes_out_of_range(ex3b):
+    for j in (-1, 6, 7):
+        with pytest.raises(DimensionError, match="node %d outside 0..5" % j):
+            column_periodicity(ex3b, j)
+
+
+def test_pair_periodicity_rejects_nodes_out_of_range(ex3a):
+    # a negative index would otherwise answer for node n - 1
+    for i, j in ((0, -1), (-6, 2), (6, 0), (1, 6)):
+        with pytest.raises(DimensionError, match="outside 0..5"):
+            pair_periodicity(ex3a, i, j)
 
 
 def test_column_periodicity_matches_simulation():
@@ -571,7 +585,7 @@ def test_block_steps_match_row_loop_on_integer_input():
         b = block_rows(a.n)
         vectors = start_vectors(rng, a.n)
         for y in vectors if k >= len(mats) else [vectors[k % 3]]:
-            assert orbit._exact_sums(a.arr, y, 10 ** 4)
+            assert orbit._exact_sums(a, 10 ** 4, y=y)
             assert_orbit_matches_loop(a, y)
         for t_max in sorted({0, 1, b - 1, b, b + 1}):
             assert_orbit_matches_loop(a, vectors[(k + 1) % 3], t_max)
@@ -596,7 +610,7 @@ def test_block_gate_edges():
     a = TropicalMatrix([[NEG_INF, NEG_INF, 0.0], [0.0, -0.0, -1.0],
                         [-0.0, -0.0, -0.0]])
     y = np.array([NEG_INF, -0.0, 0.0])
-    assert not orbit._exact_sums(a.arr, y, 6)
+    assert not orbit._exact_sums(a, 6, y=y)
     trace = assert_orbit_matches_loop(a, y, 6)
     assert np.signbit(trace.samples[2:, 1]).all()
     # -0.0 in the matrix alone keeps the blocks and their bits
@@ -604,7 +618,7 @@ def test_block_gate_edges():
         n = int(rng.integers(1, 7))
         arr = rng.choice([-0.0, 0.0, NEG_INF, 1.0, -2.0], size=(n, n))
         y = rng.choice([0.0, NEG_INF, -1.0, 3.0], size=n)
-        assert orbit._exact_sums(arr, y, 50)
+        assert orbit._exact_sums(TropicalMatrix(arr), 50, y=y)
         assert_orbit_matches_loop(TropicalMatrix(arr), y, 50)
     # the 2**53 bound, one step either side
     for t_max in (0, 1, 40):
@@ -613,7 +627,7 @@ def test_block_gate_edges():
         for ymax, exact in ((2 ** 53 - 1 - (t_max + 1) * amax, True),
                             (2 ** 53 - (t_max + 1) * amax, False)):
             y = np.array([-ymax, ymax, 0.0, NEG_INF, 7.0])
-            assert orbit._exact_sums(a.arr, y, t_max) is exact
+            assert orbit._exact_sums(a, t_max, y=y) is exact
             assert_orbit_matches_loop(a, y, t_max)
     # fractional weights step row by row
     for k in range(30):
@@ -621,7 +635,8 @@ def test_block_gate_edges():
         y = rng.integers(-6, 7, a.n).astype(float)
         for frac in ((a.arr + 1 / 3, y), (a.arr + 0.5, y), (a.arr, y + 1 / 3),
                      (a.arr, y + 0.5)):
-            assert not orbit._exact_sums(*frac, 100)
+            assert not orbit._exact_sums(TropicalMatrix(frac[0]), 100,
+                                          y=frac[1])
             assert_orbit_matches_loop(TropicalMatrix(frac[0]), frac[1])
 
 

@@ -16,7 +16,8 @@ each slot t classes on in its own component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,18 +65,43 @@ def _class_factors(m: np.ndarray, crit: CritSubgraph, arr: np.ndarray,
 
 @dataclass(eq=False)
 class CsrTriple:
-    """Factors C, S, R, and the class factors C^, R^ and slots."""
+    """Class factors C^, R^ and slots, and the factors C, S, R, which are
+    formed on first access from the star (a^gamma)* and the weights of a
+    that csr_build holds: C keeps the star's critical columns, R its
+    critical rows, S the weights on critical edges (-inf elsewhere)."""
 
     n: int
     crit: CritSubgraph
     gamma: int
-    c: TropicalMatrix
-    s: TropicalMatrix
-    r: TropicalMatrix
     s_is_boolean: bool
     c_hat: np.ndarray
     r_hat: np.ndarray
     slots: tuple
+    star: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    @property
+    def _on_crit(self) -> np.ndarray:
+        mask = np.zeros(self.n, dtype=bool)
+        mask[sorted(self.crit.nodes)] = True
+        return mask
+
+    @cached_property
+    def c(self) -> TropicalMatrix:
+        return TropicalMatrix(np.where(self._on_crit[None, :], self.star,
+                                       NEG_INF), copy=False)
+
+    @cached_property
+    def s(self) -> TropicalMatrix:
+        s_arr = np.full((self.n, self.n), NEG_INF)
+        i, j = _edge_index(self.crit)
+        s_arr[i, j] = self.weights[i, j]
+        return TropicalMatrix(s_arr, copy=False)
+
+    @cached_property
+    def r(self) -> TropicalMatrix:
+        return TropicalMatrix(np.where(self._on_crit[:, None], self.star,
+                                       NEG_INF), copy=False)
 
     @property
     def n_c(self) -> tuple:
@@ -88,6 +114,12 @@ class CsrTriple:
     def periodicity_threshold(self) -> int:
         """Exponent after which S^t is periodic (Wielandt bound)."""
         return wielandt(len(self.crit.nodes))
+
+
+def _edge_index(crit: CritSubgraph) -> tuple:
+    """(rows, columns) of crit's edges as two index arrays."""
+    edges = np.array(list(crit.edges), dtype=int).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1]
 
 
 @dataclass(frozen=True)
@@ -147,26 +179,14 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
     """
     if check_definite:
         _check_definite(a, tol)
-    n = a.n
     gamma = crit.gamma
     b = _active_star_power(a, gamma, tol, _star)
-    nodes = sorted(crit.nodes)
-    col_mask = np.zeros(n, dtype=bool)
-    col_mask[nodes] = True
-    c_arr = np.where(col_mask[None, :], b, NEG_INF)
-    r_arr = np.where(col_mask[:, None], b, NEG_INF)
-    s_arr = np.full((n, n), NEG_INF)
-    for i, j in crit.edges:
-        s_arr[i, j] = a.arr[i, j]
-    s = TropicalMatrix(s_arr, copy=False)
-    edge_vals = np.array([a.arr[i, j] for i, j in crit.edges])
-    boolean = bool(_agree(edge_vals, 0.0, tol).all())
+    b.setflags(write=False)
+    boolean = bool(_agree(a.arr[_edge_index(crit)], 0.0, tol).all())
     c_hat, r_hat, slots = _class_factors(b, crit, a.arr)
-    return CsrTriple(n=n, crit=crit, gamma=gamma,
-                     c=TropicalMatrix(c_arr, copy=False), s=s,
-                     r=TropicalMatrix(r_arr, copy=False),
-                     s_is_boolean=boolean, c_hat=c_hat, r_hat=r_hat,
-                     slots=slots)
+    return CsrTriple(n=a.n, crit=crit, gamma=gamma, s_is_boolean=boolean,
+                     c_hat=c_hat, r_hat=r_hat, slots=slots, star=b,
+                     weights=a.arr)
 
 
 def csr_product_literal(triple: CsrTriple, t: int) -> TropicalMatrix:

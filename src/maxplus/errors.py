@@ -42,10 +42,15 @@ class NotDefiniteError(MaxplusError):
 
 class AnalysisError(MaxplusError):
     """The critical analysis is inconsistent at the working tolerance: a
-    deflation level has no critical node, or a cycle mean of the ultimate
-    expansion does not match exactly one canonical deflation level.  Seen
-    when the weights are too large for the absolute CRIT_TOL, or when
-    distinct cycle means lie closer together than it."""
+    deflation or ultimate level has no critical node, a critical node has
+    no outgoing critical edge (node names it), or a cycle mean of the
+    ultimate expansion does not match exactly one canonical deflation
+    level.  Seen when the weights are too large for the absolute CRIT_TOL,
+    or when distinct cycle means lie closer together than it."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class ThresholdError(MaxplusError):

@@ -96,11 +96,12 @@ def _shortest_critical_cycle(cs: CriticalStructure) -> list:
     for v in order:
         if v not in succ:
             raise AnalysisError("critical node %d has no outgoing critical "
-                                "edge" % v)
+                                "edge" % v, node=v)
         if root in succ[v]:
             break
     else:
-        raise AnalysisError("no critical cycle through node %d" % root)
+        raise AnalysisError("no critical cycle through node %d" % root,
+                            node=root)
     cycle = []
     while v is not None:
         cycle.append(v)
@@ -186,6 +187,10 @@ def _ultimate_levels(a: TropicalMatrix) -> list:
         crit = CritSubgraph._assemble([
             (pc.crit_edges, pc.crit_components, pc.cyclicity_of, pc.class_of)
             for pc in (cs.per_component[c] for c in members)])
+        if not crit.nodes:
+            raise AnalysisError(
+                "ultimate level %d (cycle mean %g) has no critical node"
+                % (mu, lam))
         m_nodes = [v for c in members for v in cs.scc.components[c]]
         steps.append(DeflationStep(mu=mu, k_set=tuple(sorted(keep)),
                                    a_mu=_level(a, keep), lambda_mu=lam,
@@ -239,11 +244,18 @@ def nachtigall_expand(a: TropicalMatrix, rule: str = "canonical") -> Expansion:
     return _build_expansion(a, "nachtigall-" + rule, steps, None)
 
 
+def _ultimate_terms(a: TropicalMatrix) -> Expansion:
+    """The ultimate expansion without sigma, which the orbit check and
+    ultimate_threshold never read: it skips the canonical deflation."""
+    return _build_expansion(a, "ultimate", _ultimate_steps(a), None)
+
+
 def ultimate_expand(a: TropicalMatrix) -> Expansion:
     """Ultimate expansion: one term per distinct component cycle mean.
 
     sigma maps each term index to the index of the canonical power
-    expansion term with the same cycle mean.
+    expansion term with the same cycle mean; the only route that forms
+    it, and so the only ultimate route that runs the canonical deflation.
     """
     steps = _ultimate_steps(a)
     lams = np.array([st.lambda_mu for st in _deflation_steps(a, "canonical")])
@@ -505,13 +517,14 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     equal exponents past its start.  A run accepted through the bound
     never breaks, so both rules name the same t'.  Returns None when no
     qualifying t' exists below t_max (reported, not raised); t_max
-    defaults to 30 n^2.
+    defaults to 30 n^2, and e to the ultimate terms of a without sigma
+    (so the canonical deflation does not run).
     """
     n = a.n
     if t_max is not None and t_max < 0:
         raise ValueError("negative t_max")
     if e is None:
-        e = ultimate_expand(a)
+        e = _ultimate_terms(a)
     if t_max is None:
         t_max = 30 * n * n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))

@@ -496,18 +496,23 @@ def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
     return a._cached("strong_access", lambda: _strong_access(a)).copy()
 
 
-def _strong_access(a: TropicalMatrix) -> np.ndarray:
+def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
+    """The given rows (all when None) of the strong-access matrix.  A row
+    of a Boolean product reads the same row of its left factor only, so
+    the window is carried on those rows alone."""
     n = a.n
     b = a.finite_mask()
     g = gamma_u(a)
     k = _stack_depth(n, g - 1)
-    stack = _power_stack(b, k, _bool_matmul)
+    stack = _power_stack(b, k, _bool_matmul).astype(np.float32)
     window = _power_chain(b, 3 * n * n, _bool_matmul)
+    if rows is not None:
+        window = window[rows]
     acc = window.copy()
     for s in range(1, g, k):
         r = min(k, g - s)
-        block = _bool_matmul(window, stack[:, :r * n])
-        acc &= block.reshape(n, r, n).all(axis=1)
+        block = (window.astype(np.float32) @ stack[:, :r * n]) > 0
+        acc &= block.reshape(len(window), r, n).all(axis=1)
         window = block[:, -n:]
     return acc
 

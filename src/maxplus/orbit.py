@@ -23,9 +23,10 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
                    _exact_sums, _mp_rank1, _overflow_checked, _power_stack,
                    _stack_depth, as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
-from .expansions import ultimate_expand
+from .expansions import _ultimate_terms
 from .csr import csr_product
-from .graphs import _critical, gamma_u as _gamma_u, strong_access_matrix
+from .graphs import (_critical, _strong_access, gamma_u as _gamma_u,
+                     strong_access_matrix)
 
 # Equations compared per block in _detect's backward scan.
 _DETECT_CHUNK = 1024
@@ -83,25 +84,24 @@ def _condition1(cs, tol: float):
 
 
 def _condition2_strong(a: TropicalMatrix, cs, tol: float):
-    violations = []
-    sa = strong_access_matrix(a)
     dec = cs.scc
     nontrivial = dec.nontrivial()
-    for x in range(len(nontrivial)):
-        for y in range(x + 1, len(nontrivial)):
-            p, q = nontrivial[x], nontrivial[y]
-            if _agree(cs.lambda_of_component[p], cs.lambda_of_component[q],
-                      tol):
-                continue
-            i, j = min(dec.components[p]), min(dec.components[q])
-            if not (sa[i, j] or sa[j, i]):
-                violations.append((i, j))
-    return violations
+    pairs = []
+    for x, p in enumerate(nontrivial):
+        for q in nontrivial[x + 1:]:
+            if not _agree(cs.lambda_of_component[p],
+                          cs.lambda_of_component[q], tol):
+                pairs.append((min(dec.components[p]), min(dec.components[q])))
+    if not pairs:
+        return []
+    rows = sorted({v for pair in pairs for v in pair})
+    sa = dict(zip(rows, _strong_access(a, rows)))
+    return [(i, j) for i, j in pairs if not (sa[i][j] or sa[j][i])]
 
 
 def _support_violations(a: TropicalMatrix, tol: float):
     supports = []
-    for lam, triple in ultimate_expand(a).terms:
+    for lam, triple in _ultimate_terms(a).terms:
         nodes = list(triple.n_c)
         u1 = csr_product(triple, 1).matrix.arr[:, nodes]
         supports.append((lam, nodes, (u1 != NEG_INF).astype(int)))

@@ -122,7 +122,9 @@ def test_divergent_star_that_overflows_names_the_component(tmp_path,
     f.write_text("60\n" + "\n".join([" ".join(["1e295"] * 60)] * 60))
     code, obj, err = run(capsys, "star", str(f))
     assert code == 3 and obj is None
-    assert err.startswith("error: divergent star: component [0, 1, 2,")
+    # 1-based, like every report; the library's message counts from 0
+    assert err.startswith("error: divergent star: component [1, 2, 3,")
+    assert "[1, 2, 3, " in err and ", 60] has cycle mean" in err
     assert "has cycle mean 1e+295" in err
 
 
@@ -478,6 +480,61 @@ def test_analysis_errors_exit_3(tmp_path, capsys):
     assert code == 3 and obj is None and "matches canonical levels" in err
 
 
+CLOSE_THRESHOLD = """{
+  "command": "threshold",
+  "input_digest": "8521acc7c2d0d2af",
+  "n": 5,
+  "t_max": 750,
+  "gamma_u": 1,
+  "threshold": null
+}
+"""
+CLOSE_ORBIT_CHECK = """{
+  "command": "orbit-check",
+  "input_digest": "8521acc7c2d0d2af",
+  "n": 5,
+  "method": "support",
+  "verdict": true,
+  "gamma_u": 1,
+  "condition1_violations": [],
+  "condition2_violations": [],
+  "support_violations": []
+}
+"""
+
+
+def test_threshold_and_orbit_check_skip_the_sigma_pairing(tmp_path, capsys):
+    """threshold and orbit-check read the ultimate terms only, so the
+    matrix whose one fault is pairing sigma (test_analysis_errors_exit_3)
+    gets an answer: one component, so orbit periodic, and no threshold
+    within t_max, since its non-critical 4-cycle of mean -5e-10 beats the
+    one term's -10 on (1, 1) until t is about 2e10."""
+    f = tmp_path / "close.txt"
+    f.write_text("5\n0 -5 * * *\n-5 * -5e-10 * *\n* * * -5e-10 *\n"
+                 "* * * * -5e-10\n* -5e-10 * * *\n")
+    for argv, want in ((["threshold"], CLOSE_THRESHOLD),
+                       (["orbit-check"], CLOSE_ORBIT_CHECK)):
+        assert cli.main(argv + [str(f)]) == 0
+        assert capsys.readouterr().out == want
+
+
+def test_error_lines_name_nodes_one_based():
+    err = maxplus.DivergentStarError(
+        "divergent star: positive cycle through node 10", node=10)
+    assert cli._one_based(err) == \
+        "divergent star: positive cycle through node 11"
+    err = maxplus.DivergentStarError(
+        "divergent star: component [0, 2] has cycle mean 1",
+        component=[0, 2], value=1.0, node=0)
+    assert cli._one_based(err) == \
+        "divergent star: component [1, 3] has cycle mean 1"
+    err = maxplus.AnalysisError("no critical cycle through node 0", node=0)
+    assert cli._one_based(err) == "no critical cycle through node 1"
+    err = maxplus.AnalysisError("deflation level 0 (cycle mean 2) has no "
+                                "critical node")
+    assert cli._one_based(err) == str(err)
+
+
 def test_cycle_rule_dead_end_exits_3(tmp_path, capsys):
     # used to print a KeyError traceback and exit 1
     f = tmp_path / "dead_end.txt"
@@ -485,7 +542,7 @@ def test_cycle_rule_dead_end_exits_3(tmp_path, capsys):
     code, obj, err = run(capsys, "nachtigall", "--t", "2", "--rule", "cycle",
                          str(f))
     assert (code, obj) == (3, None)
-    assert err == "error: critical node 0 has no outgoing critical edge\n"
+    assert err == "error: critical node 1 has no outgoing critical edge\n"
 
 
 def test_import_does_not_load_networkx(capsys):

@@ -198,6 +198,29 @@ def full_matrix_factors(a: TropicalMatrix, crit: CritSubgraph):
             np.where(mask[:, None], b, NEG_INF))
 
 
+def test_factors_formed_on_first_access():
+    """C, S and R wait for their first read, then keep the bytes of the
+    eager build (full_matrix_factors) and stay the same objects;
+    s_is_boolean is the per-edge check."""
+    rng = np.random.default_rng(71)
+    for n in (4, 7, 11):
+        a = random_reducible(rng, n, blocks=3)
+        for expand in (nachtigall_expand, ultimate_expand):
+            # a fresh instance: the two expansions share their first term
+            e = expand(TropicalMatrix(a.arr))
+            for st, (_, triple) in zip(e.steps, e.terms):
+                assert not {"c", "s", "r"} & set(vars(triple))
+                level = st.a_mu.scale(-st.lambda_mu)
+                want = full_matrix_factors(level, st.crit)
+                got = (triple.c, triple.s, triple.r)
+                assert all(g.arr.tobytes() == w.tobytes()
+                           for g, w in zip(got, want))
+                assert all(g is h for g, h in
+                           zip(got, (triple.c, triple.s, triple.r)))
+                assert triple.s_is_boolean == all(
+                    abs(level.arr[i, j]) <= TOL for i, j in st.crit.edges)
+
+
 def test_build_on_restricted_levels_matches_full_matrix():
     # deeper deflation levels leave rows and columns all -inf; the build
     # stars only the rest.  n = 70 runs the rank-1 matmul loop on the

@@ -8,8 +8,8 @@ from maxplus import (NEG_INF, AnalysisError, NoCyclesError, NonFiniteError,
                      PathClassQuery, ThresholdError,
                      TropicalMatrix, best_path_weight, critical_structure,
                      csr_product, csr_product_literal, enumerate_small,
-                     evaluate, fast_terms, mat_eq, mat_oplus, mat_power,
-                     nachtigall_expand, scc_decompose, ultimate_expand,
+                     evaluate, fast_terms, is_orbit_periodic, mat_eq,
+                     mat_oplus, mat_power, nachtigall_expand, scc_decompose, ultimate_expand,
                      ultimate_threshold)
 from maxplus import csr, expansions, kleene
 
@@ -790,8 +790,10 @@ def test_cycle_rule_names_critical_node_without_outgoing_edge():
     with no outgoing critical edge; the cycle rule reports it typed."""
     a = dead_end_critical_matrix()
     with pytest.raises(AnalysisError,
-                       match="critical node 0 has no outgoing critical edge"):
+                       match="critical node 0 has no outgoing critical edge"
+                       ) as exc:
         nachtigall_expand(a, rule="cycle")
+    assert exc.value.node == 0
 
 
 def test_deflation_without_critical_node_raises():
@@ -802,6 +804,14 @@ def test_deflation_without_critical_node_raises():
             nachtigall_expand(a, rule=rule)
     with pytest.raises(AnalysisError):
         fast_terms(a, 75)
+    # the ultimate routes meet the level first: a typed error, not a
+    # ZeroDivisionError or ValueError from the class factors
+    for route in (lambda: fast_terms(a, 75, variant="ultimate"),
+                  lambda: ultimate_threshold(a), lambda: ultimate_expand(a),
+                  lambda: is_orbit_periodic(a)):
+        with pytest.raises(AnalysisError,
+                           match="ultimate level 0 .* has no critical node"):
+            route()
 
 
 def test_ultimate_sigma_mismatch_raises():

@@ -325,3 +325,27 @@ def test_root_record_gate_implies_the_level_scan():
             admitted += exact
             refused += level_scan_gate(a, st, r) and not exact
     assert admitted and refused
+
+
+def test_orbit_and_threshold_skip_the_canonical_deflation(monkeypatch):
+    """Only ultimate_expand forms sigma, so only it runs the canonical
+    deflation; the orbit check (every method) and ultimate_threshold read
+    the ultimate terms alone."""
+    calls = []
+    deflate = expansions._deflate
+
+    def counted(a, rule):
+        calls.append(rule)
+        return deflate(a, rule)
+
+    monkeypatch.setattr(expansions, "_deflate", counted)
+    for arr in [a.arr for a in corpus()] + [cycle_chain(
+            np.random.default_rng(3), (2, 3), (-1, 0), 1).arr]:
+        a = TropicalMatrix(arr)
+        for method in ("support", "strong-access", "both"):
+            is_orbit_periodic(a, method=method)
+        ultimate_threshold(a)
+        assert calls == []
+        ultimate_expand(a)
+        assert calls == ["canonical"]
+        calls.clear()

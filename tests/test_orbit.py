@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxplus import core, orbit
+from maxplus import core, graphs, orbit
 from maxplus import (NEG_INF, DimensionError, NonFiniteError,
                      NotOrbitPeriodicError,
                      TrivialColumnError, TropicalMatrix, ZeroVectorError,
@@ -13,7 +13,7 @@ from maxplus import (NEG_INF, DimensionError, NonFiniteError,
                      gamma_u, is_orbit_periodic, kleene_star, mat_mul,
                      mat_power, mat_scalar_mul, max_cycle_mean,
                      orbit_growth_rate, pair_periodicity, scc_decompose,
-                     simulate_orbit, ultimate_expand)
+                     simulate_orbit, strong_access_matrix, ultimate_expand)
 
 from conftest import (cycle_chain, random_cyclic, random_matrix,
                       random_reducible)
@@ -73,6 +73,47 @@ def test_condition1_violation():
     assert r.condition1_violations == [(0, 1)]
     # the support screen is not consulted once condition 1 fails
     assert r.support_violations == []
+
+
+def test_condition2_reads_representative_rows_of_strong_access(
+        ex3a, ex3b, monkeypatch):
+    """Condition 2 forms strong access on the rows of the component
+    representatives it compares only; those rows are the rows of the full
+    matrix, and its violations are the ones the full matrix gives."""
+    seen = []
+    rows_of = graphs._strong_access
+
+    def recorded(a, rows=None):
+        seen.append((rows, rows_of(a, rows)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(orbit, "_strong_access", recorded)
+    rng = np.random.default_rng(23)
+    corpus = [ex3a, ex3b, cycle_chain(rng), cycle_chain(rng, (2, 3), (1, 0))]
+    corpus += [random_reducible(rng, int(rng.integers(3, 10)))
+               for _ in range(30)]
+    read = 0
+    for a in corpus:
+        a = TropicalMatrix(a.arr)
+        report = is_orbit_periodic(a, method="strong-access")
+        full = strong_access_matrix(TropicalMatrix(a.arr))
+        cs = graphs._critical(a)
+        if cs is None:
+            assert report.verdict and not seen
+            continue
+        reps = {min(cs.scc.components[c]): cs.lambda_of_component[c]
+                for c in cs.scc.nontrivial()}
+        order = list(reps)      # in component order, as reported
+        want = [(i, j) for x, i in enumerate(order) for j in order[x + 1:]
+                if abs(reps[i] - reps[j]) > TOL
+                and not (full[i, j] or full[j, i])]
+        assert report.condition2_violations == want
+        for rows, got in seen:
+            assert rows == sorted(rows) and set(rows) <= set(reps)
+            assert np.array_equal(got, full[rows])
+            read += len(rows) < a.n
+        seen.clear()
+    assert read > 10
 
 
 def test_report_method_guard(ex3a):

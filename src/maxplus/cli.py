@@ -466,22 +466,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _one_based(e: Exception) -> str:
-    """e's message with the nodes it names (its component and node
-    attributes) counted from 1, like every report; the library counts
-    from 0."""
-    text = str(e)
-    component = getattr(e, "component", None)
-    if component is not None:
-        text = text.replace("component %s" % component, "component %s"
-                            % [v + 1 for v in component], 1)
-    node = getattr(e, "node", None)
-    if node is not None:
-        text = re.sub(r"\bnode %d\b" % node, "node %d" % (node + 1), text,
-                      count=1)
-    return text
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -513,8 +497,11 @@ def main(argv=None) -> int:
     except OSError as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
-    except (MaxplusError, ValueError) as e:
-        sys.stderr.write("error: %s\n" % _one_based(e))
+    except MaxplusError as e:
+        sys.stderr.write("error: %s\n" % e.describe(1))
+        return 3
+    except ValueError as e:
+        sys.stderr.write("error: %s\n" % e)
         return 3
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     sys.stderr.write("elapsed %.1f ms\n"

@@ -155,10 +155,7 @@ def _active_star_power(a: TropicalMatrix, gamma: int, tol: float,
                         if star is None else _diagonal_checked(star, tol)).arr
         except DivergentStarError as exc:
             # name the node of a, as the full-matrix star would
-            node = int(active[exc.node])
-            raise DivergentStarError(
-                "divergent star: positive cycle through node %d" % node,
-                node=node) from None
+            raise DivergentStarError(node=int(active[exc.node])) from None
     return b
 
 

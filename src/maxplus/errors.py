@@ -4,6 +4,14 @@
 class MaxplusError(Exception):
     """Base class for all library errors."""
 
+    def describe(self, base: int = 0) -> str:
+        """The message, with the nodes it names counted from base: str()
+        counts from 0, the CLI's error lines from 1, like its reports."""
+        return super().__str__()
+
+    def __str__(self):
+        return self.describe()
+
 
 class DimensionError(MaxplusError):
     """Operand shapes are incompatible."""
@@ -22,14 +30,21 @@ class DivergentStarError(MaxplusError):
     where the relaxed star has a diagonal entry above tol; when a sum
     overflows float64 in the relaxation first (kleene_star raises this
     error then only if such a component exists), it is that component's
-    smallest node.
+    smallest node.  The message is rendered from these attributes.
     """
 
-    def __init__(self, message, component=None, value=None, node=None):
-        super().__init__(message)
+    def __init__(self, component=None, value=None, node=None):
+        super().__init__()
         self.component = component
         self.value = value
         self.node = node
+
+    def describe(self, base: int = 0) -> str:
+        if self.component is not None:
+            return ("divergent star: component %s has cycle mean %g"
+                    % ([v + base for v in self.component], self.value))
+        return ("divergent star: positive cycle through node %d"
+                % (self.node + base))
 
 
 class NotDefiniteError(MaxplusError):
@@ -46,11 +61,16 @@ class AnalysisError(MaxplusError):
     no outgoing critical edge (node names it), or a cycle mean of the
     ultimate expansion does not match exactly one canonical deflation
     level.  Seen when the weights are too large for the absolute CRIT_TOL,
-    or when distinct cycle means lie closer together than it."""
+    or when distinct cycle means lie closer together than it.  When node
+    is given, message is a template with one %d for it."""
 
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
+
+    def describe(self, base: int = 0) -> str:
+        text = super().describe()
+        return text if self.node is None else text % (self.node + base)
 
 
 class ThresholdError(MaxplusError):

@@ -96,12 +96,11 @@ def _shortest_critical_cycle(cs: CriticalStructure) -> list:
     for v in order:
         if v not in succ:
             raise AnalysisError("critical node %d has no outgoing critical "
-                                "edge" % v, node=v)
+                                "edge", node=v)
         if root in succ[v]:
             break
     else:
-        raise AnalysisError("no critical cycle through node %d" % root,
-                            node=root)
+        raise AnalysisError("no critical cycle through node %d", node=root)
     cycle = []
     while v is not None:
         cycle.append(v)
@@ -246,7 +245,7 @@ def nachtigall_expand(a: TropicalMatrix, rule: str = "canonical") -> Expansion:
 
 def _ultimate_terms(a: TropicalMatrix) -> Expansion:
     """The ultimate expansion without sigma, which the orbit check and
-    ultimate_threshold never read: it skips the canonical deflation."""
+    the threshold scan never read: it skips the canonical deflation."""
     return _build_expansion(a, "ultimate", _ultimate_steps(a), None)
 
 
@@ -255,7 +254,8 @@ def ultimate_expand(a: TropicalMatrix) -> Expansion:
 
     sigma maps each term index to the index of the canonical power
     expansion term with the same cycle mean; the only route that forms
-    it, and so the only ultimate route that runs the canonical deflation.
+    it, and so the only ultimate route that runs the canonical deflation
+    (ultimate_threshold calls it for that check before answering None).
     """
     steps = _ultimate_steps(a)
     lams = np.array([st.lambda_mu for st in _deflation_steps(a, "canonical")])
@@ -517,16 +517,29 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     equal exponents past its start.  A run accepted through the bound
     never breaks, so both rules name the same t'.  Returns None when no
     qualifying t' exists below t_max (reported, not raised); t_max
-    defaults to 30 n^2, and e to the ultimate terms of a without sigma
-    (so the canonical deflation does not run).
+    defaults to 30 n^2.
+
+    With e not given the scan reads the ultimate terms without sigma, and
+    only a None answer runs ultimate_expand's pairing with the canonical
+    levels: at weights too large for the absolute tol the two analyses
+    disagree, and AnalysisError reports that where the scan finds no t'.
     """
-    n = a.n
     if t_max is not None and t_max < 0:
         raise ValueError("negative t_max")
-    if e is None:
-        e = _ultimate_terms(a)
     if t_max is None:
-        t_max = 30 * n * n
+        t_max = 30 * a.n * a.n
+    if e is not None:
+        return _threshold_scan(a, e, t_max, tol)
+    t = _threshold_scan(a, _ultimate_terms(a), t_max, tol)
+    if t is None:
+        ultimate_expand(a)
+    return t
+
+
+def _threshold_scan(a: TropicalMatrix, e: Expansion, t_max: int,
+                    tol: float) -> int | None:
+    """ultimate_threshold's scan of a^t against e's E(t)."""
+    n = a.n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
     bound = _threshold_tables(a, e, tol)
     # all terms side by side: a shift never leaves a term's own slots

@@ -54,7 +54,8 @@ class SccDecomposition:
 
 
 def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x.astype(np.float32) @ y.astype(np.float32)) > 0
+    return (x.astype(np.float32, copy=False)
+            @ y.astype(np.float32, copy=False)) > 0
 
 
 def _strong_components(b: np.ndarray):
@@ -511,7 +512,7 @@ def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
     acc = window.copy()
     for s in range(1, g, k):
         r = min(k, g - s)
-        block = (window.astype(np.float32) @ stack[:, :r * n]) > 0
+        block = _bool_matmul(window, stack[:, :r * n])
         acc &= block.reshape(len(window), r, n).all(axis=1)
         window = block[:, -n:]
     return acc

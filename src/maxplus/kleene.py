@@ -34,8 +34,7 @@ def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL) -> TropicalMatrix:
             if lam > tol:
                 comp = list(cs.scc.components[c])
                 raise DivergentStarError(
-                    "divergent star: component %s has cycle mean %g"
-                    % (comp, lam), component=comp, value=float(lam),
+                    component=comp, value=float(lam),
                     node=getattr(exc, "node", comp[0])) from None
         raise
 
@@ -45,7 +44,5 @@ def _diagonal_checked(m: np.ndarray, tol: float) -> TropicalMatrix:
     with a diagonal entry above tol."""
     bad = np.flatnonzero(np.diagonal(m) > tol)
     if bad.size:
-        raise DivergentStarError(
-            "divergent star: positive cycle through node %d" % bad[0],
-            node=int(bad[0]))
+        raise DivergentStarError(node=int(bad[0]))
     return TropicalMatrix(m, copy=False)

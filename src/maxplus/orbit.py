@@ -94,8 +94,12 @@ def _condition2_strong(a: TropicalMatrix, cs, tol: float):
                 pairs.append((min(dec.components[p]), min(dec.components[q])))
     if not pairs:
         return []
+    # only the representatives' rows, unless the full matrix is memoized
     rows = sorted({v for pair in pairs for v in pair})
-    sa = dict(zip(rows, _strong_access(a, rows)))
+    sa = a._memo.get("strong_access")
+    if sa is None:
+        sa = dict(zip(rows, a._cached(("strong_access", tuple(rows)),
+                                      lambda: _strong_access(a, rows))))
     return [(i, j) for i, j in pairs if not (sa[i][j] or sa[j][i])]
 
 

@@ -480,15 +480,6 @@ def test_analysis_errors_exit_3(tmp_path, capsys):
     assert code == 3 and obj is None and "matches canonical levels" in err
 
 
-CLOSE_THRESHOLD = """{
-  "command": "threshold",
-  "input_digest": "8521acc7c2d0d2af",
-  "n": 5,
-  "t_max": 750,
-  "gamma_u": 1,
-  "threshold": null
-}
-"""
 CLOSE_ORBIT_CHECK = """{
   "command": "orbit-check",
   "input_digest": "8521acc7c2d0d2af",
@@ -503,36 +494,37 @@ CLOSE_ORBIT_CHECK = """{
 """
 
 
-def test_threshold_and_orbit_check_skip_the_sigma_pairing(tmp_path, capsys):
-    """threshold and orbit-check read the ultimate terms only, so the
-    matrix whose one fault is pairing sigma (test_analysis_errors_exit_3)
-    gets an answer: one component, so orbit periodic, and no threshold
-    within t_max, since its non-critical 4-cycle of mean -5e-10 beats the
-    one term's -10 on (1, 1) until t is about 2e10."""
+def test_orbit_check_skips_the_sigma_pairing(tmp_path, capsys):
+    """orbit-check reads the ultimate terms only, so the matrix whose one
+    fault is pairing sigma (test_analysis_errors_exit_3) gets its answer:
+    one component, so orbit periodic.  threshold finds no t' within t_max
+    there (the non-critical 4-cycle of mean -5e-10 beats the one term's
+    -10 on (1, 1) until t is about 2e10), and before answering null it
+    runs the pairing, which fails as for ultimate."""
     f = tmp_path / "close.txt"
     f.write_text("5\n0 -5 * * *\n-5 * -5e-10 * *\n* * * -5e-10 *\n"
                  "* * * * -5e-10\n* -5e-10 * * *\n")
-    for argv, want in ((["threshold"], CLOSE_THRESHOLD),
-                       (["orbit-check"], CLOSE_ORBIT_CHECK)):
-        assert cli.main(argv + [str(f)]) == 0
-        assert capsys.readouterr().out == want
+    assert cli.main(["orbit-check", str(f)]) == 0
+    assert capsys.readouterr().out == CLOSE_ORBIT_CHECK
+    code, obj, err = run(capsys, "threshold", str(f))
+    assert code == 3 and obj is None and "matches canonical levels" in err
 
 
 def test_error_lines_name_nodes_one_based():
-    err = maxplus.DivergentStarError(
-        "divergent star: positive cycle through node 10", node=10)
-    assert cli._one_based(err) == \
-        "divergent star: positive cycle through node 11"
-    err = maxplus.DivergentStarError(
-        "divergent star: component [0, 2] has cycle mean 1",
-        component=[0, 2], value=1.0, node=0)
-    assert cli._one_based(err) == \
+    err = maxplus.DivergentStarError(node=10)
+    assert str(err) == "divergent star: positive cycle through node 10"
+    assert err.describe(1) == "divergent star: positive cycle through node 11"
+    err = maxplus.DivergentStarError(component=[0, 2], value=1.0, node=0)
+    assert str(err) == "divergent star: component [0, 2] has cycle mean 1"
+    assert err.describe(1) == \
         "divergent star: component [1, 3] has cycle mean 1"
-    err = maxplus.AnalysisError("no critical cycle through node 0", node=0)
-    assert cli._one_based(err) == "no critical cycle through node 1"
+    err = maxplus.AnalysisError("no critical cycle through node %d", node=0)
+    assert str(err) == "no critical cycle through node 0"
+    assert err.describe(1) == "no critical cycle through node 1"
     err = maxplus.AnalysisError("deflation level 0 (cycle mean 2) has no "
                                 "critical node")
-    assert cli._one_based(err) == str(err)
+    assert err.describe(1) == str(err)
+    assert maxplus.NoCyclesError("no cycles").describe(1) == "no cycles"
 
 
 def test_cycle_rule_dead_end_exits_3(tmp_path, capsys):

@@ -9,8 +9,8 @@ from maxplus import (NEG_INF, AnalysisError, NoCyclesError, NonFiniteError,
                      TropicalMatrix, best_path_weight, critical_structure,
                      csr_product, csr_product_literal, enumerate_small,
                      evaluate, fast_terms, is_orbit_periodic, mat_eq,
-                     mat_oplus, mat_power, nachtigall_expand, scc_decompose, ultimate_expand,
-                     ultimate_threshold)
+                     mat_oplus, mat_power, nachtigall_expand, scc_decompose,
+                     ultimate_expand, ultimate_threshold)
 from maxplus import csr, expansions, kleene
 
 from conftest import (cycle_chain, dead_end_critical_matrix, random_cyclic,

@@ -7,7 +7,7 @@ from maxplus import (TropicalMatrix, critical_structure, evaluate,
                      fast_terms, is_orbit_periodic, nachtigall_expand,
                      scc_decompose, simulate_orbit, strong_access_matrix,
                      ultimate_expand, ultimate_threshold)
-from maxplus import NEG_INF, cli, core, expansions, graphs, kleene
+from maxplus import NEG_INF, cli, core, expansions, graphs, kleene, orbit
 
 from conftest import DATA, cycle_chain, random_cyclic, random_reducible
 
@@ -329,8 +329,9 @@ def test_root_record_gate_implies_the_level_scan():
 
 def test_orbit_and_threshold_skip_the_canonical_deflation(monkeypatch):
     """Only ultimate_expand forms sigma, so only it runs the canonical
-    deflation; the orbit check (every method) and ultimate_threshold read
-    the ultimate terms alone."""
+    deflation; the orbit check (every method) and an ultimate_threshold
+    that finds t' read the ultimate terms alone.  A threshold of None
+    runs the pairing first, through the same memoized deflation."""
     calls = []
     deflate = expansions._deflate
 
@@ -339,13 +340,43 @@ def test_orbit_and_threshold_skip_the_canonical_deflation(monkeypatch):
         return deflate(a, rule)
 
     monkeypatch.setattr(expansions, "_deflate", counted)
+    late = 0
     for arr in [a.arr for a in corpus()] + [cycle_chain(
             np.random.default_rng(3), (2, 3), (-1, 0), 1).arr]:
-        a = TropicalMatrix(arr)
-        for method in ("support", "strong-access", "both"):
-            is_orbit_periodic(a, method=method)
-        ultimate_threshold(a)
-        assert calls == []
-        ultimate_expand(a)
-        assert calls == ["canonical"]
-        calls.clear()
+        for short in (False, True):
+            a = TropicalMatrix(arr)
+            for method in ("support", "strong-access", "both"):
+                is_orbit_periodic(a, method=method)
+            t = ultimate_threshold(a)
+            assert t is not None and calls == []
+            if short and t > 0:
+                assert ultimate_threshold(a, t_max=t - 1) is None
+                assert calls == ["canonical"]
+                late += 1
+            ultimate_expand(a)
+            assert calls == ["canonical"]
+            calls.clear()
+    assert late
+
+
+def test_condition2_reuses_strong_access(monkeypatch):
+    """Condition 2 forms its representatives' rows of strong access once
+    per matrix, and reads the full matrix instead when it is memoized."""
+    calls = []
+    rows_of = orbit._strong_access
+
+    def counted(a, rows=None):
+        calls.append(rows)
+        return rows_of(a, rows)
+
+    monkeypatch.setattr(orbit, "_strong_access", counted)
+    arr = cycle_chain(np.random.default_rng(3), (2, 3), (-1, 0), 1).arr
+    a = TropicalMatrix(arr)
+    first = is_orbit_periodic(a, method="strong-access")
+    assert is_orbit_periodic(a, method="both").condition2_violations == \
+        first.condition2_violations
+    assert calls == [[1, 3]]
+    b = TropicalMatrix(arr)
+    strong_access_matrix(b)
+    assert is_orbit_periodic(b, method="strong-access") == first
+    assert calls == [[1, 3]]

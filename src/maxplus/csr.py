@@ -63,12 +63,13 @@ def _class_factors(m: np.ndarray, crit: CritSubgraph, arr: np.ndarray,
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CsrTriple:
     """Class factors C^, R^ and slots, and the factors C, S, R, which are
     formed on first access from the star (a^gamma)* and the weights of a
     that csr_build holds: C keeps the star's critical columns, R its
-    critical rows, S the weights on critical edges (-inf elsewhere)."""
+    critical rows, S the weights on critical edges (-inf elsewhere).
+    Every field and factor is read-only."""
 
     n: int
     crit: CritSubgraph
@@ -109,7 +110,7 @@ class CsrTriple:
 
     @property
     def component_cyclicities(self) -> tuple:
-        return tuple(self.crit.cyclicity_of)
+        return self.crit.cyclicity_of
 
     def periodicity_threshold(self) -> int:
         """Exponent after which S^t is periodic (Wielandt bound)."""

@@ -56,14 +56,15 @@ class Term(NamedTuple):
     triple: CsrTriple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Expansion:
-    """Ordered terms (lam_mu, CsrTriple) of one expansion variant."""
+    """Ordered terms (lam_mu, CsrTriple) of one expansion variant and the
+    levels they come from: tuples that every call for the variant shares."""
 
     variant: str
     n: int
-    terms: list
-    steps: list
+    terms: tuple
+    steps: tuple
     sigma: tuple | None
     gamma_u: int
     validity_threshold: int | None
@@ -127,13 +128,12 @@ def _level(a: TropicalMatrix, keep) -> TropicalMatrix:
     return sub
 
 
-def _deflation_steps(a: TropicalMatrix, rule: str) -> list:
-    """Deflation levels of a under rule, computed once per matrix.  The list
-    is shared: callers copy it before handing it out."""
+def _deflation_steps(a: TropicalMatrix, rule: str) -> tuple:
+    """Deflation levels of a under rule, computed once per matrix."""
     return a._cached(("deflation", rule), lambda: _deflate(a, rule))
 
 
-def _deflate(a: TropicalMatrix, rule: str) -> list:
+def _deflate(a: TropicalMatrix, rule: str) -> tuple:
     steps = []
     keep = set(range(a.n))
     mu = 0
@@ -155,16 +155,15 @@ def _deflate(a: TropicalMatrix, rule: str) -> list:
         mu += 1
     if not steps:
         raise NoCyclesError("no cycles")
-    return steps
+    return tuple(steps)
 
 
-def _ultimate_steps(a: TropicalMatrix) -> list:
-    """Ultimate levels of a, computed once per matrix; shared like
-    _deflation_steps."""
+def _ultimate_steps(a: TropicalMatrix) -> tuple:
+    """Ultimate levels of a, computed once per matrix."""
     return a._cached("ultimate", lambda: _ultimate_levels(a))
 
 
-def _ultimate_levels(a: TropicalMatrix) -> list:
+def _ultimate_levels(a: TropicalMatrix) -> tuple:
     cs = _critical(a)
     if cs is None:
         raise NoCyclesError("no cycles")
@@ -195,7 +194,7 @@ def _ultimate_levels(a: TropicalMatrix) -> list:
                                    a_mu=_level(a, keep), lambda_mu=lam,
                                    crit=crit, m_set=tuple(sorted(m_nodes))))
         keep -= set(m_nodes)
-    return steps
+    return tuple(steps)
 
 
 def _shared_star(st: DeflationStep) -> np.ndarray | None:
@@ -210,22 +209,21 @@ def _shared_star(st: DeflationStep) -> np.ndarray | None:
     return pc.star
 
 
-def _build_expansion(a: TropicalMatrix, variant: str, steps: list,
+def _build_expansion(a: TropicalMatrix, variant: str, steps: tuple,
                      sigma: tuple | None) -> Expansion:
     """The expansion over steps, with its terms built once per matrix and
-    variant (the triples hold no mutable state) but fresh lists each call.
-    A term depends on its level's node set, cycle mean and critical edges
-    only, so levels that agree on those (the first canonical and ultimate
-    levels, mostly) share one term."""
-    terms = a._cached(("terms", variant), lambda: [a._cached(
+    variant.  A term depends on its level's node set, cycle mean and
+    critical edges only, so levels that agree on those (the first
+    canonical and ultimate levels, mostly) share one term."""
+    terms = a._cached(("terms", variant), lambda: tuple(a._cached(
         ("term", st.k_set, st.lambda_mu.hex(), st.crit.edges),
         lambda: Term(st.lambda_mu, csr_build(st.a_mu.scale(-st.lambda_mu),
                                              st.crit, check_definite=False,
                                              _star=_shared_star(st))))
-        for st in steps])
+        for st in steps))
     threshold = 3 * a.n * a.n if variant.startswith("nachtigall") else None
-    return Expansion(variant=variant, n=a.n, terms=list(terms),
-                     steps=list(steps), sigma=sigma,
+    return Expansion(variant=variant, n=a.n, terms=terms, steps=steps,
+                     sigma=sigma,
                      gamma_u=math.lcm(*(tr.gamma for _, tr in terms)),
                      validity_threshold=threshold)
 

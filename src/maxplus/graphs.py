@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,20 +29,21 @@ def wielandt(n: int) -> int:
     return (n - 1) ** 2 + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SccDecomposition:
     """Strongly connected components with access between them.
 
-    components are listed in a topological order consistent with access:
-    if component p accesses component q then q appears before p (accessed
-    components first).  access[p][q] is the reflexive-transitive access
-    relation between component indices.
+    components are node tuples listed in a topological order consistent
+    with access: if component p accesses component q then q appears before
+    p (accessed components first).  access[p][q] is the reflexive-
+    transitive access relation between component indices.  Both arrays
+    are read-only.
     """
 
     n: int
     component_of: np.ndarray
-    components: list
-    is_trivial: list
+    components: tuple
+    is_trivial: tuple
     access: np.ndarray
 
     @property
@@ -116,9 +117,12 @@ def scc_decompose(a: TropicalMatrix) -> SccDecomposition:
     rank = np.empty(a.n, dtype=int)
     rank[top] = np.arange(top.size)
     components, sizes = _group(rank[least], top.size)
-    return SccDecomposition(a.n, rank[least], components,
-                            ((sizes == 1) & ~b[top, top]).tolist(),
-                            acc[order][:, order])
+    component_of, access = rank[least], acc[order][:, order]
+    component_of.setflags(write=False)
+    access.setflags(write=False)
+    return SccDecomposition(a.n, component_of, tuple(map(tuple, components)),
+                            tuple(((sizes == 1) & ~b[top, top]).tolist()),
+                            access)
 
 
 def max_cycle_mean(a: TropicalMatrix) -> float:
@@ -142,7 +146,7 @@ def _karp(arr: np.ndarray, nodes) -> float:
     max_cycle_mean referee, and the component analysis's fallback when
     _certified_mean certifies no candidate."""
     k = len(nodes)
-    sub = arr[nodes][:, nodes]
+    sub = arr[np.ix_(nodes, nodes)]
     d = np.full((k + 1, k), NEG_INF)
     d[0, 0] = 0.0
     for step in range(1, k + 1):
@@ -169,18 +173,18 @@ def _floyd_warshall_star(arr: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentCriticals:
     """Critical data of one nontrivial component, computed in isolation;
     star is the read-only Kleene star of its block minus lam."""
 
-    nodes: list
+    nodes: tuple
     lam: float
-    crit_nodes: list
-    crit_edges: list
-    crit_components: list      # list of node lists
-    cyclicity_of: list         # per crit component
-    class_of: dict             # node -> (crit component index, class id)
+    crit_nodes: tuple
+    crit_edges: tuple
+    crit_components: tuple     # node tuples
+    cyclicity_of: tuple        # per crit component
+    class_of: MappingProxyType  # node -> (crit component index, class id)
     star: np.ndarray
 
 
@@ -201,11 +205,11 @@ def _component_criticals(a: TropicalMatrix, nodes) -> ComponentCriticals:
     crit = sub + star.T >= -CRIT_TOL
     aa, bb = np.nonzero(crit)
     idx = np.array(nodes)
-    crit_edges = list(zip(idx[aa].tolist(), idx[bb].tolist()))
+    crit_edges = tuple(zip(idx[aa].tolist(), idx[bb].tolist()))
     on = np.flatnonzero(crit.any(axis=0) | crit.any(axis=1))
     comps, cyc, cls = _mask_classes(idx[on], crit[on][:, on])
-    return ComponentCriticals(nodes, lam, idx[on].tolist(), crit_edges, comps,
-                              cyc, cls, star)
+    return ComponentCriticals(tuple(nodes), lam, tuple(idx[on].tolist()),
+                              crit_edges, comps, cyc, cls, star)
 
 
 def _certified_mean(block: np.ndarray):
@@ -275,12 +279,12 @@ def _bfs(edges, roots):
 
 def _mask_classes(nodes: np.ndarray, mask: np.ndarray):
     """(components, cyclicities, class_of) of the edges mask[a, b]:
-    nodes[a] -> nodes[b], every node on a cycle.  Components are node
-    lists ordered by least node; the level of a node is its distance from
-    the least node of its component, the cyclicity is the gcd over the
-    component's edges (a, b) of level(a) + 1 - level(b) (the gcd of its
-    cycle lengths), and class_of maps each node to (component, level mod
-    cyclicity)."""
+    nodes[a] -> nodes[b], every node on a cycle, all three read-only.
+    Components are node tuples ordered by least node; the level of a node
+    is its distance from the least node of its component, the cyclicity
+    is the gcd over the component's edges (a, b) of level(a) + 1 -
+    level(b) (the gcd of its cycle lengths), and class_of maps each node
+    to (component, level mod cyclicity)."""
     _, label = _strong_components(mask)
     roots = np.flatnonzero(label == np.arange(label.size))
     comp = np.searchsorted(roots, label)
@@ -301,70 +305,54 @@ def _mask_classes(nodes: np.ndarray, mask: np.ndarray):
     for ci, part in enumerate(members):
         class_of.update(zip(nodes[part].tolist(),
                             zip([ci] * len(part), cls[part].tolist())))
-    return ([nodes[part].tolist() for part in members], cyc.tolist(),
-            class_of)
+    return (tuple(tuple(nodes[part].tolist()) for part in members),
+            tuple(cyc.tolist()), MappingProxyType(class_of))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriticalStructure:
     """Critical graph of a matrix together with per-component cycle means.
 
     critical_* fields describe the globally critical part (cycles attaining
     lambda_global).  per_component keeps the same analysis for every
     nontrivial component at its own cycle mean, indexed like scc.components.
+    Sequences are tuples and class_of is a read-only mapping.
     """
 
     scc: SccDecomposition
     lambda_global: float
-    lambda_of_component: list
-    critical_nodes: list
-    critical_edges: list
-    critical_components: list
-    cyclicity_of: list
-    class_of: dict
+    lambda_of_component: tuple
+    critical_nodes: tuple
+    critical_edges: tuple
+    critical_components: tuple
+    cyclicity_of: tuple
+    class_of: MappingProxyType
     gamma_lcm: int
-    per_component: list
+    per_component: tuple
 
     def lambda_of_node(self, v: int) -> float:
         return self.lambda_of_component[int(self.scc.component_of[v])]
 
 
-def critical_structure(a: TropicalMatrix, _copy: bool = True) -> CriticalStructure:
+def critical_structure(a: TropicalMatrix) -> CriticalStructure:
     """Full critical analysis at CRIT_TOL; raises NoCyclesError on acyclic
-    input.
-
-    Computed once per matrix; every call returns a fresh copy (_copy=False
-    is _critical's miss, which hands out nothing).
-    """
+    input.  Computed once per matrix: every call returns the same
+    read-only structure."""
     cs = a._cached("critical", lambda: _analyse(a))
     if cs is None:
         raise NoCyclesError("no cycles")
-    return _copy_sharing_stars(cs) if _copy else cs
-
-
-def _copy_sharing_stars(cs: CriticalStructure) -> CriticalStructure:
-    """A deep copy of cs whose components share cs's read-only stars.  A
-    pickle round trip is a deep copy, about ten times faster here than
-    copy.deepcopy; the stars stay out of it."""
-    shell = replace(cs, per_component=[
-        None if pc is None else replace(pc, star=None)
-        for pc in cs.per_component])
-    out = pickle.loads(pickle.dumps(shell, pickle.HIGHEST_PROTOCOL))
-    for pc, src in zip(out.per_component, cs.per_component):
-        if pc is not None:
-            pc.star = src.star
-    return out
+    return cs
 
 
 def _critical(a: TropicalMatrix) -> CriticalStructure | None:
-    """The memoized structure itself (None when acyclic), for read-only use.
+    """The memoized structure (None when acyclic).
 
     A miss goes through critical_structure, so that each analysis of a
     matrix is one call of the public layer.
     """
     if "critical" not in a._memo:
         try:
-            critical_structure(a, _copy=False)
+            critical_structure(a)
         except NoCyclesError:
             pass
     return a._memo["critical"]
@@ -380,9 +368,9 @@ def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
     memo = a._cached(_COMPONENT_MEMO, dict)
     per = [None] * dec.k
     for c in dec.nontrivial():
-        key = tuple(dec.components[c])
+        key = dec.components[c]
         if key not in memo:
-            memo[key] = _component_criticals(a, dec.components[c])
+            memo[key] = _component_criticals(a, key)
         per[c] = memo[key]
     lams = [NEG_INF if pc is None else pc.lam for pc in per]
     lam_global = max(lams, default=NEG_INF)
@@ -404,29 +392,30 @@ def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
     return CriticalStructure(
         scc=dec,
         lambda_global=lam_global,
-        lambda_of_component=lams,
-        critical_nodes=sorted(crit_nodes),
-        critical_edges=sorted(crit_edges),
-        critical_components=comps,
-        cyclicity_of=cyc,
-        class_of=cls,
+        lambda_of_component=tuple(lams),
+        critical_nodes=tuple(sorted(crit_nodes)),
+        critical_edges=tuple(sorted(crit_edges)),
+        critical_components=tuple(comps),
+        cyclicity_of=tuple(cyc),
+        class_of=MappingProxyType(cls),
         gamma_lcm=math.lcm(*cyc),
-        per_component=per,
+        per_component=tuple(per),
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CritSubgraph:
     """A completely reducible critical selection: nodes, edges, and the
-    cyclic-class bookkeeping needed for CSR factors."""
+    cyclic-class bookkeeping needed for CSR factors, read-only.  Build
+    one with the classmethods."""
 
     nodes: frozenset
     edges: frozenset
-    components: list
-    cyclicity_of: list
-    class_of: dict
+    components: tuple
+    cyclicity_of: tuple
+    class_of: MappingProxyType
     gamma: int
-    members: list = field(default=None)   # per component: class id -> node list
+    members: tuple      # per component: class id -> node tuple
 
     @classmethod
     def from_edges(cls, edges) -> "CritSubgraph":
@@ -453,12 +442,13 @@ class CritSubgraph:
             for v in comp:
                 class_of[v] = (ci, part_classes[v][1])
                 buckets[class_of[v][1]].append(v)
-            comps.append(list(comp))
+            comps.append(tuple(comp))
             cyc.append(g)
-            members.append(buckets)
+            members.append(tuple(map(tuple, buckets)))
         return cls(frozenset(v for comp in comps for v in comp),
-                   frozenset(e for part in parts for e in part[0]), comps,
-                   cyc, class_of, math.lcm(*cyc), members)
+                   frozenset(e for part in parts for e in part[0]),
+                   tuple(comps), tuple(cyc), MappingProxyType(class_of),
+                   math.lcm(*cyc), tuple(members))
 
     @classmethod
     def from_critical_structure(cls, cs: CriticalStructure) -> "CritSubgraph":
@@ -491,16 +481,16 @@ def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
     its period divides gamma_u.  Past W = B^t0 the window is ANDed k
     exponents at a time, k = min(gamma_u - 1, 2**14 // n^2) (at least 1):
     W times the stack [B^1 | ... | B^k], split into its k blocks, and the
-    last block is the next W.  Computed once per matrix; every call
-    returns a fresh copy.
+    last block is the next W.  Computed once per matrix: every call
+    returns the same read-only array.
     """
-    return a._cached("strong_access", lambda: _strong_access(a)).copy()
+    return a._cached("strong_access", lambda: _strong_access(a))
 
 
 def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
-    """The given rows (all when None) of the strong-access matrix.  A row
-    of a Boolean product reads the same row of its left factor only, so
-    the window is carried on those rows alone."""
+    """The given rows (all when None) of the strong-access matrix,
+    read-only.  A row of a Boolean product reads the same row of its left
+    factor only, so the window is carried on those rows alone."""
     n = a.n
     b = a.finite_mask()
     g = gamma_u(a)
@@ -515,6 +505,7 @@ def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
         block = _bool_matmul(window, stack[:, :r * n])
         acc &= block.reshape(len(window), r, n).all(axis=1)
         window = block[:, -n:]
+    acc.setflags(write=False)
     return acc
 
 

@@ -798,7 +798,7 @@ def test_cycle_rule_names_critical_node_without_outgoing_edge():
 
 def test_deflation_without_critical_node_raises():
     a = scaled_hang_matrix()
-    assert critical_structure(a).critical_nodes == []
+    assert critical_structure(a).critical_nodes == ()
     for rule in ("canonical", "cycle"):
         with pytest.raises(AnalysisError, match="no critical node"):
             nachtigall_expand(a, rule=rule)

@@ -88,14 +88,14 @@ def test_scc_matches_reachability_closure():
 
 def test_scc_complete_digraph():
     dec = scc_decompose(TropicalMatrix(np.zeros((5, 5))))
-    assert dec.k == 1 and dec.components == [[0, 1, 2, 3, 4]]
+    assert dec.k == 1 and dec.components == ((0, 1, 2, 3, 4),)
     assert dec.nontrivial() == [0]
 
 
 def test_scc_example_components(ex2):
     dec = scc_decompose(ex2)
-    assert dec.components == [[0, 1, 2, 3], [4, 5, 6]]
-    assert dec.is_trivial == [False, False]
+    assert dec.components == ((0, 1, 2, 3), (4, 5, 6))
+    assert dec.is_trivial == (False, False)
     assert dec.access[1, 0] and not dec.access[0, 1]
 
 
@@ -142,10 +142,10 @@ def test_max_cycle_mean_per_component(ex2):
 def test_critical_structure_example1(ex1):
     cs = critical_structure(ex1)
     assert cs.lambda_global == 0.0
-    assert cs.critical_nodes == [0, 1]
-    assert cs.critical_edges == [(0, 1), (1, 0)]
-    assert cs.critical_components == [[0, 1]]
-    assert cs.cyclicity_of == [2]
+    assert cs.critical_nodes == (0, 1)
+    assert cs.critical_edges == ((0, 1), (1, 0))
+    assert cs.critical_components == ((0, 1),)
+    assert cs.cyclicity_of == (2,)
     assert cs.gamma_lcm == 2
     assert cs.lambda_of_node(0) == 0.0
 
@@ -153,8 +153,8 @@ def test_critical_structure_example1(ex1):
 def test_critical_structure_single_loop():
     cs = critical_structure(TropicalMatrix([[0.0]]))
     assert cs.lambda_global == 0.0
-    assert cs.critical_edges == [(0, 0)]
-    assert cs.cyclicity_of == [1]
+    assert cs.critical_edges == ((0, 0),)
+    assert cs.cyclicity_of == (1,)
     assert cs.gamma_lcm == 1
 
 
@@ -162,16 +162,16 @@ def test_critical_structure_example3(ex3a):
     cs = critical_structure(ex3a)
     assert cs.lambda_global == 1.0
     # global critical part covers only the top cycle mean
-    assert cs.critical_nodes == [0, 1, 2, 3]
-    assert cs.critical_edges == [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert cs.cyclicity_of == [4]
+    assert cs.critical_nodes == (0, 1, 2, 3)
+    assert cs.critical_edges == ((0, 1), (1, 2), (2, 3), (3, 0))
+    assert cs.cyclicity_of == (4,)
     # per-component analysis keeps the second cycle at its own mean
-    assert cs.scc.components == [[0, 1, 2, 3], [4, 5]]
-    assert cs.lambda_of_component == [1.0, 0.0]
+    assert cs.scc.components == ((0, 1, 2, 3), (4, 5))
+    assert cs.lambda_of_component == (1.0, 0.0)
     pc = cs.per_component[1]
     assert pc.lam == 0.0
     assert sorted(pc.crit_edges) == [(4, 5), (5, 4)]
-    assert pc.cyclicity_of == [2]
+    assert pc.cyclicity_of == (2,)
     assert gamma_u(ex3a) == 4
 
 
@@ -238,8 +238,15 @@ def test_class_shift_identity_and_composition(ex3a):
 
 def test_class_membership_example3(ex3a):
     crit = CritSubgraph.from_critical_structure(critical_structure(ex3a))
-    assert crit.members[0] == [[0], [1], [2], [3]]
+    assert crit.members[0] == ((0,), (1,), (2,), (3,))
     assert crit.class_of[2] == (0, 2)
+
+
+def test_crit_subgraph_without_members_fails_where_it_is_built():
+    crit = CritSubgraph.from_cycle([0, 1])
+    with pytest.raises(TypeError):
+        CritSubgraph(crit.nodes, crit.edges, crit.components,
+                     crit.cyclicity_of, crit.class_of, crit.gamma)
 
 
 def test_path_length_congruence_within_component():
@@ -456,8 +463,8 @@ def test_vector_karp_and_criticals_match_loops():
             nodes = dec.components[c]
             assert bits(_karp(a.arr, nodes)) == bits(karp_loops(a.arr, nodes))
             got = _component_criticals(a, nodes)
-            assert got.crit_edges == critical_edges_loops(a.arr, nodes,
-                                                          CRIT_TOL)
+            assert list(got.crit_edges) == critical_edges_loops(
+                a.arr, nodes, CRIT_TOL)
 
 
 # --------------------------------------- SCC reference: Tarjan plus Kahn
@@ -566,9 +573,9 @@ def test_scc_matches_tarjan_reference():
     for a in mats:
         comps, comp_of, trivial, access = scc_reference(a)
         dec = scc_decompose(a)
-        assert dec.components == comps
+        assert list(map(list, dec.components)) == comps
         assert dec.component_of.tolist() == comp_of
-        assert dec.is_trivial == trivial
+        assert list(dec.is_trivial) == trivial
         assert dec.access.dtype == bool
         assert np.array_equal(dec.access, access)
 
@@ -686,7 +693,7 @@ def test_failed_certificate_falls_back_to_karp(monkeypatch):
     cs = critical_structure(a)
     assert calls == [[0, 1, 2]]
     assert cs.lambda_global == 3.0
-    assert cs.critical_edges == [(1, 2), (2, 1)]
+    assert cs.critical_edges == ((1, 2), (2, 1))
 
 
 def test_overflowing_candidate_star_is_a_failed_certificate(monkeypatch):
@@ -759,7 +766,7 @@ def test_inexact_input_runs_karp_first(monkeypatch):
                 block = arr[np.ix_(nodes, nodes)]
                 if not np.array_equal(block, np.rint(block)):
                     fractional += 1
-                    assert nodes in calls
+                    assert list(nodes) in calls
             calls.clear()
     assert fractional > 100
 

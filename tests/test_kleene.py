@@ -137,7 +137,7 @@ def eager_screen(a: TropicalMatrix, tol: float):
         lam = graphs._karp(a.arr, dec.components[c])
         if lam > tol:
             return ("divergent star: component %s has cycle mean %g"
-                    % (dec.components[c], lam), dec.components[c],
+                    % (list(dec.components[c]), lam), list(dec.components[c]),
                     float(lam), node)
     return ("divergent star: positive cycle through node %d" % node, None,
             None, node)

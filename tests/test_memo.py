@@ -1,13 +1,18 @@
 """One analysis per matrix: results do not depend on what ran before on
-the same instance, and nothing handed out aliases the cached analysis."""
+the same instance, and the public calls hand out the memoized results
+themselves, read-only throughout, so no caller can change a later call."""
+
+import dataclasses
+from types import MappingProxyType
 
 import numpy as np
+import pytest
 
 from maxplus import (TropicalMatrix, critical_structure, evaluate,
                      fast_terms, is_orbit_periodic, nachtigall_expand,
                      scc_decompose, simulate_orbit, strong_access_matrix,
                      ultimate_expand, ultimate_threshold)
-from maxplus import NEG_INF, cli, core, expansions, graphs, kleene, orbit
+from maxplus import NEG_INF, cli, core, csr, expansions, graphs, kleene, orbit
 
 from conftest import DATA, cycle_chain, random_cyclic, random_reducible
 
@@ -93,47 +98,87 @@ def test_cli_csr_analyses_its_matrix_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_mutating_results_leaves_later_calls_intact():
-    for a in corpus():
-        fresh = {name: _facts(name, TropicalMatrix(a.arr)) for name in NAMES}
-        e = nachtigall_expand(a)
-        e.steps.clear()
-        e.terms.clear()
-        ultimate_expand(a).steps.reverse()
-        cs = critical_structure(a)
-        cs.critical_edges.clear()
-        cs.lambda_of_component.append(1.0)
-        cs.scc.components[0].append(a.n)
-        for pc in cs.per_component:
-            if pc is not None:
-                pc.crit_edges.clear()
-        strong_access_matrix(a)[:] = True
-        for name in NAMES:
-            assert _facts(name, a) == fresh[name], name
+def assert_read_only(x, seen=None):
+    """Every part of x refuses a change: a dataclass field (frozen), a
+    tuple (no append), a mapping proxy (no item assignment) and an array
+    (read-only); every other leaf is an immutable scalar or set."""
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return
+    seen.add(id(x))
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            value = getattr(x, f.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, f.name, value)
+            assert_read_only(value, seen)
+    elif isinstance(x, tuple):
+        with pytest.raises(AttributeError):
+            x.append(None)
+        for value in x:
+            assert_read_only(value, seen)
+    elif isinstance(x, MappingProxyType):
+        with pytest.raises(TypeError):
+            x[next(iter(x), 0)] = None
+        for value in x.values():
+            assert_read_only(value, seen)
+    elif isinstance(x, np.ndarray):
+        with pytest.raises(ValueError):
+            x[...] = x
+    elif isinstance(x, TropicalMatrix):
+        assert_read_only(x.arr, seen)
+    else:
+        assert isinstance(x, (int, float, str, frozenset, np.generic,
+                              type(None))), type(x)
 
 
-def test_public_copy_shares_the_read_only_stars():
-    """critical_structure hands out a deep copy that shares each
-    component's read-only star with the memo; changing the copy's lists,
-    or dropping its stars, leaves later calls intact."""
+def test_results_are_read_only():
     for a in corpus():
-        fresh = _facts("critical", TropicalMatrix(a.arr))
-        memo = graphs._critical(a)
-        cs = critical_structure(a)
-        for pc, own in zip(cs.per_component, memo.per_component):
-            assert (pc is None) == (own is None)
-            if pc is None:
-                continue
-            assert pc is not own and pc.star is own.star
-            assert not pc.star.flags.writeable
-            pc.nodes.append(a.n)
-            pc.crit_components.clear()
-            pc.class_of.clear()
-            pc.star = None
-        cs.scc.component_of[:] = -1
-        assert _facts("critical", a) == fresh
-        for pc in critical_structure(a).per_component:
-            assert pc is None or not pc.star.flags.writeable
+        assert_read_only(critical_structure(a))
+        for e in (nachtigall_expand(a), nachtigall_expand(a, rule="cycle"),
+                  ultimate_expand(a)):
+            assert_read_only(e)
+            for st in e.steps:
+                assert_read_only(critical_structure(st.a_mu))
+            for _, triple in e.terms:
+                for factor in (triple.c, triple.s, triple.r):
+                    assert_read_only(factor)
+        assert_read_only(strong_access_matrix(a))
+
+
+def test_repeated_calls_return_the_memo():
+    for a in corpus():
+        assert critical_structure(a) is critical_structure(a)
+        assert critical_structure(a) is graphs._critical(a)
+        assert strong_access_matrix(a) is strong_access_matrix(a)
+        for expand in (nachtigall_expand, ultimate_expand):
+            e = expand(a)
+            assert expand(a).terms is e.terms and expand(a).steps is e.steps
+        assert nachtigall_expand(a).steps is \
+            expansions._deflation_steps(a, "canonical")
+
+
+def test_a_term_crit_refuses_a_change_and_later_calls_keep_theirs():
+    """A term's selection is the memo's own: appending to its cyclicities
+    raises, and later expansions and fast_terms keep their answers (a
+    change that got through would read (1, 99) and make fast_terms raise
+    IndexError)."""
+    a = random_reducible(np.random.default_rng(5), 6)
+    t = 3 * a.n * a.n
+    fast = [m.arr.tobytes() for m in fast_terms(TropicalMatrix(a.arr), t)]
+    cyc = nachtigall_expand(a).terms[0].triple.component_cyclicities
+    with pytest.raises(AttributeError):
+        nachtigall_expand(a).terms[0].triple.crit.cyclicity_of.append(99)
+    assert nachtigall_expand(a).terms[0].triple.component_cyclicities == cyc
+    assert [m.arr.tobytes() for m in fast_terms(a, t)] == fast
+
+
+@pytest.mark.parametrize("cls", [
+    graphs.SccDecomposition, graphs.ComponentCriticals,
+    graphs.CriticalStructure, graphs.CritSubgraph, expansions.Expansion,
+    expansions.DeflationStep, csr.CsrTriple])
+def test_result_types_are_frozen(cls):
+    assert cls.__dataclass_params__.frozen
 
 
 def test_expansion_terms_built_once(monkeypatch):
@@ -243,25 +288,6 @@ def test_first_level_reuses_its_component_star(monkeypatch):
                           (shared.c_hat, formed.c_hat),
                           (shared.r_hat, formed.r_hat)):
             assert got.tobytes() == want.tobytes()
-
-
-def test_mutating_level_copies_leaves_shared_analyses_intact():
-    """Copies handed out for one level do not alias the component analyses
-    that the other levels share."""
-    for a in corpus():
-        fresh = {name: _facts(name, TropicalMatrix(a.arr)) for name in NAMES}
-        for st in nachtigall_expand(a).steps + ultimate_expand(a).steps:
-            cs = critical_structure(st.a_mu)
-            for pc in cs.per_component:
-                if pc is not None:
-                    pc.nodes.append(a.n)
-                    pc.crit_edges.clear()
-                    pc.crit_components[0].append(a.n)
-                    pc.cyclicity_of[0] = 0
-                    pc.class_of.clear()
-        nachtigall_expand(a, rule="cycle")
-        for name in NAMES:
-            assert _facts(name, a) == fresh[name], name
 
 
 def test_one_entry_scan_per_matrix(monkeypatch):

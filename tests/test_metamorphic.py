@@ -1,6 +1,6 @@
 """Metamorphic referees: relabelling the nodes, scaling every weight by
-2^k and shifting every finite weight by an integer change the answers in
-a known way, or not at all.
+2^k, shifting every finite weight by an integer and shifting an orbit's
+start vector change the answers in a known way, or not at all.
 
 Each relation is checked against the library's own answer on the
 original matrix, so it shares no code with the routes it referees.  The
@@ -14,9 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxplus import (NEG_INF, MaxplusError, NoCyclesError, TropicalMatrix,
-                     critical_structure, gamma_u, is_orbit_periodic,
-                     ultimate_threshold)
+from maxplus import (CRIT_TOL, NEG_INF, MaxplusError, NoCyclesError,
+                     TropicalMatrix, critical_structure, evaluate, gamma_u,
+                     is_orbit_periodic, nachtigall_expand, simulate_orbit,
+                     ultimate_expand, ultimate_threshold)
 
 from conftest import random_cyclic, random_reducible
 
@@ -83,6 +84,47 @@ def test_integer_shift_shifts_the_means():
         want_means, *want_rest = facts(a)
         assert means == {nodes: lam + c for nodes, lam in want_means.items()}
         assert rest == want_rest
+
+
+def expansion_values(a: TropicalMatrix, t: int) -> list:
+    """E(t) of the canonical power expansion and of the ultimate one."""
+    return [evaluate(expand(a), t).matrix.arr
+            for expand in (nachtigall_expand, ultimate_expand)]
+
+
+def test_relabelling_nodes_relabels_the_expansions():
+    for rng, a in draws(171, 60):
+        perm = rng.permutation(a.n)
+        t = 3 * a.n * a.n + int(rng.integers(0, 10))
+        got = expansion_values(TropicalMatrix(a.arr[np.ix_(perm, perm)]), t)
+        for value, want in zip(got, expansion_values(a, t)):
+            assert value.tobytes() == want[np.ix_(perm, perm)].tobytes()
+
+
+def test_integer_shift_moves_the_expansions():
+    """A shift by c adds c t to every finite entry of E(t).  A fractional
+    cycle mean leaves an ulp of residue there (ROADMAP item 1): draws 13,
+    54 and 55 (means 8/3 and -2/3) are off by 2.3e-10."""
+    for rng, a in draws(171, 60):
+        c = int(rng.choice([-1, 1])) * int(rng.integers(1, 10 ** 4))
+        t = 3 * a.n * a.n + int(rng.integers(0, 10))
+        got = expansion_values(finite_map(a, lambda w: w + c), t)
+        for value, want in zip(got, expansion_values(a, t)):
+            fin = want != NEG_INF
+            assert np.array_equal(value != NEG_INF, fin)
+            assert np.abs(value[fin] - (want[fin] + c * t)).max(
+                initial=0.0) <= CRIT_TOL
+
+
+def test_shifting_the_start_vector_shifts_the_orbit():
+    for rng, a in draws(171, 60):
+        y = rng.integers(-9, 10, a.n).astype(float)
+        y[rng.random(a.n) < 0.2] = NEG_INF
+        d = int(rng.integers(-10 ** 4, 10 ** 4))
+        got, want = simulate_orbit(a, y + d), simulate_orbit(a, y)
+        assert got.samples.tobytes() == (want.samples + d).tobytes()
+        assert (got.period, got.growth_rate, got.transient) == \
+            (want.period, want.growth_rate, want.transient)
 
 
 # Cycle means of this /3 matrix come out an ulp apart under node orders

@@ -4,14 +4,16 @@ Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
 1 verification mismatch (verify only), 2 input error (including a
-TROPICAL_TOL that is not a finite number >= 0), 3 precondition error
+TROPICAL_TOL that is not a finite number >= 0 or a TROPICAL_ORACLE_CAP
+that is not an integer >= 1), 3 precondition error
 (including NonFiniteError: a sum of weights or a report value overflowed
 float64), 64 usage error.
 
 TROPICAL_TOL (default CRIT_TOL) is the tol that csr, nachtigall,
 ultimate, threshold, orbit-check, orbit and verify pass to the library;
 its equalities hold when both values are -inf or both are finite and
-within tol (core._agree).  The critical analysis itself runs at CRIT_TOL.
+within tol (core._agree), and its orders when x - y > tol
+(core._exceeds).  The critical analysis itself runs at CRIT_TOL.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ ZERO = NEG_INF      # semiring zero
 UNITY = 0.0         # semiring unit
 
 # Tolerance for deciding criticality of an edge after normalizing by a
-# possibly fractional cycle mean, and the default of every equality decided
-# at a tolerance (_agree).  Integer inputs keep residues below 1e-12 at desk
-# scale, while distinct rational cycle means differ by at least 1/n^2, so
-# 1e-9 separates cleanly.
+# possibly fractional cycle mean, and the default of every equality and
+# order decided at a tolerance (_agree, _exceeds).  Integer inputs keep
+# residues below 1e-12 at desk scale, while distinct rational cycle means
+# differ by at least 1/n^2, so 1e-9 separates cleanly.
 CRIT_TOL = 1e-9
 
 # Broadcasted products allocate an n^3 temporary; above this size fall back
@@ -77,18 +77,18 @@ def _as_entries(values) -> np.ndarray:
 class TropicalMatrix:
     """Square matrix over the max-plus semiring.
 
-    The wrapped array is marked read-only; all operations return new
-    matrices, so instances can be shared and cached safely.  The private
-    _memo dict holds per-instance analysis results (critical structure,
-    deflation steps, strong access, the power stack of simulate_orbit's
-    blocks) that `graphs`, `expansions` and `orbit` compute at most once
-    per matrix; it is sound because arr never changes.
+    The wrapped array is read-only, and so is arr itself; all operations
+    return new matrices, so instances can be shared and cached safely.
+    The private _memo dict holds per-instance analysis results (critical
+    structure, deflation steps, strong access, the power stack of
+    simulate_orbit's blocks) that `graphs`, `expansions` and `orbit`
+    compute at most once per matrix; it is sound because arr never changes.
     """
 
     def __init__(self, entries, copy: bool = True):
         self._memo = {}
         if isinstance(entries, TropicalMatrix):
-            self.arr = entries.arr
+            self._arr = entries.arr
             return
         if isinstance(entries, np.ndarray) and not copy:
             # internal fast path: caller hands over a fresh float array
@@ -96,7 +96,11 @@ class TropicalMatrix:
         else:
             arr = _as_entries(entries)
         arr.setflags(write=False)
-        self.arr = arr
+        self._arr = arr
+
+    @property
+    def arr(self) -> np.ndarray:
+        return self._arr
 
     @classmethod
     def identity(cls, n: int) -> "TropicalMatrix":
@@ -117,7 +121,7 @@ class TropicalMatrix:
 
     @property
     def n(self) -> int:
-        return self.arr.shape[0]
+        return self._arr.shape[0]
 
     def _cached(self, key, compute):
         """compute() for key, evaluated at most once per instance."""
@@ -323,6 +327,15 @@ def _agree(x, y, tol: float) -> np.ndarray:
     # abs in place: a second float temporary doubles a _detect block's time
     np.abs(dev, out=dev)
     return (dev <= tol) | ((x == NEG_INF) & (y == NEG_INF))
+
+
+def _exceeds(x, y, tol: float) -> np.ndarray:
+    """x exceeds y by more than tol, elementwise: x - y > tol, false
+    where both are -inf.  The exact complement of _agree: |x - y| > tol
+    holds iff one side exceeds the other.  Every order the library
+    decides at a tolerance goes through here."""
+    with np.errstate(invalid="ignore"):     # -inf - -inf is NaN: false
+        return np.subtract(x, y) > tol
 
 
 def _arr_eq(x: np.ndarray, y: np.ndarray, tol: float = 0.0) -> bool:

@@ -103,7 +103,8 @@ class NonFiniteError(MaxplusError):
 
 
 class ParseError(MaxplusError):
-    """Malformed input: matrix or vector text, or a TROPICAL_TOL setting.
+    """Malformed input: matrix or vector text, or a TROPICAL_TOL or
+    TROPICAL_ORACLE_CAP setting.
 
     line/column are 1-based positions into the source text when available.
     """

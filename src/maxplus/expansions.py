@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
                    _EXACT_MEMO, _agree, _arr_eq, _exact_sums, _exactness,
-                   _mp_matmul, _overflow_checked)
+                   _exceeds, _mp_matmul, _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
 from .errors import AnalysisError, NoCyclesError, ThresholdError
@@ -443,14 +443,16 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
     term (m cyclic classes); nothing is sized by gamma_u.
     """
     lines = [(lam, _term_lines(a, lam, triple, tol)) for lam, triple in e.terms]
+    # steeper[nu, mu]: lam_nu > lam_mu at tol 0, as slopes overtake exactly
+    steeper = _exceeds(np.array(e.lambdas)[:, None], e.lambdas, 0.0)
     bound = 0
-    for lam_mu, (_, high) in lines:
+    for mu, (lam_mu, (_, high)) in enumerate(lines):
         need = high != NEG_INF
         if not need.any():
             continue
         first = np.full(need.shape, np.inf)
-        for lam_nu, (low, _) in lines:
-            if lam_nu > lam_mu:
+        for nu, (lam_nu, (low, _)) in enumerate(lines):
+            if steeper[nu, mu]:
                 ok = need & (low != NEG_INF)
                 cross = (high[ok] - low[ok]) / (lam_nu - lam_mu)
                 first[ok] = np.minimum(first[ok], np.floor(cross) + 1)

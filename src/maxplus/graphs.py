@@ -17,8 +17,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _check_node,
-                   _exact_sums, _overflow_checked, _power_chain, _power_stack,
-                   _stack_depth)
+                   _exact_sums, _exceeds, _overflow_checked, _power_chain,
+                   _power_stack, _stack_depth)
 from .errors import NoCyclesError, NonFiniteError
 
 
@@ -202,7 +202,7 @@ def _component_criticals(a: TropicalMatrix, nodes) -> ComponentCriticals:
     star.setflags(write=False)
     # edge (a, b) is critical iff it closes a cycle of weight 0: a -inf
     # entry of sub never passes, and np.nonzero keeps row-major edge order
-    crit = sub + star.T >= -CRIT_TOL
+    crit = ~_exceeds(0.0, sub + star.T, CRIT_TOL)
     aa, bb = np.nonzero(crit)
     idx = np.array(nodes)
     crit_edges = tuple(zip(idx[aa].tolist(), idx[bb].tolist()))
@@ -233,7 +233,7 @@ def _certified_mean(block: np.ndarray):
         star = _floyd_warshall_star(block - mu)
     except NonFiniteError:
         return None, None
-    if star.diagonal().max() > CRIT_TOL:
+    if _exceeds(star.diagonal().max(), 0.0, CRIT_TOL):
         return None, None
     return mu, star
 
@@ -379,8 +379,8 @@ def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
 
     crit_nodes, crit_edges, comps, cyc = [], [], [], []
     cls = {}
-    for pc in per:
-        if pc is None or pc.lam < lam_global - CRIT_TOL:
+    for pc, below in zip(per, _exceeds(lam_global, lams, CRIT_TOL)):
+        if below:
             continue
         crit_nodes.extend(pc.crit_nodes)
         crit_edges.extend(pc.crit_edges)

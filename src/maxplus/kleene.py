@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CRIT_TOL, TropicalMatrix
+from .core import CRIT_TOL, TropicalMatrix, _exceeds
 from .errors import DivergentStarError, NonFiniteError
 from .graphs import _critical, _floyd_warshall_star
 
@@ -31,7 +31,7 @@ def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL) -> TropicalMatrix:
         cs = _critical(a)
         for c in [] if cs is None else cs.scc.nontrivial():
             lam = cs.lambda_of_component[c]
-            if lam > tol:
+            if _exceeds(lam, 0.0, tol):
                 comp = list(cs.scc.components[c])
                 raise DivergentStarError(
                     component=comp, value=float(lam),
@@ -42,7 +42,7 @@ def kleene_star(a: TropicalMatrix, tol: float = CRIT_TOL) -> TropicalMatrix:
 def _diagonal_checked(m: np.ndarray, tol: float) -> TropicalMatrix:
     """The relaxed star m, or DivergentStarError naming the smallest node
     with a diagonal entry above tol."""
-    bad = np.flatnonzero(np.diagonal(m) > tol)
+    bad = np.flatnonzero(_exceeds(np.diagonal(m), 0.0, tol))
     if bad.size:
         raise DivergentStarError(node=int(bad[0]))
     return TropicalMatrix(m, copy=False)

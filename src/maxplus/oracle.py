@@ -13,13 +13,21 @@ import os
 from dataclasses import dataclass
 
 from .core import NEG_INF, TropicalMatrix
-from .errors import OracleSizeError
+from .errors import OracleSizeError, ParseError
 
 _T_CAP = 60
 
 
 def _node_cap() -> int:
-    return int(os.environ.get("TROPICAL_ORACLE_CAP", "8"))
+    raw = os.environ.get("TROPICAL_ORACLE_CAP", "8")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError("TROPICAL_ORACLE_CAP must be an integer >= 1, got %r"
+                         % raw)
+    return cap
 
 
 def _weights(a: TropicalMatrix) -> list:

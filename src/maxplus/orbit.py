@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
-                   _exact_sums, _mp_rank1, _overflow_checked, _power_stack,
-                   _stack_depth, as_vector)
+                   _exact_sums, _exceeds, _mp_rank1, _overflow_checked,
+                   _power_stack, _stack_depth, as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
 from .expansions import _ultimate_terms
 from .csr import csr_product
@@ -71,27 +71,21 @@ class OrbitTrace:
     transient: int | None
 
 
-def _condition1(cs, tol: float):
-    violations = []
-    dec = cs.scc
-    for p in dec.nontrivial():
-        for q in dec.nontrivial():
-            if p == q or not dec.access[p][q]:
-                continue
-            if cs.lambda_of_component[p] > cs.lambda_of_component[q] + tol:
-                violations.append((min(dec.components[p]), min(dec.components[q])))
-    return violations
+def _above(cs, tol: float) -> np.ndarray:
+    """above[p, q]: p and q are nontrivial and lam_p exceeds lam_q (a
+    trivial component's -inf exceeds nothing, and its column is masked)."""
+    lam = np.array(cs.lambda_of_component)
+    return _exceeds(lam[:, None], lam, tol) & (lam != NEG_INF)
 
 
-def _condition2_strong(a: TropicalMatrix, cs, tol: float):
-    dec = cs.scc
-    nontrivial = dec.nontrivial()
-    pairs = []
-    for x, p in enumerate(nontrivial):
-        for q in nontrivial[x + 1:]:
-            if not _agree(cs.lambda_of_component[p],
-                          cs.lambda_of_component[q], tol):
-                pairs.append((min(dec.components[p]), min(dec.components[q])))
+def _pairs(dec, table: np.ndarray) -> list:
+    """The component pairs set in table, row-major, as least nodes."""
+    return [(min(dec.components[p]), min(dec.components[q]))
+            for p, q in np.argwhere(table).tolist()]
+
+
+def _condition2_strong(a: TropicalMatrix, cs, above: np.ndarray):
+    pairs = _pairs(cs.scc, np.triu(above | above.T, 1))
     if not pairs:
         return []
     # only the representatives' rows, unless the full matrix is memoized
@@ -104,22 +98,23 @@ def _condition2_strong(a: TropicalMatrix, cs, tol: float):
 
 
 def _support_violations(a: TropicalMatrix, tol: float):
+    e = _ultimate_terms(a)
     supports = []
-    for lam, triple in _ultimate_terms(a).terms:
+    for _, triple in e.terms:
         nodes = list(triple.n_c)
         u1 = csr_product(triple, 1).matrix.arr[:, nodes]
-        supports.append((lam, nodes, (u1 != NEG_INF).astype(int)))
+        supports.append((nodes, (u1 != NEG_INF).astype(int)))
+    lams = np.array(e.lambdas)
     violations = []
-    for mu, (lam_mu, nodes_mu, supp_mu) in enumerate(supports):
-        for nu, (lam_nu, nodes_nu, supp_nu) in enumerate(supports):
-            if not lam_mu < lam_nu - tol:
-                continue
-            # (i, j) counts the rows in the support of i and not of j; the
-            # first failing pair, i then j increasing, is the witness
-            bad = np.argwhere(supp_mu.T @ (1 - supp_nu) > 0)
-            if bad.size:
-                i, j = bad[0]
-                violations.append((mu, nu, nodes_mu[i], nodes_nu[j]))
+    # the pairs (mu, nu), in order, where lam_nu exceeds lam_mu
+    for mu, nu in np.argwhere(_exceeds(lams, lams[:, None], tol)).tolist():
+        (nodes_mu, supp_mu), (nodes_nu, supp_nu) = supports[mu], supports[nu]
+        # (i, j) counts the rows in the support of i and not of j; the
+        # first failing pair, i then j increasing, is the witness
+        bad = np.argwhere(supp_mu.T @ (1 - supp_nu) > 0)
+        if bad.size:
+            i, j = bad[0]
+            violations.append((mu, nu, nodes_mu[i], nodes_nu[j]))
     return violations
 
 
@@ -136,11 +131,12 @@ def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
     cs = _critical(a)
     if cs is None:
         return OrbitReport(True, [], [], [], 1, method)
-    cond1 = _condition1(cs, tol)
+    above = _above(cs, tol)
+    cond1 = _pairs(cs.scc, cs.scc.access & above)
     cond2 = []
     supp = []
     if method in ("strong-access", "both"):
-        cond2 = _condition2_strong(a, cs, tol)
+        cond2 = _condition2_strong(a, cs, above)
     if method in ("support", "both") and not cond1:
         supp = _support_violations(a, tol)
     verdict = not (cond1 or cond2 or supp)
@@ -163,11 +159,7 @@ def column_periodicity(a: TropicalMatrix, j: int,
     cj = int(dec.component_of[j])
     if dec.is_trivial[cj]:
         raise TrivialColumnError("trivial column: %d" % j)
-    lam_j = cs.lambda_of_component[cj]
-    for p in dec.nontrivial():
-        if dec.access[p][cj] and cs.lambda_of_component[p] > lam_j + tol:
-            return False
-    return True
+    return not (dec.access[:, cj] & _above(cs, tol)[:, cj]).any()
 
 
 def pair_periodicity(a: TropicalMatrix, i: int, j: int,
@@ -207,12 +199,9 @@ def orbit_growth_rate(a: TropicalMatrix, y, tol: float = CRIT_TOL) -> float:
     if cs is None:
         return NEG_INF
     dec = cs.scc
-    supp_comps = {int(dec.component_of[v]) for v in np.nonzero(y != NEG_INF)[0]}
-    best = NEG_INF
-    for p in dec.nontrivial():
-        if any(dec.access[p][q] for q in supp_comps):
-            best = max(best, cs.lambda_of_component[p])
-    return float(best)
+    reach = dec.access[:, dec.component_of[y != NEG_INF]].any(axis=1)
+    return float(np.max(np.array(cs.lambda_of_component)[reach],
+                        initial=NEG_INF))
 
 
 def _divisors(g: int):
@@ -267,7 +256,7 @@ def _detect(samples: np.ndarray, gamma: int, tol: float):
             continue
         if mask.any():
             diffs = (top[mask] - bot[mask]) / p
-            if np.ptp(diffs) > tol:
+            if _exceeds(diffs.max(), diffs.min(), tol):
                 continue
             rate = float(diffs[0])
         else:

@@ -235,6 +235,16 @@ def test_bad_tolerance_setting_exits_2(tmp_path, capsys, monkeypatch):
             assert (code, obj) == (0, want[argv[0]]), (value, argv)
 
 
+@pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-1"])
+def test_bad_oracle_cap_setting_exits_2(value, capsys, monkeypatch):
+    # abc, the empty value and 2.5 used to exit 3 with int()'s message
+    monkeypatch.setenv("TROPICAL_ORACLE_CAP", value)
+    code, obj, err = run(capsys, "verify", EX1)
+    assert (code, obj) == (2, None)
+    assert err == ("error: TROPICAL_ORACLE_CAP must be an integer >= 1, "
+                   "got %r\n" % value)
+
+
 # ----------------------------------------------------------- the commands
 
 def test_lambda_example2(capsys):

@@ -1,6 +1,8 @@
 """Scalar and matrix semiring arithmetic against brute-force references."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +343,55 @@ def test_agree_rule():
     assert got.shape == (4, 2)
     assert got.tolist() == [[True, False], [True, False], [False, True],
                             [False, False]]
+
+
+def test_exceeds_rule():
+    exceeds = core._exceeds
+    # -inf exceeds nothing, and every finite value exceeds -inf
+    assert not exceeds(NEG_INF, NEG_INF, 0.0)
+    assert not exceeds(NEG_INF, -1e300, 0.0) and exceeds(-1e300, NEG_INF, 1e300)
+    # x - y = tol does not exceed, the next float past it does
+    x, tol = 1.5, 2.0 ** -20
+    assert not exceeds(x + tol, x, tol)
+    assert exceeds(np.nextafter(x + tol, np.inf), x, tol)
+    # tol 0 is strict order, and 0.0 does not exceed -0.0
+    assert exceeds(np.nextafter(0.0, 1.0), 0.0, 0.0)
+    assert not exceeds(0.0, -0.0, 0.0)
+    # the complement of _agree: |x - y| > tol iff one side exceeds the
+    # other, elementwise over broadcast operands
+    vals = np.array([NEG_INF, -1.0, -1e-9, -0.0, 0.0, 5e-10, 1e-9, 2e-9, 1.0])
+    x, y = vals[:, None], vals[None, :]
+    for tol in (0.0, 1e-9, 1.0):
+        assert np.array_equal(~core._agree(x, y, tol),
+                              exceeds(x, y, tol) | exceeds(y, x, tol))
+
+
+# (module, function) of the comparisons that may name a tolerance: the
+# two rules and the CLI's check of its TROPICAL_TOL setting
+TOL_COMPARES = {("core", "_agree"), ("core", "_exceeds"), ("cli", "_tol")}
+
+
+def test_tolerance_decisions_go_through_the_two_helpers():
+    """No comparison in the package names tol or CRIT_TOL outside
+    TOL_COMPARES: every equality at a tolerance is core._agree and every
+    order core._exceeds."""
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and (module, where) not in TOL_COMPARES:
+            names = {getattr(n, "id", getattr(n, "attr", None))
+                     for n in ast.walk(node)}
+            if names & {"tol", "CRIT_TOL"}:
+                found.append("%s.py:%d %s: %s" % (module, node.lineno, where,
+                                                  ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == []
 
 
 def test_public_tol_defaults_name_crit_tol():

@@ -100,8 +100,10 @@ def test_cli_csr_analyses_its_matrix_once(monkeypatch, capsys):
 
 def assert_read_only(x, seen=None):
     """Every part of x refuses a change: a dataclass field (frozen), a
-    tuple (no append), a mapping proxy (no item assignment) and an array
-    (read-only); every other leaf is an immutable scalar or set."""
+    tuple (no append), a mapping proxy (no item assignment), an array
+    (read-only) and a matrix's arr (no rebinding: a level's a_mu, a
+    triple's c, s and r); every other leaf is an immutable scalar or
+    set."""
     seen = set() if seen is None else seen
     if id(x) in seen:
         return
@@ -126,6 +128,8 @@ def assert_read_only(x, seen=None):
         with pytest.raises(ValueError):
             x[...] = x
     elif isinstance(x, TropicalMatrix):
+        with pytest.raises(AttributeError):
+            x.arr = np.zeros_like(x.arr)
         assert_read_only(x.arr, seen)
     else:
         assert isinstance(x, (int, float, str, frozenset, np.generic,

@@ -1,6 +1,7 @@
 """Metamorphic referees: relabelling the nodes, scaling every weight by
-2^k, shifting every finite weight by an integer and shifting an orbit's
-start vector change the answers in a known way, or not at all.
+2^k, shifting every finite weight by an integer, transposing and
+shifting an orbit's start vector change the answers in a known way, or
+not at all.
 
 Each relation is checked against the library's own answer on the
 original matrix, so it shares no code with the routes it referees.  The
@@ -113,6 +114,22 @@ def test_integer_shift_moves_the_expansions():
             fin = want != NEG_INF
             assert np.array_equal(value != NEG_INF, fin)
             assert np.abs(value[fin] - (want[fin] + c * t)).max(
+                initial=0.0) <= CRIT_TOL
+
+
+def test_transposing_keeps_the_means_and_transposes_the_expansions():
+    """A^T has the same cycles, reversed: the same mean per component,
+    gamma_u and threshold, and E(t)^T within CRIT_TOL (its analysis sums
+    in another order).  Transposing reverses access, so the orbit verdict
+    may change and is not compared."""
+    for rng, a in draws(171, 60):
+        b = TropicalMatrix(a.arr.T)
+        assert facts(b)[:3] == facts(a)[:3]
+        t = 3 * a.n * a.n + int(rng.integers(0, 10))
+        for value, want in zip(expansion_values(b, t), expansion_values(a, t)):
+            fin = want.T != NEG_INF
+            assert np.array_equal(value != NEG_INF, fin)
+            assert np.abs(value[fin] - want.T[fin]).max(
                 initial=0.0) <= CRIT_TOL
 
 

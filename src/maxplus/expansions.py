@@ -31,6 +31,12 @@ from .graphs import (CritSubgraph, CriticalStructure, _COMPONENT_MEMO, _bfs,
 # forms it: bounds its memory independently of gamma.
 _CHUNK_FLOATS = 2 ** 16
 
+# What forming one ultimate term and its lines costs beyond their float
+# work (its level, its star, interpreter overhead), in floats of orbit
+# stepping of the same time: about 0.4 ms per level at n <= 24 on a
+# 2-core x86-64 VM, where block stepping moves about 2^18 floats.
+_TERM_FLOATS = 2 ** 18
+
 
 @dataclass(frozen=True)
 class DeflationStep:
@@ -463,6 +469,25 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
     return bound
 
 
+def _ultimate_bound(a: TropicalMatrix, tol: float,
+                    budget: float = math.inf) -> int | None:
+    """_threshold_tables over the ultimate terms, once per matrix and tol.
+
+    Unless it is memoized already, it is also None (and not memoized)
+    when forming it costs budget floats or more: per term of m cyclic
+    classes, about 2 n^2 m (gamma + 1) floats of lines (see _term_lines)
+    and _TERM_FLOATS.
+    """
+    key = ("ultimate_bound", tol)
+    # the first test spares forming the levels
+    if key not in a._memo and (budget <= _TERM_FLOATS or budget <= sum(
+            2 * a.n * a.n * sum(st.crit.cyclicity_of) * (st.crit.gamma + 1)
+            + _TERM_FLOATS for st in _ultimate_steps(a))):
+        return None
+    return a._cached(key, lambda: _threshold_tables(a, _ultimate_terms(a),
+                                                    tol))
+
+
 def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,
                             t_max: int, matches) -> int | None:
     """Smallest t in (lo, t_max] with matches(A^t, t), given cur = A^lo
@@ -519,29 +544,32 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     qualifying t' exists below t_max (reported, not raised); t_max
     defaults to 30 n^2.
 
-    With e not given the scan reads the ultimate terms without sigma, and
-    only a None answer runs ultimate_expand's pairing with the canonical
-    levels: at weights too large for the absolute tol the two analyses
-    disagree, and AnalysisError reports that where the scan finds no t'.
+    With e not given the scan reads the ultimate terms without sigma and
+    their bound, which a's memo keeps per tol (simulate_orbit reads it
+    too); a given e has its bound formed per call.  Only a None answer
+    runs ultimate_expand's pairing with the canonical levels: at weights
+    too large for the absolute tol the two analyses disagree, and
+    AnalysisError reports that where the scan finds no t'.
     """
     if t_max is not None and t_max < 0:
         raise ValueError("negative t_max")
     if t_max is None:
         t_max = 30 * a.n * a.n
     if e is not None:
-        return _threshold_scan(a, e, t_max, tol)
-    t = _threshold_scan(a, _ultimate_terms(a), t_max, tol)
+        return _threshold_scan(a, e, t_max, tol, _threshold_tables(a, e, tol))
+    t = _threshold_scan(a, _ultimate_terms(a), t_max, tol,
+                        _ultimate_bound(a, tol))
     if t is None:
         ultimate_expand(a)
     return t
 
 
 def _threshold_scan(a: TropicalMatrix, e: Expansion, t_max: int,
-                    tol: float) -> int | None:
-    """ultimate_threshold's scan of a^t against e's E(t)."""
+                    tol: float, bound: int | None) -> int | None:
+    """ultimate_threshold's scan of a^t against e's E(t), past bound (see
+    _threshold_tables) on a proof."""
     n = a.n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
-    bound = _threshold_tables(a, e, tol)
     # all terms side by side: a shift never leaves a term's own slots
     c_all = np.hstack([triple.c_hat for _, triple in e.terms])
     r_all = np.vstack([triple.r_hat for _, triple in e.terms])

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
-                   _exact_sums, _exceeds, _mp_rank1, _overflow_checked,
-                   _power_stack, _stack_depth, as_vector)
+                   _exact_sums, _exceeds, _integral_max, _mp_matmul,
+                   _mp_rank1, _overflow_checked, _power_stack, _stack_depth,
+                   as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
-from .expansions import _ultimate_terms
-from .csr import csr_product
+from .expansions import _ultimate_bound, _ultimate_steps, _ultimate_terms
+from .csr import _shift, csr_product
 from .graphs import (_critical, _strong_access, gamma_u as _gamma_u,
                      strong_access_matrix)
 
@@ -97,7 +98,7 @@ def _condition2_strong(a: TropicalMatrix, cs, above: np.ndarray):
     return [(i, j) for i, j in pairs if not (sa[i][j] or sa[j][i])]
 
 
-def _support_violations(a: TropicalMatrix, tol: float):
+def _support_violations(a: TropicalMatrix, tol: float) -> tuple:
     e = _ultimate_terms(a)
     supports = []
     for _, triple in e.terms:
@@ -115,7 +116,7 @@ def _support_violations(a: TropicalMatrix, tol: float):
         if bad.size:
             i, j = bad[0]
             violations.append((mu, nu, nodes_mu[i], nodes_nu[j]))
-    return violations
+    return tuple(violations)
 
 
 def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
@@ -138,7 +139,9 @@ def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
     if method in ("strong-access", "both"):
         cond2 = _condition2_strong(a, cs, above)
     if method in ("support", "both") and not cond1:
-        supp = _support_violations(a, tol)
+        # once per matrix and tol; each report gets its own list
+        supp = list(a._cached(("support_violations", tol),
+                              lambda: _support_violations(a, tol)))
     verdict = not (cond1 or cond2 or supp)
     return OrbitReport(verdict, cond1, cond2, supp, _gamma_u(a), method)
 
@@ -247,20 +250,20 @@ def _detect(samples: np.ndarray, gamma: int, tol: float):
     """Smallest (period dividing gamma, rate, transient) with the linear
     identity verified on at least gamma+1 trailing equations."""
     t_max = samples.shape[0] - 1
-    for p in _divisors(gamma):
-        if t_max - p < 0:
-            continue
-        top, bot = samples[t_max], samples[t_max - p]
-        mask = top != NEG_INF
-        if not np.array_equal(mask, bot != NEG_INF):
-            continue
-        if mask.any():
-            diffs = (top[mask] - bot[mask]) / p
-            if _exceeds(diffs.max(), diffs.min(), tol):
-                continue
-            rate = float(diffs[0])
-        else:
-            rate = NEG_INF
+    # every divisor p at once: the last row's -inf pattern and its
+    # spread of slopes against the row p before, then the survivors in
+    # increasing order
+    ps = np.array([p for p in _divisors(gamma) if p <= t_max], dtype=int)
+    top, bots = samples[t_max], samples[t_max - ps]
+    mask = top != NEG_INF
+    keep = ((bots != NEG_INF) == mask).all(axis=1)
+    if mask.any():
+        diffs = (top[mask] - bots[:, mask]) / ps[:, None]
+        keep &= ~_exceeds(diffs.max(axis=1), diffs.min(axis=1), tol)
+        rates = diffs[:, 0]
+    else:
+        rates = np.full(ps.size, NEG_INF)
+    for p, rate in zip(ps[keep].tolist(), rates[keep].tolist()):
         t = _last_failure(samples, p, rate, tol) + 1
         if t_max - p - t + 1 >= gamma + 1:
             return p, rate, t
@@ -307,6 +310,93 @@ def _step_blocks(stack: np.ndarray, samples: np.ndarray):
                           out=flat[(t + 1) * n:(t + 1) * n + w])
 
 
+def _term_bound(a: TropicalMatrix, y: np.ndarray, t_max: int,
+                gamma: int) -> int | None:
+    """The ultimate bound T at CRIT_TOL for the term route, or None when
+    the route does not apply: a component cycle mean is fractional, a
+    sum of the terms' factors and y is inexact (each sums at most
+    4 n (gamma_u + 1) weights of a, plus lam t), T does not exist or
+    passes t_max, T is not memoized and costs the t_max n^2 floats of
+    stepping or more to form, or the terms' gammas sum past
+    _DETECT_CHUNK."""
+    cs = _critical(a)
+    if (cs is None or not _integral_max(np.array(cs.lambda_of_component))[0]
+            or not _exact_sums(a, t_max + 4 * a.n * (gamma + 1), y=y)):
+        return None
+    bound = _ultimate_bound(a, CRIT_TOL, budget=t_max * a.n * a.n)
+    if (bound is None or bound > t_max or sum(
+            st.crit.gamma for st in _ultimate_steps(a)) > _DETECT_CHUNK):
+        return None
+    return bound
+
+
+def _term_parts(a: TropicalMatrix, y: np.ndarray, lo: int,
+                rows: int) -> list:
+    """(q, lam, gamma) per ultimate term: q[k] = C^ (x) z[sigma_(lo + k)]
+    with z = R^ (x) y, for the min(gamma, rows) residues from lo on."""
+    parts = []
+    for lam, tr in _ultimate_terms(a).terms:
+        z = (tr.r_hat + y).max(axis=1)
+        ks = lo + np.arange(min(tr.gamma, rows))
+        parts.append((_mp_matmul(z[_shift(tr.slots, ks[:, None])],
+                                 tr.c_hat.T), int(lam), tr.gamma))
+    return parts
+
+
+def _term_rows(parts: list, lo: int, t0: int,
+               out: np.ndarray) -> np.ndarray:
+    """out[k] = E(t0 + k) (x) y for t0 >= lo, the max over the terms of
+    q[(t - lo) % gamma] + lam t (see _term_parts).  lam t is an integer,
+    so a -0.0 in q sums to +0.0, as it does in a stepped row."""
+    ts = np.arange(t0, t0 + len(out))
+    out.fill(NEG_INF)
+    for q, lam, gamma in parts:
+        part = q[(ts - lo) % gamma]
+        part += (lam * ts)[:, None]
+        np.maximum(out, part, out=out)
+    return out
+
+
+def _step_to_terms(a: TropicalMatrix, samples: np.ndarray, bound: int):
+    """Rows stepped (as _step_rows gives them) until one at t >= bound
+    equals its term row (_term_rows), then the term rows: past bound,
+    A (x) E(t) = E(t + 1) carries that equality to every later row.
+
+    The 64 rows from bound on, where an orbit mostly meets its terms,
+    are stepped and compared one at a time.  Past them (a long
+    transient), and up to a bound past 128, rows come in blocks from a's
+    stack (_step_blocks) of twice the rows past bound so far, at most
+    _DETECT_CHUNK, and only a block's last row is compared.  Scratch is
+    O(_DETECT_CHUNK * n) floats.
+    """
+    t_max, arr = samples.shape[0] - 1, a.arr
+    b = _stack_depth(a.n, t_max)
+    parts = _term_parts(a, samples[0], bound, t_max - bound + 1)
+    if bound < 128:
+        _step_rows(arr, samples[:bound + 1])
+    else:
+        _step_blocks(_orbit_stack(a, b), samples[:bound + 1])
+    t, hi = bound, min(bound + 64, t_max + 1)
+    near = _term_rows(parts, bound, t, np.empty((hi - t, a.n)))
+    buf = np.empty_like(arr)
+    while not (samples[t] == near[t - bound]).all():
+        t += 1
+        if t == hi:
+            break
+        np.add(arr, samples[t - 1], out=buf)
+        np.maximum.reduce(buf, axis=1, out=samples[t])
+    else:
+        samples[t:hi] = near[t - bound:]
+    while t == hi <= t_max:
+        # a block meets its terms iff its last row does
+        lo, hi = t, min(t + 2 * (t - bound), t + _DETECT_CHUNK, t_max + 1)
+        _step_blocks(_orbit_stack(a, b), samples[lo - 1:hi])
+        last = _term_rows(parts, bound, hi - 1, np.empty((1, a.n)))
+        t = hi - 1 if (last == samples[hi - 1]).all() else hi
+    for lo in range(hi, t_max + 1, _DETECT_CHUNK):
+        _term_rows(parts, bound, lo, samples[lo:lo + _DETECT_CHUNK])
+
+
 def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
                    tol: float = CRIT_TOL) -> OrbitTrace:
     """Record the orbit of y and look for ultimate linear periodicity.
@@ -319,17 +409,22 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
     t_max defaults to 6 n^2 + 2 gamma_u.
 
     When every sum is exact (finite entries of a and y integers, no -0.0
-    in y, |y|max + (t_max + 1) |a|max < 2**53), rows are computed b at a
-    time, b = min(t_max, 2**14 // n^2) (at least 1): the powers
-    a^1 ... a^b are stacked by doubling, once per matrix (a's memo keeps
-    the stack), and each block is one add and one reduction from the row
-    before it.  Other input steps one row at a time,
+    in y, |y|max + (t_max + 1) |a|max < 2**53) and _term_bound gives
+    the ultimate bound T (A (x) E(t) = E(t + 1) for t >= T), rows are
+    stepped until one at t >= T equals E(t) (x) y, and every later row
+    is read off the terms (_step_to_terms).  Other exact input computes
+    rows b at a time, b = min(t_max, 2**14 // n^2) (at least 1): the
+    powers a^1 ... a^b are stacked by doubling, once per matrix (a's
+    memo keeps the stack), and each block is one add and one reduction
+    from the row before it.  Other input steps one row at a time,
     samples[t] = a (x) samples[t-1] with the arithmetic of
-    TropicalMatrix.apply.  Both give the samples of a repeated apply loop
-    bit for bit.  A sum that overflows float64 raises NonFiniteError.
-    Memory is the (t_max + 1) x n sample array, the stack (at most 2**14
-    floats, or n^2 when n > 128) and O(2**14 + _DETECT_CHUNK * n) scratch
-    floats (_DETECT_CHUNK rows per detection block).
+    TropicalMatrix.apply.  All three give the samples of a repeated
+    apply loop bit for bit: exact sums give the same value in any
+    grouping and leave no -0.0 (lam t is added as an integer).  A sum
+    that overflows float64 raises NonFiniteError.  Memory is the
+    (t_max + 1) x n sample array, the stack (at most 2**14 floats, or
+    n^2 when n > 128) and O(2**14 + _DETECT_CHUNK * n) scratch floats
+    (_DETECT_CHUNK rows per detection block or block of term rows).
     """
     y = as_vector(y, a.n)
     if t_max is not None and t_max < 0:
@@ -340,7 +435,11 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
     samples = np.empty((t_max + 1, a.n))
     samples[0] = y
     if t_max and _exact_sums(a, t_max, y=y):
-        _step_blocks(_orbit_stack(a, _stack_depth(a.n, t_max)), samples)
+        bound = _term_bound(a, y, t_max, gamma)
+        if bound is None:
+            _step_blocks(_orbit_stack(a, _stack_depth(a.n, t_max)), samples)
+        else:
+            _step_to_terms(a, samples, bound)
     else:
         _step_rows(a.arr, samples)
     samples.setflags(write=False)

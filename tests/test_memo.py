@@ -10,8 +10,8 @@ import pytest
 
 from maxplus import (TropicalMatrix, critical_structure, evaluate,
                      fast_terms, is_orbit_periodic, nachtigall_expand,
-                     scc_decompose, simulate_orbit, strong_access_matrix,
-                     ultimate_expand, ultimate_threshold)
+                     orbit_growth_rate, scc_decompose, simulate_orbit,
+                     strong_access_matrix, ultimate_expand, ultimate_threshold)
 from maxplus import NEG_INF, cli, core, csr, expansions, graphs, kleene, orbit
 
 from conftest import DATA, cycle_chain, random_cyclic, random_reducible
@@ -410,3 +410,44 @@ def test_condition2_reuses_strong_access(monkeypatch):
     strong_access_matrix(b)
     assert is_orbit_periodic(b, method="strong-access") == first
     assert calls == [[1, 3]]
+
+
+def test_orbit_reads_the_threshold_bound(monkeypatch):
+    """ultimate_threshold forms the bound, and the term route of both
+    orbits reads it: no second set of lines, and no power stack."""
+    calls = []
+    tables = expansions._threshold_tables
+
+    def counted(a, e, tol):
+        calls.append(tol)
+        return tables(a, e, tol)
+
+    monkeypatch.setattr(expansions, "_threshold_tables", counted)
+    rng = np.random.default_rng(3)
+    a = cycle_chain(rng)
+    ultimate_threshold(a)
+    for y in (rng.integers(-9, 10, a.n).astype(float),
+              np.where(np.arange(a.n) == 3, 0.0, NEG_INF)):
+        simulate_orbit(a, y)
+    assert calls == [1e-9]
+    assert "orbit_stack" not in a._memo
+
+
+def test_growth_rate_reuses_the_support_route(monkeypatch):
+    """The support route runs once per matrix and tol, and each report
+    holds its own list of its violations."""
+    a = cycle_chain(np.random.default_rng(4))
+    y = np.zeros(a.n)
+    rate = orbit_growth_rate(a, y)
+    calls = []
+    product = orbit.csr_product
+    monkeypatch.setattr(orbit, "csr_product",
+                        lambda *args: calls.append(args) or product(*args))
+    assert orbit_growth_rate(a, y) == rate
+    assert calls == []
+    b = TropicalMatrix.from_rows([[0, None], [None, 1]])
+    first = is_orbit_periodic(b)
+    want = list(first.support_violations)
+    assert want and calls
+    first.support_violations.clear()
+    assert is_orbit_periodic(b).support_violations == want

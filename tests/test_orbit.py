@@ -5,19 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxplus import core, graphs, orbit
-from maxplus import (NEG_INF, DimensionError, NonFiniteError,
+from maxplus import core, expansions, graphs, orbit
+from maxplus import (CRIT_TOL, NEG_INF, DimensionError, NonFiniteError,
                      NotOrbitPeriodicError,
                      TrivialColumnError, TropicalMatrix, ZeroVectorError,
                      column_periodicity, critical_structure, csr_product,
                      gamma_u, is_orbit_periodic, kleene_star, mat_mul,
                      mat_power, mat_scalar_mul, max_cycle_mean,
                      orbit_growth_rate, pair_periodicity, scc_decompose,
-                     simulate_orbit, strong_access_matrix, ultimate_expand)
+                     simulate_orbit, strong_access_matrix, ultimate_expand,
+                     ultimate_threshold)
 
 from conftest import (cycle_chain, random_cyclic, random_matrix,
                       random_reducible)
 from goldens import EX3_GAMMA_U, EX3A_SEQ_FROM_T4, EX3B_SEQ_FROM_T2
+from test_threshold import (disjoint_zero_cycles, reweighted,
+                            two_bipartite_levels)
 
 TOL = 1e-9
 
@@ -727,3 +730,116 @@ def test_overflow_raises_typed_error():
     a = TropicalMatrix([[0.0, 2.0 ** 1023], [NEG_INF, 0.0]])
     with pytest.raises(NonFiniteError):
         simulate_orbit(a, [0.0, 2.0 ** 1023], t_max=3)
+
+
+# ------------------------------------------------------- term route
+
+@pytest.fixture
+def term_route(monkeypatch) -> list:
+    """t_max of every simulate_orbit call that takes the term route."""
+    calls = []
+    step = orbit._step_to_terms
+
+    def counted(a, samples, bound):
+        calls.append(samples.shape[0] - 1)
+        return step(a, samples, bound)
+
+    monkeypatch.setattr(orbit, "_step_to_terms", counted)
+    return calls
+
+
+def test_term_route_matches_row_loop(term_route):
+    """Integer-mean chains, rising (orbit periodic), falling and with one
+    pair swapped (violating), at t_max around the bound T."""
+    rng = np.random.default_rng(95)
+    chains = [cycle_chain(rng), cycle_chain(rng, means=(2, 0, -1, -3)),
+              cycle_chain(rng, means=(-3, 0, -1, 2), tail=5),
+              cycle_chain(rng, (2, 3), (-1, 1), tail=1),
+              cycle_chain(rng, (2, 3), (1, -1), tail=1),
+              cycle_chain(rng, (2, 3, 5), (1, -2, 0))]
+    bounds, taken = [], []
+    for a in chains:
+        bound = expansions._ultimate_bound(a, CRIT_TOL)
+        bounds.append(bound)
+        default = 6 * a.n * a.n + 2 * gamma_u(a)
+        for y in start_vectors(rng, a.n):
+            for t_max in sorted({0, 1, max(bound - 1, 0), bound, bound + 1}):
+                assert_orbit_matches_loop(a, y, t_max)
+                if 1 <= t_max and bound <= t_max:
+                    taken.append(t_max)
+            assert_orbit_matches_loop(a, y)
+            taken.append(default)
+    assert 0 in bounds and max(bounds) > 1
+    assert term_route == taken
+
+
+def test_term_route_skips_other_input(term_route):
+    """Fractional cycle means (of integer weights), the scaled weights
+    and an integer-mean matrix with no bound keep the other routes."""
+    rng = np.random.default_rng(96)
+    chain = cycle_chain(rng, (2, 3), (-1, 1), tail=1)
+    boundless = reweighted(two_bipartite_levels(), lambda w: 2 * w)
+    assert expansions._ultimate_bound(boundless, CRIT_TOL) is None
+    for a in (cycle_chain(rng, (2, 3), (0.5, 1), tail=1),
+              reweighted(chain, lambda w: 1e6 * w + 1e7 / 3), boundless):
+        for y in start_vectors(rng, a.n):
+            assert_orbit_matches_loop(a, y)
+    assert term_route == []
+
+
+def test_term_route_forms_no_large_gamma_bound(monkeypatch):
+    """One zero-weight term with gamma = 2310: its lines would cost more
+    than the stepping, so simulate_orbit never forms them."""
+    calls = []
+    monkeypatch.setattr(expansions, "_threshold_tables",
+                        lambda *args: calls.append(args))
+    a = disjoint_zero_cycles((2, 3, 5, 7, 11))
+    y = np.random.default_rng(97).integers(-9, 10, a.n).astype(float)
+    assert_orbit_matches_loop(a, y)
+    assert calls == []
+
+
+def test_term_route_memory_is_the_samples(term_route):
+    """Integer means on cycles 2 ... 13 (n = 43, gamma_u = 30030): past
+    the bound that ultimate_threshold memoized (its own memory is
+    _threshold_tables', see test_threshold), the term route stays within
+    1 MB of the sample array."""
+    rng = np.random.default_rng(98)
+    a = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
+    y = rng.integers(-9, 10, a.n).astype(float)
+    ultimate_threshold(a)
+    tracemalloc.start()
+    try:
+        trace = simulate_orbit(a, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t_max = trace.samples.shape[0] - 1
+    assert term_route == [t_max] == [6 * 43 * 43 + 2 * 30030]
+    assert peak <= trace.samples.nbytes + 2 ** 20
+    bound = expansions._ultimate_bound(a, CRIT_TOL)
+    assert 1 < bound < 30031
+    for t in (1, bound, 30031, t_max):
+        assert np.array_equal(trace.samples[t], mat_power(a, t).apply(y))
+
+
+def test_term_route_steps_long_transients_in_blocks(term_route):
+    """Rows up to a bound past 128, and the rows of a transient of about
+    W steps past the bound (a 0-loop reaches the -1 loop at node 1 only
+    through an edge of weight -W), come from the stack's blocks."""
+    rng = np.random.default_rng(99)
+    chain = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
+    bound = expansions._ultimate_bound(chain, CRIT_TOL)
+    assert bound > 128
+    cases = [(chain, t_max) for t_max in (bound, bound + 70, bound + 700)]
+    for w in (300, 1000):
+        arr = np.full((24, 24), NEG_INF)
+        arr[0, 0], arr[1, 1], arr[0, 1], arr[1, 0] = 0.0, -1.0, -w, 0.0
+        for v in range(1, 24):
+            arr[v, v % 23 + 1] = -1.0
+        cases.append((TropicalMatrix(arr), None))
+    for a, t_max in cases:
+        for y in start_vectors(rng, a.n) + [unit(a.n, 1)]:
+            assert_orbit_matches_loop(a, y, t_max)
+        assert "orbit_stack" in a._memo
+    assert len(term_route) == 4 * len(cases)

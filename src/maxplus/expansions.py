@@ -31,12 +31,6 @@ from .graphs import (CritSubgraph, CriticalStructure, _COMPONENT_MEMO, _bfs,
 # forms it: bounds its memory independently of gamma.
 _CHUNK_FLOATS = 2 ** 16
 
-# What forming one ultimate term and its lines costs beyond their float
-# work (its level, its star, interpreter overhead), in floats of orbit
-# stepping of the same time: about 0.4 ms per level at n <= 24 on a
-# 2-core x86-64 VM, where block stepping moves about 2^18 floats.
-_TERM_FLOATS = 2 ** 18
-
 
 @dataclass(frozen=True)
 class DeflationStep:
@@ -469,23 +463,11 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
     return bound
 
 
-def _ultimate_bound(a: TropicalMatrix, tol: float,
-                    budget: float = math.inf) -> int | None:
-    """_threshold_tables over the ultimate terms, once per matrix and tol.
-
-    Unless it is memoized already, it is also None (and not memoized)
-    when forming it costs budget floats or more: per term of m cyclic
-    classes, about 2 n^2 m (gamma + 1) floats of lines (see _term_lines)
-    and _TERM_FLOATS.
-    """
-    key = ("ultimate_bound", tol)
-    # the first test spares forming the levels
-    if key not in a._memo and (budget <= _TERM_FLOATS or budget <= sum(
-            2 * a.n * a.n * sum(st.crit.cyclicity_of) * (st.crit.gamma + 1)
-            + _TERM_FLOATS for st in _ultimate_steps(a))):
-        return None
-    return a._cached(key, lambda: _threshold_tables(a, _ultimate_terms(a),
-                                                    tol))
+def _ultimate_bound(a: TropicalMatrix, tol: float) -> int | None:
+    """_threshold_tables over the ultimate terms, once per matrix and tol
+    (a's memo keeps it under ("ultimate_bound", tol))."""
+    return a._cached(("ultimate_bound", tol),
+                     lambda: _threshold_tables(a, _ultimate_terms(a), tol))
 
 
 def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,

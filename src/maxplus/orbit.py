@@ -24,13 +24,18 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
                    _mp_rank1, _overflow_checked, _power_stack, _stack_depth,
                    as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
-from .expansions import _ultimate_bound, _ultimate_steps, _ultimate_terms
+from .expansions import _ultimate_terms
 from .csr import _shift, csr_product
 from .graphs import (_critical, _strong_access, gamma_u as _gamma_u,
                      strong_access_matrix)
 
 # Equations compared per block in _detect's backward scan.
 _DETECT_CHUNK = 1024
+
+# Rows the term route steps one at a time before it forms a's stack:
+# forming the stack costs as much as stepping 120-290 rows singly at
+# n = 8 ... 80 (0.3-1.0 ms against 2.7-15 us per row, a 2-core x86-64 VM).
+_STACK_ROWS = 128
 
 
 @dataclass
@@ -313,19 +318,23 @@ def _step_blocks(stack: np.ndarray, samples: np.ndarray):
 def _term_bound(a: TropicalMatrix, y: np.ndarray, t_max: int,
                 gamma: int) -> int | None:
     """The ultimate bound T at CRIT_TOL for the term route, or None when
-    the route does not apply: a component cycle mean is fractional, a
-    sum of the terms' factors and y is inexact (each sums at most
-    4 n (gamma_u + 1) weights of a, plus lam t), T does not exist or
-    passes t_max, T is not memoized and costs the t_max n^2 floats of
-    stepping or more to form, or the terms' gammas sum past
-    _DETECT_CHUNK."""
-    cs = _critical(a)
-    if (cs is None or not _integral_max(np.array(cs.lambda_of_component))[0]
-            or not _exact_sums(a, t_max + 4 * a.n * (gamma + 1), y=y)):
+    the route does not apply: T is not memoized (ultimate_threshold
+    memoizes it), does not exist or passes t_max, a component cycle mean
+    is fractional, the terms' gammas sum past _DETECT_CHUNK, or a sum of
+    the terms' factors and y is inexact (each sums at most
+    4 n (gamma_u + 1) weights of a, plus lam t).
+
+    The route never forms T: its lines cost about 2 n^2 m (gamma + 1)
+    floats per term of m cyclic classes, which can pass the stepping
+    they would spare (zero-weight cycles 2 ... 11: 16 ms -> 0.24 s).
+    """
+    bound = a._memo.get(("ultimate_bound", CRIT_TOL))
+    if bound is None or bound > t_max:
         return None
-    bound = _ultimate_bound(a, CRIT_TOL, budget=t_max * a.n * a.n)
-    if (bound is None or bound > t_max or sum(
-            st.crit.gamma for st in _ultimate_steps(a)) > _DETECT_CHUNK):
+    if (not _integral_max(np.array(_critical(a).lambda_of_component))[0]
+            or sum(tr.gamma for _, tr in _ultimate_terms(a).terms)
+            > _DETECT_CHUNK
+            or not _exact_sums(a, t_max + 4 * a.n * (gamma + 1), y=y)):
         return None
     return bound
 
@@ -343,12 +352,11 @@ def _term_parts(a: TropicalMatrix, y: np.ndarray, lo: int,
     return parts
 
 
-def _term_rows(parts: list, lo: int, t0: int,
+def _term_rows(parts: list, lo: int, ts: np.ndarray,
                out: np.ndarray) -> np.ndarray:
-    """out[k] = E(t0 + k) (x) y for t0 >= lo, the max over the terms of
+    """out[k] = E(ts[k]) (x) y for ts >= lo, the max over the terms of
     q[(t - lo) % gamma] + lam t (see _term_parts).  lam t is an integer,
     so a -0.0 in q sums to +0.0, as it does in a stepped row."""
-    ts = np.arange(t0, t0 + len(out))
     out.fill(NEG_INF)
     for q, lam, gamma in parts:
         part = q[(ts - lo) % gamma]
@@ -357,44 +365,41 @@ def _term_rows(parts: list, lo: int, t0: int,
     return out
 
 
-def _step_to_terms(a: TropicalMatrix, samples: np.ndarray, bound: int):
-    """Rows stepped (as _step_rows gives them) until one at t >= bound
-    equals its term row (_term_rows), then the term rows: past bound,
-    A (x) E(t) = E(t + 1) carries that equality to every later row.
+def _advance(a: TropicalMatrix, samples: np.ndarray, b: int):
+    """samples[1:] stepped from samples[0]: a row at a time when they are
+    fewer than _STACK_ROWS, else b at a time from a's stack of depth b."""
+    if samples.shape[0] <= _STACK_ROWS:
+        _step_rows(a.arr, samples)
+    else:
+        _step_blocks(_orbit_stack(a, b), samples)
 
-    The 64 rows from bound on, where an orbit mostly meets its terms,
-    are stepped and compared one at a time.  Past them (a long
-    transient), and up to a bound past 128, rows come in blocks from a's
-    stack (_step_blocks) of twice the rows past bound so far, at most
-    _DETECT_CHUNK, and only a block's last row is compared.  Scratch is
-    O(_DETECT_CHUNK * n) floats.
+
+def _step_to_terms(a: TropicalMatrix, samples: np.ndarray, bound: int):
+    """Rows stepped until one at t >= bound equals its term row
+    (_term_rows), then the term rows: past bound, A (x) E(t) = E(t + 1)
+    carries that equality to every later row.
+
+    Rows are stepped in spans by _advance, to bound and then 1, 2, 4, ...
+    rows on, and only a span's last row is compared: a row that meets
+    its term row makes every later one meet its own.  A transient of k
+    rows past bound costs at most 2k stepped rows, and a short one forms
+    no stack.  Scratch is O(_DETECT_CHUNK * n) floats beside the stack's.
     """
-    t_max, arr = samples.shape[0] - 1, a.arr
+    t_max = samples.shape[0] - 1
     b = _stack_depth(a.n, t_max)
     parts = _term_parts(a, samples[0], bound, t_max - bound + 1)
-    if bound < 128:
-        _step_rows(arr, samples[:bound + 1])
-    else:
-        _step_blocks(_orbit_stack(a, b), samples[:bound + 1])
-    t, hi = bound, min(bound + 64, t_max + 1)
-    near = _term_rows(parts, bound, t, np.empty((hi - t, a.n)))
-    buf = np.empty_like(arr)
-    while not (samples[t] == near[t - bound]).all():
-        t += 1
-        if t == hi:
+    ends = np.minimum(bound - 1 + 2 ** np.arange(
+        (t_max - bound).bit_length() + 1), t_max)
+    t = 0
+    for end, row in zip(ends.tolist(), _term_rows(
+            parts, bound, ends, np.empty((len(ends), a.n)))):
+        _advance(a, samples[t:end + 1], b)
+        t = end
+        if (samples[t] == row).all():
             break
-        np.add(arr, samples[t - 1], out=buf)
-        np.maximum.reduce(buf, axis=1, out=samples[t])
-    else:
-        samples[t:hi] = near[t - bound:]
-    while t == hi <= t_max:
-        # a block meets its terms iff its last row does
-        lo, hi = t, min(t + 2 * (t - bound), t + _DETECT_CHUNK, t_max + 1)
-        _step_blocks(_orbit_stack(a, b), samples[lo - 1:hi])
-        last = _term_rows(parts, bound, hi - 1, np.empty((1, a.n)))
-        t = hi - 1 if (last == samples[hi - 1]).all() else hi
-    for lo in range(hi, t_max + 1, _DETECT_CHUNK):
-        _term_rows(parts, bound, lo, samples[lo:lo + _DETECT_CHUNK])
+    for lo in range(t + 1, t_max + 1, _DETECT_CHUNK):
+        ts = np.arange(lo, min(lo + _DETECT_CHUNK, t_max + 1))
+        _term_rows(parts, bound, ts, samples[lo:lo + _DETECT_CHUNK])
 
 
 def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
@@ -409,10 +414,11 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
     t_max defaults to 6 n^2 + 2 gamma_u.
 
     When every sum is exact (finite entries of a and y integers, no -0.0
-    in y, |y|max + (t_max + 1) |a|max < 2**53) and _term_bound gives
-    the ultimate bound T (A (x) E(t) = E(t + 1) for t >= T), rows are
-    stepped until one at t >= T equals E(t) (x) y, and every later row
-    is read off the terms (_step_to_terms).  Other exact input computes
+    in y, |y|max + (t_max + 1) |a|max < 2**53) and _term_bound reads
+    the ultimate bound T (A (x) E(t) = E(t + 1) for t >= T) that
+    ultimate_threshold memoized on a, rows are stepped until one at
+    t >= T equals E(t) (x) y, and every later row is read off the terms
+    (_step_to_terms); this never forms T.  Other exact input computes
     rows b at a time, b = min(t_max, 2**14 // n^2) (at least 1): the
     powers a^1 ... a^b are stacked by doubling, once per matrix (a's
     memo keeps the stack), and each block is one add and one reduction

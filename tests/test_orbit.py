@@ -774,63 +774,78 @@ def test_term_route_matches_row_loop(term_route):
 
 
 def test_term_route_skips_other_input(term_route):
-    """Fractional cycle means (of integer weights), the scaled weights
-    and an integer-mean matrix with no bound keep the other routes."""
+    """With its bound memoized, fractional cycle means (of integer
+    weights), the scaled weights and an integer-mean matrix with no bound
+    keep the other routes; so does an integer-mean matrix whose bound was
+    never formed."""
     rng = np.random.default_rng(96)
     chain = cycle_chain(rng, (2, 3), (-1, 1), tail=1)
     boundless = reweighted(two_bipartite_levels(), lambda w: 2 * w)
+    others = [cycle_chain(rng, (2, 3), (0.5, 1), tail=1),
+              reweighted(chain, lambda w: 1e6 * w + 1e7 / 3), boundless]
+    for a in others:
+        expansions._ultimate_bound(a, CRIT_TOL)
+    assert ("ultimate_bound", CRIT_TOL) in boundless._memo
     assert expansions._ultimate_bound(boundless, CRIT_TOL) is None
-    for a in (cycle_chain(rng, (2, 3), (0.5, 1), tail=1),
-              reweighted(chain, lambda w: 1e6 * w + 1e7 / 3), boundless):
+    for a in others + [chain]:
         for y in start_vectors(rng, a.n):
             assert_orbit_matches_loop(a, y)
     assert term_route == []
+    assert ("ultimate_bound", CRIT_TOL) not in chain._memo
 
 
-def test_term_route_forms_no_large_gamma_bound(monkeypatch):
-    """One zero-weight term with gamma = 2310: its lines would cost more
-    than the stepping, so simulate_orbit never forms them."""
+def test_term_route_forms_no_large_gamma_bound(monkeypatch, term_route):
+    """One zero-weight term with gamma = 2310: simulate_orbit never forms
+    its lines, and once ultimate_threshold has, the term's periodic part
+    would outgrow the scratch, so the route is still skipped."""
     calls = []
+    tables = expansions._threshold_tables
     monkeypatch.setattr(expansions, "_threshold_tables",
-                        lambda *args: calls.append(args))
+                        lambda *args: calls.append(args) or tables(*args))
     a = disjoint_zero_cycles((2, 3, 5, 7, 11))
     y = np.random.default_rng(97).integers(-9, 10, a.n).astype(float)
     assert_orbit_matches_loop(a, y)
     assert calls == []
+    ultimate_threshold(a)
+    assert len(calls) == 1
+    assert expansions._ultimate_bound(a, CRIT_TOL) <= 6 * a.n * a.n
+    assert_orbit_matches_loop(a, y)
+    assert term_route == []
 
 
 def test_term_route_memory_is_the_samples(term_route):
-    """Integer means on cycles 2 ... 13 (n = 43, gamma_u = 30030): past
-    the bound that ultimate_threshold memoized (its own memory is
-    _threshold_tables', see test_threshold), the term route stays within
+    """Integer means on cycles 2 ... 13 (n = 43, gamma_u = 30030): a cold
+    orbit forms no bound and steps blocks, and past the bound that
+    ultimate_threshold memoized (its own memory is _threshold_tables',
+    see test_threshold) the term route reads the terms; both stay within
     1 MB of the sample array."""
     rng = np.random.default_rng(98)
     a = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
     y = rng.integers(-9, 10, a.n).astype(float)
-    ultimate_threshold(a)
-    tracemalloc.start()
-    try:
-        trace = simulate_orbit(a, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    t_max = trace.samples.shape[0] - 1
-    assert term_route == [t_max] == [6 * 43 * 43 + 2 * 30030]
-    assert peak <= trace.samples.nbytes + 2 ** 20
-    bound = expansions._ultimate_bound(a, CRIT_TOL)
-    assert 1 < bound < 30031
-    for t in (1, bound, 30031, t_max):
-        assert np.array_equal(trace.samples[t], mat_power(a, t).apply(y))
+    t_max = 6 * 43 * 43 + 2 * 30030
+    for taken in ([], [t_max]):
+        tracemalloc.start()
+        try:
+            trace = simulate_orbit(a, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert term_route == taken
+        assert peak <= trace.samples.nbytes + 2 ** 20
+        for t in (1, 143, 30031, t_max):
+            assert np.array_equal(trace.samples[t], mat_power(a, t).apply(y))
+        ultimate_threshold(a)
+        assert expansions._ultimate_bound(a, CRIT_TOL) == 143
 
 
 def test_term_route_steps_long_transients_in_blocks(term_route):
-    """Rows up to a bound past 128, and the rows of a transient of about
-    W steps past the bound (a 0-loop reaches the -1 loop at node 1 only
-    through an edge of weight -W), come from the stack's blocks."""
+    """Rows up to a bound past _STACK_ROWS, and the rows of a transient of
+    about W steps past the bound (a 0-loop reaches the -1 loop at node 1
+    only through an edge of weight -W), come from the stack's blocks."""
     rng = np.random.default_rng(99)
     chain = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
     bound = expansions._ultimate_bound(chain, CRIT_TOL)
-    assert bound > 128
+    assert bound > orbit._STACK_ROWS
     cases = [(chain, t_max) for t_max in (bound, bound + 70, bound + 700)]
     for w in (300, 1000):
         arr = np.full((24, 24), NEG_INF)
@@ -839,6 +854,7 @@ def test_term_route_steps_long_transients_in_blocks(term_route):
             arr[v, v % 23 + 1] = -1.0
         cases.append((TropicalMatrix(arr), None))
     for a, t_max in cases:
+        ultimate_threshold(a)
         for y in start_vectors(rng, a.n) + [unit(a.n, 1)]:
             assert_orbit_matches_loop(a, y, t_max)
         assert "orbit_stack" in a._memo

@@ -4,16 +4,13 @@ Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
 1 verification mismatch (verify only), 2 input error (including a
-TROPICAL_TOL that is not a finite number >= 0 or a TROPICAL_ORACLE_CAP
-that is not an integer >= 1), 3 precondition error
+TROPICAL_ORACLE_CAP that is not an integer >= 1), 3 precondition error
 (including NonFiniteError: a sum of weights or a report value overflowed
 float64), 64 usage error.
 
-TROPICAL_TOL (default CRIT_TOL) is the tol that csr, nachtigall,
-ultimate, threshold, orbit-check, orbit and verify pass to the library;
-its equalities hold when both values are -inf or both are finite and
-within tol (core._agree), and its orders when x - y > tol
-(core._exceeds).  The critical analysis itself runs at CRIT_TOL.
+Every command decides at CRIT_TOL, as the library does: two values are
+equal when both are -inf or both are finite and within CRIT_TOL
+(core._agree), and ordered when x - y > CRIT_TOL (core._exceeds).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -39,18 +35,6 @@ from .graphs import CritSubgraph, critical_structure, gamma_u, scc_decompose
 from .kleene import kleene_star
 from .oracle import boolean_power_reach, enumerate_small, _node_cap
 from .orbit import is_orbit_periodic, simulate_orbit
-
-
-def _tol() -> float:
-    raw = os.environ.get("TROPICAL_TOL")
-    try:
-        tol = CRIT_TOL if raw is None else float(raw)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParseError("TROPICAL_TOL must be a finite number >= 0, got %r"
-                         % raw)
-    return tol
 
 
 # ---------------------------------------------------------------- parsing
@@ -260,9 +244,9 @@ def _cmd_classes(a, args, report):
 def _cmd_csr(a, args, report):
     cs = critical_structure(a)
     # before the selection: the cycle rule needs a critical edge
-    _check_definite(a, _tol())
+    _check_definite(a)
     crit = _select_crit(cs, args.rule)
-    triple = csr_build(a, crit, tol=_tol(), check_definite=False)
+    triple = csr_build(a, crit, check_definite=False)
     report["rule"] = args.rule
     report["t"] = args.t
     report["gamma"] = int(triple.gamma)
@@ -282,7 +266,7 @@ def _cmd_nachtigall(a, args, report):
     report["gammas"] = [int(term.triple.gamma) for term in e.terms]
     report["validity_threshold"] = int(e.validity_threshold)
     report["matrix"] = _matrix(value)
-    report["matches_power"] = bool(mat_eq(value, mat_power(a, args.t), _tol()))
+    report["matches_power"] = mat_eq(value, mat_power(a, args.t), CRIT_TOL)
 
 
 def _cmd_ultimate(a, args, report):
@@ -294,19 +278,19 @@ def _cmd_ultimate(a, args, report):
     report["sigma"] = [int(s) + 1 for s in e.sigma]
     report["gamma_u"] = int(e.gamma_u)
     report["matrix"] = _matrix(value)
-    report["matches_power"] = bool(mat_eq(value, mat_power(a, args.t), _tol()))
+    report["matches_power"] = mat_eq(value, mat_power(a, args.t), CRIT_TOL)
 
 
 def _cmd_threshold(a, args, report):
     t_max = 30 * a.n * a.n
-    found = ultimate_threshold(a, t_max=t_max, tol=_tol())
+    found = ultimate_threshold(a, t_max=t_max)
     report["t_max"] = t_max
     report["gamma_u"] = int(gamma_u(a))
     report["threshold"] = None if found is None else int(found)
 
 
 def _cmd_orbit_check(a, args, report):
-    r = is_orbit_periodic(a, method="support", tol=_tol())
+    r = is_orbit_periodic(a, method="support")
     report["method"] = r.method
     report["verdict"] = bool(r.verdict)
     report["gamma_u"] = int(r.gamma_u)
@@ -325,7 +309,7 @@ def _cmd_orbit(a, args, report):
     if y.shape[0] != a.n:
         raise ParseError("vector length %d does not match matrix size %d"
                          % (y.shape[0], a.n), 1, 1)
-    trace = simulate_orbit(a, y, t_max=args.tmax, tol=_tol())
+    trace = simulate_orbit(a, y, t_max=args.tmax)
     report["y_digest"] = hashlib.sha256(raw).hexdigest()[:16]
     report["t_max"] = int(trace.samples.shape[0] - 1)
     report["period"] = None if trace.period is None else int(trace.period)
@@ -339,11 +323,10 @@ def _cmd_orbit(a, args, report):
 def _cmd_verify(a, args, report):
     if a.n > _node_cap():
         raise OracleSizeError("too large for oracle")
-    tol = _tol()
     checks = []
 
     table = enumerate_small(a, 10)["all"]
-    ok = all(mat_eq(mat_power(a, t), TropicalMatrix(table[t]), tol)
+    ok = all(mat_eq(mat_power(a, t), TropicalMatrix(table[t]), CRIT_TOL)
              for t in range(11))
     checks.append({"name": "power matches path oracle (t<=10)", "ok": ok})
 
@@ -369,7 +352,7 @@ def _cmd_verify(a, args, report):
         np.fill_diagonal(want, 0.0)
         for t in range(1, a.n):
             want = np.maximum(want, np.array(table[t]))
-        ok = mat_eq(star, TropicalMatrix(want, copy=False), tol)
+        ok = mat_eq(star, TropicalMatrix(want, copy=False), CRIT_TOL)
         checks.append({"name": "star matches path-sum oracle", "ok": ok})
 
     try:
@@ -378,20 +361,20 @@ def _cmd_verify(a, args, report):
         e = None
     if e is not None:
         t0 = e.validity_threshold
-        ok = bool(mat_eq(evaluate(e, t0).matrix, mat_power(a, t0), tol))
+        ok = mat_eq(evaluate(e, t0).matrix, mat_power(a, t0), CRIT_TOL)
         checks.append({"name": "nachtigall expansion matches power at "
                                "threshold", "ok": ok})
         eu = ultimate_expand(a)
-        found = ultimate_threshold(a, eu, tol=tol)
+        found = ultimate_threshold(a)
         ok = found is not None
         if found is not None:
-            ok = all(mat_eq(evaluate(eu, found + k).matrix,
-                            mat_power(a, found + k), tol) for k in (0, 1))
+            ok = all(mat_eq(evaluate(eu, t).matrix, mat_power(a, t), CRIT_TOL)
+                     for t in (found, found + 1))
         checks.append({"name": "ultimate expansion matches power from "
                                "detected threshold", "ok": ok})
 
-    sup = is_orbit_periodic(a, method="support", tol=tol)
-    sa = is_orbit_periodic(a, method="strong-access", tol=tol)
+    sup = is_orbit_periodic(a, method="support")
+    sa = is_orbit_periodic(a, method="strong-access")
     checks.append({"name": "orbit verdict agrees across support and "
                            "strong-access routes",
                    "ok": bool(sup.verdict == sa.verdict)})

@@ -129,15 +129,15 @@ class CsrProduct:
     t_residue: int
 
 
-def _check_definite(a: TropicalMatrix, tol: float):
+def _check_definite(a: TropicalMatrix):
     cs = _critical(a)
     lam = NEG_INF if cs is None else cs.lambda_global
-    if not _agree(lam, 0.0, tol):
+    if not _agree(lam, 0.0, CRIT_TOL):
         raise NotDefiniteError("not definite: max cycle mean %g" % lam,
                                value=float(lam))
 
 
-def _active_star_power(a: TropicalMatrix, gamma: int, tol: float,
+def _active_star_power(a: TropicalMatrix, gamma: int,
                        star: np.ndarray | None) -> np.ndarray:
     """(a^gamma)* formed on the nodes with a finite entry in their row or
     column only.  Every other node has no edge, so no path passes through
@@ -152,15 +152,15 @@ def _active_star_power(a: TropicalMatrix, gamma: int, tol: float,
         block = np.ix_(active, active)
         sub = TropicalMatrix(a.arr[block], copy=False)
         try:
-            b[block] = (kleene_star(mat_power(sub, gamma), tol=tol)
-                        if star is None else _diagonal_checked(star, tol)).arr
+            b[block] = (kleene_star(mat_power(sub, gamma)) if star is None
+                        else _diagonal_checked(star)).arr
         except DivergentStarError as exc:
             # name the node of a, as the full-matrix star would
             raise DivergentStarError(node=int(active[exc.node])) from None
     return b
 
 
-def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
+def csr_build(a: TropicalMatrix, crit: CritSubgraph,
               check_definite: bool = True,
               _star: np.ndarray | None = None) -> CsrTriple:
     """Build the triple of a definite matrix for a critical selection.
@@ -169,18 +169,19 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph, tol: float = CRIT_TOL,
     (the full critical graph, or a single critical cycle).  a itself must
     be definite; normalizing by the cycle mean is the caller's job.
     check_definite reads the cycle mean off a's memoized critical
-    analysis (NotDefiniteError when it is not 0 within tol).  A divergent
-    (a^gamma)* raises DivergentStarError naming the smallest node of a
-    with a diagonal entry above tol.  _star, when given, is (a^gamma)* on
-    a's active nodes (see _active_star_power), formed elsewhere and only
-    checked here.
+    analysis (NotDefiniteError when it is not 0 within CRIT_TOL).  A
+    divergent (a^gamma)* raises DivergentStarError naming the smallest
+    node of a with a diagonal entry above CRIT_TOL, and s_is_boolean
+    holds when every critical weight is 0 within CRIT_TOL.  _star, when
+    given, is (a^gamma)* on a's active nodes (see _active_star_power),
+    formed elsewhere and only checked here.
     """
     if check_definite:
-        _check_definite(a, tol)
+        _check_definite(a)
     gamma = crit.gamma
-    b = _active_star_power(a, gamma, tol, _star)
+    b = _active_star_power(a, gamma, _star)
     b.setflags(write=False)
-    boolean = bool(_agree(a.arr[_edge_index(crit)], 0.0, tol).all())
+    boolean = bool(_agree(a.arr[_edge_index(crit)], 0.0, CRIT_TOL).all())
     c_hat, r_hat, slots = _class_factors(b, crit, a.arr)
     return CsrTriple(n=a.n, crit=crit, gamma=gamma, s_is_boolean=boolean,
                      c_hat=c_hat, r_hat=r_hat, slots=slots, star=b,

@@ -25,9 +25,9 @@ class DivergentStarError(MaxplusError):
     """Kleene star diverges: some component has positive max cycle mean.
 
     component (node list) and value (its cycle mean) name the first
-    nontrivial component whose cycle mean exceeds tol, when there is one
-    (kleene_star only), and are None otherwise.  node is the smallest node
-    where the relaxed star has a diagonal entry above tol; when a sum
+    nontrivial component whose cycle mean exceeds CRIT_TOL, when there is
+    one (kleene_star only), and are None otherwise.  node is the smallest
+    node with a relaxed star diagonal entry above CRIT_TOL; when a sum
     overflows float64 in the relaxation first (kleene_star raises this
     error then only if such a component exists), it is that component's
     smallest node.  The message is rendered from these attributes.
@@ -103,8 +103,8 @@ class NonFiniteError(MaxplusError):
 
 
 class ParseError(MaxplusError):
-    """Malformed input: matrix or vector text, or a TROPICAL_TOL or
-    TROPICAL_ORACLE_CAP setting.
+    """Malformed input: matrix or vector text, or a TROPICAL_ORACLE_CAP
+    setting.
 
     line/column are 1-based positions into the source text when available.
     """

@@ -27,8 +27,8 @@ from .errors import AnalysisError, NoCyclesError, ThresholdError
 from .graphs import (CritSubgraph, CriticalStructure, _COMPONENT_MEMO, _bfs,
                      _critical)
 
-# Floats in one chunk of residues of _term_lines and in the broadcast that
-# forms it: bounds its memory independently of gamma.
+# Floats in the live arrays of one chunk of residues of _term_lines:
+# bounds its memory independently of gamma.
 _CHUNK_FLOATS = 2 ** 16
 
 
@@ -391,39 +391,46 @@ def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
     intercept over all r (-inf as soon as one r disagrees or is -inf),
     high the highest intercept of a disagreeing r (-inf if none).
 
-    [C^; A (x) C^] (x) R^[sigma_r] gives P(r) and A (x) P(r) together,
-    for a chunk of residues at once: one broadcast over (classes,
-    residues, 2n, n) reduced over the class axis, or a class at a time
-    when that broadcast would pass _CHUNK_FLOATS floats, which also bounds
-    the chunk.  So one multiplication for A (x) C^ and one batched product
-    per chunk (each also forms the residue after it), O(n^2 +
-    _CHUNK_FLOATS) memory, and the lines of one product per residue, bit
-    for bit.
+    [C^; A (x) C^] (x) R^[sigma_r] gives P(r) and A (x) P(r) together
+    for a chunk of residues, one broadcast over (classes, residues, 2n,
+    n) per group of classes, reduced into one buffer through a second;
+    the second then holds P(r + 1) + lam and each pair's min or max.
+    Chunk and group fit _CHUNK_FLOATS (at least one residue and class):
+    the buffers take 4 n^2 floats per residue, and beside them a group
+    2 n^2 per class and residue, or _agree's temporaries under 2 n^2.
+    So O(n^2 + _CHUNK_FLOATS) memory, and the lines of one product per
+    residue, bit for bit.
     """
     n = a.n
     low = np.full((n, n), np.inf)
     high = np.full((n, n), NEG_INF)
     left = np.vstack([triple.c_hat, _mp_matmul(a.arr, triple.c_hat)]).T
     m, gamma = len(left), triple.gamma
-    chunk = max(1, min(gamma, _CHUNK_FLOATS // (2 * n * n) - 1))
+    chunk = max(1, min(gamma, _CHUNK_FLOATS // (6 * n * n) - 1))
+    group = max(1, _CHUNK_FLOATS // ((chunk + 1) * 2 * n * n) - 2)
+    out = np.empty((chunk + 1, 2 * n, n))
+    work = np.empty_like(out)
     for start in range(0, gamma, chunk):
         # and the residue after the chunk, to pair its last A (x) P(r)
         # with P(r + 1); P(gamma) is P(0)
         rs = np.arange(start, min(start + chunk, gamma) + 1)
+        k = rs.size
         right = triple.r_hat[_shift(triple.slots, rs[:, None]).T]
-        if m * rs.size * 2 * n * n <= _CHUNK_FLOATS:
-            out = (left[:, None, :, None] + right[:, :, None, :]).max(axis=0)
-        else:   # a class at a time
-            out = left[0, None, :, None] + right[0, :, None, :]
-            for c in range(1, m):
-                np.maximum(out, left[c, None, :, None] + right[c, :, None, :],
-                           out=out)
-        x, y = out[:-1, n:], out[1:, :n] + lam
+        for c in range(0, m, group):
+            np.maximum.reduce(left[c:c + group, None, :, None]
+                              + right[c:c + group, :, None, :], axis=0,
+                              out=work[:k] if c else out[:k])
+            if c:
+                np.maximum(out[:k], work[:k], out=out[:k])
+        x, y, pair = out[:k - 1, n:], work[:k - 1, :n], work[:k - 1, n:]
+        np.add(out[1:k, :n], lam, out=y)
         agree = _agree(x, y, tol)
-        np.minimum(low, np.where(agree, np.minimum(x, y), NEG_INF).min(axis=0),
-                   out=low)
-        np.maximum(high, np.where(agree, NEG_INF, np.maximum(x, y)).max(axis=0),
-                   out=high)
+        np.minimum(x, y, out=pair)
+        np.copyto(pair, NEG_INF, where=~agree)
+        np.minimum(low, pair.min(axis=0), out=low)
+        np.maximum(x, y, out=pair)
+        np.copyto(pair, NEG_INF, where=agree)
+        np.maximum(high, pair.max(axis=0), out=high)
     return low, high
 
 
@@ -463,11 +470,16 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
     return bound
 
 
-def _ultimate_bound(a: TropicalMatrix, tol: float) -> int | None:
-    """_threshold_tables over the ultimate terms, once per matrix and tol
-    (a's memo keeps it under ("ultimate_bound", tol))."""
-    return a._cached(("ultimate_bound", tol),
-                     lambda: _threshold_tables(a, _ultimate_terms(a), tol))
+def _ultimate_bound(a: TropicalMatrix) -> int | None:
+    """_threshold_tables over the ultimate terms at CRIT_TOL, once per
+    matrix (a's memo keeps it under "ultimate_bound")."""
+    return a._cached("ultimate_bound", lambda: _threshold_tables(
+        a, _ultimate_terms(a), CRIT_TOL))
+
+
+def _known_bound(a: TropicalMatrix) -> int | None:
+    """_ultimate_bound if a's memo holds it, else None: never forms it."""
+    return a._memo.get("ultimate_bound")
 
 
 def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,
@@ -499,9 +511,8 @@ def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,
     return lo + 1 if lo < t_max else None
 
 
-def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
-                       t_max: int | None = None,
-                       tol: float = CRIT_TOL) -> int | None:
+def ultimate_threshold(a: TropicalMatrix,
+                       t_max: int | None = None) -> int | None:
     """Smallest t' <= t_max from which the ultimate expansion equals a^t.
 
     The scan compares a^t with E(t) for t = 0, 1, ... and tracks the
@@ -526,30 +537,27 @@ def ultimate_threshold(a: TropicalMatrix, e: Expansion | None = None,
     qualifying t' exists below t_max (reported, not raised); t_max
     defaults to 30 n^2.
 
-    With e not given the scan reads the ultimate terms without sigma and
-    their bound, which a's memo keeps per tol (simulate_orbit reads it
-    too); a given e has its bound formed per call.  Only a None answer
-    runs ultimate_expand's pairing with the canonical levels: at weights
-    too large for the absolute tol the two analyses disagree, and
-    AnalysisError reports that where the scan finds no t'.
+    Equality is decided at CRIT_TOL.  The scan reads the ultimate terms
+    without sigma and their bound, which a's memo keeps (simulate_orbit
+    reads it too).  Only a None answer runs ultimate_expand's pairing
+    with the canonical levels: at weights too large for the absolute
+    CRIT_TOL the two analyses disagree, and AnalysisError reports that
+    where the scan finds no t'.
     """
     if t_max is not None and t_max < 0:
         raise ValueError("negative t_max")
     if t_max is None:
         t_max = 30 * a.n * a.n
-    if e is not None:
-        return _threshold_scan(a, e, t_max, tol, _threshold_tables(a, e, tol))
-    t = _threshold_scan(a, _ultimate_terms(a), t_max, tol,
-                        _ultimate_bound(a, tol))
+    t = _threshold_scan(a, t_max)
     if t is None:
         ultimate_expand(a)
     return t
 
 
-def _threshold_scan(a: TropicalMatrix, e: Expansion, t_max: int,
-                    tol: float, bound: int | None) -> int | None:
-    """ultimate_threshold's scan of a^t against e's E(t), past bound (see
-    _threshold_tables) on a proof."""
+def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
+    """ultimate_threshold's scan of a^t against the ultimate E(t), past
+    the bound (see _threshold_tables) on a proof."""
+    e, bound = _ultimate_terms(a), _ultimate_bound(a)
     n = a.n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
     # all terms side by side: a shift never leaves a term's own slots
@@ -561,7 +569,7 @@ def _threshold_scan(a: TropicalMatrix, e: Expansion, t_max: int,
 
     def matches(power, t):
         right = r_all[_shift(slots, t)] + lams * t
-        return _arr_eq(power, _mp_matmul(c_all, right), tol)
+        return _arr_eq(power, _mp_matmul(c_all, right), CRIT_TOL)
 
     search = bound is not None and _exact_sums(a, t_max + window)
     cur = TropicalMatrix.identity(n).arr

@@ -509,6 +509,16 @@ def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
     return acc
 
 
+def _strong_access_rows(a: TropicalMatrix, rows: list) -> dict:
+    """The given rows (sorted) of the strong-access matrix by node: read
+    off the full matrix when a's memo holds it, else formed alone, once
+    per matrix and row set."""
+    full = a._memo.get("strong_access")
+    part = full[rows] if full is not None else a._cached(
+        ("strong_access", tuple(rows)), lambda: _strong_access(a, rows))
+    return dict(zip(rows, part))
+
+
 def strong_access(a: TropicalMatrix, i: int, j: int) -> bool:
     _check_node(a, i)
     _check_node(a, j)

@@ -24,9 +24,9 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
                    _mp_rank1, _overflow_checked, _power_stack, _stack_depth,
                    as_vector)
 from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
-from .expansions import _ultimate_terms
+from .expansions import _known_bound, _ultimate_terms
 from .csr import _shift, csr_product
-from .graphs import (_critical, _strong_access, gamma_u as _gamma_u,
+from .graphs import (_critical, _strong_access_rows, gamma_u as _gamma_u,
                      strong_access_matrix)
 
 # Equations compared per block in _detect's backward scan.
@@ -77,11 +77,11 @@ class OrbitTrace:
     transient: int | None
 
 
-def _above(cs, tol: float) -> np.ndarray:
+def _above(cs) -> np.ndarray:
     """above[p, q]: p and q are nontrivial and lam_p exceeds lam_q (a
     trivial component's -inf exceeds nothing, and its column is masked)."""
     lam = np.array(cs.lambda_of_component)
-    return _exceeds(lam[:, None], lam, tol) & (lam != NEG_INF)
+    return _exceeds(lam[:, None], lam, CRIT_TOL) & (lam != NEG_INF)
 
 
 def _pairs(dec, table: np.ndarray) -> list:
@@ -94,16 +94,11 @@ def _condition2_strong(a: TropicalMatrix, cs, above: np.ndarray):
     pairs = _pairs(cs.scc, np.triu(above | above.T, 1))
     if not pairs:
         return []
-    # only the representatives' rows, unless the full matrix is memoized
-    rows = sorted({v for pair in pairs for v in pair})
-    sa = a._memo.get("strong_access")
-    if sa is None:
-        sa = dict(zip(rows, a._cached(("strong_access", tuple(rows)),
-                                      lambda: _strong_access(a, rows))))
+    sa = _strong_access_rows(a, sorted({v for pair in pairs for v in pair}))
     return [(i, j) for i, j in pairs if not (sa[i][j] or sa[j][i])]
 
 
-def _support_violations(a: TropicalMatrix, tol: float) -> tuple:
+def _support_violations(a: TropicalMatrix) -> tuple:
     e = _ultimate_terms(a)
     supports = []
     for _, triple in e.terms:
@@ -113,7 +108,8 @@ def _support_violations(a: TropicalMatrix, tol: float) -> tuple:
     lams = np.array(e.lambdas)
     violations = []
     # the pairs (mu, nu), in order, where lam_nu exceeds lam_mu
-    for mu, nu in np.argwhere(_exceeds(lams, lams[:, None], tol)).tolist():
+    for mu, nu in np.argwhere(_exceeds(lams, lams[:, None],
+                                       CRIT_TOL)).tolist():
         (nodes_mu, supp_mu), (nodes_nu, supp_nu) = supports[mu], supports[nu]
         # (i, j) counts the rows in the support of i and not of j; the
         # first failing pair, i then j increasing, is the witness
@@ -124,8 +120,8 @@ def _support_violations(a: TropicalMatrix, tol: float) -> tuple:
     return tuple(violations)
 
 
-def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
-                      tol: float = CRIT_TOL) -> OrbitReport:
+def is_orbit_periodic(a: TropicalMatrix,
+                      method: str = "support") -> OrbitReport:
     """Decide orbit periodicity.
 
     method "support" settles condition 2 through the ultimate-expansion
@@ -137,22 +133,21 @@ def is_orbit_periodic(a: TropicalMatrix, method: str = "support",
     cs = _critical(a)
     if cs is None:
         return OrbitReport(True, [], [], [], 1, method)
-    above = _above(cs, tol)
+    above = _above(cs)
     cond1 = _pairs(cs.scc, cs.scc.access & above)
     cond2 = []
     supp = []
     if method in ("strong-access", "both"):
         cond2 = _condition2_strong(a, cs, above)
     if method in ("support", "both") and not cond1:
-        # once per matrix and tol; each report gets its own list
-        supp = list(a._cached(("support_violations", tol),
-                              lambda: _support_violations(a, tol)))
+        # once per matrix; each report gets its own list
+        supp = list(a._cached("support_violations",
+                              lambda: _support_violations(a)))
     verdict = not (cond1 or cond2 or supp)
     return OrbitReport(verdict, cond1, cond2, supp, _gamma_u(a), method)
 
 
-def column_periodicity(a: TropicalMatrix, j: int,
-                       tol: float = CRIT_TOL) -> bool:
+def column_periodicity(a: TropicalMatrix, j: int) -> bool:
     """Is the column orbit {a^t e_j} ultimately linear periodic?
 
     True iff no nontrivial component with access to j has a larger cycle
@@ -167,11 +162,10 @@ def column_periodicity(a: TropicalMatrix, j: int,
     cj = int(dec.component_of[j])
     if dec.is_trivial[cj]:
         raise TrivialColumnError("trivial column: %d" % j)
-    return not (dec.access[:, cj] & _above(cs, tol)[:, cj]).any()
+    return not (dec.access[:, cj] & _above(cs)[:, cj]).any()
 
 
-def pair_periodicity(a: TropicalMatrix, i: int, j: int,
-                     tol: float = CRIT_TOL) -> bool:
+def pair_periodicity(a: TropicalMatrix, i: int, j: int) -> bool:
     """Is the orbit of e_i (+) e_j ultimately linear periodic?
 
     Requires both single columns to be periodic; then the pair orbit is
@@ -179,18 +173,18 @@ def pair_periodicity(a: TropicalMatrix, i: int, j: int,
     cycle means agree.
     """
     for v in (i, j):
-        if not column_periodicity(a, v, tol):
+        if not column_periodicity(a, v):
             raise ValueError("column %d is not ultimately periodic" % v)
     cs = _critical(a)
     lam_i = cs.lambda_of_node(i)
     lam_j = cs.lambda_of_node(j)
-    if _agree(lam_i, lam_j, tol):
+    if _agree(lam_i, lam_j, CRIT_TOL):
         return True
     sa = strong_access_matrix(a)
     return bool(sa[i, j] or sa[j, i])
 
 
-def orbit_growth_rate(a: TropicalMatrix, y, tol: float = CRIT_TOL) -> float:
+def orbit_growth_rate(a: TropicalMatrix, y) -> float:
     """Growth rate of the orbit of y for an orbit periodic matrix.
 
     The rate is the largest cycle mean among nontrivial components that
@@ -201,7 +195,7 @@ def orbit_growth_rate(a: TropicalMatrix, y, tol: float = CRIT_TOL) -> float:
     y = as_vector(y, a.n)
     if not (y != NEG_INF).any():
         raise ZeroVectorError("zero vector")
-    if not is_orbit_periodic(a, tol=tol).verdict:
+    if not is_orbit_periodic(a).verdict:
         raise NotOrbitPeriodicError("not orbit periodic")
     cs = _critical(a)
     if cs is None:
@@ -328,7 +322,7 @@ def _term_bound(a: TropicalMatrix, y: np.ndarray, t_max: int,
     floats per term of m cyclic classes, which can pass the stepping
     they would spare (zero-weight cycles 2 ... 11: 16 ms -> 0.24 s).
     """
-    bound = a._memo.get(("ultimate_bound", CRIT_TOL))
+    bound = _known_bound(a)
     if bound is None or bound > t_max:
         return None
     if (not _integral_max(np.array(_critical(a).lambda_of_component))[0]
@@ -402,27 +396,28 @@ def _step_to_terms(a: TropicalMatrix, samples: np.ndarray, bound: int):
         _term_rows(parts, bound, ts, samples[lo:lo + _DETECT_CHUNK])
 
 
-def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
-                   tol: float = CRIT_TOL) -> OrbitTrace:
+def simulate_orbit(a: TropicalMatrix, y,
+                   t_max: int | None = None) -> OrbitTrace:
     """Record the orbit of y and look for ultimate linear periodicity.
 
     Candidate periods are the divisors of the critical lcm gamma_u in
     increasing order; for each, the equations
-    samples[s + p] = p * rate + samples[s] are checked from the tail
-    backwards and the transient is one past the last failing one.  A
-    detection must be backed by at least gamma_u + 1 trailing steps.
-    t_max defaults to 6 n^2 + 2 gamma_u.
+    samples[s + p] = p * rate + samples[s] are checked at CRIT_TOL from
+    the tail backwards and the transient is one past the last failing
+    one.  A detection must be backed by at least gamma_u + 1 trailing
+    steps.  t_max defaults to 6 n^2 + 2 gamma_u.
 
     When every sum is exact (finite entries of a and y integers, no -0.0
     in y, |y|max + (t_max + 1) |a|max < 2**53) and _term_bound reads
     the ultimate bound T (A (x) E(t) = E(t + 1) for t >= T) that
     ultimate_threshold memoized on a, rows are stepped until one at
     t >= T equals E(t) (x) y, and every later row is read off the terms
-    (_step_to_terms); this never forms T.  Other exact input computes
-    rows b at a time, b = min(t_max, 2**14 // n^2) (at least 1): the
-    powers a^1 ... a^b are stacked by doubling, once per matrix (a's
-    memo keeps the stack), and each block is one add and one reduction
-    from the row before it.  Other input steps one row at a time,
+    (_step_to_terms); this never forms T.  Other exact input goes
+    through _advance, as the term route's spans do: fewer than
+    _STACK_ROWS rows one at a time, else b = min(t_max, 2**14 // n^2)
+    (at least 1) at a time: a^1 ... a^b are stacked by doubling, once per
+    matrix (a's memo keeps the stack), and each block is one add and one
+    reduction from the row before it.  Other input steps one row at a time,
     samples[t] = a (x) samples[t-1] with the arithmetic of
     TropicalMatrix.apply.  All three give the samples of a repeated
     apply loop bit for bit: exact sums give the same value in any
@@ -443,12 +438,12 @@ def simulate_orbit(a: TropicalMatrix, y, t_max: int | None = None,
     if t_max and _exact_sums(a, t_max, y=y):
         bound = _term_bound(a, y, t_max, gamma)
         if bound is None:
-            _step_blocks(_orbit_stack(a, _stack_depth(a.n, t_max)), samples)
+            _advance(a, samples, _stack_depth(a.n, t_max))
         else:
             _step_to_terms(a, samples, bound)
     else:
         _step_rows(a.arr, samples)
     samples.setflags(write=False)
-    period, rate, transient = _detect(samples, gamma, tol)
+    period, rate, transient = _detect(samples, gamma, CRIT_TOL)
     return OrbitTrace(y=y, samples=samples, period=period, growth_rate=rate,
                       transient=transient)

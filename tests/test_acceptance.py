@@ -145,7 +145,7 @@ def test_criterion_5_ultimate_property_suite():
     for a in corpus45():
         en = nachtigall_expand(a)
         eu = ultimate_expand(a)
-        tp = ultimate_threshold(a, eu, t_max=10 * 3 * a.n * a.n, tol=TOL)
+        tp = ultimate_threshold(a, t_max=10 * 3 * a.n * a.n)
         assert tp is not None
         p = mat_power(a, tp)
         for t in range(tp, tp + 2 * eu.gamma_u + 1):
@@ -320,7 +320,7 @@ def test_criterion_8_orbit_periodicity_triangulation():
     for _ in range(300):
         a = random_matrix(rng, int(rng.integers(2, 8)))
         va = _oracle_verdict(a)
-        vb = bool(is_orbit_periodic(a, method="support", tol=TOL).verdict)
+        vb = bool(is_orbit_periodic(a, method="support").verdict)
         vc = all(simulate_orbit(a, y).period is not None
                  for y in _start_vectors(a, rng))
         assert va == vb == vc

@@ -208,31 +208,34 @@ def test_verify_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     assert bad and "boolean" in bad[0]["name"]
 
 
-def test_bad_tolerance_setting_exits_2(tmp_path, capsys, monkeypatch):
-    # used to exit 3 (abc), report "not definite" (nan), a null threshold
-    # (-1) or matches_power false (nan, -1)
-    f = tmp_path / "definite.txt"
-    f.write_text("2\n0 -1\n-2 0\n")
-    commands = (["csr", "--t", "3"], ["nachtigall", "--t", "12"],
-                ["threshold"])
-    want = {}
-    for argv in commands:
-        code, want[argv[0]], _ = run(capsys, *argv, str(f))
-        assert code == 0
-    assert want["nachtigall"]["matches_power"] is True
-    assert want["threshold"]["threshold"] is not None
-    for value in ("abc", "nan", "inf", "-1"):
+def test_tolerance_setting_is_ignored(tmp_path, capsys, monkeypatch):
+    """Every command decides at CRIT_TOL: a TROPICAL_TOL setting, valid
+    or not, leaves stdout and the exit code as they are without it.  It
+    used to exit 2 (abc, nan), and at 0 the threshold of the second
+    matrix came out null where the default gives 12."""
+    definite = tmp_path / "definite.txt"
+    definite.write_text("2\n0 -1\n-2 0\n")
+    thirds = tmp_path / "thirds.txt"
+    thirds.write_text("3\n%r -1 *\n1 * -2\n* %r 0.1\n" % (1 / 3, 2 / 3))
+    commands = [(argv, str(f)) for f in (definite, thirds)
+                for argv in (["csr", "--t", "3"], ["nachtigall", "--t", "12"],
+                             ["ultimate", "--t", "12"], ["threshold"],
+                             ["orbit-check"], ["verify"])]
+
+    def outputs():
+        got = []
+        for argv, path in commands:
+            code = cli.main(argv + [path])
+            got.append((code, capsys.readouterr().out))
+        return got
+
+    monkeypatch.delenv("TROPICAL_TOL", raising=False)
+    want = outputs()
+    assert json.loads(want[9][1])["threshold"] == 12
+    assert all(code in (0, 3) for code, _ in want)
+    for value in ("abc", "nan", "0", "1e-6"):
         monkeypatch.setenv("TROPICAL_TOL", value)
-        for argv in commands:
-            code, obj, err = run(capsys, *argv, str(f))
-            assert (code, obj) == (2, None), (value, argv)
-            assert err == ("error: TROPICAL_TOL must be a finite number "
-                           ">= 0, got %r\n" % value)
-    for value in ("0", "1e-6"):
-        monkeypatch.setenv("TROPICAL_TOL", value)
-        for argv in commands:
-            code, obj, _ = run(capsys, *argv, str(f))
-            assert (code, obj) == (0, want[argv[0]]), (value, argv)
+        assert outputs() == want, value
 
 
 @pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-1"])

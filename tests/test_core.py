@@ -367,8 +367,8 @@ def test_exceeds_rule():
 
 
 # (module, function) of the comparisons that may name a tolerance: the
-# two rules and the CLI's check of its TROPICAL_TOL setting
-TOL_COMPARES = {("core", "_agree"), ("core", "_exceeds"), ("cli", "_tol")}
+# two rules
+TOL_COMPARES = {("core", "_agree"), ("core", "_exceeds")}
 
 
 def test_tolerance_decisions_go_through_the_two_helpers():
@@ -394,10 +394,12 @@ def test_tolerance_decisions_go_through_the_two_helpers():
     assert found == []
 
 
-def test_public_tol_defaults_name_crit_tol():
-    """A tolerance default is CRIT_TOL itself (the same object, so an
-    equal literal 1e-9 fails) or the exact 0.0."""
-    seen = 0
+def test_only_comparisons_take_a_tol():
+    """Every route decides at CRIT_TOL: among the public callables only
+    the comparison utilities take a tol, with the exact default 0.0, and
+    ultimate_threshold reads its own memoized terms (no expansion
+    parameter)."""
+    takers = set()
     for name in maxplus.__all__:
         obj = getattr(maxplus, name)
         if inspect.isclass(obj):
@@ -407,12 +409,14 @@ def test_public_tol_defaults_name_crit_tol():
             funcs = [obj] if inspect.isfunction(obj) else []
         for fn in funcs:
             param = inspect.signature(fn).parameters.get("tol")
-            if param is not None and param.default is not param.empty:
-                seen += 1
+            if param is not None:
+                takers.add(fn.__qualname__)
                 default = param.default
-                assert default is maxplus.CRIT_TOL or (
-                    type(default) is float and default == 0.0), fn.__qualname__
-    assert seen >= 11
+                assert type(default) is float and default == 0.0, \
+                    fn.__qualname__
+    assert takers == {"mat_eq", "vec_eq", "TropicalMatrix.eq"}
+    assert list(inspect.signature(maxplus.ultimate_threshold).parameters) \
+        == ["a", "t_max"]
 
 
 def test_restrict():

@@ -428,7 +428,7 @@ def test_ultimate_threshold_random():
     for _ in range(10):
         a = random_cyclic(rng, int(rng.integers(2, 6)))
         e = ultimate_expand(a)
-        tp = ultimate_threshold(a, e)
+        tp = ultimate_threshold(a)
         assert tp is not None
         for t in range(tp, tp + 2 * e.gamma_u + 1):
             assert mat_eq(evaluate(e, t).matrix, mat_power(a, t), tol=TOL)
@@ -443,7 +443,7 @@ def test_threshold_detection_is_stable():
     for _ in range(6):
         a = random_cyclic(rng, int(rng.integers(2, 6)))
         e = ultimate_expand(a)
-        tp = ultimate_threshold(a, e)
+        tp = ultimate_threshold(a)
         for t in range(tp + 10 * e.gamma_u, tp + 12 * e.gamma_u):
             assert mat_eq(evaluate(e, t).matrix, mat_power(a, t), tol=TOL)
 
@@ -848,7 +848,7 @@ def test_equal_cycle_means_share_one_ultimate_level():
     assert lams[0] == -0.3333333333333332 and lams[1] == -1 / 3
     e = ultimate_expand(a)
     assert e.lambdas == (lams[0],)
-    assert ultimate_threshold(a, e) == 9
+    assert ultimate_threshold(a) == 9
     for t in range(9, 109):
         assert mat_eq(evaluate(e, t).matrix, mat_power(a, t), TOL), t
     # means 0, -9e-10 and -1.8e-9: the first two within 1e-9 of the

@@ -393,13 +393,13 @@ def test_condition2_reuses_strong_access(monkeypatch):
     """Condition 2 forms its representatives' rows of strong access once
     per matrix, and reads the full matrix instead when it is memoized."""
     calls = []
-    rows_of = orbit._strong_access
+    rows_of = graphs._strong_access
 
     def counted(a, rows=None):
         calls.append(rows)
         return rows_of(a, rows)
 
-    monkeypatch.setattr(orbit, "_strong_access", counted)
+    monkeypatch.setattr(graphs, "_strong_access", counted)
     arr = cycle_chain(np.random.default_rng(3), (2, 3), (-1, 0), 1).arr
     a = TropicalMatrix(arr)
     first = is_orbit_periodic(a, method="strong-access")
@@ -408,8 +408,9 @@ def test_condition2_reuses_strong_access(monkeypatch):
     assert calls == [[1, 3]]
     b = TropicalMatrix(arr)
     strong_access_matrix(b)
+    assert calls == [[1, 3], None]
     assert is_orbit_periodic(b, method="strong-access") == first
-    assert calls == [[1, 3]]
+    assert calls == [[1, 3], None]
 
 
 def test_orbit_reads_the_threshold_bound(monkeypatch):

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from maxplus import core, expansions, graphs, orbit
-from maxplus import (CRIT_TOL, NEG_INF, DimensionError, NonFiniteError,
+from maxplus import (NEG_INF, DimensionError, NonFiniteError,
                      NotOrbitPeriodicError,
                      TrivialColumnError, TropicalMatrix, ZeroVectorError,
                      column_periodicity, critical_structure, csr_product,
                      gamma_u, is_orbit_periodic, kleene_star, mat_mul,
                      mat_power, mat_scalar_mul, max_cycle_mean,
                      orbit_growth_rate, pair_periodicity, scc_decompose,
-                     simulate_orbit, strong_access_matrix, ultimate_expand,
-                     ultimate_threshold)
+                     simulate_orbit, ultimate_expand, ultimate_threshold)
 
 from conftest import (cycle_chain, random_cyclic, random_matrix,
                       random_reducible)
@@ -90,7 +89,7 @@ def test_condition2_reads_representative_rows_of_strong_access(
         seen.append((rows, rows_of(a, rows)))
         return seen[-1][1]
 
-    monkeypatch.setattr(orbit, "_strong_access", recorded)
+    monkeypatch.setattr(graphs, "_strong_access", recorded)
     rng = np.random.default_rng(23)
     corpus = [ex3a, ex3b, cycle_chain(rng), cycle_chain(rng, (2, 3), (1, 0))]
     corpus += [random_reducible(rng, int(rng.integers(3, 10)))
@@ -99,7 +98,7 @@ def test_condition2_reads_representative_rows_of_strong_access(
     for a in corpus:
         a = TropicalMatrix(a.arr)
         report = is_orbit_periodic(a, method="strong-access")
-        full = strong_access_matrix(TropicalMatrix(a.arr))
+        full = rows_of(TropicalMatrix(a.arr))
         cs = graphs._critical(a)
         if cs is None:
             assert report.verdict and not seen
@@ -618,7 +617,8 @@ def start_vectors(rng, n: int) -> list:
 
 def test_block_steps_match_row_loop_on_integer_input():
     # the default t_max runs first, so the explicit ones read the memoized
-    # stack sliced, or (t_max > default, as for n <= 2) build a deeper one
+    # stack sliced, or (t_max > default, as for n <= 2) build a deeper one;
+    # fewer than _STACK_ROWS steps go a row at a time
     rng = np.random.default_rng(90)
     mats = [random_matrix(rng, n, density=float(rng.choice([0.1, 0.3, 0.6])))
             for n in list(range(1, 31)) + [64, 65]]
@@ -682,6 +682,22 @@ def test_block_gate_edges():
             assert not orbit._exact_sums(TropicalMatrix(frac[0]), 100,
                                           y=frac[1])
             assert_orbit_matches_loop(TropicalMatrix(frac[0]), frac[1])
+
+
+def test_short_cold_orbit_forms_no_stack():
+    """A cold exact orbit of fewer than _STACK_ROWS steps is stepped a row
+    at a time, as the term route's short spans are, and forms no stack;
+    the default length still steps the stack's blocks."""
+    rng = np.random.default_rng(94)
+    for a in (cycle_chain(rng), random_reducible(rng, 12)):
+        y = rng.integers(-9, 10, a.n).astype(float)
+        for t_max in (1, orbit._STACK_ROWS - 1):
+            assert orbit._exact_sums(a, t_max, y=y)
+            assert_orbit_matches_loop(a, y, t_max)
+        assert "orbit_stack" not in a._memo
+        trace = assert_orbit_matches_loop(a, y)
+        assert trace.samples.shape[0] > orbit._STACK_ROWS
+        assert "orbit_stack" in a._memo
 
 
 def disjoint_cycles(rng, lengths) -> TropicalMatrix:
@@ -759,7 +775,7 @@ def test_term_route_matches_row_loop(term_route):
               cycle_chain(rng, (2, 3, 5), (1, -2, 0))]
     bounds, taken = [], []
     for a in chains:
-        bound = expansions._ultimate_bound(a, CRIT_TOL)
+        bound = expansions._ultimate_bound(a)
         bounds.append(bound)
         default = 6 * a.n * a.n + 2 * gamma_u(a)
         for y in start_vectors(rng, a.n):
@@ -784,14 +800,14 @@ def test_term_route_skips_other_input(term_route):
     others = [cycle_chain(rng, (2, 3), (0.5, 1), tail=1),
               reweighted(chain, lambda w: 1e6 * w + 1e7 / 3), boundless]
     for a in others:
-        expansions._ultimate_bound(a, CRIT_TOL)
-    assert ("ultimate_bound", CRIT_TOL) in boundless._memo
-    assert expansions._ultimate_bound(boundless, CRIT_TOL) is None
+        expansions._ultimate_bound(a)
+    assert "ultimate_bound" in boundless._memo
+    assert expansions._ultimate_bound(boundless) is None
     for a in others + [chain]:
         for y in start_vectors(rng, a.n):
             assert_orbit_matches_loop(a, y)
     assert term_route == []
-    assert ("ultimate_bound", CRIT_TOL) not in chain._memo
+    assert "ultimate_bound" not in chain._memo
 
 
 def test_term_route_forms_no_large_gamma_bound(monkeypatch, term_route):
@@ -808,7 +824,7 @@ def test_term_route_forms_no_large_gamma_bound(monkeypatch, term_route):
     assert calls == []
     ultimate_threshold(a)
     assert len(calls) == 1
-    assert expansions._ultimate_bound(a, CRIT_TOL) <= 6 * a.n * a.n
+    assert expansions._ultimate_bound(a) <= 6 * a.n * a.n
     assert_orbit_matches_loop(a, y)
     assert term_route == []
 
@@ -835,7 +851,7 @@ def test_term_route_memory_is_the_samples(term_route):
         for t in (1, 143, 30031, t_max):
             assert np.array_equal(trace.samples[t], mat_power(a, t).apply(y))
         ultimate_threshold(a)
-        assert expansions._ultimate_bound(a, CRIT_TOL) == 143
+        assert expansions._ultimate_bound(a) == 143
 
 
 def test_term_route_steps_long_transients_in_blocks(term_route):
@@ -844,7 +860,7 @@ def test_term_route_steps_long_transients_in_blocks(term_route):
     only through an edge of weight -W), come from the stack's blocks."""
     rng = np.random.default_rng(99)
     chain = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
-    bound = expansions._ultimate_bound(chain, CRIT_TOL)
+    bound = expansions._ultimate_bound(chain)
     assert bound > orbit._STACK_ROWS
     cases = [(chain, t_max) for t_max in (bound, bound + 70, bound + 700)]
     for w in (300, 1000):

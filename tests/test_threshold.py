@@ -107,7 +107,7 @@ def corpus():
 def test_matches_window_reference_on_corpora():
     for a in corpus():
         e = ultimate_expand(a)
-        assert ultimate_threshold(a, e) == threshold_window_reference(a, e)
+        assert ultimate_threshold(a) == threshold_window_reference(a, e)
 
 
 def test_matches_window_reference_on_chains():
@@ -116,7 +116,7 @@ def test_matches_window_reference_on_chains():
         a = cycle_chain(rng)
         e = ultimate_expand(a)
         assert e.gamma_u == 420
-        tp = ultimate_threshold(a, e)
+        tp = ultimate_threshold(a)
         assert tp is not None and tp == threshold_window_reference(a, e)
 
 
@@ -132,10 +132,10 @@ def test_small_t_max_matches_window_reference(ex1, ex2):
                          for _ in range(6)]
     for a in mats:
         e = ultimate_expand(a)
-        tp = ultimate_threshold(a, e)
+        tp = ultimate_threshold(a)
         for t_max in sorted({0, 1, 2, max(tp - 1, 0), tp, tp + 1}):
             want = threshold_window_reference(a, e, t_max=t_max)
-            assert ultimate_threshold(a, e, t_max=t_max) == want
+            assert ultimate_threshold(a, t_max=t_max) == want
             assert (want is None) == (t_max < tp)
 
 
@@ -178,7 +178,7 @@ def test_search_matches_the_stepping_oracle(weights):
         for t_max in sweep:
             want = tp if t_max is None else threshold_window_reference(
                 a, e, t_max=t_max)
-            assert ultimate_threshold(a, e, t_max=t_max) == want, (a, t_max)
+            assert ultimate_threshold(a, t_max=t_max) == want, (a, t_max)
     assert built >= 15
 
 
@@ -230,12 +230,12 @@ def test_scan_is_not_sized_by_gamma_u(monkeypatch):
     gamma_u."""
     a = cycle_chain(np.random.default_rng(605))
     e = ultimate_expand(a)
-    tp = ultimate_threshold(a, e)
     calls = counting_matmul(monkeypatch)
-    assert ultimate_threshold(a, e) == tp
+    tp = ultimate_threshold(a)
     gammas = [term.triple.gamma for term in e.terms]
     assert len(calls) <= 2 * (tp + 1) + sum(gammas) + len(gammas)
     assert len(calls) < e.gamma_u
+    assert tp == threshold_window_reference(a, e)
 
 
 def test_search_past_the_bound_costs_log_products(monkeypatch):
@@ -245,7 +245,7 @@ def test_search_past_the_bound_costs_log_products(monkeypatch):
     bound = expansions._threshold_tables(a, e, TOL)
     assert bound == 0
     calls = counting_matmul(monkeypatch)
-    assert ultimate_threshold(a, e) == 100
+    assert ultimate_threshold(a) == 100
     t_max = 30 * a.n * a.n
     window = e.gamma_u + math.ceil(math.log2(t_max))
     gammas = [term.triple.gamma for term in e.terms]
@@ -350,9 +350,26 @@ def test_memory_is_not_sized_by_gamma_u():
     tracemalloc.start()
     try:
         e = ultimate_expand(a)
-        tp = ultimate_threshold(a, e)
+        tp = ultimate_threshold(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert e.gamma_u == 2310 and tp == 1
     assert peak < 4e6
+
+
+def test_bound_scratch_is_bounded():
+    """Cycles 2 ... 13 with falling integer means (n = 43, six terms):
+    with the terms formed, the bound's lines peak within 1 MB traced.  A
+    chunk's temporaries around its broadcast took 1.27 MB."""
+    a = cycle_chain(np.random.default_rng(99), (2, 3, 5, 7, 11, 13),
+                    (2, 1, 0, -1, -2, -3))
+    expansions._ultimate_terms(a)
+    tracemalloc.start()
+    try:
+        bound = expansions._ultimate_bound(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound == 143
+    assert peak <= 2 ** 20

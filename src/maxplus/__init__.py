@@ -3,7 +3,7 @@ matrix powers, and orbit periodicity of reducible matrices."""
 
 from .core import (CRIT_TOL, NEG_INF, UNITY, ZERO, TropicalMatrix, as_vector,
                    mat_eq, mat_mul, mat_oplus, mat_power, mat_scalar_mul,
-                   soplus, sotimes, vec_eq)
+                   vec_eq)
 from .csr import (CsrProduct, CsrTriple, csr_build, csr_product,
                   csr_product_literal)
 from .errors import (AnalysisError, DimensionError, DivergentStarError,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CRIT_TOL", "NEG_INF", "UNITY", "ZERO", "TropicalMatrix", "as_vector",
     "mat_eq", "mat_mul", "mat_oplus", "mat_power", "mat_scalar_mul",
-    "soplus", "sotimes", "vec_eq",
+    "vec_eq",
     "CsrProduct", "CsrTriple", "csr_build", "csr_product",
     "csr_product_literal",
     "AnalysisError", "DimensionError", "DivergentStarError", "MaxplusError",

@@ -159,8 +159,6 @@ def parse_vector(text: str, semiring: str = "maxplus") -> np.ndarray:
 # ------------------------------------------------------------- formatting
 
 def _num(x):
-    if x is None:
-        return None
     x = float(x)
     if x == NEG_INF:
         return None
@@ -352,7 +350,7 @@ def _cmd_verify(a, args, report):
         np.fill_diagonal(want, 0.0)
         for t in range(1, a.n):
             want = np.maximum(want, np.array(table[t]))
-        ok = mat_eq(star, TropicalMatrix(want, copy=False), CRIT_TOL)
+        ok = mat_eq(star, TropicalMatrix(want), CRIT_TOL)
         checks.append({"name": "star matches path-sum oracle", "ok": ok})
 
     try:

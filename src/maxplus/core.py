@@ -36,18 +36,6 @@ _BROADCAST_LIMIT = 64
 _STACK_FLOATS = 2 ** 14
 
 
-def soplus(x: float, y: float) -> float:
-    """Scalar semiring addition: max(x, y)."""
-    return x if x >= y else y
-
-
-def sotimes(x: float, y: float) -> float:
-    """Scalar semiring multiplication: x + y, with -inf absorbing."""
-    if x == NEG_INF or y == NEG_INF:
-        return NEG_INF
-    return x + y
-
-
 def _overflow_checked(fn):
     """fn run with float overflow (a finite sum leaving float64, to +inf or
     to -inf) raised as NonFiniteError, instead of leaving +inf, NaN or a
@@ -63,40 +51,40 @@ def _overflow_checked(fn):
     return checked
 
 
-def _as_entries(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError("dimension: matrix must be square, got shape %s" % (arr.shape,))
-    if arr.shape[0] == 0:
-        raise DimensionError("dimension: empty matrix")
-    if np.isnan(arr).any() or (arr == np.inf).any():
-        raise ValueError("entries must be finite or -inf")
-    return arr
-
-
 class TropicalMatrix:
     """Square matrix over the max-plus semiring.
 
-    The wrapped array is read-only, and so is arr itself; all operations
-    return new matrices, so instances can be shared and cached safely.
+    The constructor validates and copies entries (another TropicalMatrix's
+    read-only array is shared).  That array is read-only, and so is arr;
+    operations return new matrices, so instances can be shared and cached.
     The private _memo dict holds per-instance analysis results (critical
     structure, deflation steps, strong access, the power stack of
     simulate_orbit's blocks) that `graphs`, `expansions` and `orbit`
     compute at most once per matrix; it is sound because arr never changes.
     """
 
-    def __init__(self, entries, copy: bool = True):
+    def __init__(self, entries):
         self._memo = {}
         if isinstance(entries, TropicalMatrix):
             self._arr = entries.arr
             return
-        if isinstance(entries, np.ndarray) and not copy:
-            # internal fast path: caller hands over a fresh float array
-            arr = entries
-        else:
-            arr = _as_entries(entries)
+        arr = np.array(entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionError("dimension: matrix must be square, got shape %s" % (arr.shape,))
+        if arr.shape[0] == 0:
+            raise DimensionError("dimension: empty matrix")
+        if np.isnan(arr).any() or (arr == np.inf).any():
+            raise ValueError("entries must be finite or -inf")
         arr.setflags(write=False)
         self._arr = arr
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "TropicalMatrix":
+        """A fresh valid array of the library's own, wrapped unchecked."""
+        m = cls.__new__(cls)
+        m._memo, m._arr = {}, arr
+        arr.setflags(write=False)
+        return m
 
     @property
     def arr(self) -> np.ndarray:
@@ -106,12 +94,12 @@ class TropicalMatrix:
     def identity(cls, n: int) -> "TropicalMatrix":
         arr = np.full((n, n), NEG_INF)
         np.fill_diagonal(arr, UNITY)
-        return cls(arr, copy=False)
+        return cls(arr)
 
     @classmethod
     def zeros(cls, n: int) -> "TropicalMatrix":
         """All -inf matrix (the semiring zero matrix)."""
-        return cls(np.full((n, n), NEG_INF), copy=False)
+        return cls(np.full((n, n), NEG_INF))
 
     @classmethod
     def from_rows(cls, rows) -> "TropicalMatrix":
@@ -132,17 +120,8 @@ class TropicalMatrix:
     def finite_mask(self) -> np.ndarray:
         return self.arr != NEG_INF
 
-    def __matmul__(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        return mat_mul(self, other)
-
-    def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        return mat_oplus(self, other)
-
     def scale(self, lam: float) -> "TropicalMatrix":
         return mat_scalar_mul(lam, self)
-
-    def power(self, t: int) -> "TropicalMatrix":
-        return mat_power(self, t)
 
     @_overflow_checked
     def apply(self, y) -> np.ndarray:
@@ -151,11 +130,14 @@ class TropicalMatrix:
         return (self.arr + y[None, :]).max(axis=1)
 
     def restrict(self, nodes) -> "TropicalMatrix":
-        """Keep entries with both indices in `nodes`, -inf elsewhere."""
+        """Keep entries with both indices in `nodes`, -inf elsewhere; the
+        result carries self's exactness record, sound for fewer entries."""
         mask = np.zeros(self.n, dtype=bool)
         mask[list(nodes)] = True
-        arr = np.where(mask[:, None] & mask[None, :], self.arr, NEG_INF)
-        return TropicalMatrix(arr, copy=False)
+        sub = TropicalMatrix._wrap(
+            np.where(mask[:, None] & mask[None, :], self.arr, NEG_INF))
+        sub._memo[_EXACT_MEMO] = _exactness(self)
+        return sub
 
     def eq(self, other: "TropicalMatrix", tol: float = 0.0) -> bool:
         return mat_eq(self, other, tol)
@@ -208,7 +190,7 @@ def _mp_rank1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     """c_ij = max_k (a_ik + b_kj); NonFiniteError when a sum overflows."""
     _check_same_n(a, b)
-    return TropicalMatrix(_mp_matmul(a.arr, b.arr), copy=False)
+    return TropicalMatrix._wrap(_mp_matmul(a.arr, b.arr))
 
 
 def _power_chain(base: np.ndarray, t: int, product):
@@ -229,7 +211,7 @@ def _power_chain(base: np.ndarray, t: int, product):
     return result
 
 
-_EXACT_MEMO = "exact"    # _memo key of _exactness, shared by deflation levels
+_EXACT_MEMO = "exact"    # _memo key of _exactness, carried by restrict
 
 
 def _integral_max(values: np.ndarray) -> tuple:
@@ -300,21 +282,23 @@ def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
     result = _power_chain(a.arr, t, _mp_matmul)
     if result is None:
         return TropicalMatrix.identity(a.n)
-    return TropicalMatrix(result, copy=False)
+    return TropicalMatrix._wrap(result)
 
 
 @_overflow_checked
 def mat_scalar_mul(lam: float, a: TropicalMatrix) -> TropicalMatrix:
-    """Add lam to every finite entry (-inf entries stay -inf)."""
+    """Add lam (finite or -inf) to every finite entry; -inf entries stay."""
+    if np.isnan(lam) or lam == np.inf:
+        raise ValueError("scalar must be finite or -inf")
     if lam == NEG_INF:
         return TropicalMatrix.zeros(a.n)
-    return TropicalMatrix(a.arr + lam, copy=False)
+    return TropicalMatrix._wrap(a.arr + lam)
 
 
 def mat_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     """Entrywise max."""
     _check_same_n(a, b)
-    return TropicalMatrix(np.maximum(a.arr, b.arr), copy=False)
+    return TropicalMatrix._wrap(np.maximum(a.arr, b.arr))
 
 
 def _agree(x, y, tol: float) -> np.ndarray:

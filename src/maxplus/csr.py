@@ -89,28 +89,24 @@ class CsrTriple:
 
     @cached_property
     def c(self) -> TropicalMatrix:
-        return TropicalMatrix(np.where(self._on_crit[None, :], self.star,
-                                       NEG_INF), copy=False)
+        return TropicalMatrix._wrap(np.where(self._on_crit[None, :],
+                                             self.star, NEG_INF))
 
     @cached_property
     def s(self) -> TropicalMatrix:
         s_arr = np.full((self.n, self.n), NEG_INF)
         i, j = _edge_index(self.crit)
         s_arr[i, j] = self.weights[i, j]
-        return TropicalMatrix(s_arr, copy=False)
+        return TropicalMatrix._wrap(s_arr)
 
     @cached_property
     def r(self) -> TropicalMatrix:
-        return TropicalMatrix(np.where(self._on_crit[:, None], self.star,
-                                       NEG_INF), copy=False)
+        return TropicalMatrix._wrap(np.where(self._on_crit[:, None],
+                                             self.star, NEG_INF))
 
     @property
     def n_c(self) -> tuple:
         return tuple(sorted(self.crit.nodes))
-
-    @property
-    def component_cyclicities(self) -> tuple:
-        return self.crit.cyclicity_of
 
     def periodicity_threshold(self) -> int:
         """Exponent after which S^t is periodic (Wielandt bound)."""
@@ -150,7 +146,7 @@ def _active_star_power(a: TropicalMatrix, gamma: int,
     np.fill_diagonal(b, 0.0)
     if active.size:
         block = np.ix_(active, active)
-        sub = TropicalMatrix(a.arr[block], copy=False)
+        sub = TropicalMatrix._wrap(a.arr[block])
         try:
             b[block] = (kleene_star(mat_power(sub, gamma)) if star is None
                         else _diagonal_checked(star)).arr
@@ -206,5 +202,5 @@ def csr_product(triple: CsrTriple, t: int) -> CsrProduct:
         raise ValueError("negative exponent")
     res = t % triple.gamma      # every slot's cyclicity divides gamma
     arr = _class_product(triple.c_hat, triple.r_hat, triple.slots, res)
-    return CsrProduct(matrix=TropicalMatrix(arr, copy=False), t_residue=res)
+    return CsrProduct(matrix=TropicalMatrix._wrap(arr), t_residue=res)
 

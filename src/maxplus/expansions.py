@@ -19,13 +19,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
-                   _EXACT_MEMO, _agree, _arr_eq, _exact_sums, _exactness,
-                   _exceeds, _mp_matmul, _overflow_checked)
+                   _agree, _arr_eq, _exact_sums, _exceeds, _mp_matmul,
+                   _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
 from .errors import AnalysisError, NoCyclesError, ThresholdError
-from .graphs import (CritSubgraph, CriticalStructure, _COMPONENT_MEMO, _bfs,
-                     _critical)
+from .graphs import (CritSubgraph, CriticalStructure, _bfs, _critical,
+                     _known_component, _level)
 
 # Floats in the live arrays of one chunk of residues of _term_lines:
 # bounds its memory independently of gamma.
@@ -117,17 +117,6 @@ def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
     raise ValueError("rule must be 'canonical' or 'cycle'")
 
 
-def _level(a: TropicalMatrix, keep) -> TropicalMatrix:
-    """a restricted to keep, sharing a's component analyses and its
-    exactness record; a itself (with its memo) when nothing is cut."""
-    if len(keep) == a.n:
-        return a
-    sub = a.restrict(keep)
-    sub._memo[_COMPONENT_MEMO] = a._cached(_COMPONENT_MEMO, dict)
-    sub._memo[_EXACT_MEMO] = _exactness(a)
-    return sub
-
-
 def _deflation_steps(a: TropicalMatrix, rule: str) -> tuple:
     """Deflation levels of a under rule, computed once per matrix."""
     return a._cached(("deflation", rule), lambda: _deflate(a, rule))
@@ -203,7 +192,7 @@ def _shared_star(st: DeflationStep) -> np.ndarray | None:
     one component (so all its nodes are active), gamma is 1 and lam is the
     component's.  The entries and the subtraction are the same, so the
     arrays are equal bit for bit."""
-    pc = st.a_mu._memo.get(_COMPONENT_MEMO, {}).get(st.k_set)
+    pc = _known_component(st.a_mu, st.k_set)
     if pc is None or st.crit.gamma != 1 or pc.lam != st.lambda_mu:
         return None
     return pc.star
@@ -274,10 +263,8 @@ def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
     NonFiniteError when lam * t or a sum of it leaves float64."""
     if t < 0:
         raise ValueError("negative exponent")
-    per = [TropicalMatrix(_class_product(tr.c_hat, tr.r_hat, tr.slots,
-                                         t % tr.gamma) + np.float64(lam) * t,
-                          copy=False)
-           for lam, tr in e.terms]
+    per = [TropicalMatrix._wrap(np.float64(lam) * t + _class_product(
+        tr.c_hat, tr.r_hat, tr.slots, t % tr.gamma)) for lam, tr in e.terms]
     return ExpansionEvaluation(t=t, matrix=reduce(mat_oplus, per),
                                per_term=per)
 
@@ -363,8 +350,7 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
     out = []
     for st in steps:
         k = np.array(st.k_set)
-        level = TropicalMatrix(a.arr[np.ix_(k, k)],
-                               copy=False).scale(-st.lambda_mu)
+        level = TropicalMatrix._wrap(a.arr[np.ix_(k, k)]).scale(-st.lambda_mu)
         rep = np.array([b[0] for bs in st.crit.members for b in bs])
         powered = np.full((n, n), NEG_INF)
         found = _class_power(level.arr, np.searchsorted(k, rep),
@@ -376,18 +362,17 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
             powered[np.ix_(rep, k)] = found[1]
         factors = _class_factors(powered, st.crit, a.arr, st.lambda_mu)
         prod = _class_product(*factors, (t - 2 * r) % st.crit.gamma)
-        out.append(TropicalMatrix(prod, copy=False))
+        out.append(TropicalMatrix._wrap(prod))
     return out
 
 
-def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
-                tol: float):
+def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple):
     """The lines one term adds to A (x) E(t) and to E(t + 1).
 
     On t = r (mod gamma) the term adds to entry (i, j) a line of slope lam
     with intercept (A (x) P(r))_ij on the first side and lam + P(r + 1)_ij
-    on the second; the line agrees when the two match within tol (two -inf
-    match).  Returns (low, high): per entry, low is the lowest agreeing
+    on the second; the line agrees when the two match within CRIT_TOL (two
+    -inf match).  Returns (low, high): per entry, low is the lowest agreeing
     intercept over all r (-inf as soon as one r disagrees or is -inf),
     high the highest intercept of a disagreeing r (-inf if none).
 
@@ -424,7 +409,7 @@ def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
                 np.maximum(out[:k], work[:k], out=out[:k])
         x, y, pair = out[:k - 1, n:], work[:k - 1, :n], work[:k - 1, n:]
         np.add(out[1:k, :n], lam, out=y)
-        agree = _agree(x, y, tol)
+        agree = _agree(x, y, CRIT_TOL)
         np.minimum(x, y, out=pair)
         np.copyto(pair, NEG_INF, where=~agree)
         np.minimum(low, pair.min(axis=0), out=low)
@@ -434,7 +419,7 @@ def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple,
     return low, high
 
 
-def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
+def _threshold_tables(a: TropicalMatrix, e: Expansion):
     """A bound T with A (x) E(t) = E(t + 1) for every t >= T.
 
     A line that disagrees (see _term_lines) shows in neither side once an
@@ -449,7 +434,7 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
     O(len(terms)^2 n^2) array work and O(n m + _CHUNK_FLOATS) memory per
     term (m cyclic classes); nothing is sized by gamma_u.
     """
-    lines = [(lam, _term_lines(a, lam, triple, tol)) for lam, triple in e.terms]
+    lines = [(lam, _term_lines(a, lam, triple)) for lam, triple in e.terms]
     # steeper[nu, mu]: lam_nu > lam_mu at tol 0, as slopes overtake exactly
     steeper = _exceeds(np.array(e.lambdas)[:, None], e.lambdas, 0.0)
     bound = 0
@@ -471,10 +456,10 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion, tol: float):
 
 
 def _ultimate_bound(a: TropicalMatrix) -> int | None:
-    """_threshold_tables over the ultimate terms at CRIT_TOL, once per
-    matrix (a's memo keeps it under "ultimate_bound")."""
+    """_threshold_tables over the ultimate terms, once per matrix (a's
+    memo keeps it under "ultimate_bound")."""
     return a._cached("ultimate_bound", lambda: _threshold_tables(
-        a, _ultimate_terms(a), CRIT_TOL))
+        a, _ultimate_terms(a)))
 
 
 def _known_bound(a: TropicalMatrix) -> int | None:

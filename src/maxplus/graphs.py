@@ -363,6 +363,21 @@ def _critical(a: TropicalMatrix) -> CriticalStructure | None:
 _COMPONENT_MEMO = "components"
 
 
+def _level(a: TropicalMatrix, keep) -> TropicalMatrix:
+    """a restricted to keep, sharing a's component analyses (restrict
+    carries its exactness record); a itself when nothing is cut."""
+    if len(keep) == a.n:
+        return a
+    sub = a.restrict(keep)
+    sub._memo[_COMPONENT_MEMO] = a._cached(_COMPONENT_MEMO, dict)
+    return sub
+
+
+def _known_component(a: TropicalMatrix, nodes: tuple):
+    """The memoized analysis of component nodes, or None: forms none."""
+    return a._memo.get(_COMPONENT_MEMO, {}).get(nodes)
+
+
 def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
     dec = scc_decompose(a)
     memo = a._cached(_COMPONENT_MEMO, dict)

@@ -45,4 +45,4 @@ def _diagonal_checked(m: np.ndarray) -> TropicalMatrix:
     bad = np.flatnonzero(_exceeds(np.diagonal(m), 0.0, CRIT_TOL))
     if bad.size:
         raise DivergentStarError(node=int(bad[0]))
-    return TropicalMatrix(m, copy=False)
+    return TropicalMatrix._wrap(m)

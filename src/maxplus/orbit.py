@@ -4,9 +4,9 @@ A matrix is orbit periodic when every orbit {a^t (x) y} is ultimately
 linear periodic.  For nodes of nontrivial components this reduces to two
 conditions: (1) cycle means never decrease along access, and (2) any two
 such nodes with different cycle means are connected by strong access in
-one direction.  Condition (2) can be decided either directly through
-strong access or through a support inclusion on the ultimate expansion
-terms at exponent 1; both routes are exposed.
+one direction.  is_orbit_periodic decides (2) by a support inclusion on the
+ultimate expansion terms at exponent 1 (method "support", the default) or
+directly through strong access (method "strong-access").
 
 Matrices with an acyclic digraph are vacuously orbit periodic: every
 orbit reaches the zero vector within n steps.
@@ -38,7 +38,7 @@ _DETECT_CHUNK = 1024
 _STACK_ROWS = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitReport:
     """Outcome of the orbit periodicity test.
 
@@ -48,26 +48,28 @@ class OrbitReport:
     way (filled by the strong-access route).  support_violations:
     (mu, nu, i, j) with term indices into the ultimate expansion and
     witness columns i, j whose support inclusion fails (filled by the
-    support route).  verdict is true iff all three lists are empty.
+    support route; every report of a matrix shares its memoized tuple).
+    verdict is true iff all three tuples are empty.
     """
 
     verdict: bool
-    condition1_violations: list
-    condition2_violations: list
-    support_violations: list
+    condition1_violations: tuple
+    condition2_violations: tuple
+    support_violations: tuple
     gamma_u: int
     method: str = "support"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitTrace:
     """Recorded orbit with the detected linear periodicity, if any.
 
-    samples[t] is the orbit vector at time t.  period divides the critical
-    lcm gamma_u; growth_rate is the additive rate per step (-inf for
-    orbits that die out); transient is the first time from which
-    samples[t + period] = period * growth_rate + samples[t] holds.  All
-    three are None when no linear periodicity was detected by t_max.
+    samples[t] is the orbit vector at time t (y is samples[0]; both are
+    read-only).  period divides the critical lcm gamma_u; growth_rate is
+    the additive rate per step (-inf for orbits that die out); transient
+    is the first time from which samples[t + period] = period *
+    growth_rate + samples[t] holds.  All three are None when no linear
+    periodicity was detected by t_max.
     """
 
     y: np.ndarray
@@ -84,18 +86,18 @@ def _above(cs) -> np.ndarray:
     return _exceeds(lam[:, None], lam, CRIT_TOL) & (lam != NEG_INF)
 
 
-def _pairs(dec, table: np.ndarray) -> list:
+def _pairs(dec, table: np.ndarray) -> tuple:
     """The component pairs set in table, row-major, as least nodes."""
-    return [(min(dec.components[p]), min(dec.components[q]))
-            for p, q in np.argwhere(table).tolist()]
+    return tuple((min(dec.components[p]), min(dec.components[q]))
+                 for p, q in np.argwhere(table).tolist())
 
 
 def _condition2_strong(a: TropicalMatrix, cs, above: np.ndarray):
     pairs = _pairs(cs.scc, np.triu(above | above.T, 1))
     if not pairs:
-        return []
+        return ()
     sa = _strong_access_rows(a, sorted({v for pair in pairs for v in pair}))
-    return [(i, j) for i, j in pairs if not (sa[i][j] or sa[j][i])]
+    return tuple((i, j) for i, j in pairs if not (sa[i][j] or sa[j][i]))
 
 
 def _support_violations(a: TropicalMatrix) -> tuple:
@@ -126,23 +128,21 @@ def is_orbit_periodic(a: TropicalMatrix,
 
     method "support" settles condition 2 through the ultimate-expansion
     support inclusions (the production route), "strong-access" through
-    Boolean power windows, "both" runs the two independently.
+    Boolean power windows.
     """
-    if method not in ("support", "strong-access", "both"):
-        raise ValueError("method must be 'support', 'strong-access' or 'both'")
+    if method not in ("support", "strong-access"):
+        raise ValueError("method must be 'support' or 'strong-access'")
     cs = _critical(a)
     if cs is None:
-        return OrbitReport(True, [], [], [], 1, method)
+        return OrbitReport(True, (), (), (), 1, method)
     above = _above(cs)
     cond1 = _pairs(cs.scc, cs.scc.access & above)
-    cond2 = []
-    supp = []
-    if method in ("strong-access", "both"):
+    cond2 = supp = ()
+    if method == "strong-access":
         cond2 = _condition2_strong(a, cs, above)
-    if method in ("support", "both") and not cond1:
-        # once per matrix; each report gets its own list
-        supp = list(a._cached("support_violations",
-                              lambda: _support_violations(a)))
+    elif not cond1:
+        supp = a._cached("support_violations",
+                         lambda: _support_violations(a))
     verdict = not (cond1 or cond2 or supp)
     return OrbitReport(verdict, cond1, cond2, supp, _gamma_u(a), method)
 
@@ -445,5 +445,5 @@ def simulate_orbit(a: TropicalMatrix, y,
         _step_rows(a.arr, samples)
     samples.setflags(write=False)
     period, rate, transient = _detect(samples, gamma, CRIT_TOL)
-    return OrbitTrace(y=y, samples=samples, period=period, growth_rate=rate,
-                      transient=transient)
+    return OrbitTrace(y=samples[0], samples=samples, period=period,
+                      growth_rate=rate, transient=transient)

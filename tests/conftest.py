@@ -55,7 +55,7 @@ def random_matrix(rng, n: int, lo: int = -9, hi: int = 3,
     probability and -inf otherwise."""
     vals = rng.integers(lo, hi + 1, size=(n, n)).astype(float)
     mask = rng.random((n, n)) < density
-    return TropicalMatrix(np.where(mask, vals, NEG_INF), copy=False)
+    return TropicalMatrix(np.where(mask, vals, NEG_INF))
 
 
 def has_cycle(a: TropicalMatrix) -> bool:
@@ -83,7 +83,7 @@ def random_reducible(rng, n: int, blocks: int = 4) -> TropicalMatrix:
         arr[lo:hi, lo:hi] = np.where(keep, block, NEG_INF)
     for lo, _ in bounds[1:]:
         arr[int(rng.integers(0, lo)), lo] = float(rng.integers(-3, 3))
-    return TropicalMatrix(arr, copy=False)
+    return TropicalMatrix(arr)
 
 
 def cycle_chain(rng, lengths=(3, 4, 5, 7), means=(-3, -1, 0, 2), tail=2):

@@ -1,4 +1,4 @@
-"""Scalar and matrix semiring arithmetic against brute-force references."""
+"""Matrix semiring arithmetic against brute-force references."""
 
 import ast
 import inspect
@@ -6,20 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from maxplus import (DimensionError, NEG_INF, NonFiniteError, TropicalMatrix,
-                     as_vector, mat_eq, mat_mul, mat_oplus, mat_power,
-                     mat_scalar_mul, max_cycle_mean, soplus, sotimes, vec_eq)
+                     as_vector, is_orbit_periodic, mat_eq, mat_mul,
+                     mat_oplus, mat_power, mat_scalar_mul, max_cycle_mean,
+                     vec_eq)
 import maxplus
 from maxplus import core
 
 from conftest import random_matrix, random_reducible
 from goldens import EX1_A2, EX1_A10
-
-scalars = st.one_of(st.just(NEG_INF), st.integers(-40, 40).map(float),
-                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 
 
 def naive_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
@@ -37,34 +33,6 @@ def naive_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(out)
 
 
-# --------------------------------------------------------------- scalars
-
-def test_scalar_basics():
-    assert soplus(3.0, -1.0) == 3.0
-    assert soplus(NEG_INF, -5.0) == -5.0
-    assert sotimes(2.0, 3.0) == 5.0
-    assert sotimes(NEG_INF, 7.0) == NEG_INF
-    assert sotimes(7.0, NEG_INF) == NEG_INF
-    assert sotimes(NEG_INF, NEG_INF) == NEG_INF
-
-
-@settings(max_examples=80, deadline=None)
-@given(scalars, scalars, scalars)
-def test_scalar_laws(x, y, z):
-    assert soplus(x, y) == soplus(y, x)
-    assert soplus(x, soplus(y, z)) == soplus(soplus(x, y), z)
-    assert soplus(x, x) == x
-    assert sotimes(x, y) == sotimes(y, x)
-    lhs, rhs = sotimes(x, sotimes(y, z)), sotimes(sotimes(x, y), z)
-    # float addition reassociates, so allow a rounding slack
-    assert lhs == rhs or abs(lhs - rhs) <= 1e-6
-    # distributivity: x (y (+) z) = xy (+) xz
-    assert sotimes(x, soplus(y, z)) == soplus(sotimes(x, y), sotimes(x, z))
-    # neutral elements
-    assert soplus(x, NEG_INF) == x
-    assert sotimes(x, 0.0) == x
-
-
 # -------------------------------------------------------------- matrices
 
 def test_constructor_guards():
@@ -76,6 +44,34 @@ def test_constructor_guards():
         TropicalMatrix([[0.0, 1.0]])
     with pytest.raises(DimensionError):
         TropicalMatrix(np.zeros((0, 0)))
+
+
+def test_constructor_always_validates_and_copies():
+    """Arrays are checked and copied as lists are, with no parameter to
+    skip it: NaN and +inf are refused, a 1 x 3 array is not a matrix, and
+    an int array becomes float64 that the caller's array cannot change.
+    identity(0) and a NaN or +inf scalar are refused too."""
+    for bad in (np.array([[np.nan]]), np.array([[0.0, np.inf], [0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            TropicalMatrix(bad)
+    with pytest.raises(DimensionError):
+        TropicalMatrix(np.zeros((1, 3)))
+    with pytest.raises(DimensionError):
+        TropicalMatrix.identity(0)
+    src = np.array([[1, 2], [3, 4]])
+    m = TropicalMatrix(src)
+    src[0, 0] = 9
+    assert m.arr.dtype == np.float64 and m.arr[0, 0] == 1.0
+    assert TropicalMatrix(m).arr is m.arr
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            mat_scalar_mul(lam, m)
+
+
+def test_matrix_never_equals_a_non_matrix():
+    m = TropicalMatrix([[3.0]])
+    assert (m == 3) is False and (m != 3) is True
+    assert m == TropicalMatrix([[3.0]])
 
 
 def test_from_rows_and_to_lists_round_trip():
@@ -419,11 +415,36 @@ def test_only_comparisons_take_a_tol():
         == ["a", "t_max"]
 
 
+# memo key constant -> the one module that may name it
+MEMO_OWNERS = {"_COMPONENT_MEMO": "graphs", "_EXACT_MEMO": "core"}
+
+
+def test_one_way_in():
+    """Each memo key constant is named by its owner module only, the
+    constructor takes entries alone, and is_orbit_periodic has exactly two
+    methods."""
+    found = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", getattr(node, "attr", getattr(
+                node, "name", None)))
+            if MEMO_OWNERS.get(name, path.stem) != path.stem:
+                found.append("%s.py:%d %s" % (path.stem, node.lineno, name))
+    assert found == []
+    assert str(inspect.signature(TropicalMatrix)) == "(entries)"
+    a = TropicalMatrix([[0.0, 1.0], [NEG_INF, 0.0]])
+    for method in ("support", "strong-access"):
+        assert is_orbit_periodic(a, method=method).method == method
+    with pytest.raises(ValueError):
+        is_orbit_periodic(a, method="both")
+
+
 def test_restrict():
     m = TropicalMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
     r = m.restrict([0, 2])
     assert r.to_lists() == [[1.0, None, 3.0], [None, None, None],
                             [7.0, None, 9.0]]
+    assert r._memo[core._EXACT_MEMO] is m._memo[core._EXACT_MEMO]
 
 
 # --------------------------------------------------------------- vectors

@@ -40,7 +40,7 @@ def test_build_example1(ex1):
     t = full_triple(ex1)
     assert t.gamma == 2
     assert t.n_c == (0, 1)
-    assert t.component_cyclicities == (2,)
+    assert t.crit.cyclicity_of == (2,)
     assert t.periodicity_threshold() == 2
     assert t.s_is_boolean
     assert {e for e in EX1_S_EDGES[0]} == set(t.crit.edges)
@@ -174,7 +174,7 @@ def test_crit_heavy_two_sided_bounds():
             for i in range(n):
                 for j in range(n):
                     assert p[i, j] >= tables[t][i][j] - TOL
-        tau = max(tr.component_cyclicities)
+        tau = max(tr.crit.cyclicity_of)
         t_eq = tr.periodicity_threshold() + 2 * tau * (n - 1)
         p = csr_product_literal(tr, t_eq).arr
         for i in range(n):

@@ -141,6 +141,12 @@ def test_expand_rejects_acyclic():
         ultimate_expand(a)
 
 
+def test_expand_rejects_an_unknown_rule(ex1):
+    with pytest.raises(ValueError):
+        nachtigall_expand(ex1, rule="bogus")
+    assert nachtigall_expand(ex1).variant == "nachtigall-canonical"
+
+
 # ------------------------------------------------------------- evaluation
 
 def test_evaluate_example1_powers(ex1):
@@ -156,6 +162,8 @@ def test_evaluate_example1_powers(ex1):
     ev4 = evaluate(e, 4)
     assert mat_eq(ev4.matrix, mat_oplus(ev4.per_term[0], ev4.per_term[1]))
     assert np.all(ev4.per_term[2].arr <= ev4.matrix.arr)
+    with pytest.raises(ValueError):
+        evaluate(e, -1)
 
 
 def test_evaluate_matches_power_random():
@@ -220,7 +228,7 @@ def test_per_suffix_identity():
             want = mat_power(st.a_mu, t)
             got = None
             for k in range(mu, len(e.terms)):
-                contrib = TropicalMatrix(term_value(e, k, t), copy=False)
+                contrib = TropicalMatrix(term_value(e, k, t))
                 got = contrib if got is None else mat_oplus(got, contrib)
             assert mat_eq(got, want, tol=TOL)
 
@@ -624,7 +632,7 @@ def fast_terms_by_squaring(a, t, variant="nachtigall", rule="canonical"):
     out = []
     for st in steps:
         block = np.ix_(st.k_set, st.k_set)
-        level = TropicalMatrix(a.arr[block], copy=False)
+        level = TropicalMatrix(a.arr[block])
         powered = np.full((n, n), NEG_INF)
         powered[block] = mat_power(level.scale(-st.lambda_mu), r).arr
         factors = csr._class_factors(powered, st.crit, a.arr, st.lambda_mu)

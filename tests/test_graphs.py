@@ -260,7 +260,7 @@ def test_path_length_congruence_within_component():
         s_arr = np.full((a.n, a.n), NEG_INF)
         for i, j in crit.edges:
             s_arr[i, j] = 0.0
-        s = TropicalMatrix(s_arr, copy=False)
+        s = TropicalMatrix(s_arr)
         for t in range(1, 13):
             reach = boolean_power_reach(s, t)
             for u in crit.nodes:
@@ -445,7 +445,7 @@ def fractional_matrix(rng, n):
     vals = (rng.integers(-20, 8, size=(n, n)) / den if rng.random() < 0.7
             else rng.normal(size=(n, n)))
     mask = rng.random((n, n)) < rng.uniform(0.15, 0.9)
-    return TropicalMatrix(np.where(mask, vals, NEG_INF), copy=False)
+    return TropicalMatrix(np.where(mask, vals, NEG_INF))
 
 
 def bits(x) -> bytes:

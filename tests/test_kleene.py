@@ -23,7 +23,7 @@ def star_by_paths(a: TropicalMatrix) -> TropicalMatrix:
             for j in range(a.n):
                 w = best_path_weight(a, PathClassQuery(i=i, j=j, t=t))
                 out[i, j] = max(out[i, j], w)
-    return TropicalMatrix(out, copy=False)
+    return TropicalMatrix(out)
 
 
 def test_star_of_zero_matrix_is_identity():

@@ -43,7 +43,8 @@ def _facts(name: str, a: TropicalMatrix):
     if name == "fast":
         return [m.arr.tolist() for m in fast_terms(a, t)]
     if name == "orbit-check":
-        return [is_orbit_periodic(a, method=m) for m in ("support", "both")]
+        return [is_orbit_periodic(a, method=m)
+                for m in ("support", "strong-access")]
     if name == "simulate":
         tr = simulate_orbit(a, np.zeros(a.n))
         return (tr.samples.tolist(), tr.period, tr.growth_rate, tr.transient)
@@ -170,17 +171,18 @@ def test_a_term_crit_refuses_a_change_and_later_calls_keep_theirs():
     a = random_reducible(np.random.default_rng(5), 6)
     t = 3 * a.n * a.n
     fast = [m.arr.tobytes() for m in fast_terms(TropicalMatrix(a.arr), t)]
-    cyc = nachtigall_expand(a).terms[0].triple.component_cyclicities
+    cyc = nachtigall_expand(a).terms[0].triple.crit.cyclicity_of
     with pytest.raises(AttributeError):
         nachtigall_expand(a).terms[0].triple.crit.cyclicity_of.append(99)
-    assert nachtigall_expand(a).terms[0].triple.component_cyclicities == cyc
+    assert nachtigall_expand(a).terms[0].triple.crit.cyclicity_of == cyc
     assert [m.arr.tobytes() for m in fast_terms(a, t)] == fast
 
 
 @pytest.mark.parametrize("cls", [
     graphs.SccDecomposition, graphs.ComponentCriticals,
     graphs.CriticalStructure, graphs.CritSubgraph, expansions.Expansion,
-    expansions.DeflationStep, csr.CsrTriple])
+    expansions.DeflationStep, csr.CsrTriple, orbit.OrbitReport,
+    orbit.OrbitTrace])
 def test_result_types_are_frozen(cls):
     assert cls.__dataclass_params__.frozen
 
@@ -375,7 +377,7 @@ def test_orbit_and_threshold_skip_the_canonical_deflation(monkeypatch):
             np.random.default_rng(3), (2, 3), (-1, 0), 1).arr]:
         for short in (False, True):
             a = TropicalMatrix(arr)
-            for method in ("support", "strong-access", "both"):
+            for method in ("support", "strong-access"):
                 is_orbit_periodic(a, method=method)
             t = ultimate_threshold(a)
             assert t is not None and calls == []
@@ -403,8 +405,7 @@ def test_condition2_reuses_strong_access(monkeypatch):
     arr = cycle_chain(np.random.default_rng(3), (2, 3), (-1, 0), 1).arr
     a = TropicalMatrix(arr)
     first = is_orbit_periodic(a, method="strong-access")
-    assert is_orbit_periodic(a, method="both").condition2_violations == \
-        first.condition2_violations
+    assert is_orbit_periodic(a, method="strong-access") == first
     assert calls == [[1, 3]]
     b = TropicalMatrix(arr)
     strong_access_matrix(b)
@@ -419,9 +420,9 @@ def test_orbit_reads_the_threshold_bound(monkeypatch):
     calls = []
     tables = expansions._threshold_tables
 
-    def counted(a, e, tol):
-        calls.append(tol)
-        return tables(a, e, tol)
+    def counted(a, e):
+        calls.append(e.variant)
+        return tables(a, e)
 
     monkeypatch.setattr(expansions, "_threshold_tables", counted)
     rng = np.random.default_rng(3)
@@ -430,13 +431,13 @@ def test_orbit_reads_the_threshold_bound(monkeypatch):
     for y in (rng.integers(-9, 10, a.n).astype(float),
               np.where(np.arange(a.n) == 3, 0.0, NEG_INF)):
         simulate_orbit(a, y)
-    assert calls == [1e-9]
+    assert calls == ["ultimate"]
     assert "orbit_stack" not in a._memo
 
 
 def test_growth_rate_reuses_the_support_route(monkeypatch):
-    """The support route runs once per matrix and tol, and each report
-    holds its own list of its violations."""
+    """The support route runs once per matrix, and every report hands out
+    its memoized tuple of violations."""
     a = cycle_chain(np.random.default_rng(4))
     y = np.zeros(a.n)
     rate = orbit_growth_rate(a, y)
@@ -448,7 +449,6 @@ def test_growth_rate_reuses_the_support_route(monkeypatch):
     assert calls == []
     b = TropicalMatrix.from_rows([[0, None], [None, 1]])
     first = is_orbit_periodic(b)
-    want = list(first.support_violations)
-    assert want and calls
-    first.support_violations.clear()
-    assert is_orbit_periodic(b).support_violations == want
+    assert first.support_violations and calls
+    assert is_orbit_periodic(b).support_violations is \
+        first.support_violations

@@ -175,8 +175,7 @@ SHIFT_SPLIT = [[2, -3, None, -1, 0, None], [-6, None, None, 0, None, -4],
 
 @pytest.mark.xfail(strict=True, reason=(
     "fractional weights at 1e5 scale: the absolute tolerance (ROADMAP "
-    "item 1, exact arithmetic on integer input) and its ordered decisions "
-    "(item 2)"))
+    "item 1, exact arithmetic on integer input)"))
 def test_fractional_shift_keeps_the_threshold():
     a = TropicalMatrix.from_rows([[None if v is None else v / 3 for v in row]
                                   for row in SHIFT_SPLIT])

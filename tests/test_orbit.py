@@ -39,18 +39,19 @@ def lam_set(a: TropicalMatrix) -> set:
 # ---------------------------------------------------------------- verdicts
 
 def test_verdicts_example3(ex3a, ex3b):
-    ra = is_orbit_periodic(ex3a, method="both")
-    assert ra.verdict
-    assert ra.gamma_u == EX3_GAMMA_U
-    assert not (ra.condition1_violations or ra.condition2_violations
-                or ra.support_violations)
+    for method in ("support", "strong-access"):
+        ra = is_orbit_periodic(ex3a, method=method)
+        assert ra.verdict
+        assert ra.gamma_u == EX3_GAMMA_U
+        assert not (ra.condition1_violations or ra.condition2_violations
+                    or ra.support_violations)
     rb_sup = is_orbit_periodic(ex3b)
     assert not rb_sup.verdict
-    assert rb_sup.support_violations == [(1, 0, 4, 1)]
+    assert rb_sup.support_violations == ((1, 0, 4, 1),)
     assert rb_sup.gamma_u == EX3_GAMMA_U
     rb_str = is_orbit_periodic(ex3b, method="strong-access")
     assert not rb_str.verdict
-    assert rb_str.condition2_violations == [(0, 4)]
+    assert rb_str.condition2_violations == ((0, 4),)
 
 
 def test_verdict_diagonal():
@@ -70,11 +71,13 @@ def test_verdict_acyclic():
 def test_condition1_violation():
     # high cycle mean feeding a lower one breaks condition 1
     a = TropicalMatrix.from_rows([[1.0, 0.0], [None, 0.0]])
-    r = is_orbit_periodic(a, method="both")
-    assert not r.verdict
-    assert r.condition1_violations == [(0, 1)]
+    for method in ("support", "strong-access"):
+        r = is_orbit_periodic(a, method=method)
+        assert not r.verdict
+        assert r.condition1_violations == ((0, 1),)
+        assert r.condition2_violations == ()
     # the support screen is not consulted once condition 1 fails
-    assert r.support_violations == []
+    assert is_orbit_periodic(a).support_violations == ()
 
 
 def test_condition2_reads_representative_rows_of_strong_access(
@@ -106,9 +109,9 @@ def test_condition2_reads_representative_rows_of_strong_access(
         reps = {min(cs.scc.components[c]): cs.lambda_of_component[c]
                 for c in cs.scc.nontrivial()}
         order = list(reps)      # in component order, as reported
-        want = [(i, j) for x, i in enumerate(order) for j in order[x + 1:]
-                if abs(reps[i] - reps[j]) > TOL
-                and not (full[i, j] or full[j, i])]
+        want = tuple((i, j) for x, i in enumerate(order)
+                     for j in order[x + 1:] if abs(reps[i] - reps[j]) > TOL
+                     and not (full[i, j] or full[j, i]))
         assert report.condition2_violations == want
         for rows, got in seen:
             assert rows == sorted(rows) and set(rows) <= set(reps)

@@ -195,7 +195,7 @@ def test_bound_is_sound():
     mats = corpus()[::3] + [cycle_chain(rng)]
     for a in mats:
         e = ultimate_expand(a)
-        bound = expansions._threshold_tables(a, e, TOL)
+        bound = expansions._threshold_tables(a, e)
         assert bound is not None
         nxt = evaluate(e, bound).matrix
         for t in range(bound, bound + 2 * e.gamma_u + a.n * a.n + 1):
@@ -205,7 +205,7 @@ def test_bound_is_sound():
 
 def test_no_bound_without_an_agreeing_line_above():
     a = two_bipartite_levels()
-    bound = expansions._threshold_tables(a, ultimate_expand(a), TOL)
+    bound = expansions._threshold_tables(a, ultimate_expand(a))
     assert bound is None
     assert ultimate_threshold(a) == 2
 
@@ -242,7 +242,7 @@ def test_search_past_the_bound_costs_log_products(monkeypatch):
     """t' = 100 past T = 0: stepping made 203 products."""
     a = two_loops(50)
     e = ultimate_expand(a)
-    bound = expansions._threshold_tables(a, e, TOL)
+    bound = expansions._threshold_tables(a, e)
     assert bound == 0
     calls = counting_matmul(monkeypatch)
     assert ultimate_threshold(a) == 100
@@ -323,7 +323,7 @@ def test_term_lines_match_one_product_per_residue():
              for w in ("integer", "third", "seventh") for _ in range(3)]
     for a in mats:
         for lam, triple in ultimate_expand(a).terms:
-            got = expansions._term_lines(a, lam, triple, TOL)
+            got = expansions._term_lines(a, lam, triple)
             want = term_lines_per_residue(a, lam, triple, TOL)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 

@@ -7,7 +7,7 @@ from .core import (CRIT_TOL, NEG_INF, UNITY, ZERO, TropicalMatrix, as_vector,
 from .csr import (CsrProduct, CsrTriple, csr_build, csr_product,
                   csr_product_literal)
 from .errors import (AnalysisError, DimensionError, DivergentStarError,
-                     MaxplusError, NoCyclesError, NonFiniteError,
+                     DomainError, MaxplusError, NoCyclesError, NonFiniteError,
                      NotDefiniteError, NotOrbitPeriodicError,
                      OracleSizeError, ParseError, ThresholdError,
                      TrivialColumnError, ZeroVectorError)
@@ -34,7 +34,7 @@ __all__ = [
     "CsrProduct", "CsrTriple", "csr_build", "csr_product",
     "csr_product_literal",
     "AnalysisError", "DimensionError", "DivergentStarError", "MaxplusError",
-    "NoCyclesError", "NonFiniteError",
+    "DomainError", "NoCyclesError", "NonFiniteError",
     "NotDefiniteError", "NotOrbitPeriodicError", "OracleSizeError",
     "ParseError", "ThresholdError", "TrivialColumnError", "ZeroVectorError",
     "DeflationStep", "Expansion", "ExpansionEvaluation", "Term", "evaluate",

@@ -3,10 +3,10 @@
 Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
-1 verification mismatch (verify only), 2 input error (including a
-TROPICAL_ORACLE_CAP that is not an integer >= 1), 3 precondition error
-(including NonFiniteError: a sum of weights or a report value overflowed
-float64), 64 usage error.
+1 verification mismatch (verify only), 2 input error (a ParseError, such
+as a bad token or a TROPICAL_ORACLE_CAP that is not an integer >= 1, or
+a file that cannot be read), 3 any other MaxplusError (DomainError,
+NonFiniteError, ...), 64 usage error.
 
 Every command decides at CRIT_TOL, as the library does: two values are
 equal when both are -inf or both are finite and within CRIT_TOL
@@ -106,22 +106,24 @@ def _json_entry(value, semiring: str, where: str) -> float:
     return _to_maxplus(float(value), semiring, 1, 1)
 
 
-def _load_json(text: str) -> dict:
-    """The object of text that starts with '{' (no other value can)."""
+def _load_json(text: str, key: str) -> tuple:
+    """(n, the key field) of the object of text that starts with '{' (no
+    other value can)."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError("invalid JSON: %s" % e.msg, e.lineno, e.colno) from None
+    n = obj.get("n")
+    if not isinstance(n, int) or n < 1:
+        raise ParseError("field 'n' must be a positive integer", 1, 1)
+    return n, obj.get(key)
 
 
 def parse_matrix(text: str, semiring: str = "maxplus") -> TropicalMatrix:
     """Parse plain (n then n*n tokens; -inf or * for -inf) or JSON
     ({"n": ..., "rows": [[...]]} with null for -inf) matrix text."""
     if text.lstrip().startswith("{"):
-        obj = _load_json(text)
-        n, rows = obj.get("n"), obj.get("rows")
-        if not isinstance(n, int) or n < 1:
-            raise ParseError("field 'n' must be a positive integer", 1, 1)
+        n, rows = _load_json(text, "rows")
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError("matrix must be square: expected %d rows" % n, 1, 1)
         entries = []
@@ -143,10 +145,7 @@ def parse_vector(text: str, semiring: str = "maxplus") -> np.ndarray:
     """Parse plain (n then n tokens) or JSON ({"n": ..., "values": [...]})
     vector text."""
     if text.lstrip().startswith("{"):
-        obj = _load_json(text)
-        n, values = obj.get("n"), obj.get("values")
-        if not isinstance(n, int) or n < 1:
-            raise ParseError("field 'n' must be a positive integer", 1, 1)
+        n, values = _load_json(text, "values")
         if not isinstance(values, list) or len(values) != n:
             raise ParseError("expected %d values" % n, 1, 1)
         return np.array([_json_entry(v, semiring, "position %d" % (i + 1))
@@ -176,10 +175,6 @@ def _matrix(arr) -> list:
     return [[_num(v) for v in row] for row in np.asarray(arr).tolist()]
 
 
-def _vector(vec) -> list:
-    return [_num(v) for v in np.asarray(vec).tolist()]
-
-
 def _nodes1(nodes) -> list:
     return [int(v) + 1 for v in sorted(nodes)]
 
@@ -202,17 +197,13 @@ def _cmd_star(a, args, report):
 def _cmd_lambda(a, args, report):
     try:
         cs = critical_structure(a)
-        lam = cs.lambda_global
-        per = [_num(x) for x in cs.lambda_of_component]
-        comps = [_nodes1(c) for c in cs.scc.components]
+        lam, per, dec = cs.lambda_global, cs.lambda_of_component, cs.scc
     except NoCyclesError:
         dec = scc_decompose(a)
-        lam = NEG_INF
-        per = [None] * dec.k
-        comps = [_nodes1(c) for c in dec.components]
+        lam, per = NEG_INF, [NEG_INF] * dec.k
     report["lambda"] = _num(lam)
-    report["per_component"] = per
-    report["components"] = comps
+    report["per_component"] = [_num(x) for x in per]
+    report["components"] = [_nodes1(c) for c in dec.components]
 
 
 def _cmd_critical(a, args, report):
@@ -255,28 +246,28 @@ def _cmd_csr(a, args, report):
     report["product"] = _matrix(csr_product(triple, args.t).matrix)
 
 
-def _cmd_nachtigall(a, args, report):
-    e = nachtigall_expand(a, rule=args.rule)
+def _expansion_report(a, e, args, report, **extra):
+    """e evaluated at args.t into report, extra keys before the matrix."""
     value = evaluate(e, args.t).matrix
-    report["rule"] = args.rule
     report["t"] = args.t
     report["lambdas"] = [_num(x) for x in e.lambdas]
     report["gammas"] = [int(term.triple.gamma) for term in e.terms]
-    report["validity_threshold"] = int(e.validity_threshold)
+    report.update(extra)
     report["matrix"] = _matrix(value)
     report["matches_power"] = mat_eq(value, mat_power(a, args.t), CRIT_TOL)
+
+
+def _cmd_nachtigall(a, args, report):
+    e = nachtigall_expand(a, rule=args.rule)
+    report["rule"] = args.rule
+    _expansion_report(a, e, args, report,
+                      validity_threshold=int(e.validity_threshold))
 
 
 def _cmd_ultimate(a, args, report):
     e = ultimate_expand(a)
-    value = evaluate(e, args.t).matrix
-    report["t"] = args.t
-    report["lambdas"] = [_num(x) for x in e.lambdas]
-    report["gammas"] = [int(term.triple.gamma) for term in e.terms]
-    report["sigma"] = [int(s) + 1 for s in e.sigma]
-    report["gamma_u"] = int(e.gamma_u)
-    report["matrix"] = _matrix(value)
-    report["matches_power"] = mat_eq(value, mat_power(a, args.t), CRIT_TOL)
+    _expansion_report(a, e, args, report, sigma=[int(s) + 1 for s in e.sigma],
+                      gamma_u=int(e.gamma_u))
 
 
 def _cmd_threshold(a, args, report):
@@ -292,18 +283,15 @@ def _cmd_orbit_check(a, args, report):
     report["method"] = r.method
     report["verdict"] = bool(r.verdict)
     report["gamma_u"] = int(r.gamma_u)
-    report["condition1_violations"] = [[i + 1, j + 1]
-                                       for i, j in r.condition1_violations]
-    report["condition2_violations"] = [[i + 1, j + 1]
-                                       for i, j in r.condition2_violations]
-    report["support_violations"] = [[mu + 1, nu + 1, i + 1, j + 1]
-                                    for mu, nu, i, j in r.support_violations]
+    for key in ("condition1_violations", "condition2_violations",
+                "support_violations"):
+        report[key] = [[v + 1 for v in bad] for bad in getattr(r, key)]
 
 
 def _cmd_orbit(a, args, report):
     with open(args.y, "rb") as fh:
         raw = fh.read()
-    y = parse_vector(raw.decode(), args.semiring)
+    y = parse_vector(raw.decode(errors="replace"), args.semiring)
     if y.shape[0] != a.n:
         raise ParseError("vector length %d does not match matrix size %d"
                          % (y.shape[0], a.n), 1, 1)
@@ -315,7 +303,7 @@ def _cmd_orbit(a, args, report):
                              else _num(trace.growth_rate))
     report["transient"] = (None if trace.transient is None
                            else int(trace.transient))
-    report["samples"] = [_vector(row) for row in trace.samples]
+    report["samples"] = _matrix(trace.samples)
 
 
 def _cmd_verify(a, args, report):
@@ -336,11 +324,8 @@ def _cmd_verify(a, args, report):
     try:
         star = kleene_star(a)
     except DivergentStarError:
-        star = None
-    if star is None:
         try:
-            cs = critical_structure(a)
-            ok = bool(cs.lambda_global > 0)
+            ok = bool(critical_structure(a).lambda_global > 0)
         except NoCyclesError:
             ok = False
         checks.append({"name": "divergent star implies positive lambda",
@@ -381,27 +366,38 @@ def _cmd_verify(a, args, report):
     report["all_ok"] = all(c["ok"] for c in checks)
 
 
-_COMMANDS = {
-    "power": _cmd_power,
-    "star": _cmd_star,
-    "lambda": _cmd_lambda,
-    "critical": _cmd_critical,
-    "classes": _cmd_classes,
-    "csr": _cmd_csr,
-    "nachtigall": _cmd_nachtigall,
-    "ultimate": _cmd_ultimate,
-    "threshold": _cmd_threshold,
-    "orbit-check": _cmd_orbit_check,
-    "orbit": _cmd_orbit,
-    "verify": _cmd_verify,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(64)
+
+
+_FLAGS = {
+    "t": dict(type=int, required=True),
+    "rule": dict(choices=("canonical", "cycle"), default="canonical"),
+    "y": dict(required=True, help="start vector file"),
+    "tmax": dict(type=int, default=None),
+}
+
+# name: (handler, help, flags of _FLAGS), in the order of --help
+_COMMANDS = {
+    "power": (_cmd_power, "matrix power", ("t",)),
+    "star": (_cmd_star, "Kleene star", ()),
+    "lambda": (_cmd_lambda, "max cycle means per component", ()),
+    "critical": (_cmd_critical, "critical graph", ()),
+    "classes": (_cmd_classes, "cyclic classes of the critical graph", ()),
+    "csr": (_cmd_csr, "CSR factors and product", ("t", "rule")),
+    "nachtigall": (_cmd_nachtigall, "Nachtigall expansion evaluated at t",
+                   ("t", "rule")),
+    "ultimate": (_cmd_ultimate, "ultimate expansion evaluated at t", ("t",)),
+    "threshold": (_cmd_threshold,
+                  "first exponent where the ultimate expansion holds", ()),
+    "orbit-check": (_cmd_orbit_check, "decide orbit periodicity", ()),
+    "orbit": (_cmd_orbit, "simulate one orbit", ("y", "tmax")),
+    "verify": (_cmd_verify, "cross-check production routes against "
+               "brute-force oracles (n <= 8)", ()),
+}
 
 
 def _build_parser() -> _Parser:
@@ -416,36 +412,10 @@ def _build_parser() -> _Parser:
                                  "orbit periodicity")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    p = sub.add_parser("power", parents=[common], help="matrix power")
-    p.add_argument("--t", type=int, required=True)
-    sub.add_parser("star", parents=[common], help="Kleene star")
-    sub.add_parser("lambda", parents=[common],
-                   help="max cycle means per component")
-    sub.add_parser("critical", parents=[common], help="critical graph")
-    sub.add_parser("classes", parents=[common],
-                   help="cyclic classes of the critical graph")
-    p = sub.add_parser("csr", parents=[common], help="CSR factors and product")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--rule", choices=("canonical", "cycle"),
-                   default="canonical")
-    p = sub.add_parser("nachtigall", parents=[common],
-                       help="Nachtigall expansion evaluated at t")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--rule", choices=("canonical", "cycle"),
-                   default="canonical")
-    p = sub.add_parser("ultimate", parents=[common],
-                       help="ultimate expansion evaluated at t")
-    p.add_argument("--t", type=int, required=True)
-    sub.add_parser("threshold", parents=[common],
-                   help="first exponent where the ultimate expansion holds")
-    sub.add_parser("orbit-check", parents=[common],
-                   help="decide orbit periodicity")
-    p = sub.add_parser("orbit", parents=[common], help="simulate one orbit")
-    p.add_argument("--y", required=True, help="start vector file")
-    p.add_argument("--tmax", type=int, default=None)
-    sub.add_parser("verify", parents=[common],
-                   help="cross-check production routes against brute-force "
-                        "oracles (n <= 8)")
+    for name, (_, help_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
     return parser
 
 
@@ -455,22 +425,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
+    started = time.perf_counter()
     try:
         if args.matrix == "-":
             raw = sys.stdin.buffer.read()
         else:
             with open(args.matrix, "rb") as fh:
                 raw = fh.read()
-    except OSError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    started = time.perf_counter()
-    report = {"command": args.command,
-              "input_digest": hashlib.sha256(raw).hexdigest()[:16]}
-    try:
+        report = {"command": args.command,
+                  "input_digest": hashlib.sha256(raw).hexdigest()[:16]}
         a = parse_matrix(raw.decode(errors="replace"), args.semiring)
         report["n"] = a.n
-        _COMMANDS[args.command](a, args, report)
+        _COMMANDS[args.command][0](a, args, report)
     except ParseError as e:
         where = ""
         if e.line is not None:
@@ -482,9 +448,6 @@ def main(argv=None) -> int:
         return 2
     except MaxplusError as e:
         sys.stderr.write("error: %s\n" % e.describe(1))
-        return 3
-    except ValueError as e:
-        sys.stderr.write("error: %s\n" % e)
         return 3
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     sys.stderr.write("elapsed %.1f ms\n"

@@ -11,10 +11,11 @@ every downstream max/+ combination NaN-free.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError, DomainError, NonFiniteError
 
 NEG_INF = float("-inf")
 ZERO = NEG_INF      # semiring zero
@@ -68,13 +69,11 @@ class TropicalMatrix:
         if isinstance(entries, TropicalMatrix):
             self._arr = entries.arr
             return
-        arr = np.array(entries, dtype=float)
+        arr = _entries(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError("dimension: matrix must be square, got shape %s" % (arr.shape,))
         if arr.shape[0] == 0:
             raise DimensionError("dimension: empty matrix")
-        if np.isnan(arr).any() or (arr == np.inf).any():
-            raise ValueError("entries must be finite or -inf")
         arr.setflags(write=False)
         self._arr = arr
 
@@ -92,14 +91,14 @@ class TropicalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "TropicalMatrix":
-        arr = np.full((n, n), NEG_INF)
+        arr = np.full((_count(n, "size"),) * 2, NEG_INF)
         np.fill_diagonal(arr, UNITY)
         return cls(arr)
 
     @classmethod
     def zeros(cls, n: int) -> "TropicalMatrix":
         """All -inf matrix (the semiring zero matrix)."""
-        return cls(np.full((n, n), NEG_INF))
+        return cls(np.full((_count(n, "size"),) * 2, NEG_INF))
 
     @classmethod
     def from_rows(cls, rows) -> "TropicalMatrix":
@@ -133,7 +132,7 @@ class TropicalMatrix:
         """Keep entries with both indices in `nodes`, -inf elsewhere; the
         result carries self's exactness record, sound for fewer entries."""
         mask = np.zeros(self.n, dtype=bool)
-        mask[list(nodes)] = True
+        mask[_check_nodes(self, nodes)] = True
         sub = TropicalMatrix._wrap(
             np.where(mask[:, None] & mask[None, :], self.arr, NEG_INF))
         sub._memo[_EXACT_MEMO] = _exactness(self)
@@ -165,9 +164,50 @@ def _check_same_n(a: TropicalMatrix, b: TropicalMatrix):
         raise DimensionError("dimension: %d vs %d" % (a.n, b.n))
 
 
-def _check_node(a: TropicalMatrix, v: int):
+# The argument gates below own every argument check of the package.
+def _index(v, what: str) -> int:
+    """v through operator.index: DomainError when it is no integer."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError("%s must be an integer, got %r" % (what, v)) from None
+
+
+def _count(t, what: str) -> int:
+    """t as an int >= 0 (an exponent, t_max or size), else DomainError."""
+    t = _index(t, what)
+    if t < 0:
+        raise DomainError("negative %s" % what)
+    return t
+
+
+def _check_node(a: TropicalMatrix, v) -> int:
+    """v as a node of a: DomainError when it is no integer,
+    DimensionError when it lies outside 0..n-1."""
+    v = _index(v, "node")
     if not 0 <= v < a.n:
         raise DimensionError("dimension: node %d outside 0..%d" % (v, a.n - 1))
+    return v
+
+
+def _check_nodes(a: TropicalMatrix, nodes) -> np.ndarray:
+    """_check_node over nodes, vectorized: their index array."""
+    idx = np.array(list(nodes))
+    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= a.n:
+        return np.array([_check_node(a, v) for v in idx.tolist()], dtype=int)
+    return idx
+
+
+def _entries(values, what: str = "entries") -> np.ndarray:
+    """values as a new float64 array of max-plus scalars: DomainError for
+    NaN, +inf, or values numpy cannot read as floats (ragged, text)."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("%s must be finite or -inf: %s" % (what, exc)) from None
+    if np.isnan(arr).any() or (arr == np.inf).any():
+        raise DomainError("%s must be finite or -inf" % what)
+    return arr
 
 
 def _mp_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -275,11 +315,10 @@ def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
     bit has been multiplied in yet the power is X itself.  The result is
     byte-identical to the full chain's on every input.  A normalized
     level with cyclicity 1 and integer weights reaches such an X after its
-    transient.  A sum that overflows float64 raises NonFiniteError.
+    transient.  A sum that overflows float64 raises NonFiniteError, and a
+    negative or non-integer t DomainError (_count).
     """
-    if t < 0:
-        raise ValueError("negative power")
-    result = _power_chain(a.arr, t, _mp_matmul)
+    result = _power_chain(a.arr, _count(t, "power"), _mp_matmul)
     if result is None:
         return TropicalMatrix.identity(a.n)
     return TropicalMatrix._wrap(result)
@@ -288,11 +327,7 @@ def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
 @_overflow_checked
 def mat_scalar_mul(lam: float, a: TropicalMatrix) -> TropicalMatrix:
     """Add lam (finite or -inf) to every finite entry; -inf entries stay."""
-    if np.isnan(lam) or lam == np.inf:
-        raise ValueError("scalar must be finite or -inf")
-    if lam == NEG_INF:
-        return TropicalMatrix.zeros(a.n)
-    return TropicalMatrix._wrap(a.arr + lam)
+    return TropicalMatrix._wrap(a.arr + _entries(lam, "scalar"))
 
 
 def mat_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
@@ -335,13 +370,11 @@ def mat_eq(a: TropicalMatrix, b: TropicalMatrix, tol: float = 0.0) -> bool:
 
 def as_vector(values, n: int | None = None) -> np.ndarray:
     """Validate a max-plus vector: 1-D, entries finite or -inf."""
-    y = np.array(values, dtype=float)
+    y = _entries(values)
     if y.ndim != 1:
         raise DimensionError("dimension: vector expected, got shape %s" % (y.shape,))
     if n is not None and y.shape[0] != n:
         raise DimensionError("dimension: vector length %d vs %d" % (y.shape[0], n))
-    if np.isnan(y).any() or (y == np.inf).any():
-        raise ValueError("entries must be finite or -inf")
     return y
 
 

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _mp_matmul,
-                   mat_mul, mat_power)
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_nodes,
+                   _count, _mp_matmul, mat_mul, mat_power)
 from .errors import DivergentStarError, NotDefiniteError
 from .graphs import CritSubgraph, _bfs, _critical, wielandt
 from .kleene import _diagonal_checked, kleene_star
@@ -168,10 +168,12 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph,
     analysis (NotDefiniteError when it is not 0 within CRIT_TOL).  A
     divergent (a^gamma)* raises DivergentStarError naming the smallest
     node of a with a diagonal entry above CRIT_TOL, and s_is_boolean
-    holds when every critical weight is 0 within CRIT_TOL.  _star, when
+    holds when every critical weight is 0 within CRIT_TOL.  A node of
+    crit outside a raises DimensionError (core._check_node).  _star, when
     given, is (a^gamma)* on a's active nodes (see _active_star_power),
     formed elsewhere and only checked here.
     """
+    _check_nodes(a, crit.nodes)
     if check_definite:
         _check_definite(a)
     gamma = crit.gamma
@@ -186,8 +188,7 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph,
 
 def csr_product_literal(triple: CsrTriple, t: int) -> TropicalMatrix:
     """C (x) S^t (x) R computed literally at exponent t."""
-    if t < 0:
-        raise ValueError("negative exponent")
+    t = _count(t, "exponent")
     return mat_mul(mat_mul(triple.c, mat_power(triple.s, t)), triple.r)
 
 
@@ -198,8 +199,7 @@ def csr_product(triple: CsrTriple, t: int) -> CsrProduct:
     by m x n product for m cyclic classes; nothing is cached.  t_residue
     is t mod gamma.
     """
-    if t < 0:
-        raise ValueError("negative exponent")
+    t = _count(t, "exponent")
     res = t % triple.gamma      # every slot's cyclicity divides gamma
     arr = _class_product(triple.c_hat, triple.r_hat, triple.slots, res)
     return CsrProduct(matrix=TropicalMatrix._wrap(arr), t_residue=res)

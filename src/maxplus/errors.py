@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: every failure it raises on
+purpose is a MaxplusError.  A gate of core rejects an argument with a
+DomainError (also a ValueError), or a node outside 0..n-1 with a
+DimensionError.  The CLI exits 2 on ParseError, 3 on any other one."""
 
 
 class MaxplusError(Exception):
@@ -13,8 +16,13 @@ class MaxplusError(Exception):
         return self.describe()
 
 
+class DomainError(MaxplusError, ValueError):
+    """An argument outside the domain: a negative or non-integer count, a
+    NaN, +inf or non-numeric entry, an unknown rule, variant or method."""
+
+
 class DimensionError(MaxplusError):
-    """Operand shapes are incompatible."""
+    """Operand shapes are incompatible, or a node lies outside 0..n-1."""
 
 
 class NoCyclesError(MaxplusError):

@@ -19,11 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
-                   _agree, _arr_eq, _exact_sums, _exceeds, _mp_matmul,
+                   _agree, _arr_eq, _count, _exact_sums, _exceeds, _mp_matmul,
                    _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
-from .errors import AnalysisError, NoCyclesError, ThresholdError
+from .errors import AnalysisError, DomainError, NoCyclesError, ThresholdError
 from .graphs import (CritSubgraph, CriticalStructure, _bfs, _critical,
                      _known_component, _level)
 
@@ -114,7 +114,7 @@ def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
         return CritSubgraph.from_critical_structure(cs)
     if rule == "cycle":
         return CritSubgraph.from_cycle(_shortest_critical_cycle(cs))
-    raise ValueError("rule must be 'canonical' or 'cycle'")
+    raise DomainError("rule must be 'canonical' or 'cycle'")
 
 
 def _deflation_steps(a: TropicalMatrix, rule: str) -> tuple:
@@ -261,8 +261,7 @@ def ultimate_expand(a: TropicalMatrix) -> Expansion:
 def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
     """Max of lam^t-scaled periodic products over all terms.
     NonFiniteError when lam * t or a sum of it leaves float64."""
-    if t < 0:
-        raise ValueError("negative exponent")
+    t = _count(t, "exponent")
     per = [TropicalMatrix._wrap(np.float64(lam) * t + _class_product(
         tr.c_hat, tr.r_hat, tr.slots, t % tr.gamma)) for lam, tr in e.terms]
     return ExpansionEvaluation(t=t, matrix=reduce(mat_oplus, per),
@@ -332,8 +331,7 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
     t - 2r: one n x m by m x n product, and no scaling.  Results match
     the literal CSR products.
     """
-    if t < 0:
-        raise ValueError("negative exponent")
+    t = _count(t, "exponent")
     n = a.n
     if variant == "nachtigall":
         if t < 3 * n * n:
@@ -342,7 +340,7 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
     elif variant == "ultimate":
         steps = _ultimate_steps(a)
     else:
-        raise ValueError("variant must be 'nachtigall' or 'ultimate'")
+        raise DomainError("variant must be 'nachtigall' or 'ultimate'")
 
     r = 1
     while r < 3 * n * n:
@@ -529,10 +527,7 @@ def ultimate_threshold(a: TropicalMatrix,
     CRIT_TOL the two analyses disagree, and AnalysisError reports that
     where the scan finds no t'.
     """
-    if t_max is not None and t_max < 0:
-        raise ValueError("negative t_max")
-    if t_max is None:
-        t_max = 30 * a.n * a.n
+    t_max = 30 * a.n * a.n if t_max is None else _count(t_max, "t_max")
     t = _threshold_scan(a, t_max)
     if t is None:
         ultimate_expand(a)

@@ -535,6 +535,5 @@ def _strong_access_rows(a: TropicalMatrix, rows: list) -> dict:
 
 
 def strong_access(a: TropicalMatrix, i: int, j: int) -> bool:
-    _check_node(a, i)
-    _check_node(a, j)
+    i, j = _check_node(a, i), _check_node(a, j)
     return bool(strong_access_matrix(a)[i, j])

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .core import NEG_INF, TropicalMatrix
-from .errors import OracleSizeError, ParseError
+from .errors import DomainError, OracleSizeError, ParseError
 
 _T_CAP = 60
 
@@ -67,25 +67,25 @@ def _machine(q: PathClassQuery):
         return (lambda i: None), (lambda aux, v: None), (lambda aux: True)
     if q.kind == "crit-heavy":
         if q.crit_nodes is None:
-            raise ValueError("class crit-heavy requires crit_nodes")
+            raise DomainError("class crit-heavy requires crit_nodes")
         nc = q.crit_nodes
         return ((lambda i: i in nc), (lambda aux, v: aux or v in nc),
                 (lambda aux: aux))
     if q.kind == "mu-heavy":
         if q.levels is None or q.mu is None:
-            raise ValueError("class mu-heavy requires levels and mu")
+            raise DomainError("class mu-heavy requires levels and mu")
         lvl = [math.inf if x is None else x for x in q.levels]
         return ((lambda i: lvl[i]), (lambda aux, v: min(aux, lvl[v])),
                 (lambda aux, mu=q.mu: aux == mu))
     if q.kind == "mu-hard":
         if q.lam_of is None or q.lam_mu is None or q.hard_nodes is None:
-            raise ValueError("class mu-hard requires lam_of, lam_mu and "
-                             "hard_nodes")
+            raise DomainError("class mu-hard requires lam_of, lam_mu and "
+                              "hard_nodes")
         lam, hard = q.lam_of, q.hard_nodes
         return ((lambda i: (lam[i], i in hard)),
                 (lambda aux, v: (max(aux[0], lam[v]), aux[1] or v in hard)),
                 (lambda aux, lm=q.lam_mu: aux[0] == lm and aux[1]))
-    raise ValueError("unknown path class: %r" % (q.kind,))
+    raise DomainError("unknown path class: %r" % (q.kind,))
 
 
 def _dp_sweep(w: list, n: int, i: int, t_max: int, machine) -> list:
@@ -116,9 +116,9 @@ def _dp_sweep(w: list, n: int, i: int, t_max: int, machine) -> list:
 def best_path_weight(a: TropicalMatrix, q: PathClassQuery) -> float:
     """Exact best weight over the queried path class, -inf if empty."""
     if q.t < 0:
-        raise ValueError("path length must be nonnegative")
+        raise DomainError("path length must be nonnegative")
     if not (0 <= q.i < a.n and 0 <= q.j < a.n):
-        raise ValueError("node out of range")
+        raise DomainError("node out of range")
     table = _dp_sweep(_weights(a), a.n, q.i, q.t, _machine(q))
     return table[q.t][q.j]
 
@@ -136,7 +136,7 @@ def _bool_compose(x: list, y: list) -> list:
 def boolean_power_reach(a: TropicalMatrix, t: int) -> list:
     """n x n list-of-lists of bools: reachability in exactly t steps."""
     if t < 0:
-        raise ValueError("power must be nonnegative")
+        raise DomainError("power must be nonnegative")
     n = a.n
     adj = [{v for v in range(n) if a.arr[u, v] != NEG_INF} for u in range(n)]
     acc = [{u} for u in range(n)]
@@ -169,7 +169,7 @@ def enumerate_small(a: TropicalMatrix, t_max: int, crit_nodes=None,
             queries["mu-heavy/%d" % k] = {"levels": tuple(levels), "mu": k}
     if hard is not None:
         if lam_of is None:
-            raise ValueError("hard classes require lam_of")
+            raise DomainError("hard classes require lam_of")
         for k, (lam_mu, nodes) in enumerate(hard):
             queries["mu-hard/%d" % k] = {"lam_of": tuple(lam_of),
                                          "lam_mu": lam_mu,

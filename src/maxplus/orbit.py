@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
-                   _exact_sums, _exceeds, _integral_max, _mp_matmul,
+                   _count, _exact_sums, _exceeds, _integral_max, _mp_matmul,
                    _mp_rank1, _overflow_checked, _power_stack, _stack_depth,
                    as_vector)
-from .errors import NotOrbitPeriodicError, TrivialColumnError, ZeroVectorError
+from .errors import (DomainError, NotOrbitPeriodicError, TrivialColumnError,
+                     ZeroVectorError)
 from .expansions import _known_bound, _ultimate_terms
 from .csr import _shift, csr_product
 from .graphs import (_critical, _strong_access_rows, gamma_u as _gamma_u,
@@ -131,7 +132,7 @@ def is_orbit_periodic(a: TropicalMatrix,
     Boolean power windows.
     """
     if method not in ("support", "strong-access"):
-        raise ValueError("method must be 'support' or 'strong-access'")
+        raise DomainError("method must be 'support' or 'strong-access'")
     cs = _critical(a)
     if cs is None:
         return OrbitReport(True, (), (), (), 1, method)
@@ -154,7 +155,7 @@ def column_periodicity(a: TropicalMatrix, j: int) -> bool:
     mean than j's own component.  j must belong to a nontrivial component
     (DimensionError for a j outside 0 ... n - 1).
     """
-    _check_node(a, j)
+    j = _check_node(a, j)
     cs = _critical(a)
     if cs is None:
         raise TrivialColumnError("trivial column: %d (digraph is acyclic)" % j)
@@ -174,7 +175,7 @@ def pair_periodicity(a: TropicalMatrix, i: int, j: int) -> bool:
     """
     for v in (i, j):
         if not column_periodicity(a, v):
-            raise ValueError("column %d is not ultimately periodic" % v)
+            raise DomainError("column %d is not ultimately periodic" % v)
     cs = _critical(a)
     lam_i = cs.lambda_of_node(i)
     lam_j = cs.lambda_of_node(j)
@@ -428,8 +429,7 @@ def simulate_orbit(a: TropicalMatrix, y,
     (_DETECT_CHUNK rows per detection block or block of term rows).
     """
     y = as_vector(y, a.n)
-    if t_max is not None and t_max < 0:
-        raise ValueError("negative t_max")
+    t_max = t_max if t_max is None else _count(t_max, "t_max")
     gamma = _gamma_u(a)
     if t_max is None:
         t_max = 6 * a.n * a.n + 2 * gamma

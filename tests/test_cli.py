@@ -399,6 +399,20 @@ def test_orbit_negative_tmax_exits_3(tmp_path, capsys):
         assert err == "error: negative t_max\n"
 
 
+def test_non_utf8_bytes_are_bad_tokens_in_both_files(tmp_path, capsys):
+    """A byte that is no UTF-8 is an input error (exit 2) in the start
+    vector as in the matrix: both files decode with replacement."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2\n0 \xff\n")
+    code, obj, err = run(capsys, "orbit", "--y", str(bad), EX1)
+    assert code == 2 and obj is None
+    assert err == "error: bad token '�' (line 2, column 3)\n"
+    bad.write_bytes(b"1\n\xff\n")
+    code, obj, err = run(capsys, "power", "--t", "1", str(bad))
+    assert code == 2 and obj is None
+    assert err == "error: bad token '�' (line 2, column 1)\n"
+
+
 # --------------------------------------------------------------- maxtimes
 
 def test_maxtimes_mapping(tmp_path, capsys):

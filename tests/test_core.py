@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxplus import (DimensionError, NEG_INF, NonFiniteError, TropicalMatrix,
-                     as_vector, is_orbit_periodic, mat_eq, mat_mul,
-                     mat_oplus, mat_power, mat_scalar_mul, max_cycle_mean,
-                     vec_eq)
+from maxplus import (DimensionError, DomainError, NEG_INF, NonFiniteError,
+                     TropicalMatrix, as_vector, is_orbit_periodic, mat_eq,
+                     mat_mul, mat_oplus, mat_power, mat_scalar_mul,
+                     max_cycle_mean, vec_eq)
 import maxplus
 from maxplus import core
 
@@ -447,6 +447,20 @@ def test_restrict():
     assert r._memo[core._EXACT_MEMO] is m._memo[core._EXACT_MEMO]
 
 
+def test_restrict_checks_its_nodes():
+    """Nodes go through core._check_node: out of range is a
+    DimensionError (no negative index wraps round), a non-integer a
+    DomainError; no nodes at all keep nothing."""
+    m = TropicalMatrix([[1.0, 2.0], [3.0, 4.0]])
+    for nodes in ([5], [-1], [0, 2]):
+        with pytest.raises(DimensionError, match="outside 0..1"):
+            m.restrict(nodes)
+    with pytest.raises(DomainError, match="node must be an integer"):
+        m.restrict([0.5])
+    assert m.restrict([]).to_lists() == [[None, None], [None, None]]
+    assert m.restrict(np.array([1])).to_lists() == [[None, None], [None, 4.0]]
+
+
 # --------------------------------------------------------------- vectors
 
 def test_apply_matches_naive(ex1):
@@ -506,3 +520,107 @@ def test_exact_sums_scans_the_entries_once(monkeypatch):
         core._exact_sums(a, steps, y=y)
     assert scans == [2] + [1] * 4
     assert a._memo[core._EXACT_MEMO] == (True, 5)
+
+
+# ---------------------------------------------------------- argument gates
+
+_NAN, _INF = float("nan"), float("inf")
+_A = TropicalMatrix([[0.0, 1.0], [-1.0, 0.0]])
+_NOT_PERIODIC = TropicalMatrix([[1.0, 0.0], [NEG_INF, 0.0]])
+
+
+def _triple():
+    return maxplus.csr_build(_A, maxplus.CritSubgraph.from_critical_structure(
+        maxplus.critical_structure(_A)))
+
+
+# Calls outside the domain, each with the MaxplusError it raises: values
+# numpy or Python would otherwise reject with their own errors (ragged
+# rows, 2.5 as an exponent or node), and nodes a numpy index would wrap.
+OUT_OF_DOMAIN = {
+    "matrix NaN": (DomainError, lambda: TropicalMatrix([[_NAN]])),
+    "matrix +inf": (DomainError,
+                    lambda: TropicalMatrix([[0.0, _INF], [0.0, 0.0]])),
+    "matrix ragged": (DomainError, lambda: TropicalMatrix([[1, 2], [3]])),
+    "matrix text": (DomainError, lambda: TropicalMatrix([["x"]])),
+    "identity -1": (DomainError, lambda: TropicalMatrix.identity(-1)),
+    "zeros -1": (DomainError, lambda: TropicalMatrix.zeros(-1)),
+    "vector NaN": (DomainError, lambda: as_vector([0.0, _NAN])),
+    "vector ragged": (DomainError, lambda: as_vector([[1.0], [2.0, 3.0]])),
+    "scalar NaN": (DomainError, lambda: mat_scalar_mul(_NAN, _A)),
+    "scalar +inf": (DomainError, lambda: mat_scalar_mul(_INF, _A)),
+    "power -1": (DomainError, lambda: mat_power(_A, -1)),
+    "power 2.5": (DomainError, lambda: mat_power(_A, 2.5)),
+    "restrict [5]": (DimensionError, lambda: _A.restrict([5])),
+    "restrict [-1]": (DimensionError, lambda: _A.restrict([-1])),
+    "restrict [0.5]": (DomainError, lambda: _A.restrict([0.5])),
+    "csr_build node 7": (DimensionError, lambda: maxplus.csr_build(
+        _A, maxplus.CritSubgraph.from_cycle([0, 7]))),
+    "csr_product -1": (DomainError, lambda: maxplus.csr_product(_triple(), -1)),
+    "csr_product 2.5": (DomainError,
+                        lambda: maxplus.csr_product(_triple(), 2.5)),
+    "csr_product_literal -1": (
+        DomainError, lambda: maxplus.csr_product_literal(_triple(), -1)),
+    "evaluate -1": (DomainError, lambda: maxplus.evaluate(
+        maxplus.nachtigall_expand(_A), -1)),
+    "evaluate 2.5": (DomainError, lambda: maxplus.evaluate(
+        maxplus.nachtigall_expand(_A), 2.5)),
+    "fast_terms -1": (DomainError, lambda: maxplus.fast_terms(_A, -1)),
+    "fast_terms 12.5": (DomainError, lambda: maxplus.fast_terms(_A, 12.5)),
+    "fast_terms variant": (DomainError, lambda: maxplus.fast_terms(
+        _A, 12, variant="both")),
+    "nachtigall rule": (DomainError, lambda: maxplus.nachtigall_expand(
+        _A, rule="shortest")),
+    "threshold t_max -1": (DomainError,
+                           lambda: maxplus.ultimate_threshold(_A, t_max=-1)),
+    "threshold t_max 2.5": (DomainError,
+                            lambda: maxplus.ultimate_threshold(_A, t_max=2.5)),
+    "orbit t_max -1": (DomainError, lambda: maxplus.simulate_orbit(
+        _A, [0.0, 0.0], t_max=-1)),
+    "orbit t_max 2.5": (DomainError, lambda: maxplus.simulate_orbit(
+        _A, [0.0, 0.0], t_max=2.5)),
+    "orbit-check method": (DomainError,
+                           lambda: is_orbit_periodic(_A, method="both")),
+    "column node 0.5": (DomainError,
+                        lambda: maxplus.column_periodicity(_A, 0.5)),
+    "strong_access node 0.5": (DomainError,
+                               lambda: maxplus.strong_access(_A, 0.5, 1)),
+    "pair not periodic": (DomainError, lambda: maxplus.pair_periodicity(
+        _NOT_PERIODIC, 0, 1)),
+    "oracle power -1": (DomainError,
+                        lambda: maxplus.boolean_power_reach(_A, -1)),
+    "oracle path -1": (DomainError, lambda: maxplus.best_path_weight(
+        _A, maxplus.PathClassQuery(0, 1, -1))),
+}
+
+
+@pytest.mark.parametrize("name", list(OUT_OF_DOMAIN))
+def test_out_of_domain_calls_raise_a_maxplus_error(name):
+    """Every out-of-domain call raises its typed error; a rejected value
+    is a DomainError, which callers catching ValueError still see."""
+    kind, call = OUT_OF_DOMAIN[name]
+    with pytest.raises(maxplus.MaxplusError) as info:
+        call()
+    assert type(info.value) is kind
+    if kind is DomainError:
+        assert isinstance(info.value, ValueError)
+
+
+def test_domain_error_is_a_value_error():
+    assert issubclass(DomainError, maxplus.MaxplusError)
+    assert issubclass(DomainError, ValueError)
+    assert str(DomainError("negative power")) == "negative power"
+    assert DomainError("negative power").describe(1) == "negative power"
+
+
+def test_no_plain_value_error_is_raised():
+    """The package raises no bare ValueError: a rejected argument is a
+    DomainError from a gate of core or with the same message."""
+    found = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                if getattr(exc, "id", None) == "ValueError":
+                    found.append("%s.py:%d" % (path.stem, node.lineno))
+    assert found == []

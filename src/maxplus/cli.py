@@ -114,7 +114,7 @@ def _load_json(text: str, key: str) -> tuple:
     except json.JSONDecodeError as e:
         raise ParseError("invalid JSON: %s" % e.msg, e.lineno, e.colno) from None
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError("field 'n' must be a positive integer", 1, 1)
     return n, obj.get(key)
 
@@ -234,7 +234,7 @@ def _cmd_csr(a, args, report):
     cs = critical_structure(a)
     # before the selection: the cycle rule needs a critical edge
     _check_definite(a)
-    crit = _select_crit(cs, args.rule)
+    crit = _select_crit(CritSubgraph.from_critical_structure(cs), args.rule)
     triple = csr_build(a, crit, check_definite=False)
     report["rule"] = args.rule
     report["t"] = args.t

@@ -23,9 +23,9 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
                    _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
-from .errors import AnalysisError, DomainError, NoCyclesError, ThresholdError
-from .graphs import (CritSubgraph, CriticalStructure, _bfs, _critical,
-                     _known_component, _level)
+from .errors import AnalysisError, DomainError, ThresholdError
+from .graphs import (CritSubgraph, _bfs, _components, _known_component,
+                     _level, critical_structure)
 
 # Floats in the live arrays of one chunk of residues of _term_lines:
 # bounds its memory independently of gamma.
@@ -34,13 +34,13 @@ _CHUNK_FLOATS = 2 ** 16
 
 @dataclass(frozen=True)
 class DeflationStep:
-    """One level of a deflation sequence.
+    """One level of a deflation sequence (see _deflate).
 
     k_set is the surviving node set, a_mu the restriction of the input to
-    it, lambda_mu its maximum cycle mean, crit the critical selection whose
-    nodes get removed next.  m_set is the set actually removed (equal to
-    crit's nodes for the power expansion, the full components for the
-    ultimate one).
+    it (never analysed itself), lambda_mu its maximum cycle mean, crit the
+    selection read off the critical parts of its top components.  m_set
+    is the set removed (crit's nodes for the power expansion, the whole
+    top components for the ultimate one).
     """
 
     mu: int
@@ -81,19 +81,19 @@ class ExpansionEvaluation:
     per_term: list
 
 
-def _shortest_critical_cycle(cs: CriticalStructure) -> list:
-    """Shortest critical cycle through the smallest critical node, as a node
+def _shortest_critical_cycle(crit: CritSubgraph) -> list:
+    """Shortest cycle of crit through its smallest node, as a node
     sequence starting there.
 
-    Breadth-first search over the critical edges, visiting successors in
+    Breadth-first search over crit's edges, visiting successors in
     increasing order, so equally short cycles go to the one found first.
     Every critical edge lies on a cycle of critical edges, so the search
     returns to the start.  O(n^2): each critical edge is looked at once.
     When the tolerance has let that fail (weights too large for CRIT_TOL),
     AnalysisError names a critical node with no outgoing critical edge.
     """
-    root = min(cs.critical_nodes)
-    order, parent, succ = _bfs(cs.critical_edges, [root])
+    root = min(crit.nodes)
+    order, parent, succ = _bfs(crit.edges, [root])
     for v in order:
         if v not in succ:
             raise AnalysisError("critical node %d has no outgoing critical "
@@ -109,80 +109,60 @@ def _shortest_critical_cycle(cs: CriticalStructure) -> list:
     return cycle[::-1]
 
 
-def _select_crit(cs: CriticalStructure, rule: str) -> CritSubgraph:
-    if rule == "canonical":
-        return CritSubgraph.from_critical_structure(cs)
+def _select_crit(crit: CritSubgraph, rule: str) -> CritSubgraph:
+    """crit, or under rule "cycle" its shortest cycle through its least node."""
     if rule == "cycle":
-        return CritSubgraph.from_cycle(_shortest_critical_cycle(cs))
-    raise DomainError("rule must be 'canonical' or 'cycle'")
+        return CritSubgraph.from_cycle(_shortest_critical_cycle(crit))
+    return crit
 
 
 def _deflation_steps(a: TropicalMatrix, rule: str) -> tuple:
     """Deflation levels of a under rule, computed once per matrix."""
+    if rule not in ("canonical", "cycle"):
+        raise DomainError("rule must be 'canonical' or 'cycle'")
     return a._cached(("deflation", rule), lambda: _deflate(a, rule))
-
-
-def _deflate(a: TropicalMatrix, rule: str) -> tuple:
-    steps = []
-    keep = set(range(a.n))
-    mu = 0
-    while keep:
-        a_mu = _level(a, keep)
-        cs = _critical(a_mu)
-        if cs is None:
-            break
-        if not cs.critical_nodes:
-            # nothing would be removed, so the next level would be this one
-            raise AnalysisError(
-                "deflation level %d (cycle mean %g) has no critical node"
-                % (mu, cs.lambda_global))
-        crit = _select_crit(cs, rule)
-        steps.append(DeflationStep(mu=mu, k_set=tuple(sorted(keep)), a_mu=a_mu,
-                                   lambda_mu=float(cs.lambda_global), crit=crit,
-                                   m_set=tuple(sorted(crit.nodes))))
-        keep -= crit.nodes
-        mu += 1
-    if not steps:
-        raise NoCyclesError("no cycles")
-    return tuple(steps)
 
 
 def _ultimate_steps(a: TropicalMatrix) -> tuple:
     """Ultimate levels of a, computed once per matrix."""
-    return a._cached("ultimate", lambda: _ultimate_levels(a))
+    return a._cached("ultimate", lambda: _deflate(a, "ultimate"))
 
 
-def _ultimate_levels(a: TropicalMatrix) -> tuple:
-    cs = _critical(a)
-    if cs is None:
-        raise NoCyclesError("no cycles")
-    # components by falling cycle mean (ties in component order); one joins
-    # the current group when it agrees within CRIT_TOL with the group's
-    # first, largest mean, so means that float sums left an ulp apart share
-    # a level at that mean
-    groups = []
-    for c in sorted(cs.scc.nontrivial(),
-                    key=lambda c: -cs.lambda_of_component[c]):
-        lam = float(cs.lambda_of_component[c])
-        if groups and _agree(groups[-1][0], lam, CRIT_TOL):
-            groups[-1][1].append(c)
-        else:
-            groups.append((lam, [c]))
-    steps = []
-    keep = set(range(a.n))
-    for mu, (lam, members) in enumerate(groups):
+def _deflate(a: TropicalMatrix, rule: str) -> tuple:
+    """The levels of a under rule ("canonical", "cycle" or "ultimate"),
+    peeled off a's component analyses: each takes the components whose
+    mean the largest left does not exceed at CRIT_TOL (so means an ulp
+    apart share a level) and removes the selection of their critical
+    parts, or under "ultimate" the whole components.  Removing nodes
+    never joins components, so only the rest of a component that lost
+    some is split, into the strong components of its own block; no level
+    is analysed as a matrix."""
+    live = [pc for pc in critical_structure(a).per_component
+            if pc is not None]
+    steps, keep = [], set(range(a.n))
+    while live:
+        lams = [pc.lam for pc in live]
+        lam = float(max(lams))
+        top = [pc for pc, below in zip(live, _exceeds(lam, lams, CRIT_TOL))
+               if not below]
         crit = CritSubgraph._assemble([
             (pc.crit_edges, pc.crit_components, pc.cyclicity_of, pc.class_of)
-            for pc in (cs.per_component[c] for c in members)])
+            for pc in top])
         if not crit.nodes:
             raise AnalysisError(
-                "ultimate level %d (cycle mean %g) has no critical node"
-                % (mu, lam))
-        m_nodes = [v for c in members for v in cs.scc.components[c]]
-        steps.append(DeflationStep(mu=mu, k_set=tuple(sorted(keep)),
+                "%s level %d (cycle mean %g) has no critical node"
+                % ("ultimate" if rule == "ultimate" else "deflation",
+                   len(steps), lam))
+        crit = _select_crit(crit, rule)
+        gone = (crit.nodes if rule != "ultimate"
+                else {v for pc in top for v in pc.nodes})
+        steps.append(DeflationStep(mu=len(steps), k_set=tuple(sorted(keep)),
                                    a_mu=_level(a, keep), lambda_mu=lam,
-                                   crit=crit, m_set=tuple(sorted(m_nodes))))
-        keep -= set(m_nodes)
+                                   crit=crit, m_set=tuple(sorted(gone))))
+        keep -= gone
+        lefts = [[v for v in pc.nodes if v not in gone] for pc in live]
+        live = [part for pc, left in zip(live, lefts) if left for part in (
+            [pc] if len(left) == len(pc.nodes) else _components(a, left))]
     return tuple(steps)
 
 

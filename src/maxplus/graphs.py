@@ -378,26 +378,38 @@ def _known_component(a: TropicalMatrix, nodes: tuple):
     return a._memo.get(_COMPONENT_MEMO, {}).get(nodes)
 
 
+def _component(a: TropicalMatrix, nodes: tuple) -> ComponentCriticals:
+    """The analysis of component nodes (sorted), once per node set of a."""
+    memo = a._cached(_COMPONENT_MEMO, dict)
+    if nodes not in memo:
+        memo[nodes] = _component_criticals(a, nodes)
+    return memo[nodes]
+
+
+def _components(a: TropicalMatrix, nodes) -> list:
+    """Analyses of the nontrivial strong components of a's block on nodes."""
+    idx = np.array(nodes)
+    b = a.arr[np.ix_(idx, idx)] != NEG_INF
+    _, label = _strong_components(b)
+    roots = np.flatnonzero(label == np.arange(label.size))
+    members, _ = _group(np.searchsorted(roots, label), roots.size)
+    return [_component(a, tuple(idx[m].tolist())) for m in members
+            if len(m) > 1 or b[m[0], m[0]]]
+
+
 def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
     dec = scc_decompose(a)
-    memo = a._cached(_COMPONENT_MEMO, dict)
-    per = [None] * dec.k
-    for c in dec.nontrivial():
-        key = dec.components[c]
-        if key not in memo:
-            memo[key] = _component_criticals(a, key)
-        per[c] = memo[key]
+    per = [None if dec.is_trivial[c] else _component(a, dec.components[c])
+           for c in range(dec.k)]
     lams = [NEG_INF if pc is None else pc.lam for pc in per]
     lam_global = max(lams, default=NEG_INF)
     if lam_global == NEG_INF:
         return None
 
-    crit_nodes, crit_edges, comps, cyc = [], [], [], []
-    cls = {}
+    crit_edges, comps, cyc, cls = [], [], [], {}
     for pc, below in zip(per, _exceeds(lam_global, lams, CRIT_TOL)):
         if below:
             continue
-        crit_nodes.extend(pc.crit_nodes)
         crit_edges.extend(pc.crit_edges)
         for comp, g in zip(pc.crit_components, pc.cyclicity_of):
             for v in comp:
@@ -408,7 +420,7 @@ def _analyse(a: TropicalMatrix) -> CriticalStructure | None:
         scc=dec,
         lambda_global=lam_global,
         lambda_of_component=tuple(lams),
-        critical_nodes=tuple(sorted(crit_nodes)),
+        critical_nodes=tuple(sorted(cls)),
         critical_edges=tuple(sorted(crit_edges)),
         critical_components=tuple(comps),
         cyclicity_of=tuple(cyc),

@@ -9,6 +9,7 @@ correctness references, not tools.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -28,6 +29,14 @@ def _node_cap() -> int:
         raise ParseError("TROPICAL_ORACLE_CAP must be an integer >= 1, got %r"
                          % raw)
     return cap
+
+
+def _check_length(t, what: str):
+    """DomainError unless t is an integer >= 0 (the oracle's own check)."""
+    if not isinstance(t, numbers.Integral):
+        raise DomainError("%s must be an integer" % what)
+    if t < 0:
+        raise DomainError("%s must be nonnegative" % what)
 
 
 def _weights(a: TropicalMatrix) -> list:
@@ -115,8 +124,7 @@ def _dp_sweep(w: list, n: int, i: int, t_max: int, machine) -> list:
 
 def best_path_weight(a: TropicalMatrix, q: PathClassQuery) -> float:
     """Exact best weight over the queried path class, -inf if empty."""
-    if q.t < 0:
-        raise DomainError("path length must be nonnegative")
+    _check_length(q.t, "path length")
     if not (0 <= q.i < a.n and 0 <= q.j < a.n):
         raise DomainError("node out of range")
     table = _dp_sweep(_weights(a), a.n, q.i, q.t, _machine(q))
@@ -135,8 +143,7 @@ def _bool_compose(x: list, y: list) -> list:
 
 def boolean_power_reach(a: TropicalMatrix, t: int) -> list:
     """n x n list-of-lists of bools: reachability in exactly t steps."""
-    if t < 0:
-        raise DomainError("power must be nonnegative")
+    _check_length(t, "power")
     n = a.n
     adj = [{v for v in range(n) if a.arr[u, v] != NEG_INF} for u in range(n)]
     acc = [{u} for u in range(n)]
@@ -159,6 +166,7 @@ def enumerate_small(a: TropicalMatrix, t_max: int, crit_nodes=None,
     "mu-hard/<k>" per (lam_mu, hard_nodes) pair in hard when lam_of is
     given.  Guarded to n <= TROPICAL_ORACLE_CAP (default 8), t_max <= 60.
     """
+    _check_length(t_max, "t_max")
     if a.n > _node_cap() or t_max > _T_CAP:
         raise OracleSizeError("too large for oracle")
     queries = {"all": {}}

@@ -413,6 +413,22 @@ def test_non_utf8_bytes_are_bad_tokens_in_both_files(tmp_path, capsys):
     assert err == "error: bad token '�' (line 2, column 1)\n"
 
 
+def test_boolean_size_is_a_parse_error_in_both_files(tmp_path, capsys):
+    """A JSON boolean is no size, as it is no entry: exit 2 in the matrix
+    and in the start vector."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": true, "rows": [[1]]}')
+    code, obj, err = run(capsys, "power", "--t", "3", str(bad))
+    assert code == 2 and obj is None
+    assert "field 'n' must be a positive integer" in err
+    m = tmp_path / "m.json"
+    m.write_text('{"n": 1, "rows": [[1]]}')
+    bad.write_text('{"n": true, "values": [0]}')
+    code, obj, err = run(capsys, "orbit", "--y", str(bad), str(m))
+    assert code == 2 and obj is None
+    assert "field 'n' must be a positive integer" in err
+
+
 # --------------------------------------------------------------- maxtimes
 
 def test_maxtimes_mapping(tmp_path, capsys):

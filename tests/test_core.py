@@ -527,6 +527,7 @@ def test_exact_sums_scans_the_entries_once(monkeypatch):
 _NAN, _INF = float("nan"), float("inf")
 _A = TropicalMatrix([[0.0, 1.0], [-1.0, 0.0]])
 _NOT_PERIODIC = TropicalMatrix([[1.0, 0.0], [NEG_INF, 0.0]])
+_ACYCLIC = TropicalMatrix([[NEG_INF, 1.0], [NEG_INF, NEG_INF]])
 
 
 def _triple():
@@ -571,6 +572,10 @@ OUT_OF_DOMAIN = {
         _A, 12, variant="both")),
     "nachtigall rule": (DomainError, lambda: maxplus.nachtigall_expand(
         _A, rule="shortest")),
+    "nachtigall rule acyclic": (DomainError, lambda: maxplus.nachtigall_expand(
+        _ACYCLIC, rule="bogus")),
+    "fast_terms rule acyclic": (DomainError, lambda: maxplus.fast_terms(
+        _ACYCLIC, 12, rule="bogus")),
     "threshold t_max -1": (DomainError,
                            lambda: maxplus.ultimate_threshold(_A, t_max=-1)),
     "threshold t_max 2.5": (DomainError,
@@ -591,6 +596,13 @@ OUT_OF_DOMAIN = {
                         lambda: maxplus.boolean_power_reach(_A, -1)),
     "oracle path -1": (DomainError, lambda: maxplus.best_path_weight(
         _A, maxplus.PathClassQuery(0, 1, -1))),
+    "oracle power 2.5": (DomainError,
+                         lambda: maxplus.boolean_power_reach(_A, 2.5)),
+    "oracle path 2.5": (DomainError, lambda: maxplus.best_path_weight(
+        _A, maxplus.PathClassQuery(0, 1, 2.5))),
+    "oracle tables 2.5": (DomainError,
+                          lambda: maxplus.enumerate_small(_A, 2.5)),
+    "oracle tables -1": (DomainError, lambda: maxplus.enumerate_small(_A, -1)),
 }
 
 

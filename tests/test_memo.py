@@ -76,8 +76,8 @@ def test_second_pass_runs_no_analysis(monkeypatch):
         for name in NAMES:
             _facts(name, a)
         first = len(calls)
-        # one analysis per distinct deflation level, the leftover included
-        assert first <= len(nachtigall_expand(a).steps) + 1
+        # the levels of every expansion are peeled off this one analysis
+        assert first == 1
         for name in NAMES:
             _facts(name, a)
         assert len(calls) == first
@@ -359,6 +359,54 @@ def test_root_record_gate_implies_the_level_scan():
     assert admitted and refused
 
 
+def ulp_pair() -> TropicalMatrix:
+    """Components {0} and {1, 2} with cycle means one ulp apart (the
+    loops at 0 and 1), and a loop at 2 that outlives both."""
+    lam = -1 / 3
+    return TropicalMatrix([[lam, 0.0, NEG_INF],
+                           [NEG_INF, np.nextafter(lam, 0.0), 1.0],
+                           [NEG_INF, -2.0, -1.0]])
+
+
+def test_levels_match_a_fresh_analysis():
+    """Each level of each rule is the one a fresh analysis of its matrix
+    gives: the same cycle mean, bit for bit, and under canonical and
+    cycle the same selection; an ultimate level removes exactly the
+    components within CRIT_TOL of the top mean.  Every level loses its
+    removed set, and what the last one leaves is acyclic."""
+    rng = np.random.default_rng(46)
+    mats = corpus() + [cycle_chain(rng), random_reducible(rng, 9), ulp_pair()]
+    for a in mats:
+        for rule in ("canonical", "cycle", "ultimate"):
+            steps = (expansions._ultimate_steps(a) if rule == "ultimate"
+                     else expansions._deflation_steps(a, rule))
+            keep = tuple(range(a.n))
+            for st in steps:
+                assert st.k_set == keep
+                cs = critical_structure(TropicalMatrix(st.a_mu.arr))
+                lam = float(cs.lambda_global)
+                assert st.lambda_mu.hex() == lam.hex()
+                if rule == "ultimate":
+                    top = [v for c in cs.scc.nontrivial()
+                           if not core._exceeds(lam, cs.lambda_of_component[c],
+                                                core.CRIT_TOL)
+                           for v in cs.scc.components[c]]
+                    assert st.m_set == tuple(sorted(top))
+                else:
+                    fresh = graphs.CritSubgraph.from_critical_structure(cs)
+                    assert st.crit == expansions._select_crit(fresh, rule)
+                    assert st.m_set == tuple(sorted(st.crit.nodes))
+                keep = tuple(sorted(set(keep) - set(st.m_set)))
+            assert graphs._critical(TropicalMatrix(a.restrict(keep).arr)) \
+                is None
+    a = ulp_pair()
+    top = a.arr[1, 1]
+    assert [(st.lambda_mu, st.m_set) for st in ultimate_expand(a).steps] \
+        == [(top, (0, 1, 2))]
+    assert [(st.lambda_mu, st.m_set) for st in nachtigall_expand(a).steps] \
+        == [(top, (0, 1)), (-1.0, (2,))]
+
+
 def test_orbit_and_threshold_skip_the_canonical_deflation(monkeypatch):
     """Only ultimate_expand forms sigma, so only it runs the canonical
     deflation; the orbit check (every method) and an ultimate_threshold
@@ -368,7 +416,8 @@ def test_orbit_and_threshold_skip_the_canonical_deflation(monkeypatch):
     deflate = expansions._deflate
 
     def counted(a, rule):
-        calls.append(rule)
+        if rule != "ultimate":
+            calls.append(rule)
         return deflate(a, rule)
 
     monkeypatch.setattr(expansions, "_deflate", counted)

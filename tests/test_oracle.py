@@ -8,9 +8,9 @@ class-inclusion laws that any path classifier must satisfy.
 import numpy as np
 import pytest
 
-from maxplus import (NEG_INF, OracleSizeError, PathClassQuery,
-                     TropicalMatrix, best_path_weight, boolean_power_reach,
-                     enumerate_small, mat_power)
+from maxplus import (NEG_INF, DomainError, OracleSizeError,
+                     PathClassQuery, TropicalMatrix, best_path_weight,
+                     boolean_power_reach, enumerate_small, mat_power)
 
 from conftest import random_matrix
 from goldens import EX1_A2, EX1_A3
@@ -170,6 +170,20 @@ def test_size_cap_env_override(monkeypatch):
         enumerate_small(a, 5)
     monkeypatch.setenv("TROPICAL_ORACLE_CAP", "5")
     assert "all" in enumerate_small(a, 5)
+
+
+def test_exponents_are_nonnegative_integers():
+    """The oracle's own checks type a fractional or negative exponent as
+    a DomainError; a numpy integer passes."""
+    a = TropicalMatrix.from_rows([[0.0, 1.0], [None, 0.0]])
+    for call in (lambda t: boolean_power_reach(a, t),
+                 lambda t: best_path_weight(a, PathClassQuery(0, 1, t)),
+                 lambda t: enumerate_small(a, t)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(2.5)
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            call(-1)
+        assert call(np.int64(2)) == call(2)
 
 
 def test_query_parameter_guards():

@@ -181,6 +181,17 @@ def _count(t, what: str) -> int:
     return t
 
 
+def _tolerance(value) -> float:
+    """value as a float, when it reads as one that is >= 0 and finite (the
+    tol of a public equality), else DomainError."""
+    try:
+        if 0 <= float(value) < np.inf:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError("tol must be a finite number >= 0, got %r" % (value,))
+
+
 def _check_node(a: TropicalMatrix, v) -> int:
     """v as a node of a: DomainError when it is no integer,
     DimensionError when it lies outside 0..n-1."""
@@ -363,9 +374,10 @@ def _arr_eq(x: np.ndarray, y: np.ndarray, tol: float = 0.0) -> bool:
 
 
 def mat_eq(a: TropicalMatrix, b: TropicalMatrix, tol: float = 0.0) -> bool:
-    """Equality: -inf patterns must coincide, finite entries within tol."""
+    """Equality: -inf patterns must coincide, finite entries within tol
+    (a finite number >= 0, else DomainError)."""
     _check_same_n(a, b)
-    return _arr_eq(a.arr, b.arr, tol)
+    return _arr_eq(a.arr, b.arr, _tolerance(tol))
 
 
 def as_vector(values, n: int | None = None) -> np.ndarray:
@@ -381,4 +393,4 @@ def as_vector(values, n: int | None = None) -> np.ndarray:
 def vec_eq(x, y, tol: float = 0.0) -> bool:
     x = as_vector(x)
     y = as_vector(y, x.shape[0])
-    return _arr_eq(x, y, tol)
+    return _arr_eq(x, y, _tolerance(tol))

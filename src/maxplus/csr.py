@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_nodes,
                    _count, _mp_matmul, mat_mul, mat_power)
-from .errors import DivergentStarError, NotDefiniteError
+from .errors import DivergentStarError, DomainError, NotDefiniteError
 from .graphs import CritSubgraph, _bfs, _critical, wielandt
 from .kleene import _diagonal_checked, kleene_star
 
@@ -169,10 +169,13 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph,
     divergent (a^gamma)* raises DivergentStarError naming the smallest
     node of a with a diagonal entry above CRIT_TOL, and s_is_boolean
     holds when every critical weight is 0 within CRIT_TOL.  A node of
-    crit outside a raises DimensionError (core._check_node).  _star, when
-    given, is (a^gamma)* on a's active nodes (see _active_star_power),
-    formed elsewhere and only checked here.
+    crit outside a raises DimensionError (core._check_node), and an empty
+    crit DomainError.  _star, when given, is (a^gamma)* on a's active
+    nodes (see _active_star_power), formed elsewhere and only checked
+    here.
     """
+    if not crit.nodes:
+        raise DomainError("critical selection is empty")
     _check_nodes(a, crit.nodes)
     if check_definite:
         _check_definite(a)

@@ -31,6 +31,8 @@ from .graphs import (CritSubgraph, _bfs, _components, _known_component,
 # bounds its memory independently of gamma.
 _CHUNK_FLOATS = 2 ** 16
 
+_THRESHOLD_MEMO = "threshold"   # _memo key of the t' _threshold_scan proves
+
 
 @dataclass(frozen=True)
 class DeflationStep:
@@ -116,10 +118,14 @@ def _select_crit(crit: CritSubgraph, rule: str) -> CritSubgraph:
     return crit
 
 
-def _deflation_steps(a: TropicalMatrix, rule: str) -> tuple:
-    """Deflation levels of a under rule, computed once per matrix."""
+def _check_rule(rule: str):
     if rule not in ("canonical", "cycle"):
         raise DomainError("rule must be 'canonical' or 'cycle'")
+
+
+def _deflation_steps(a: TropicalMatrix, rule: str) -> tuple:
+    """Deflation levels of a under rule, computed once per matrix."""
+    _check_rule(rule)
     return a._cached(("deflation", rule), lambda: _deflate(a, rule))
 
 
@@ -318,6 +324,7 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
             raise ThresholdError("t below validity threshold 3n^2 = %d" % (3 * n * n))
         steps = _deflation_steps(a, rule)
     elif variant == "ultimate":
+        _check_rule(rule)
         steps = _ultimate_steps(a)
     else:
         raise DomainError("variant must be 'nachtigall' or 'ultimate'")
@@ -433,16 +440,10 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion):
     return bound
 
 
-def _ultimate_bound(a: TropicalMatrix) -> int | None:
-    """_threshold_tables over the ultimate terms, once per matrix (a's
-    memo keeps it under "ultimate_bound")."""
-    return a._cached("ultimate_bound", lambda: _threshold_tables(
-        a, _ultimate_terms(a)))
-
-
-def _known_bound(a: TropicalMatrix) -> int | None:
-    """_ultimate_bound if a's memo holds it, else None: never forms it."""
-    return a._memo.get("ultimate_bound")
+def _known_threshold(a: TropicalMatrix) -> int | None:
+    """The threshold t' of a that an ultimate_threshold scan proved, if
+    a's memo holds one, else None: never forms anything."""
+    return a._memo.get(_THRESHOLD_MEMO)
 
 
 def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,
@@ -501,11 +502,13 @@ def ultimate_threshold(a: TropicalMatrix,
     defaults to 30 n^2.
 
     Equality is decided at CRIT_TOL.  The scan reads the ultimate terms
-    without sigma and their bound, which a's memo keeps (simulate_orbit
-    reads it too).  Only a None answer runs ultimate_expand's pairing
-    with the canonical levels: at weights too large for the absolute
-    CRIT_TOL the two analyses disagree, and AnalysisError reports that
-    where the scan finds no t'.
+    without sigma, which a's memo keeps, and forms the bound on each call.
+    A t' proven through the bound goes to a's memo (_known_threshold),
+    even past t_max, and simulate_orbit starts its term rows there; the
+    window's t' is no proof and is not kept.  Only a None answer runs
+    ultimate_expand's pairing with the canonical levels: at weights too
+    large for the absolute CRIT_TOL the two analyses disagree, and
+    AnalysisError reports that where the scan finds no t'.
     """
     t_max = 30 * a.n * a.n if t_max is None else _count(t_max, "t_max")
     t = _threshold_scan(a, t_max)
@@ -516,8 +519,10 @@ def ultimate_threshold(a: TropicalMatrix,
 
 def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
     """ultimate_threshold's scan of a^t against the ultimate E(t), past
-    the bound (see _threshold_tables) on a proof."""
-    e, bound = _ultimate_terms(a), _ultimate_bound(a)
+    the bound (see _threshold_tables) on a proof: a run reaching the bound
+    or the search past it, whose t' a's memo keeps even past t_max."""
+    e = _ultimate_terms(a)
+    bound = _threshold_tables(a, e)
     n = a.n
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
     # all terms side by side: a shift never leaves a term's own slots
@@ -539,6 +544,7 @@ def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
             if run_start is None:
                 run_start = t
             if bound is not None and t >= bound:
+                a._memo[_THRESHOLD_MEMO] = run_start
                 return run_start if run_start <= t_max else None
             if run_start <= t_max and t - run_start >= window:
                 return run_start
@@ -547,6 +553,9 @@ def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
             if t > t_max:
                 return None
             if search and t >= bound:
-                return _first_equal_past_bound(a, cur, t, t_max, matches)
+                found = _first_equal_past_bound(a, cur, t, t_max, matches)
+                if found is not None:
+                    a._memo[_THRESHOLD_MEMO] = found
+                return found
         cur = _mp_matmul(cur, a.arr)
     return None

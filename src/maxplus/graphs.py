@@ -84,13 +84,10 @@ def _group(comp: np.ndarray, k: int):
 def _accessed_first(acc: np.ndarray) -> np.ndarray:
     """Components, numbered by least node, in Kahn order on their access
     block acc: each after every component it accesses, the least ready
-    one first.  A component with no access either way is ready
-    throughout, so it merges into the order of the others: it goes just
-    before the first of them with a larger least node."""
+    one first (one with no access either way is ready throughout)."""
     off = acc & ~np.eye(acc.shape[0], dtype=bool)
     waits = np.count_nonzero(off, axis=1)
-    linked = (waits > 0) | off.any(axis=0)
-    ready = np.flatnonzero(linked & (waits == 0)).tolist()  # sorted: a heap
+    ready = np.flatnonzero(waits == 0).tolist()  # sorted: a heap
     waits = waits.tolist()
     chain = []
     while ready:
@@ -100,9 +97,7 @@ def _accessed_first(acc: np.ndarray) -> np.ndarray:
             waits[p] -= 1
             if not waits[p]:
                 heapq.heappush(ready, p)
-    chain, free = np.array(chain, dtype=int), np.flatnonzero(~linked)
-    at = np.searchsorted(np.maximum.accumulate(chain), free, side="right")
-    return np.insert(chain, at, free)
+    return np.array(chain, dtype=int)
 
 
 def scc_decompose(a: TropicalMatrix) -> SccDecomposition:

@@ -25,7 +25,7 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
                    as_vector)
 from .errors import (DomainError, NotOrbitPeriodicError, TrivialColumnError,
                      ZeroVectorError)
-from .expansions import _known_bound, _ultimate_terms
+from .expansions import _known_threshold, _ultimate_terms
 from .csr import _shift, csr_product
 from .graphs import (_critical, _strong_access_rows, gamma_u as _gamma_u,
                      strong_access_matrix)
@@ -312,52 +312,52 @@ def _step_blocks(stack: np.ndarray, samples: np.ndarray):
 
 def _term_bound(a: TropicalMatrix, y: np.ndarray, t_max: int,
                 gamma: int) -> int | None:
-    """The ultimate bound T at CRIT_TOL for the term route, or None when
-    the route does not apply: T is not memoized (ultimate_threshold
-    memoizes it), does not exist or passes t_max, a component cycle mean
-    is fractional, the terms' gammas sum past _DETECT_CHUNK, or a sum of
-    the terms' factors and y is inexact (each sums at most
-    4 n (gamma_u + 1) weights of a, plus lam t).
+    """The threshold t' for the term route (A^t = E(t) at CRIT_TOL for
+    every t >= t'), or None when the route does not apply: no t' is
+    memoized (an ultimate_threshold scan memoizes the t' it proves), t'
+    passes t_max, a component cycle mean is fractional, the terms' gammas
+    sum past _DETECT_CHUNK, or a sum of the terms' factors and y is
+    inexact (each sums at most 4 n (gamma_u + 1) weights of a, plus
+    lam t).
 
-    The route never forms T: its lines cost about 2 n^2 m (gamma + 1)
-    floats per term of m cyclic classes, which can pass the stepping
-    they would spare (zero-weight cycles 2 ... 11: 16 ms -> 0.24 s).
+    The route never proves t' itself: the scan's bound lines cost about
+    2 n^2 m (gamma + 1) floats per term of m cyclic classes, which can
+    pass the stepping they would spare (zero-weight cycles 2 ... 11:
+    16 ms -> 0.24 s).
     """
-    bound = _known_bound(a)
-    if bound is None or bound > t_max:
+    start = _known_threshold(a)
+    if start is None or start > t_max:
         return None
     if (not _integral_max(np.array(_critical(a).lambda_of_component))[0]
             or sum(tr.gamma for _, tr in _ultimate_terms(a).terms)
             > _DETECT_CHUNK
             or not _exact_sums(a, t_max + 4 * a.n * (gamma + 1), y=y)):
         return None
-    return bound
+    return start
 
 
-def _term_parts(a: TropicalMatrix, y: np.ndarray, lo: int,
-                rows: int) -> list:
-    """(q, lam, gamma) per ultimate term: q[k] = C^ (x) z[sigma_(lo + k)]
-    with z = R^ (x) y, for the min(gamma, rows) residues from lo on."""
+def _term_rows(a: TropicalMatrix, samples: np.ndarray, start: int):
+    """samples[t] = E(t) (x) y for t > start, y = samples[0]: the max over
+    the ultimate terms of q[(t - start - 1) % gamma] + lam t, where
+    q[k] = C^ (x) z[sigma_(start + 1 + k)] and z = R^ (x) y, for the first
+    min(gamma, rows) residues.  lam t is an integer, so a -0.0 in q sums
+    to +0.0, as it does in a stepped row.  _DETECT_CHUNK rows at a time,
+    so O(_DETECT_CHUNK * n) scratch floats."""
+    t_max = samples.shape[0] - 1
     parts = []
     for lam, tr in _ultimate_terms(a).terms:
-        z = (tr.r_hat + y).max(axis=1)
-        ks = lo + np.arange(min(tr.gamma, rows))
+        z = (tr.r_hat + samples[0]).max(axis=1)
+        ks = start + 1 + np.arange(min(tr.gamma, t_max - start))
         parts.append((_mp_matmul(z[_shift(tr.slots, ks[:, None])],
                                  tr.c_hat.T), int(lam), tr.gamma))
-    return parts
-
-
-def _term_rows(parts: list, lo: int, ts: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """out[k] = E(ts[k]) (x) y for ts >= lo, the max over the terms of
-    q[(t - lo) % gamma] + lam t (see _term_parts).  lam t is an integer,
-    so a -0.0 in q sums to +0.0, as it does in a stepped row."""
-    out.fill(NEG_INF)
-    for q, lam, gamma in parts:
-        part = q[(ts - lo) % gamma]
-        part += (lam * ts)[:, None]
-        np.maximum(out, part, out=out)
-    return out
+    for lo in range(start + 1, t_max + 1, _DETECT_CHUNK):
+        ts = np.arange(lo, min(lo + _DETECT_CHUNK, t_max + 1))
+        out = samples[lo:lo + _DETECT_CHUNK]
+        out.fill(NEG_INF)
+        for q, lam, gamma in parts:
+            part = q[(ts - start - 1) % gamma]
+            part += (lam * ts)[:, None]
+            np.maximum(out, part, out=out)
 
 
 def _advance(a: TropicalMatrix, samples: np.ndarray, b: int):
@@ -369,32 +369,12 @@ def _advance(a: TropicalMatrix, samples: np.ndarray, b: int):
         _step_blocks(_orbit_stack(a, b), samples)
 
 
-def _step_to_terms(a: TropicalMatrix, samples: np.ndarray, bound: int):
-    """Rows stepped until one at t >= bound equals its term row
-    (_term_rows), then the term rows: past bound, A (x) E(t) = E(t + 1)
-    carries that equality to every later row.
-
-    Rows are stepped in spans by _advance, to bound and then 1, 2, 4, ...
-    rows on, and only a span's last row is compared: a row that meets
-    its term row makes every later one meet its own.  A transient of k
-    rows past bound costs at most 2k stepped rows, and a short one forms
-    no stack.  Scratch is O(_DETECT_CHUNK * n) floats beside the stack's.
-    """
-    t_max = samples.shape[0] - 1
-    b = _stack_depth(a.n, t_max)
-    parts = _term_parts(a, samples[0], bound, t_max - bound + 1)
-    ends = np.minimum(bound - 1 + 2 ** np.arange(
-        (t_max - bound).bit_length() + 1), t_max)
-    t = 0
-    for end, row in zip(ends.tolist(), _term_rows(
-            parts, bound, ends, np.empty((len(ends), a.n)))):
-        _advance(a, samples[t:end + 1], b)
-        t = end
-        if (samples[t] == row).all():
-            break
-    for lo in range(t + 1, t_max + 1, _DETECT_CHUNK):
-        ts = np.arange(lo, min(lo + _DETECT_CHUNK, t_max + 1))
-        _term_rows(parts, bound, ts, samples[lo:lo + _DETECT_CHUNK])
+def _step_to_terms(a: TropicalMatrix, samples: np.ndarray, start: int):
+    """Rows 1 ... start = t' stepped by _advance, then the later ones read
+    off the terms by _term_rows: from t' on A^t = E(t), exactly on the
+    input _term_bound admits, so both give A^t (x) y bit for bit."""
+    _advance(a, samples[:start + 1], _stack_depth(a.n, samples.shape[0] - 1))
+    _term_rows(a, samples, start)
 
 
 def simulate_orbit(a: TropicalMatrix, y,
@@ -410,23 +390,22 @@ def simulate_orbit(a: TropicalMatrix, y,
 
     When every sum is exact (finite entries of a and y integers, no -0.0
     in y, |y|max + (t_max + 1) |a|max < 2**53) and _term_bound reads
-    the ultimate bound T (A (x) E(t) = E(t + 1) for t >= T) that
-    ultimate_threshold memoized on a, rows are stepped until one at
-    t >= T equals E(t) (x) y, and every later row is read off the terms
-    (_step_to_terms); this never forms T.  Other exact input goes
-    through _advance, as the term route's spans do: fewer than
-    _STACK_ROWS rows one at a time, else b = min(t_max, 2**14 // n^2)
-    (at least 1) at a time: a^1 ... a^b are stacked by doubling, once per
-    matrix (a's memo keeps the stack), and each block is one add and one
-    reduction from the row before it.  Other input steps one row at a time,
-    samples[t] = a (x) samples[t-1] with the arithmetic of
-    TropicalMatrix.apply.  All three give the samples of a repeated
-    apply loop bit for bit: exact sums give the same value in any
-    grouping and leave no -0.0 (lam t is added as an integer).  A sum
-    that overflows float64 raises NonFiniteError.  Memory is the
-    (t_max + 1) x n sample array, the stack (at most 2**14 floats, or
-    n^2 when n > 128) and O(2**14 + _DETECT_CHUNK * n) scratch floats
-    (_DETECT_CHUNK rows per detection block or block of term rows).
+    the threshold t' (a^t = E(t) for every t >= t') that
+    ultimate_threshold proved and memoized on a, rows are stepped up to
+    t' and every later row is read off the terms (_step_to_terms); this
+    never proves t' itself.  Other exact input, and the rows up to t',
+    go through _advance: fewer than _STACK_ROWS rows one at a time, else
+    b = min(t_max, 2**14 // n^2) (at least 1) at a time: a^1 ... a^b are
+    stacked by doubling, once per matrix (a's memo keeps the stack), and
+    each block is one add and one reduction from the row before it.
+    Other input steps one row at a time, samples[t] = a (x) samples[t-1]
+    with the arithmetic of TropicalMatrix.apply.  All three give the
+    samples of a repeated apply loop bit for bit: exact sums give the
+    same value in any grouping and leave no -0.0 (lam t is added as an
+    integer).  A sum that overflows float64 raises NonFiniteError.
+    Memory is the (t_max + 1) x n sample array, the stack (at most 2**14
+    floats, or n^2 when n > 128) and O(2**14 + _DETECT_CHUNK * n) scratch
+    floats (_DETECT_CHUNK rows per detection block or block of term rows).
     """
     y = as_vector(y, a.n)
     t_max = t_max if t_max is None else _count(t_max, "t_max")
@@ -436,11 +415,11 @@ def simulate_orbit(a: TropicalMatrix, y,
     samples = np.empty((t_max + 1, a.n))
     samples[0] = y
     if t_max and _exact_sums(a, t_max, y=y):
-        bound = _term_bound(a, y, t_max, gamma)
-        if bound is None:
+        start = _term_bound(a, y, t_max, gamma)
+        if start is None:
             _advance(a, samples, _stack_depth(a.n, t_max))
         else:
-            _step_to_terms(a, samples, bound)
+            _step_to_terms(a, samples, start)
     else:
         _step_rows(a.arr, samples)
     samples.setflags(write=False)

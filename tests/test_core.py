@@ -416,7 +416,8 @@ def test_only_comparisons_take_a_tol():
 
 
 # memo key constant -> the one module that may name it
-MEMO_OWNERS = {"_COMPONENT_MEMO": "graphs", "_EXACT_MEMO": "core"}
+MEMO_OWNERS = {"_COMPONENT_MEMO": "graphs", "_EXACT_MEMO": "core",
+               "_THRESHOLD_MEMO": "expansions"}
 
 
 def test_one_way_in():
@@ -557,6 +558,8 @@ OUT_OF_DOMAIN = {
     "restrict [0.5]": (DomainError, lambda: _A.restrict([0.5])),
     "csr_build node 7": (DimensionError, lambda: maxplus.csr_build(
         _A, maxplus.CritSubgraph.from_cycle([0, 7]))),
+    "csr_build empty": (DomainError, lambda: maxplus.csr_build(
+        _A, maxplus.CritSubgraph.from_cycle([]))),
     "csr_product -1": (DomainError, lambda: maxplus.csr_product(_triple(), -1)),
     "csr_product 2.5": (DomainError,
                         lambda: maxplus.csr_product(_triple(), 2.5)),
@@ -576,6 +579,18 @@ OUT_OF_DOMAIN = {
         _ACYCLIC, rule="bogus")),
     "fast_terms rule acyclic": (DomainError, lambda: maxplus.fast_terms(
         _ACYCLIC, 12, rule="bogus")),
+    "fast_terms ultimate rule": (DomainError, lambda: maxplus.fast_terms(
+        _A, 12, variant="ultimate", rule="bogus")),
+    "mat_eq tol -1": (DomainError, lambda: maxplus.mat_eq(_A, _A, tol=-1)),
+    "mat_eq tol NaN": (DomainError, lambda: maxplus.mat_eq(_A, _A, tol=_NAN)),
+    "mat_eq tol +inf": (DomainError,
+                        lambda: maxplus.mat_eq(_A, _A, tol=_INF)),
+    "vec_eq tol NaN": (DomainError, lambda: maxplus.vec_eq(
+        [0.0], [0.0], tol=_NAN)),
+    "vec_eq tol text": (DomainError, lambda: maxplus.vec_eq(
+        [0.0], [0.0], tol="x")),
+    "eq tol None": (DomainError, lambda: _A.eq(_A, tol=None)),
+    "eq tol text": (DomainError, lambda: _A.eq(_A, tol="x")),
     "threshold t_max -1": (DomainError,
                            lambda: maxplus.ultimate_threshold(_A, t_max=-1)),
     "threshold t_max 2.5": (DomainError,

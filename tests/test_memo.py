@@ -464,8 +464,9 @@ def test_condition2_reuses_strong_access(monkeypatch):
 
 
 def test_orbit_reads_the_threshold_bound(monkeypatch):
-    """ultimate_threshold forms the bound, and the term route of both
-    orbits reads it: no second set of lines, and no power stack."""
+    """ultimate_threshold forms the bound and proves t', and the term
+    route of both orbits reads t': no second set of lines, and no power
+    stack."""
     calls = []
     tables = expansions._threshold_tables
 

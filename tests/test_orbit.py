@@ -759,9 +759,9 @@ def term_route(monkeypatch) -> list:
     calls = []
     step = orbit._step_to_terms
 
-    def counted(a, samples, bound):
+    def counted(a, samples, start):
         calls.append(samples.shape[0] - 1)
-        return step(a, samples, bound)
+        return step(a, samples, start)
 
     monkeypatch.setattr(orbit, "_step_to_terms", counted)
     return calls
@@ -769,48 +769,59 @@ def term_route(monkeypatch) -> list:
 
 def test_term_route_matches_row_loop(term_route):
     """Integer-mean chains, rising (orbit periodic), falling and with one
-    pair swapped (violating), at t_max around the bound T."""
+    pair swapped (violating), and two with t' = 0 and 1, at t_max around
+    the threshold t' that ultimate_threshold proved."""
     rng = np.random.default_rng(95)
     chains = [cycle_chain(rng), cycle_chain(rng, means=(2, 0, -1, -3)),
               cycle_chain(rng, means=(-3, 0, -1, 2), tail=5),
               cycle_chain(rng, (2, 3), (-1, 1), tail=1),
               cycle_chain(rng, (2, 3), (1, -1), tail=1),
-              cycle_chain(rng, (2, 3, 5), (1, -2, 0))]
-    bounds, taken = [], []
+              cycle_chain(rng, (2, 3, 5), (1, -2, 0)),
+              cycle_chain(rng, (2,), (1,), tail=0),
+              cycle_chain(rng, (1, 1), (0, 2), tail=0)]
+    starts, taken = [], []
     for a in chains:
-        bound = expansions._ultimate_bound(a)
-        bounds.append(bound)
+        start = ultimate_threshold(a)
+        assert expansions._known_threshold(a) == start
+        starts.append(start)
         default = 6 * a.n * a.n + 2 * gamma_u(a)
         for y in start_vectors(rng, a.n):
-            for t_max in sorted({0, 1, max(bound - 1, 0), bound, bound + 1}):
+            for t_max in sorted({0, 1, 2, max(start - 1, 0), start,
+                                 start + 1}):
                 assert_orbit_matches_loop(a, y, t_max)
-                if 1 <= t_max and bound <= t_max:
+                if 1 <= t_max and start <= t_max:
                     taken.append(t_max)
             assert_orbit_matches_loop(a, y)
             taken.append(default)
-    assert 0 in bounds and max(bounds) > 1
+    assert {0, 1} <= set(starts) and max(starts) > 2
     assert term_route == taken
 
 
 def test_term_route_skips_other_input(term_route):
-    """With its bound memoized, fractional cycle means (of integer
-    weights), the scaled weights and an integer-mean matrix with no bound
-    keep the other routes; so does an integer-mean matrix whose bound was
-    never formed."""
+    """Each gate refuses on its own input: with t' proven and memoized by
+    ultimate_threshold, fractional cycle means (of integer weights) and
+    integer weights scaled by 2^43, whose sums pass 2^53 within the
+    terms' reach but not within t_max; the weights scaled by 1e6 plus
+    1e7 / 3 and a matrix whose t' comes from the window prove no t'; and
+    no t' is read for a matrix whose threshold was never asked for."""
     rng = np.random.default_rng(96)
     chain = cycle_chain(rng, (2, 3), (-1, 1), tail=1)
+    fractional = cycle_chain(rng, (2, 3), (0.5, 1), tail=1)
+    huge = reweighted(chain, lambda w: w * 2.0 ** 43)
+    scaled = reweighted(chain, lambda w: 1e6 * w + 1e7 / 3)
     boundless = reweighted(two_bipartite_levels(), lambda w: 2 * w)
-    others = [cycle_chain(rng, (2, 3), (0.5, 1), tail=1),
-              reweighted(chain, lambda w: 1e6 * w + 1e7 / 3), boundless]
-    for a in others:
-        expansions._ultimate_bound(a)
-    assert "ultimate_bound" in boundless._memo
-    assert expansions._ultimate_bound(boundless) is None
-    for a in others + [chain]:
+    assert ultimate_threshold(fractional) == ultimate_threshold(huge) == 7
+    assert ultimate_threshold(scaled) is None
+    assert ultimate_threshold(boundless) == 2
+    assert [expansions._known_threshold(a) for a in (
+        fractional, huge, scaled, boundless, chain)] == [7, 7, None, None,
+                                                         None]
+    for a, t_max in ((fractional, None), (huge, 100), (scaled, None),
+                     (boundless, None), (chain, None)):
         for y in start_vectors(rng, a.n):
-            assert_orbit_matches_loop(a, y)
+            assert_orbit_matches_loop(a, y, t_max)
+    assert core._exact_sums(huge, 100, y=np.zeros(huge.n))
     assert term_route == []
-    assert "ultimate_bound" not in chain._memo
 
 
 def test_term_route_forms_no_large_gamma_bound(monkeypatch, term_route):
@@ -827,17 +838,17 @@ def test_term_route_forms_no_large_gamma_bound(monkeypatch, term_route):
     assert calls == []
     ultimate_threshold(a)
     assert len(calls) == 1
-    assert expansions._ultimate_bound(a) <= 6 * a.n * a.n
+    assert expansions._known_threshold(a) <= 6 * a.n * a.n
     assert_orbit_matches_loop(a, y)
     assert term_route == []
 
 
 def test_term_route_memory_is_the_samples(term_route):
     """Integer means on cycles 2 ... 13 (n = 43, gamma_u = 30030): a cold
-    orbit forms no bound and steps blocks, and past the bound that
-    ultimate_threshold memoized (its own memory is _threshold_tables',
-    see test_threshold) the term route reads the terms; both stay within
-    1 MB of the sample array."""
+    orbit forms no bound and steps blocks, and from the t' that
+    ultimate_threshold proved (its own memory is _threshold_tables', see
+    test_threshold) the term route reads the terms; both stay within 1 MB
+    of the sample array."""
     rng = np.random.default_rng(98)
     a = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
     y = rng.integers(-9, 10, a.n).astype(float)
@@ -853,19 +864,17 @@ def test_term_route_memory_is_the_samples(term_route):
         assert peak <= trace.samples.nbytes + 2 ** 20
         for t in (1, 143, 30031, t_max):
             assert np.array_equal(trace.samples[t], mat_power(a, t).apply(y))
-        ultimate_threshold(a)
-        assert expansions._ultimate_bound(a) == 143
+        assert ultimate_threshold(a) == 143
 
 
 def test_term_route_steps_long_transients_in_blocks(term_route):
-    """Rows up to a bound past _STACK_ROWS, and the rows of a transient of
-    about W steps past the bound (a 0-loop reaches the -1 loop at node 1
-    only through an edge of weight -W), come from the stack's blocks."""
+    """Rows up to a t' past _STACK_ROWS, also a t' of about W (a 0-loop
+    reaches the -1 loop at node 1 only through an edge of weight -W),
+    come from the stack's blocks."""
     rng = np.random.default_rng(99)
     chain = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
-    bound = expansions._ultimate_bound(chain)
-    assert bound > orbit._STACK_ROWS
-    cases = [(chain, t_max) for t_max in (bound, bound + 70, bound + 700)]
+    start = ultimate_threshold(chain)
+    cases = [(chain, t_max) for t_max in (start, start + 70, start + 700)]
     for w in (300, 1000):
         arr = np.full((24, 24), NEG_INF)
         arr[0, 0], arr[1, 1], arr[0, 1], arr[1, 0] = 0.0, -1.0, -w, 0.0
@@ -873,7 +882,7 @@ def test_term_route_steps_long_transients_in_blocks(term_route):
             arr[v, v % 23 + 1] = -1.0
         cases.append((TropicalMatrix(arr), None))
     for a, t_max in cases:
-        ultimate_threshold(a)
+        assert ultimate_threshold(a) > orbit._STACK_ROWS
         for y in start_vectors(rng, a.n) + [unit(a.n, 1)]:
             assert_orbit_matches_loop(a, y, t_max)
         assert "orbit_stack" in a._memo

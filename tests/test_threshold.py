@@ -367,7 +367,7 @@ def test_bound_scratch_is_bounded():
     expansions._ultimate_terms(a)
     tracemalloc.start()
     try:
-        bound = expansions._ultimate_bound(a)
+        bound = expansions._threshold_tables(a, expansions._ultimate_terms(a))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,9 +4,8 @@ Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
 1 verification mismatch (verify only), 2 input error (a ParseError, such
-as a bad token or a TROPICAL_ORACLE_CAP that is not an integer >= 1, or
-a file that cannot be read), 3 any other MaxplusError (DomainError,
-NonFiniteError, ...), 64 usage error.
+as a bad token, or a file that cannot be read), 3 any other MaxplusError
+(DomainError, NonFiniteError, ...), 64 usage error.
 
 Every command decides at CRIT_TOL, as the library does: two values are
 equal when both are -inf or both are finite and within CRIT_TOL
@@ -33,7 +32,7 @@ from .expansions import (_select_crit, evaluate, nachtigall_expand,
                          ultimate_expand, ultimate_threshold)
 from .graphs import CritSubgraph, critical_structure, gamma_u, scc_decompose
 from .kleene import kleene_star
-from .oracle import boolean_power_reach, enumerate_small, _node_cap
+from .oracle import boolean_power_reach, enumerate_small, _NODE_CAP
 from .orbit import is_orbit_periodic, simulate_orbit
 
 
@@ -101,9 +100,13 @@ def _json_entry(value, semiring: str, where: str) -> float:
         return NEG_INF
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError("bad entry at %s" % where, 1, 1)
+    try:
+        value = float(value)
+    except OverflowError:       # an integer past float64
+        value = math.inf
     if not math.isfinite(value):
         raise ParseError("bad entry at %s" % where, 1, 1)
-    return _to_maxplus(float(value), semiring, 1, 1)
+    return _to_maxplus(value, semiring, 1, 1)
 
 
 def _load_json(text: str, key: str) -> tuple:
@@ -307,7 +310,7 @@ def _cmd_orbit(a, args, report):
 
 
 def _cmd_verify(a, args, report):
-    if a.n > _node_cap():
+    if a.n > _NODE_CAP:
         raise OracleSizeError("too large for oracle")
     checks = []
 

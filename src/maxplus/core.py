@@ -103,8 +103,8 @@ class TropicalMatrix:
     @classmethod
     def from_rows(cls, rows) -> "TropicalMatrix":
         """Build from nested lists; None stands for -inf."""
-        conv = [[NEG_INF if v is None else float(v) for v in row] for row in rows]
-        return cls(conv)
+        return cls([[NEG_INF if v is None else v for v in row]
+                    for row in rows])
 
     @property
     def n(self) -> int:
@@ -129,14 +129,11 @@ class TropicalMatrix:
         return (self.arr + y[None, :]).max(axis=1)
 
     def restrict(self, nodes) -> "TropicalMatrix":
-        """Keep entries with both indices in `nodes`, -inf elsewhere; the
-        result carries self's exactness record, sound for fewer entries."""
+        """Keep entries with both indices in `nodes`, -inf elsewhere."""
         mask = np.zeros(self.n, dtype=bool)
         mask[_check_nodes(self, nodes)] = True
-        sub = TropicalMatrix._wrap(
+        return TropicalMatrix._wrap(
             np.where(mask[:, None] & mask[None, :], self.arr, NEG_INF))
-        sub._memo[_EXACT_MEMO] = _exactness(self)
-        return sub
 
     def eq(self, other: "TropicalMatrix", tol: float = 0.0) -> bool:
         return mat_eq(self, other, tol)
@@ -187,7 +184,7 @@ def _tolerance(value) -> float:
     try:
         if 0 <= float(value) < np.inf:
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError("tol must be a finite number >= 0, got %r" % (value,))
 
@@ -211,10 +208,11 @@ def _check_nodes(a: TropicalMatrix, nodes) -> np.ndarray:
 
 def _entries(values, what: str = "entries") -> np.ndarray:
     """values as a new float64 array of max-plus scalars: DomainError for
-    NaN, +inf, or values numpy cannot read as floats (ragged, text)."""
+    NaN, +inf, or values numpy cannot read as floats (ragged, text, an
+    integer past float64)."""
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError("%s must be finite or -inf: %s" % (what, exc)) from None
     if np.isnan(arr).any() or (arr == np.inf).any():
         raise DomainError("%s must be finite or -inf" % what)
@@ -262,7 +260,7 @@ def _power_chain(base: np.ndarray, t: int, product):
     return result
 
 
-_EXACT_MEMO = "exact"    # _memo key of _exactness, carried by restrict
+_EXACT_MEMO = "exact"    # _memo key of _exactness
 
 
 def _integral_max(values: np.ndarray) -> tuple:
@@ -337,8 +335,13 @@ def mat_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
 
 @_overflow_checked
 def mat_scalar_mul(lam: float, a: TropicalMatrix) -> TropicalMatrix:
-    """Add lam (finite or -inf) to every finite entry; -inf entries stay."""
-    return TropicalMatrix._wrap(a.arr + _entries(lam, "scalar"))
+    """Add lam (finite or -inf) to every finite entry; -inf entries stay.
+    DomainError when lam is no single max-plus scalar."""
+    lam = _entries(lam, "scalar")
+    if lam.ndim:
+        raise DomainError("scalar must be a single value, got shape %s"
+                          % (lam.shape,))
+    return TropicalMatrix._wrap(a.arr + lam)
 
 
 def mat_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:

@@ -106,13 +106,13 @@ class NonFiniteError(MaxplusError):
     power of a matrix holding 1e308 or -1e308).  The library raises it
     too: mat_mul, mat_power, mat_scalar_mul, TropicalMatrix.apply,
     simulate_orbit, evaluate, the critical analysis (Karp) and kleene_star
-    raise it when a sum overflows, and the CLI when a value to report is
-    +inf or NaN.  The CLI exits 3 on it."""
+    raise it when a sum overflows, evaluate also for an exponent past
+    float64, and the CLI when a value to report is +inf or NaN.  The CLI
+    exits 3 on it."""
 
 
 class ParseError(MaxplusError):
-    """Malformed input: matrix or vector text, or a TROPICAL_ORACLE_CAP
-    setting.
+    """Malformed input: matrix or vector text.
 
     line/column are 1-based positions into the source text when available.
     """

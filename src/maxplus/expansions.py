@@ -23,9 +23,9 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
                    _overflow_checked)
 from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
                   _shift)
-from .errors import AnalysisError, DomainError, ThresholdError
+from .errors import AnalysisError, DomainError, NonFiniteError, ThresholdError
 from .graphs import (CritSubgraph, _bfs, _components, _known_component,
-                     _level, critical_structure)
+                     critical_structure)
 
 # Floats in the live arrays of one chunk of residues of _term_lines:
 # bounds its memory independently of gamma.
@@ -36,18 +36,17 @@ _THRESHOLD_MEMO = "threshold"   # _memo key of the t' _threshold_scan proves
 
 @dataclass(frozen=True)
 class DeflationStep:
-    """One level of a deflation sequence (see _deflate).
+    """One level of a deflation sequence (see _deflate): plain data.
 
-    k_set is the surviving node set, a_mu the restriction of the input to
-    it (never analysed itself), lambda_mu its maximum cycle mean, crit the
-    selection read off the critical parts of its top components.  m_set
-    is the set removed (crit's nodes for the power expansion, the whole
-    top components for the ultimate one).
+    k_set is the surviving node set, so the level's matrix is
+    a.restrict(k_set) for the input a; lambda_mu is its maximum cycle
+    mean, crit the selection read off the critical parts of its top
+    components.  m_set is the set removed (crit's nodes for the power
+    expansion, the whole top components for the ultimate one).
     """
 
     mu: int
     k_set: tuple
-    a_mu: TropicalMatrix
     lambda_mu: float
     crit: CritSubgraph
     m_set: tuple
@@ -163,8 +162,8 @@ def _deflate(a: TropicalMatrix, rule: str) -> tuple:
         gone = (crit.nodes if rule != "ultimate"
                 else {v for pc in top for v in pc.nodes})
         steps.append(DeflationStep(mu=len(steps), k_set=tuple(sorted(keep)),
-                                   a_mu=_level(a, keep), lambda_mu=lam,
-                                   crit=crit, m_set=tuple(sorted(gone))))
+                                   lambda_mu=lam, crit=crit,
+                                   m_set=tuple(sorted(gone))))
         keep -= gone
         lefts = [[v for v in pc.nodes if v not in gone] for pc in live]
         live = [part for pc, left in zip(live, lefts) if left for part in (
@@ -172,13 +171,13 @@ def _deflate(a: TropicalMatrix, rule: str) -> tuple:
     return tuple(steps)
 
 
-def _shared_star(st: DeflationStep) -> np.ndarray | None:
-    """The star the component analysis formed of the level minus its cycle
-    mean, when that is the (A - lam)^gamma* csr_build needs: the level is
-    one component (so all its nodes are active), gamma is 1 and lam is the
-    component's.  The entries and the subtraction are the same, so the
-    arrays are equal bit for bit."""
-    pc = _known_component(st.a_mu, st.k_set)
+def _shared_star(a: TropicalMatrix, st: DeflationStep) -> np.ndarray | None:
+    """The star the component analysis of a formed of the level minus its
+    cycle mean, when that is the (A - lam)^gamma* csr_build needs: the
+    level is one component (so all its nodes are active), gamma is 1 and
+    lam is the component's.  The entries and the subtraction are the same,
+    so the arrays are equal bit for bit."""
+    pc = _known_component(a, st.k_set)
     if pc is None or st.crit.gamma != 1 or pc.lam != st.lambda_mu:
         return None
     return pc.star
@@ -192,9 +191,9 @@ def _build_expansion(a: TropicalMatrix, variant: str, steps: tuple,
     canonical and ultimate levels, mostly) share one term."""
     terms = a._cached(("terms", variant), lambda: tuple(a._cached(
         ("term", st.k_set, st.lambda_mu.hex(), st.crit.edges),
-        lambda: Term(st.lambda_mu, csr_build(st.a_mu.scale(-st.lambda_mu),
-                                             st.crit, check_definite=False,
-                                             _star=_shared_star(st))))
+        lambda: Term(st.lambda_mu, csr_build(
+            a.restrict(st.k_set).scale(-st.lambda_mu), st.crit,
+            check_definite=False, _star=_shared_star(a, st))))
         for st in steps))
     threshold = 3 * a.n * a.n if variant.startswith("nachtigall") else None
     return Expansion(variant=variant, n=a.n, terms=terms, steps=steps,
@@ -246,8 +245,13 @@ def ultimate_expand(a: TropicalMatrix) -> Expansion:
 @_overflow_checked
 def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
     """Max of lam^t-scaled periodic products over all terms.
-    NonFiniteError when lam * t or a sum of it leaves float64."""
+    NonFiniteError when t, lam * t or a sum of it leaves float64."""
     t = _count(t, "exponent")
+    try:
+        float(t)
+    except OverflowError:
+        raise NonFiniteError("non-finite value: the exponent overflows "
+                             "float64") from None
     per = [TropicalMatrix._wrap(np.float64(lam) * t + _class_product(
         tr.c_hat, tr.r_hat, tr.slots, t % tr.gamma)) for lam, tr in e.terms]
     return ExpansionEvaluation(t=t, matrix=reduce(mat_oplus, per),

@@ -16,14 +16,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _check_node,
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _check_node, _count,
                    _exact_sums, _exceeds, _overflow_checked, _power_chain,
                    _power_stack, _stack_depth)
 from .errors import NoCyclesError, NonFiniteError
 
 
 def wielandt(n: int) -> int:
-    """Boolean periodicity threshold (n-1)^2 + 1 for an n-node component."""
+    """Boolean periodicity threshold (n-1)^2 + 1 for an n-node component;
+    DomainError when n is no integer >= 0."""
+    n = _count(n, "size")
     if n <= 1:
         return 1
     return (n - 1) ** 2 + 1
@@ -60,25 +62,22 @@ def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _strong_components(b: np.ndarray):
-    """(reach, label) of a Boolean adjacency: reach is the reflexive-
-    transitive closure, (I or B)^t for a power of two t >= n - 1 squared
-    until it stops changing; label[i] is the least node of i's strong
-    component, the first j with reach[i, j] and reach[j, i]."""
+    """(reach, members, comp) of a Boolean adjacency: reach is the
+    reflexive-transitive closure, (I or B)^t for a power of two t >= n - 1
+    squared until it stops changing.  The strong components are numbered
+    by least node: comp[i] is the number of i's, and members[c] lists the
+    nodes of component c in increasing order."""
     n = b.shape[0]
     if not n:
-        return b, np.zeros(0, dtype=int)
+        return b, [], np.zeros(0, dtype=int)
     reach = _power_chain(b | np.eye(n, dtype=bool), 1 << (n - 1).bit_length(),
                          _bool_matmul)
-    return reach, (reach & reach.T).argmax(axis=1)
-
-
-def _group(comp: np.ndarray, k: int):
-    """(node lists, sizes) of the k components numbered by comp, each
-    list in increasing order."""
-    sizes = np.bincount(comp, minlength=k)
+    # the least node of i's component: the first j with reach both ways
+    least = (reach & reach.T).argmax(axis=1)
+    comp = np.searchsorted(np.flatnonzero(least == np.arange(n)), least)
     nodes = np.argsort(comp, kind="stable").tolist()
-    ends = np.cumsum(sizes).tolist()
-    return [nodes[s:e] for s, e in zip([0] + ends, ends)], sizes
+    ends = np.cumsum(np.bincount(comp)).tolist()
+    return reach, [nodes[s:e] for s, e in zip([0] + ends, ends)], comp
 
 
 def _accessed_first(acc: np.ndarray) -> np.ndarray:
@@ -104,20 +103,19 @@ def scc_decompose(a: TropicalMatrix) -> SccDecomposition:
     """Strongly connected components plus the access relation, both read
     off the Boolean closure of the finite pattern."""
     b = a.finite_mask()
-    reach, least = _strong_components(b)
-    roots = np.flatnonzero(least == np.arange(a.n))
+    reach, members, comp = _strong_components(b)
+    roots = [m[0] for m in members]
     acc = reach[roots][:, roots]
-    order = _accessed_first(acc)
-    top = roots[order]
-    rank = np.empty(a.n, dtype=int)
-    rank[top] = np.arange(top.size)
-    components, sizes = _group(rank[least], top.size)
-    component_of, access = rank[least], acc[order][:, order]
+    order = _accessed_first(acc).tolist()
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    component_of, access = rank[comp], acc[order][:, order]
     component_of.setflags(write=False)
     access.setflags(write=False)
-    return SccDecomposition(a.n, component_of, tuple(map(tuple, components)),
-                            tuple(((sizes == 1) & ~b[top, top]).tolist()),
-                            access)
+    return SccDecomposition(
+        a.n, component_of, tuple(tuple(members[c]) for c in order),
+        tuple(len(members[c]) == 1 and not b[roots[c], roots[c]]
+              for c in order), access)
 
 
 def max_cycle_mean(a: TropicalMatrix) -> float:
@@ -280,19 +278,17 @@ def _mask_classes(nodes: np.ndarray, mask: np.ndarray):
     is the gcd over the component's edges (a, b) of level(a) + 1 -
     level(b) (the gcd of its cycle lengths), and class_of maps each node
     to (component, level mod cyclicity)."""
-    _, label = _strong_components(mask)
-    roots = np.flatnonzero(label == np.arange(label.size))
-    comp = np.searchsorted(roots, label)
-    members, _ = _group(comp, roots.size)
-    inner = mask & (label[:, None] == label)
-    level = np.full(label.size, -1)
-    front, depth = label == np.arange(label.size), 0
-    while front.any():          # breadth-first from every root at once
+    _, members, comp = _strong_components(mask)
+    inner = mask & (comp[:, None] == comp)
+    level = np.full(comp.size, -1)
+    front, depth = np.zeros(comp.size, dtype=bool), 0
+    front[[m[0] for m in members]] = True
+    while front.any():          # breadth-first from every least node at once
         level[front] = depth
         front = inner[front].any(axis=0) & (level < 0)
         depth += 1
     aa, bb = np.nonzero(inner)
-    cyc = np.zeros(roots.size, dtype=int)
+    cyc = np.zeros(len(members), dtype=int)
     np.gcd.at(cyc, comp[aa], level[aa] + 1 - level[bb])
     cyc = np.maximum(cyc, 1)
     cls = level % cyc[comp]
@@ -353,19 +349,9 @@ def _critical(a: TropicalMatrix) -> CriticalStructure | None:
     return a._memo["critical"]
 
 
-# _memo key of the analyses by component node tuple.  A deflation level
-# keeps the root's entries on its nodes, so levels share the root's.
+# _memo key of the analyses by component node tuple: the components of
+# a and those of its deflation levels' blocks, all read off a's entries.
 _COMPONENT_MEMO = "components"
-
-
-def _level(a: TropicalMatrix, keep) -> TropicalMatrix:
-    """a restricted to keep, sharing a's component analyses (restrict
-    carries its exactness record); a itself when nothing is cut."""
-    if len(keep) == a.n:
-        return a
-    sub = a.restrict(keep)
-    sub._memo[_COMPONENT_MEMO] = a._cached(_COMPONENT_MEMO, dict)
-    return sub
 
 
 def _known_component(a: TropicalMatrix, nodes: tuple):
@@ -385,9 +371,7 @@ def _components(a: TropicalMatrix, nodes) -> list:
     """Analyses of the nontrivial strong components of a's block on nodes."""
     idx = np.array(nodes)
     b = a.arr[np.ix_(idx, idx)] != NEG_INF
-    _, label = _strong_components(b)
-    roots = np.flatnonzero(label == np.arange(label.size))
-    members, _ = _group(np.searchsorted(roots, label), roots.size)
+    _, members, _ = _strong_components(b)
     return [_component(a, tuple(idx[m].tolist())) for m in members
             if len(m) > 1 or b[m[0], m[0]]]
 

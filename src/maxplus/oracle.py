@@ -10,25 +10,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 from .core import NEG_INF, TropicalMatrix
-from .errors import DomainError, OracleSizeError, ParseError
+from .errors import DomainError, OracleSizeError
 
+_NODE_CAP = 8
 _T_CAP = 60
-
-
-def _node_cap() -> int:
-    raw = os.environ.get("TROPICAL_ORACLE_CAP", "8")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ParseError("TROPICAL_ORACLE_CAP must be an integer >= 1, got %r"
-                         % raw)
-    return cap
 
 
 def _check_length(t, what: str):
@@ -164,10 +152,10 @@ def enumerate_small(a: TropicalMatrix, t_max: int, crit_nodes=None,
     Class "all" is always present; "crit-heavy" when crit_nodes is
     given; "mu-heavy/<k>" per distinct level when levels is given;
     "mu-hard/<k>" per (lam_mu, hard_nodes) pair in hard when lam_of is
-    given.  Guarded to n <= TROPICAL_ORACLE_CAP (default 8), t_max <= 60.
+    given.  Guarded to n <= 8, t_max <= 60.
     """
     _check_length(t_max, "t_max")
-    if a.n > _node_cap() or t_max > _T_CAP:
+    if a.n > _NODE_CAP or t_max > _T_CAP:
         raise OracleSizeError("too large for oracle")
     queries = {"all": {}}
     if crit_nodes is not None:

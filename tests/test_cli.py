@@ -79,6 +79,9 @@ def test_parse_error_reporting(tmp_path, capsys):
         ('{"n": 2, "rows": [[0, 1]]}', "matrix must be square"),
         ('{"n": 2, "rows": [[0, 1], [0]]}', "row 2 must have 2 entries"),
         ('{"n": 1, "rows": [[true]]}', "bad entry at row 1 column 1"),
+        ('{"n": 1, "rows": [[1%s]]}' % ("0" * 400),
+         "bad entry at row 1 column 1"),
+        ("1 1%s" % ("0" * 400), "bad token"),
     ]
     for text, needle in cases:
         f = tmp_path / "m.txt"
@@ -238,14 +241,30 @@ def test_tolerance_setting_is_ignored(tmp_path, capsys, monkeypatch):
         assert outputs() == want, value
 
 
-@pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-1"])
-def test_bad_oracle_cap_setting_exits_2(value, capsys, monkeypatch):
-    # abc, the empty value and 2.5 used to exit 3 with int()'s message
-    monkeypatch.setenv("TROPICAL_ORACLE_CAP", value)
-    code, obj, err = run(capsys, "verify", EX1)
-    assert (code, obj) == (2, None)
-    assert err == ("error: TROPICAL_ORACLE_CAP must be an integer >= 1, "
-                   "got %r\n" % value)
+def test_oracle_cap_setting_is_ignored(tmp_path, capsys, monkeypatch):
+    """verify caps the oracle at 8 nodes: a TROPICAL_ORACLE_CAP setting,
+    valid or not, leaves stdout and the exit code as they are without
+    it.  It used to move the cap, and exit 2 on a value that was no
+    integer >= 1."""
+    big = tmp_path / "big.txt"
+    big.write_text("9\n" + "\n".join(" ".join("0" if i == j else "*"
+                                              for j in range(9))
+                                     for i in range(9)))
+    paths = [EX1, EX2, str(big)]
+
+    def outputs():
+        got = []
+        for path in paths:
+            code = cli.main(["verify", path])
+            got.append((code, capsys.readouterr().out))
+        return got
+
+    monkeypatch.delenv("TROPICAL_ORACLE_CAP", raising=False)
+    want = outputs()
+    assert [code for code, _ in want] == [0, 0, 3]
+    for value in ("abc", "", "2.5", "0", "-1", "3", "9"):
+        monkeypatch.setenv("TROPICAL_ORACLE_CAP", value)
+        assert outputs() == want, value
 
 
 # ----------------------------------------------------------- the commands
@@ -411,6 +430,26 @@ def test_non_utf8_bytes_are_bad_tokens_in_both_files(tmp_path, capsys):
     code, obj, err = run(capsys, "power", "--t", "1", str(bad))
     assert code == 2 and obj is None
     assert err == "error: bad token '�' (line 2, column 1)\n"
+
+
+def test_huge_integers_exit_with_their_codes(tmp_path, capsys):
+    """An integer past float64 is a bad entry in a JSON matrix or start
+    vector (exit 2), as it is a bad token in a plain file, and an
+    exponent past float64 is a NonFiniteError (exit 3); none of them
+    reaches a traceback."""
+    huge = "1" + "0" * 400
+    m = tmp_path / "m.json"
+    m.write_text('{"n": 1, "rows": [[1]]}')
+    y = tmp_path / "y.json"
+    y.write_text('{"n": 1, "values": [%s]}' % huge)
+    code, obj, err = run(capsys, "orbit", "--y", str(y), str(m))
+    assert (code, obj) == (2, None)
+    assert err == "error: bad entry at position 1 (line 1, column 1)\n"
+    for command in ("nachtigall", "ultimate"):
+        code, obj, err = run(capsys, command, "--t", huge, EX1)
+        assert (code, obj) == (3, None), command
+        assert err == ("error: non-finite value: the exponent overflows "
+                       "float64\n"), command
 
 
 def test_boolean_size_is_a_parse_error_in_both_files(tmp_path, capsys):

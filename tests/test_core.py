@@ -445,7 +445,7 @@ def test_restrict():
     r = m.restrict([0, 2])
     assert r.to_lists() == [[1.0, None, 3.0], [None, None, None],
                             [7.0, None, 9.0]]
-    assert r._memo[core._EXACT_MEMO] is m._memo[core._EXACT_MEMO]
+    assert r._memo == {}
 
 
 def test_restrict_checks_its_nodes():
@@ -526,6 +526,7 @@ def test_exact_sums_scans_the_entries_once(monkeypatch):
 # ---------------------------------------------------------- argument gates
 
 _NAN, _INF = float("nan"), float("inf")
+_HUGE = 10 ** 400       # an integer past float64
 _A = TropicalMatrix([[0.0, 1.0], [-1.0, 0.0]])
 _NOT_PERIODIC = TropicalMatrix([[1.0, 0.0], [NEG_INF, 0.0]])
 _ACYCLIC = TropicalMatrix([[NEG_INF, 1.0], [NEG_INF, NEG_INF]])
@@ -538,7 +539,8 @@ def _triple():
 
 # Calls outside the domain, each with the MaxplusError it raises: values
 # numpy or Python would otherwise reject with their own errors (ragged
-# rows, 2.5 as an exponent or node), and nodes a numpy index would wrap.
+# rows, 2.5 as an exponent or node, an integer past float64), nodes a
+# numpy index would wrap, and vectors numpy would broadcast as a scalar.
 OUT_OF_DOMAIN = {
     "matrix NaN": (DomainError, lambda: TropicalMatrix([[_NAN]])),
     "matrix +inf": (DomainError,
@@ -618,6 +620,23 @@ OUT_OF_DOMAIN = {
     "oracle tables 2.5": (DomainError,
                           lambda: maxplus.enumerate_small(_A, 2.5)),
     "oracle tables -1": (DomainError, lambda: maxplus.enumerate_small(_A, -1)),
+    "matrix 10**400": (DomainError, lambda: TropicalMatrix([[_HUGE]])),
+    "vector 10**400": (DomainError, lambda: as_vector([_HUGE, 0])),
+    "scalar 10**400": (DomainError, lambda: mat_scalar_mul(_HUGE, _A)),
+    "from_rows 10**400": (DomainError,
+                          lambda: TropicalMatrix.from_rows([[_HUGE]])),
+    "mat_eq tol 10**400": (DomainError,
+                           lambda: maxplus.mat_eq(_A, _A, _HUGE)),
+    "evaluate 10**400": (NonFiniteError, lambda: maxplus.evaluate(
+        maxplus.nachtigall_expand(_A), _HUGE)),
+    "scalar vector": (DomainError, lambda: mat_scalar_mul([1, 2], _A)),
+    "scalar length 3": (DomainError, lambda: mat_scalar_mul([1, 2, 3], _A)),
+    "scale vector": (DomainError, lambda: _A.scale(np.array([5.0, 7.0]))),
+    "from_rows text": (DomainError,
+                       lambda: TropicalMatrix.from_rows([["x", 1], [2, 3]])),
+    "wielandt 2.5": (DomainError, lambda: maxplus.wielandt(2.5)),
+    "wielandt -3": (DomainError, lambda: maxplus.wielandt(-3)),
+    "wielandt text": (DomainError, lambda: maxplus.wielandt("x")),
 }
 
 

@@ -210,7 +210,7 @@ def test_factors_formed_on_first_access():
             e = expand(TropicalMatrix(a.arr))
             for st, (_, triple) in zip(e.steps, e.terms):
                 assert not {"c", "s", "r"} & set(vars(triple))
-                level = st.a_mu.scale(-st.lambda_mu)
+                level = a.restrict(st.k_set).scale(-st.lambda_mu)
                 want = full_matrix_factors(level, st.crit)
                 got = (triple.c, triple.s, triple.r)
                 assert all(g.arr.tobytes() == w.tobytes()
@@ -232,7 +232,7 @@ def test_build_on_restricted_levels_matches_full_matrix():
         for e in (nachtigall_expand(a), nachtigall_expand(a, rule="cycle"),
                   ultimate_expand(a)):
             for st, (_, triple) in zip(e.steps, e.terms):
-                level = st.a_mu.scale(-st.lambda_mu)
+                level = a.restrict(st.k_set).scale(-st.lambda_mu)
                 restricted += not level.finite_mask().any(axis=1).all()
                 want = full_matrix_factors(level, st.crit)
                 got = (triple.c.arr, triple.s.arr, triple.r.arr)

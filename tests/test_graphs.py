@@ -568,7 +568,7 @@ def test_scc_matches_tarjan_reference():
         if has_cycle(a):
             for e in (nachtigall_expand(a), nachtigall_expand(a, "cycle"),
                       ultimate_expand(a)):
-                mats += [st.a_mu for st in e.steps[1:]]
+                mats += [a.restrict(st.k_set) for st in e.steps[1:]]
     assert sum(not a.finite_mask().any(axis=1).all() for a in mats) > 50
     for a in mats:
         comps, comp_of, trivial, access = scc_reference(a)

@@ -102,9 +102,8 @@ def test_cli_csr_analyses_its_matrix_once(monkeypatch, capsys):
 def assert_read_only(x, seen=None):
     """Every part of x refuses a change: a dataclass field (frozen), a
     tuple (no append), a mapping proxy (no item assignment), an array
-    (read-only) and a matrix's arr (no rebinding: a level's a_mu, a
-    triple's c, s and r); every other leaf is an immutable scalar or
-    set."""
+    (read-only) and a matrix's arr (no rebinding: a triple's c, s and
+    r); every other leaf is an immutable scalar or set."""
     seen = set() if seen is None else seen
     if id(x) in seen:
         return
@@ -144,7 +143,7 @@ def test_results_are_read_only():
                   ultimate_expand(a)):
             assert_read_only(e)
             for st in e.steps:
-                assert_read_only(critical_structure(st.a_mu))
+                assert_read_only(critical_structure(a.restrict(st.k_set)))
             for _, triple in e.terms:
                 for factor in (triple.c, triple.s, triple.r):
                     assert_read_only(factor)
@@ -220,7 +219,7 @@ def test_component_analysis_once_per_node_set(monkeypatch):
     for a in corpus():
         for name in NAMES:
             _facts(name, a)
-        levels = [st.a_mu for rule in ("canonical", "cycle")
+        levels = [a.restrict(st.k_set) for rule in ("canonical", "cycle")
                   for st in nachtigall_expand(a, rule=rule).steps]
         want = {tuple(dec.components[c])
                 for dec in map(scc_decompose, levels)
@@ -256,8 +255,8 @@ def test_first_canonical_and_ultimate_levels_share_a_term(monkeypatch):
             triple = canon.terms[0].triple
             assert ult.terms[0].triple is triple
             for st in first:
-                fresh = build(st.a_mu.scale(-st.lambda_mu), st.crit,
-                              check_definite=False)
+                level = a.restrict(st.k_set).scale(-st.lambda_mu)
+                fresh = build(level, st.crit, check_definite=False)
                 assert fresh.c_hat.tobytes() == triple.c_hat.tobytes()
                 assert fresh.r_hat.tobytes() == triple.r_hat.tobytes()
     assert shared >= len(mats) // 2
@@ -280,7 +279,7 @@ def test_first_level_reuses_its_component_star(monkeypatch):
     runs = []
     for share in (True, False):
         if not share:
-            monkeypatch.setattr(expansions, "_shared_star", lambda st: None)
+            monkeypatch.setattr(expansions, "_shared_star", lambda a, st: None)
         a = TropicalMatrix(arr)
         canon, ult = nachtigall_expand(a), ultimate_expand(a)
         runs.append((len(calls), canon.terms + ult.terms))
@@ -298,8 +297,7 @@ def test_first_level_reuses_its_component_star(monkeypatch):
 
 def test_one_entry_scan_per_matrix(monkeypatch):
     """Every exact-sum gate of a full job reads one scan of the root's
-    entries: each deflation level holds the root's record, and only the
-    start vectors are scanned again."""
+    entries: only the start vectors are scanned again."""
     scans = []
     integral_max = core._integral_max
 
@@ -313,8 +311,8 @@ def test_one_entry_scan_per_matrix(monkeypatch):
     for a in corpus() + [cycle_chain(rng), random_cyclic(rng, 24)]:
         t = 3 * a.n * a.n
         critical_structure(a)
-        steps = nachtigall_expand(a).steps + ultimate_expand(a).steps
-        steps += nachtigall_expand(a, rule="cycle").steps
+        nachtigall_expand(a), ultimate_expand(a)
+        nachtigall_expand(a, rule="cycle")
         for variant in ("nachtigall", "ultimate"):
             fast_terms(a, t, variant=variant)
         ultimate_threshold(a)
@@ -322,9 +320,36 @@ def test_one_entry_scan_per_matrix(monkeypatch):
         for y in (np.zeros(a.n), rng.integers(-5, 6, a.n).astype(float)):
             simulate_orbit(a, y)
         assert len(scans) == 1 and scans[0] is a.arr
-        for st in steps:
-            assert st.a_mu._memo[core._EXACT_MEMO] is a._memo[core._EXACT_MEMO]
         scans.clear()
+
+
+def test_levels_are_plain_data():
+    """A deflation level is its node set and selection, no matrix: after
+    all three deflations, their terms and fast_terms, no level holds a
+    TropicalMatrix, a level's matrix a.restrict(k_set) starts with an
+    empty memo, and no matrix formed on the way shares a dict of the
+    root's memo."""
+    fields = [f.name for f in dataclasses.fields(expansions.DeflationStep)]
+    assert fields == ["mu", "k_set", "lambda_mu", "crit", "m_set"]
+    for a in corpus():
+        t = 3 * a.n * a.n
+        expanded = [nachtigall_expand(a), nachtigall_expand(a, "cycle"),
+                    ultimate_expand(a)]
+        formed = [m for variant in ("nachtigall", "ultimate")
+                  for m in fast_terms(a, t, variant=variant)]
+        for e in expanded:
+            for st in e.steps:
+                assert not any(isinstance(getattr(st, name), TropicalMatrix)
+                               for name in fields)
+                level = a.restrict(st.k_set)
+                assert level._memo == {}
+                formed.append(level)
+            for _, triple in e.terms:
+                formed += [triple.c, triple.s, triple.r]
+        dicts = {id(v) for v in a._memo.values() if isinstance(v, dict)}
+        assert dicts
+        for m in formed:
+            assert not dicts & {id(v) for v in m._memo.values()}
 
 
 def level_scan_gate(a: TropicalMatrix, st, r: int) -> bool:
@@ -383,7 +408,7 @@ def test_levels_match_a_fresh_analysis():
             keep = tuple(range(a.n))
             for st in steps:
                 assert st.k_set == keep
-                cs = critical_structure(TropicalMatrix(st.a_mu.arr))
+                cs = critical_structure(a.restrict(st.k_set))
                 lam = float(cs.lambda_global)
                 assert st.lambda_mu.hex() == lam.hex()
                 if rule == "ultimate":

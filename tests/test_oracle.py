@@ -163,15 +163,6 @@ def test_size_guards():
     assert "all" in enumerate_small(b, 60)
 
 
-def test_size_cap_env_override(monkeypatch):
-    monkeypatch.setenv("TROPICAL_ORACLE_CAP", "4")
-    a = TropicalMatrix.identity(5)
-    with pytest.raises(OracleSizeError):
-        enumerate_small(a, 5)
-    monkeypatch.setenv("TROPICAL_ORACLE_CAP", "5")
-    assert "all" in enumerate_small(a, 5)
-
-
 def test_exponents_are_nonnegative_integers():
     """The oracle's own checks type a fractional or negative exponent as
     a DomainError; a numpy integer passes."""

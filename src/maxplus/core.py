@@ -91,14 +91,14 @@ class TropicalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "TropicalMatrix":
-        arr = np.full((_count(n, "size"),) * 2, NEG_INF)
+        arr = np.full(_shape("size", n, n), NEG_INF)
         np.fill_diagonal(arr, UNITY)
         return cls(arr)
 
     @classmethod
     def zeros(cls, n: int) -> "TropicalMatrix":
         """All -inf matrix (the semiring zero matrix)."""
-        return cls(np.full((_count(n, "size"),) * 2, NEG_INF))
+        return cls(np.full(_shape("size", n, n), NEG_INF))
 
     @classmethod
     def from_rows(cls, rows) -> "TropicalMatrix":
@@ -176,6 +176,15 @@ def _count(t, what: str) -> int:
     if t < 0:
         raise DomainError("negative %s" % what)
     return t
+
+
+def _shape(what: str, *dims) -> tuple:
+    """dims as counts (_count) that shape a float64 array, else DomainError:
+    numpy refuses more than np.intp's range of bytes with a ValueError."""
+    dims = tuple(_count(d, what) for d in dims)
+    if 8 * np.prod(dims, dtype=object) > np.iinfo(np.intp).max:
+        raise DomainError("%s too large for an array" % what)
+    return dims
 
 
 def _tolerance(value) -> float:

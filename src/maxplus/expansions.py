@@ -117,14 +117,10 @@ def _select_crit(crit: CritSubgraph, rule: str) -> CritSubgraph:
     return crit
 
 
-def _check_rule(rule: str):
-    if rule not in ("canonical", "cycle"):
-        raise DomainError("rule must be 'canonical' or 'cycle'")
-
-
 def _deflation_steps(a: TropicalMatrix, rule: str) -> tuple:
     """Deflation levels of a under rule, computed once per matrix."""
-    _check_rule(rule)
+    if rule not in ("canonical", "cycle"):
+        raise DomainError("rule must be 'canonical' or 'cycle'")
     return a._cached(("deflation", rule), lambda: _deflate(a, rule))
 
 
@@ -183,18 +179,24 @@ def _shared_star(a: TropicalMatrix, st: DeflationStep) -> np.ndarray | None:
     return pc.star
 
 
-def _build_expansion(a: TropicalMatrix, variant: str, steps: tuple,
-                     sigma: tuple | None) -> Expansion:
-    """The expansion over steps, with its terms built once per matrix and
-    variant.  A term depends on its level's node set, cycle mean and
-    critical edges only, so levels that agree on those (the first
-    canonical and ultimate levels, mostly) share one term."""
-    terms = a._cached(("terms", variant), lambda: tuple(a._cached(
+def _term(a: TropicalMatrix, st: DeflationStep) -> Term:
+    """The CSR term of level st, built once per matrix.  A term depends on
+    its level's node set, cycle mean and critical edges only, so levels
+    that agree on those (the first canonical and ultimate levels, mostly)
+    share one, and fast_terms reads the same one."""
+    return a._cached(
         ("term", st.k_set, st.lambda_mu.hex(), st.crit.edges),
         lambda: Term(st.lambda_mu, csr_build(
             a.restrict(st.k_set).scale(-st.lambda_mu), st.crit,
             check_definite=False, _star=_shared_star(a, st))))
-        for st in steps))
+
+
+def _build_expansion(a: TropicalMatrix, variant: str, steps: tuple,
+                     sigma: tuple | None) -> Expansion:
+    """The expansion over steps, with its terms (_term) kept per matrix
+    and variant."""
+    terms = a._cached(("terms", variant),
+                      lambda: tuple(_term(a, st) for st in steps))
     threshold = 3 * a.n * a.n if variant.startswith("nachtigall") else None
     return Expansion(variant=variant, n=a.n, terms=terms, steps=steps,
                      sigma=sigma,
@@ -258,68 +260,28 @@ def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
                                per_term=per)
 
 
-def _periodic_steps(start: np.ndarray, step: np.ndarray, r: int, gamma: int,
-                    budget: int) -> np.ndarray | None:
-    """start (x) step^r, stepped one product at a time until the sequence
-    repeats bit for bit after gamma steps; None when that takes more than
-    budget steps.  Each term is a deterministic function of the bits of
-    the one before, so from a repeat on the sequence is periodic and the
-    term at r is one of the last gamma seen."""
-    seen = [start]
-    for k in range(1, budget + 1):
-        seen.append(_mp_matmul(seen[-1], step))
-        if k >= gamma and seen[k].tobytes() == seen[k - gamma].tobytes():
-            return seen[k - gamma + (r - k) % gamma]
-    return None
-
-
-def _class_power(s: np.ndarray, rep: np.ndarray, gamma: int, r: int,
-                 exact: bool) -> tuple | None:
-    """(columns, rows) of s^r at the positions rep (the columns held as
-    rows), stepped from the unit vectors there until they repeat after
-    gamma steps; None when the stepping does not apply.
-
-    It applies when every sum of r + 1 weights of s is exact (exact: see
-    fast_terms), so the result equals the squaring chain's bit for bit up
-    to the sign of a zero (a -0.0 weight sums to -0.0 there, to 0.0 from a
-    unit start), which no term keeps: R^ adds potentials never -0.0.
-    And it applies only within about two n x n squarings of work: each of
-    the two sequences gets ceil(n / m) steps of an m x n by n x n product
-    (m = rep.size classes), and a level with gamma above that is not
-    tried."""
-    budget = -(-len(s) // rep.size)
-    if gamma >= budget or not exact:
-        return None
-    unit = np.full((rep.size, len(s)), NEG_INF)
-    unit[np.arange(rep.size), rep] = 0.0
-    cols = _periodic_steps(unit, s.T, r, gamma, budget)
-    rows = None if cols is None else _periodic_steps(unit, s, r, gamma, budget)
-    return None if rows is None else (cols, rows)
-
-
 def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
                rule: str = "canonical") -> list:
-    """All term matrices P_mu^(t) without forming any Kleene star.
+    """All term matrices P_mu^(t), forming no Kleene star beyond the
+    expansion's own terms.
 
-    Each deflated level is normalized to S and only the columns and rows
-    of S^r at its class representatives are needed, for the power of two
-    r >= 3 n^2 (only the K_mu x K_mu block: entries outside are -inf and
-    change no max).  When every sum is exact (_exact_sums(a, r, lambda)),
-    they are stepped from the unit vectors, m x n
-    by n x n products for m classes, until each sequence repeats after
-    gamma steps (_class_power); critical columns and rows turn periodic
-    after a transient bounded independently of the weights (Merlet,
-    Nowak, Schneider and Sergeev, 2014), so this mostly ends long before
-    a squaring chain would.  The stepping gets a budget of about two
-    n x n squarings.  A level with fractional lambda, huge weights, a
-    gamma beyond the budget or a longer transient is raised to S^r by
-    repeated squaring instead (mat_power, which stops at a bitwise fixed
-    point).  Both routes give the same terms, bit for bit.  The level's
-    critical columns and rows are then those of C S^r and S^r R, and
-    P(t) = C S^r (x) S^(t - 2r) (x) S^r R, so with the potentials of the
-    level's normalized weights they are class factors (see csr) read at
-    t - 2r: one n x m by m x n product, and no scaling.  Results match
-    the literal CSR products.
+    A level whose sums are exact costs one memoized term build (_term,
+    shared with the expansions) and gives that term's class product at
+    t.  Any other level costs the squaring chain, O(n^3 log n): it is
+    normalized to S and squared on its K_mu block (entries outside are
+    -inf and change no max) to S^r, r the power of two >= 3 n^2
+    (mat_power).  Past 3 n^2 its critical columns and rows are those of
+    C S^r and S^r R, and P(t) = C S^r (x) S^(t - 2r) (x) S^r R reads
+    them as class factors (see csr) at t - 2r.
+
+    The gate makes both routes exact, so they give the same bits.  A
+    normalized weight is at most |A|max + |lambda|.  The chain's factors
+    sum r + n - 1 weights (S^r, then potentials), their product twice
+    that; the term's relaxation of (S^gamma)* adds two simple paths,
+    2 (n - 1) gamma, its factors hold (n - 1) (gamma + 1), their product
+    twice that.  Both stay below 2 (r + n (gamma + 1)), the steps that
+    _exact_sums gets.  No term holds a -0.0: R^ adds potentials, which
+    are never -0.0.
     """
     t = _count(t, "exponent")
     n = a.n
@@ -328,30 +290,28 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
             raise ThresholdError("t below validity threshold 3n^2 = %d" % (3 * n * n))
         steps = _deflation_steps(a, rule)
     elif variant == "ultimate":
-        _check_rule(rule)
+        if rule != "canonical":
+            raise DomainError("the ultimate variant takes rule 'canonical'")
         steps = _ultimate_steps(a)
     else:
         raise DomainError("variant must be 'nachtigall' or 'ultimate'")
 
-    r = 1
-    while r < 3 * n * n:
-        r <<= 1
+    r = 1 << (3 * n * n - 1).bit_length()
     out = []
     for st in steps:
-        k = np.array(st.k_set)
-        level = TropicalMatrix._wrap(a.arr[np.ix_(k, k)]).scale(-st.lambda_mu)
-        rep = np.array([b[0] for bs in st.crit.members for b in bs])
-        powered = np.full((n, n), NEG_INF)
-        found = _class_power(level.arr, np.searchsorted(k, rep),
-                             st.crit.gamma, r, _exact_sums(a, r, st.lambda_mu))
-        if found is None:
-            powered[np.ix_(k, k)] = mat_power(level, r).arr
+        gamma = st.crit.gamma
+        if _exact_sums(a, 2 * (r + n * (gamma + 1)), st.lambda_mu):
+            tr = _term(a, st).triple
+            factors, shift = (tr.c_hat, tr.r_hat, tr.slots), t
         else:
-            powered[np.ix_(k, rep)] = found[0].T
-            powered[np.ix_(rep, k)] = found[1]
-        factors = _class_factors(powered, st.crit, a.arr, st.lambda_mu)
-        prod = _class_product(*factors, (t - 2 * r) % st.crit.gamma)
-        out.append(TropicalMatrix._wrap(prod))
+            k = np.ix_(st.k_set, st.k_set)
+            level = TropicalMatrix._wrap(a.arr[k]).scale(-st.lambda_mu)
+            powered = np.full((n, n), NEG_INF)
+            powered[k] = mat_power(level, r).arr
+            factors = _class_factors(powered, st.crit, a.arr, st.lambda_mu)
+            shift = t - 2 * r
+        out.append(TropicalMatrix._wrap(
+            _class_product(*factors, shift % gamma)))
     return out
 
 

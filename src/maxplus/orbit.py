@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
                    _count, _exact_sums, _exceeds, _integral_max, _mp_matmul,
-                   _mp_rank1, _overflow_checked, _power_stack, _stack_depth,
-                   as_vector)
+                   _mp_rank1, _overflow_checked, _power_stack, _shape,
+                   _stack_depth, as_vector)
 from .errors import (DomainError, NotOrbitPeriodicError, TrivialColumnError,
                      ZeroVectorError)
 from .expansions import _known_threshold, _ultimate_terms
@@ -412,7 +412,7 @@ def simulate_orbit(a: TropicalMatrix, y,
     gamma = _gamma_u(a)
     if t_max is None:
         t_max = 6 * a.n * a.n + 2 * gamma
-    samples = np.empty((t_max + 1, a.n))
+    samples = np.empty(_shape("t_max", t_max + 1, a.n))
     samples[0] = y
     if t_max and _exact_sums(a, t_max, y=y):
         start = _term_bound(a, y, t_max, gamma)

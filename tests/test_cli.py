@@ -418,6 +418,18 @@ def test_orbit_negative_tmax_exits_3(tmp_path, capsys):
         assert err == "error: negative t_max\n"
 
 
+def test_orbit_unshapeable_tmax_exits_3(tmp_path, capsys):
+    """A t_max whose samples numpy cannot shape is a DomainError (exit 3),
+    not numpy's bare ValueError and a traceback."""
+    y = tmp_path / "y.txt"
+    y.write_text("6\n0 * * * * 0")
+    for tmax in ("1" + "0" * 20, "9" * 30):
+        code, obj, err = run(capsys, "orbit", "--y", str(y), "--tmax", tmax,
+                             EX3A)
+        assert (code, obj) == (3, None)
+        assert err == "error: t_max too large for an array\n"
+
+
 def test_non_utf8_bytes_are_bad_tokens_in_both_files(tmp_path, capsys):
     """A byte that is no UTF-8 is an input error (exit 2) in the start
     vector as in the matrix: both files decode with replacement."""

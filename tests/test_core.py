@@ -440,6 +440,25 @@ def test_one_way_in():
         is_orbit_periodic(a, method="both")
 
 
+
+def test_one_term_builder():
+    """csr_build is named only in expansions._term, which every term of
+    the library comes from, and in cli._cmd_csr."""
+    found = set()
+
+    def visit(node, stem, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if "csr_build" in (getattr(node, "id", None),
+                           getattr(node, "attr", None)):
+            found.add("%s.%s" % (stem, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, stem, owner)
+
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == {"expansions._term", "cli._cmd_csr"}
+
 def test_restrict():
     m = TropicalMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
     r = m.restrict([0, 2])
@@ -539,7 +558,8 @@ def _triple():
 
 # Calls outside the domain, each with the MaxplusError it raises: values
 # numpy or Python would otherwise reject with their own errors (ragged
-# rows, 2.5 as an exponent or node, an integer past float64), nodes a
+# rows, 2.5 as an exponent or node, an integer past float64, a size numpy
+# cannot shape), nodes a
 # numpy index would wrap, and vectors numpy would broadcast as a scalar.
 OUT_OF_DOMAIN = {
     "matrix NaN": (DomainError, lambda: TropicalMatrix([[_NAN]])),
@@ -583,6 +603,8 @@ OUT_OF_DOMAIN = {
         _ACYCLIC, 12, rule="bogus")),
     "fast_terms ultimate rule": (DomainError, lambda: maxplus.fast_terms(
         _A, 12, variant="ultimate", rule="bogus")),
+    "fast_terms ultimate cycle": (DomainError, lambda: maxplus.fast_terms(
+        _A, 12, variant="ultimate", rule="cycle")),
     "mat_eq tol -1": (DomainError, lambda: maxplus.mat_eq(_A, _A, tol=-1)),
     "mat_eq tol NaN": (DomainError, lambda: maxplus.mat_eq(_A, _A, tol=_NAN)),
     "mat_eq tol +inf": (DomainError,
@@ -627,6 +649,13 @@ OUT_OF_DOMAIN = {
                           lambda: TropicalMatrix.from_rows([[_HUGE]])),
     "mat_eq tol 10**400": (DomainError,
                            lambda: maxplus.mat_eq(_A, _A, _HUGE)),
+    "identity 10**20": (DomainError,
+                        lambda: TropicalMatrix.identity(10 ** 20)),
+    "zeros 10**400": (DomainError, lambda: TropicalMatrix.zeros(_HUGE)),
+    "orbit t_max 10**20": (DomainError, lambda: maxplus.simulate_orbit(
+        _A, [0.0, 0.0], t_max=10 ** 20)),
+    "orbit t_max 10**400": (DomainError, lambda: maxplus.simulate_orbit(
+        _A, [0.0, 0.0], t_max=_HUGE)),
     "evaluate 10**400": (NonFiniteError, lambda: maxplus.evaluate(
         maxplus.nachtigall_expand(_A), _HUGE)),
     "scalar vector": (DomainError, lambda: mat_scalar_mul([1, 2], _A)),

@@ -607,20 +607,6 @@ def test_fast_terms_match_literal_bit_for_bit_on_integer_lambda():
     assert exact > 200
 
 
-def test_fast_terms_forms_no_kleene_star(monkeypatch, ex1):
-    want = fast_terms(ex1, 48)
-
-    def no_star(*args, **kw):
-        raise AssertionError("kleene_star called")
-
-    monkeypatch.setattr(kleene, "kleene_star", no_star)
-    monkeypatch.setattr(csr, "kleene_star", no_star)
-    got = fast_terms(TropicalMatrix(ex1.arr), 48)
-    assert [m.arr.tolist() for m in got] == [m.arr.tolist() for m in want]
-    with pytest.raises(AssertionError, match="kleene_star"):
-        nachtigall_expand(TropicalMatrix(ex1.arr))
-
-
 def fast_terms_by_squaring(a, t, variant="nachtigall", rule="canonical"):
     """Reference: every level raised to S^r by mat_power, as fast_terms did
     before it stepped class rows and columns."""
@@ -655,7 +641,7 @@ def long_transient_matrix(n: int = 80, w: float = 1e5) -> TropicalMatrix:
     """A 0-weight 2-cycle on nodes 0 and 1, loops of -1 on 2 ... n-1
     chained 2 -> 3 -> ... -> n-1 at 0 with n-1 -> 2 at -1, and 0 -> 2 at
     w, n-1 -> 0 at -w: one critical component whose columns and rows
-    take longer than the stepping budget to turn periodic."""
+    turn periodic only after more than n steps."""
     arr = np.full((n, n), NEG_INF)
     arr[0, 1] = arr[1, 0] = 0.0
     for v in range(2, n):
@@ -667,41 +653,43 @@ def long_transient_matrix(n: int = 80, w: float = 1e5) -> TropicalMatrix:
     return TropicalMatrix(arr)
 
 
-def fast_terms_routes(monkeypatch, a, t, **kw):
-    """fast_terms(a, t) with, per level, whether its class rows and columns
-    were stepped and how many sequences were stepped at all; mat_power
-    must run on exactly the levels that were not stepped."""
-    stepped, powered, tried, calls = [], [], [], []
-    class_power = expansions._class_power
-    periodic = expansions._periodic_steps
-    power = expansions.mat_power
+def fast_terms_reads(monkeypatch, a, t, **kw):
+    """fast_terms(a, t) and, per level, whether it read the level's term;
+    mat_power must run on exactly the levels that did not."""
+    read, powered = [], []
+    term, power = expansions._term, expansions.mat_power
 
-    def spy_class_power(*args):
-        before = len(calls)
-        found = class_power(*args)
-        stepped.append(found is not None)
-        tried.append(len(calls) - before)
-        return found
-
-    def spy_periodic(*args):
-        calls.append(1)
-        return periodic(*args)
+    def spy_term(root, st):
+        read.append(id(st))
+        return term(root, st)
 
     def spy_power(m, r):
         powered.append(m.n)
         return power(m, r)
 
-    monkeypatch.setattr(expansions, "_class_power", spy_class_power)
-    monkeypatch.setattr(expansions, "_periodic_steps", spy_periodic)
+    monkeypatch.setattr(expansions, "_term", spy_term)
     monkeypatch.setattr(expansions, "mat_power", spy_power)
     got = fast_terms(a, t, **kw)
     monkeypatch.undo()
     steps = (expansions._deflation_steps(a, kw.get("rule", "canonical"))
              if kw.get("variant", "nachtigall") == "nachtigall"
              else expansions._ultimate_steps(a))
-    assert powered == [len(st.k_set) for st, s in zip(steps, stepped)
-                       if not s]
-    return got, stepped, tried
+    reads = [id(st) in read for st in steps]
+    assert powered == [len(st.k_set) for st, r in zip(steps, reads) if not r]
+    return got, reads
+
+
+def counted_builds(monkeypatch) -> list:
+    """A list that gains an entry per csr_build call from expansions."""
+    calls = []
+    build = expansions.csr_build
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(expansions, "csr_build", counted)
+    return calls
 
 
 def assert_as_squaring(a, t, variant="nachtigall", rule="canonical"):
@@ -729,68 +717,146 @@ def test_fast_terms_bytes_equal_the_squaring_chain():
                 assert_as_squaring(a, t, variant, rule)
 
 
-def test_fast_terms_steps_periodic_critical_levels(monkeypatch):
-    """Levels with gamma 2...4 inside the budget are stepped, not squared."""
-    rng = np.random.default_rng(70)
-    for n, g in ((12, 2), (30, 3), (40, 4)):
-        a = TropicalMatrix(critical_cycle_matrix(rng, n, g))
-        assert expansions._deflation_steps(a, "canonical")[0].crit.gamma == g
-        _, stepped, _ = fast_terms_routes(monkeypatch, a, 3 * n * n)
-        assert stepped[0]
+def is_exact(a, st) -> bool:
+    """The level's sums are exact: integer input and cycle mean (the test
+    weights are far below the gate's bound)."""
+    return is_integral(a.arr) and is_integral(st.lambda_mu)
 
 
-def test_fast_terms_integer_level_of_80_makes_no_full_power(monkeypatch):
-    a = random_cyclic(np.random.default_rng(71), 80)
-    _, stepped, _ = fast_terms_routes(monkeypatch, a, 3 * 80 * 80)
-    assert stepped[0]
-    assert_as_squaring(a, 3 * 80 * 80)
+def test_fast_terms_reads_the_expansions_terms(monkeypatch):
+    """After both expansions fast_terms builds no term, and each exact
+    level is its term's class product at t, byte for byte."""
+    rng = np.random.default_rng(73)
+    mats = literal_corpus() + [random_cyclic(rng, n) for n in (16, 40)]
+    calls, exact = counted_builds(monkeypatch), 0
+    for a in mats:
+        t0 = 3 * a.n * a.n
+        runs = list(zip(expansions_of(a), ("nachtigall", "nachtigall",
+                        "ultimate"), ("canonical", "cycle", "canonical")))
+        calls.clear()
+        for e, variant, rule in runs:
+            for t in (t0, t0 + 1, t0 + 5):
+                got = fast_terms(a, t, variant=variant, rule=rule)
+                for m, st, term in zip(got, e.steps, e.terms):
+                    if is_exact(a, st):
+                        exact += 1
+                        assert m.arr.tobytes() == csr_product(
+                            term.triple, t).matrix.arr.tobytes()
+        assert calls == []
+    assert exact > 100
 
 
-def test_fast_terms_fallbacks(monkeypatch):
+def test_cold_fast_terms_builds_each_exact_term_once(monkeypatch):
+    """A cold fast_terms builds the term of each exact level once (levels
+    that agree share it), and a later expansion builds only the rest."""
+    rng = np.random.default_rng(74)
+    mats = [random_cyclic(rng, n) for n in (6, 9, 12, 20, 30)]
+    mats += [cycle_chain(rng) for _ in range(3)] + [
+        two_zero_cycles_with_tail()]
+    calls, all_exact = counted_builds(monkeypatch), 0
+    for arr in (m.arr for m in mats):
+        a = TropicalMatrix(arr)
+        steps = expansions._deflation_steps(a, "canonical")
+        keys = [(st.k_set, st.lambda_mu, st.crit.edges) for st in steps]
+        exact = {k for k, st in zip(keys, steps) if is_exact(a, st)}
+        calls.clear()
+        got = fast_terms(a, 3 * a.n * a.n)
+        assert len(calls) == len(exact)
+        fast_terms(a, 3 * a.n * a.n + 1)
+        assert len(calls) == len(exact)
+        nachtigall_expand(a)
+        assert len(calls) == len(set(keys))
+        all_exact += len(exact) == len(set(keys))
+        want = fast_terms(TropicalMatrix(arr), 3 * a.n * a.n)
+        assert [m.arr.tobytes() for m in got] == [
+            m.arr.tobytes() for m in want]
+    assert all_exact >= 4
+
+
+def fractional_cycles() -> TropicalMatrix:
+    """Integer weights whose every cycle mean is fractional: 2-cycles of
+    mean 1/2 and -3/2 and a 3-cycle of mean 1/3, chained by tail edges."""
+    arr = np.full((8, 8), NEG_INF)
+    for i, j, w in ((0, 1, 0), (1, 0, 1), (2, 3, 1), (3, 4, 0), (4, 2, 0),
+                    (5, 6, -2), (6, 5, -1), (7, 0, -4), (1, 2, -3),
+                    (4, 5, -6), (7, 6, 2)):
+        arr[i, j] = w
+    return TropicalMatrix(arr)
+
+
+def test_fast_terms_forms_no_kleene_star_on_fractional_levels(monkeypatch):
+    """A level with fractional lambda is squared: no term, no star."""
+    arr = fractional_cycles().arr
+    levels = [st.lambda_mu for e in expansions_of(TropicalMatrix(arr))
+              for st in e.steps]
+    assert len(levels) >= 9 and not any(map(is_integral, levels))
+
+    def no_star(*args, **kw):
+        raise AssertionError("kleene_star called")
+
+    runs = (("nachtigall", "canonical"), ("nachtigall", "cycle"),
+            ("ultimate", "canonical"))
+    want = [fast_terms_by_squaring(TropicalMatrix(arr), 192, variant, rule)
+            for variant, rule in runs]
+    calls = counted_builds(monkeypatch)
+    monkeypatch.setattr(kleene, "kleene_star", no_star)
+    monkeypatch.setattr(csr, "kleene_star", no_star)
+    a = TropicalMatrix(arr)
+    for (variant, rule), w in zip(runs, want):
+        got = fast_terms(a, 192, variant=variant, rule=rule)
+        assert [m.arr.tobytes() for m in got] == [x.tobytes() for x in w]
+    assert calls == []
+    with pytest.raises(AssertionError, match="kleene_star"):
+        nachtigall_expand(a)
+    # one fractional level among integer ones: only it is squared
     rng = np.random.default_rng(72)
-    n = 30
-    t = 3 * n * n
-    r = 4096                    # the power of two r >= 3 n^2
-    base = critical_cycle_matrix(rng, n, 3)
-    a = TropicalMatrix(base)
-    _, stepped, _ = fast_terms_routes(monkeypatch, a, t)
-    assert stepped[0]
-    # fractional lambda: the 2-cycle 0 <-> 1 weighs 1, lambda 0.5
-    frac = base.copy()
-    frac[1, 0] = 1.0
+    frac = critical_cycle_matrix(rng, 30, 3)
+    frac[1, 0] = 1.0            # the 2-cycle 0 <-> 1 weighs 1: lambda 1/2
     a = TropicalMatrix(frac)
     assert expansions._deflation_steps(a, "canonical")[0].lambda_mu == 0.5
-    _, stepped, _ = fast_terms_routes(monkeypatch, a, t)
-    assert not stepped[0]
-    assert_as_squaring(a, t)
-    # |w|max (r + 1) just below and at 2**53, on an edge off the cycle
-    w = (2 ** 53 - 1) // (r + 1)
+    _, reads = fast_terms_reads(monkeypatch, a, 3 * 30 * 30)
+    assert not reads[0]
+    assert_as_squaring(a, 3 * 30 * 30)
+
+
+def test_fast_terms_gate_boundary(monkeypatch):
+    """The gate admits |w|max (2 (r + n (gamma + 1)) + 1) < 2**53: a
+    weight just inside reads the term, one just outside squares, and both
+    give the squaring chain's bytes."""
+    rng = np.random.default_rng(72)
+    n, gamma, r = 30, 3, 4096      # r: the power of two >= 3 n^2
+    base = critical_cycle_matrix(rng, n, gamma)
+    w = (2 ** 53 - 1) // (2 * (r + n * (gamma + 1)) + 1)
     for weight, exact in ((w, True), (w + 1, False)):
         big = base.copy()
-        big[1, 0] = -float(weight)
+        big[1, 0] = -float(weight)      # an edge off the critical cycle
         a = TropicalMatrix(big)
-        _, stepped, _ = fast_terms_routes(monkeypatch, a, t)
-        assert stepped[0] is exact
-        assert_as_squaring(a, t)
-    # a -0.0 cycle: S^r holds -0.0 where the stepping holds 0.0, and the
-    # terms do not show it
-    neg = critical_cycle_matrix(rng, n, 2)
+        assert expansions._deflation_steps(a, "canonical")[0].crit.gamma \
+            == gamma
+        for variant in ("nachtigall", "ultimate"):
+            _, reads = fast_terms_reads(monkeypatch, a, 3 * n * n,
+                                        variant=variant)
+            assert reads[0] is exact
+            assert_as_squaring(a, 3 * n * n, variant)
+
+
+def test_fast_terms_reads_zero_sign_long_gamma_and_transient_levels(
+        monkeypatch):
+    """A -0.0 cycle (S^r holds -0.0 where the term holds 0.0, and no
+    term shows it), gamma 9 with 9 classes on 12 nodes, and columns and
+    rows with a transient beyond n steps: each exact level reads its
+    term and gives the squaring chain's bytes."""
+    rng = np.random.default_rng(72)
+    neg = critical_cycle_matrix(rng, 30, 2)
     neg[[0, 1], [1, 0]] = -0.0
-    a = TropicalMatrix(neg)
-    for u in (t, t + 1):
-        _, stepped, _ = fast_terms_routes(monkeypatch, a, u)
-        assert stepped[0]
-        assert_as_squaring(a, u)
-    # gamma 9 with 9 classes on 12 nodes: a budget of 2 steps, not tried
-    a = TropicalMatrix(critical_cycle_matrix(rng, 12, 9))
-    _, stepped, tried = fast_terms_routes(monkeypatch, a, 3 * 12 * 12)
-    assert not stepped[0] and not tried[0]
-    assert_as_squaring(a, 3 * 12 * 12)
-    # the columns and rows need more than the 80 steps of the budget
-    a = long_transient_matrix()
-    _, stepped, tried = fast_terms_routes(monkeypatch, a, 3 * 80 * 80)
-    assert stepped == [False] and tried == [1]
-    assert_as_squaring(a, 3 * 80 * 80)
+    gamma9 = TropicalMatrix(critical_cycle_matrix(rng, 12, 9))
+    assert expansions._deflation_steps(gamma9, "canonical")[0].crit.gamma \
+        == 9
+    for a, t in ((TropicalMatrix(neg), 2700), (TropicalMatrix(neg), 2701),
+                 (gamma9, 432), (long_transient_matrix(), 3 * 80 * 80)):
+        _, reads = fast_terms_reads(monkeypatch, a, t)
+        assert reads[0]
+        assert_as_squaring(a, t)
 
 
 def test_cycle_rule_names_critical_node_without_outgoing_edge():

@@ -40,14 +40,14 @@ def _class_product(c_hat: np.ndarray, r_hat: np.ndarray, slots: tuple,
     return _mp_matmul(c_hat, r_hat[_shift(slots, t)])
 
 
-def _class_factors(m: np.ndarray, crit: CritSubgraph, arr: np.ndarray,
-                   lam: float = 0.0) -> tuple:
+def _class_factors(m: np.ndarray, crit: CritSubgraph,
+                   arr: np.ndarray) -> tuple:
     """(C^, R^, slots), read-only: the columns of m minus x and its rows
     plus x at the least node of each cyclic class (slot) of crit, slots
     numbered component by component; x is the potential of the weights
-    arr - lam, 0 at each component's least node and summed along BFS
-    trees.  slots holds per slot that node, its class and the cyclicity of
-    its component."""
+    arr, 0 at each component's least node and summed along BFS trees.
+    slots holds per slot that node, its class and the cyclicity of its
+    component."""
     cyc = crit.cyclicity_of
     rep = np.array([b[0] for buckets in crit.members for b in buckets])
     cls = np.concatenate([np.arange(g) for g in cyc])
@@ -55,7 +55,7 @@ def _class_factors(m: np.ndarray, crit: CritSubgraph, arr: np.ndarray,
     _, parent, _ = _bfs(crit.edges, [min(comp) for comp in crit.components])
     for w, v in parent.items():     # in visit order, parents first
         if v is not None:
-            x[w] = x[v] + (arr[v, w] - lam)
+            x[w] = x[v] + arr[v, w]
     slots = (rep, cls, np.repeat(cyc, cyc))
     out = (m[:, rep] - x[rep], m[rep, :] + x[rep, None], slots)
     for part in out[:2] + slots:

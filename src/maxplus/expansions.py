@@ -18,11 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, mat_power,
-                   _agree, _arr_eq, _count, _exact_sums, _exceeds, _mp_matmul,
+from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, mat_oplus, _agree,
+                   _arr_eq, _count, _exact_sums, _exceeds, _mp_matmul,
                    _overflow_checked)
-from .csr import (CsrTriple, csr_build, _class_factors, _class_product,
-                  _shift)
+from .csr import CsrTriple, csr_build, _class_product, _shift
 from .errors import AnalysisError, DomainError, NonFiniteError, ThresholdError
 from .graphs import (CritSubgraph, _bfs, _components, _known_component,
                      critical_structure)
@@ -31,7 +30,8 @@ from .graphs import (CritSubgraph, _bfs, _components, _known_component,
 # bounds its memory independently of gamma.
 _CHUNK_FLOATS = 2 ** 16
 
-_THRESHOLD_MEMO = "threshold"   # _memo key of the t' _threshold_scan proves
+# _memo key of (t', t_max of the scan that proved it): see _threshold_scan
+_THRESHOLD_MEMO = "threshold"
 
 
 @dataclass(frozen=True)
@@ -262,26 +262,14 @@ def evaluate(e: Expansion, t: int) -> ExpansionEvaluation:
 
 def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
                rule: str = "canonical") -> list:
-    """All term matrices P_mu^(t), forming no Kleene star beyond the
-    expansion's own terms.
+    """All term matrices P_mu^(t): each level's CSR term (_term, memoized on
+    a and shared with the expansions) read at t by cyclic class, so
+    evaluate(e, t).per_term[mu] is lambda_mu t plus it, bit for bit.
 
-    A level whose sums are exact costs one memoized term build (_term,
-    shared with the expansions) and gives that term's class product at
-    t.  Any other level costs the squaring chain, O(n^3 log n): it is
-    normalized to S and squared on its K_mu block (entries outside are
-    -inf and change no max) to S^r, r the power of two >= 3 n^2
-    (mat_power).  Past 3 n^2 its critical columns and rows are those of
-    C S^r and S^r R, and P(t) = C S^r (x) S^(t - 2r) (x) S^r R reads
-    them as class factors (see csr) at t - 2r.
-
-    The gate makes both routes exact, so they give the same bits.  A
-    normalized weight is at most |A|max + |lambda|.  The chain's factors
-    sum r + n - 1 weights (S^r, then potentials), their product twice
-    that; the term's relaxation of (S^gamma)* adds two simple paths,
-    2 (n - 1) gamma, its factors hold (n - 1) (gamma + 1), their product
-    twice that.  Both stay below 2 (r + n (gamma + 1)), the steps that
-    _exact_sums gets.  No term holds a -0.0: R^ adds potentials, which
-    are never -0.0.
+    A cold call builds one term per distinct level, a power of the level
+    to its cyclicity and one star, O(n^3 log n); over at most n levels
+    O(n^4 log n).  Once the expansion over the same levels exists it
+    builds none.
     """
     t = _count(t, "exponent")
     n = a.n
@@ -295,24 +283,9 @@ def fast_terms(a: TropicalMatrix, t: int, variant: str = "nachtigall",
         steps = _ultimate_steps(a)
     else:
         raise DomainError("variant must be 'nachtigall' or 'ultimate'")
-
-    r = 1 << (3 * n * n - 1).bit_length()
-    out = []
-    for st in steps:
-        gamma = st.crit.gamma
-        if _exact_sums(a, 2 * (r + n * (gamma + 1)), st.lambda_mu):
-            tr = _term(a, st).triple
-            factors, shift = (tr.c_hat, tr.r_hat, tr.slots), t
-        else:
-            k = np.ix_(st.k_set, st.k_set)
-            level = TropicalMatrix._wrap(a.arr[k]).scale(-st.lambda_mu)
-            powered = np.full((n, n), NEG_INF)
-            powered[k] = mat_power(level, r).arr
-            factors = _class_factors(powered, st.crit, a.arr, st.lambda_mu)
-            shift = t - 2 * r
-        out.append(TropicalMatrix._wrap(
-            _class_product(*factors, shift % gamma)))
-    return out
+    return [TropicalMatrix._wrap(_class_product(
+        tr.c_hat, tr.r_hat, tr.slots, t % tr.gamma))
+        for tr in (_term(a, st).triple for st in steps)]
 
 
 def _term_lines(a: TropicalMatrix, lam: float, triple: CsrTriple):
@@ -407,7 +380,8 @@ def _threshold_tables(a: TropicalMatrix, e: Expansion):
 def _known_threshold(a: TropicalMatrix) -> int | None:
     """The threshold t' of a that an ultimate_threshold scan proved, if
     a's memo holds one, else None: never forms anything."""
-    return a._memo.get(_THRESHOLD_MEMO)
+    record = a._memo.get(_THRESHOLD_MEMO)
+    return None if record is None else record[0]
 
 
 def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,
@@ -466,10 +440,12 @@ def ultimate_threshold(a: TropicalMatrix,
     defaults to 30 n^2.
 
     Equality is decided at CRIT_TOL.  The scan reads the ultimate terms
-    without sigma, which a's memo keeps, and forms the bound on each call.
-    A t' proven through the bound goes to a's memo (_known_threshold),
+    without sigma, which a's memo keeps.  A t' proven through the bound
+    goes to a's memo with the scan's t_max (_known_threshold reads t'),
     even past t_max, and simulate_orbit starts its term rows there; the
-    window's t' is no proof and is not kept.  Only a None answer runs
+    window's t' is no proof and is not kept.  A later call whose t_max is
+    at least the recorded one answers from the record, forming nothing
+    (see _threshold_scan).  Only a None answer runs
     ultimate_expand's pairing with the canonical levels: at weights too
     large for the absolute CRIT_TOL the two analyses disagree, and
     AnalysisError reports that where the scan finds no t'.
@@ -484,7 +460,24 @@ def ultimate_threshold(a: TropicalMatrix,
 def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
     """ultimate_threshold's scan of a^t against the ultimate E(t), past
     the bound (see _threshold_tables) on a proof: a run reaching the bound
-    or the search past it, whose t' a's memo keeps even past t_max."""
+    or the search past it, whose t' a's memo keeps even past t_max,
+    together with that t_max.
+
+    A scan at a t_max no smaller than a proving scan's gives its answer,
+    so it is read off the record: t' when t' <= t_max, else None.  The
+    powers and E(t) do not depend on t_max, so both scans meet the same
+    equal and unequal exponents.  Every unequal one up to the proof lay
+    at or below the proving t_max, else that scan had stopped with None.
+    The window gamma_u + ceil(log2 t_max) only grows with t_max, so it
+    fires no earlier than it did in the proving scan, and that scan
+    reached the bound first.  Past the bound a match holds at every later
+    exponent once it holds at one, so stepping and galloping name the
+    same first equal exponent, whichever the exactness gate at the larger
+    t_max allows.
+    """
+    record = a._memo.get(_THRESHOLD_MEMO)
+    if record is not None and t_max >= record[1]:
+        return record[0] if record[0] <= t_max else None
     e = _ultimate_terms(a)
     bound = _threshold_tables(a, e)
     n = a.n
@@ -508,7 +501,7 @@ def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
             if run_start is None:
                 run_start = t
             if bound is not None and t >= bound:
-                a._memo[_THRESHOLD_MEMO] = run_start
+                a._memo[_THRESHOLD_MEMO] = run_start, t_max
                 return run_start if run_start <= t_max else None
             if run_start <= t_max and t - run_start >= window:
                 return run_start
@@ -519,7 +512,7 @@ def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
             if search and t >= bound:
                 found = _first_equal_past_bound(a, cur, t, t_max, matches)
                 if found is not None:
-                    a._memo[_THRESHOLD_MEMO] = found
+                    a._memo[_THRESHOLD_MEMO] = found, t_max
                 return found
         cur = _mp_matmul(cur, a.arr)
     return None

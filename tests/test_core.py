@@ -459,6 +459,28 @@ def test_one_term_builder():
         visit(ast.parse(path.read_text()), path.stem, None)
     assert found == {"expansions._term", "cli._cmd_csr"}
 
+
+def test_class_factors_come_from_csr_build_only():
+    """_class_factors is named in the package source only by its own
+    definition and by csr.csr_build: every class factor the library reads
+    is a CSR term's, so no route forms them from a power of its own."""
+    found = set()
+
+    def visit(node, stem, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if "_class_factors" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None)):
+            found.add("%s.%s" % (stem, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, stem, owner)
+
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == {"csr._class_factors", "csr.csr_build"}
+
+
 def test_restrict():
     m = TropicalMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
     r = m.restrict([0, 2])

@@ -3,6 +3,7 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from maxplus import (NEG_INF, AnalysisError, NoCyclesError, NonFiniteError,
                      PathClassQuery, ThresholdError,
@@ -11,7 +12,7 @@ from maxplus import (NEG_INF, AnalysisError, NoCyclesError, NonFiniteError,
                      evaluate, fast_terms, is_orbit_periodic, mat_eq,
                      mat_oplus, mat_power, nachtigall_expand, scc_decompose,
                      ultimate_expand, ultimate_threshold)
-from maxplus import csr, expansions, kleene
+from maxplus import csr, expansions
 
 from conftest import (cycle_chain, dead_end_critical_matrix, random_cyclic,
                       random_matrix, random_reducible, scaled_hang_matrix)
@@ -621,7 +622,8 @@ def fast_terms_by_squaring(a, t, variant="nachtigall", rule="canonical"):
         level = TropicalMatrix(a.arr[block])
         powered = np.full((n, n), NEG_INF)
         powered[block] = mat_power(level.scale(-st.lambda_mu), r).arr
-        factors = csr._class_factors(powered, st.crit, a.arr, st.lambda_mu)
+        factors = csr._class_factors(powered, st.crit,
+                                     a.arr - st.lambda_mu)
         out.append(csr._class_product(*factors,
                                       (t - 2 * r) % st.crit.gamma))
     return out
@@ -654,29 +656,21 @@ def long_transient_matrix(n: int = 80, w: float = 1e5) -> TropicalMatrix:
 
 
 def fast_terms_reads(monkeypatch, a, t, **kw):
-    """fast_terms(a, t) and, per level, whether it read the level's term;
-    mat_power must run on exactly the levels that did not."""
-    read, powered = [], []
-    term, power = expansions._term, expansions.mat_power
+    """fast_terms(a, t) and, per level, whether it read the level's term."""
+    read = []
+    term = expansions._term
 
     def spy_term(root, st):
         read.append(id(st))
         return term(root, st)
 
-    def spy_power(m, r):
-        powered.append(m.n)
-        return power(m, r)
-
     monkeypatch.setattr(expansions, "_term", spy_term)
-    monkeypatch.setattr(expansions, "mat_power", spy_power)
     got = fast_terms(a, t, **kw)
     monkeypatch.undo()
     steps = (expansions._deflation_steps(a, kw.get("rule", "canonical"))
              if kw.get("variant", "nachtigall") == "nachtigall"
              else expansions._ultimate_steps(a))
-    reads = [id(st) in read for st in steps]
-    assert powered == [len(st.k_set) for st, r in zip(steps, reads) if not r]
-    return got, reads
+    return got, [id(st) in read for st in steps]
 
 
 def counted_builds(monkeypatch) -> list:
@@ -700,6 +694,41 @@ def assert_as_squaring(a, t, variant="nachtigall", rule="canonical"):
         assert m.arr.tobytes() == w.tobytes(), (variant, rule, t)
 
 
+def assert_term_products(a, t, variant="nachtigall", rule="canonical"):
+    """fast_terms at t is each level's term product, byte for byte.  It
+    has the squaring chain's bytes on exact levels and agrees with it
+    within TOL on the others."""
+    got = fast_terms(a, t, variant=variant, rule=rule)
+    steps = (expansions._deflation_steps(a, rule) if variant == "nachtigall"
+             else expansions._ultimate_steps(a))
+    chain = fast_terms_by_squaring(a, t, variant, rule)
+    assert len(got) == len(steps) == len(chain)
+    for m, st, w in zip(got, steps, chain):
+        term = expansions._term(a, st).triple
+        assert m.arr.tobytes() == csr_product(term, t).matrix.arr.tobytes()
+        if is_exact(a, st):
+            assert m.arr.tobytes() == w.tobytes(), (variant, rule, t)
+        else:
+            assert mat_eq(m, TropicalMatrix(w), tol=TOL), (variant, rule, t)
+
+
+def gate_boundary_pair():
+    """A gamma-3 critical cycle on n = 30 and an edge off it weighing
+    -w and -(w + 1), w the largest weight with
+    w (2 (r + n (gamma + 1)) + 1) < 2**53 for r = 4096 >= 3 n^2: the
+    squaring chain's sums reach the float spacing of 2**53."""
+    rng = np.random.default_rng(72)
+    n, gamma, r = 30, 3, 4096
+    base = critical_cycle_matrix(rng, n, gamma)
+    w = (2 ** 53 - 1) // (2 * (r + n * (gamma + 1)) + 1)
+    out = []
+    for weight in (w, w + 1):
+        big = base.copy()
+        big[1, 0] = -float(weight)
+        out.append(TropicalMatrix(big))
+    return out
+
+
 def test_fast_terms_bytes_equal_the_squaring_chain():
     rng = np.random.default_rng(69)
     mats = literal_corpus()
@@ -707,19 +736,23 @@ def test_fast_terms_bytes_equal_the_squaring_chain():
     mats += [cycle_chain(rng) for _ in range(3)]
     mats += [TropicalMatrix(critical_cycle_matrix(rng, n, g))
              for n, g in ((12, 2), (30, 3), (40, 4))]
-    for a in mats:
+    runs = (("nachtigall", "canonical"), ("nachtigall", "cycle"),
+            ("ultimate", "canonical"))
+    fractional = 0
+    for a in mats + gate_boundary_pair():
         t0 = 3 * a.n * a.n
         gamma = max(st.crit.gamma for st in expansions._ultimate_steps(a))
         for t in (t0, t0 + 1, t0 + gamma, t0 + gamma + 1):
-            for variant, rule in (("nachtigall", "canonical"),
-                                  ("nachtigall", "cycle"),
-                                  ("ultimate", "canonical")):
-                assert_as_squaring(a, t, variant, rule)
+            for variant, rule in runs:
+                assert_term_products(a, t, variant, rule)
+        fractional += not all(is_exact(a, st)
+                              for st in expansions._ultimate_steps(a))
+    assert fractional > 10
 
 
 def is_exact(a, st) -> bool:
-    """The level's sums are exact: integer input and cycle mean (the test
-    weights are far below the gate's bound)."""
+    """Integer input and cycle mean: the level's sums are exact while
+    they stay below 2**53."""
     return is_integral(a.arr) and is_integral(st.lambda_mu)
 
 
@@ -747,30 +780,29 @@ def test_fast_terms_reads_the_expansions_terms(monkeypatch):
 
 
 def test_cold_fast_terms_builds_each_exact_term_once(monkeypatch):
-    """A cold fast_terms builds the term of each exact level once (levels
-    that agree share it), and a later expansion builds only the rest."""
+    """A cold fast_terms builds the term of each distinct level once,
+    fractional ones included (levels that agree share it), and a later
+    expansion builds none."""
     rng = np.random.default_rng(74)
     mats = [random_cyclic(rng, n) for n in (6, 9, 12, 20, 30)]
     mats += [cycle_chain(rng) for _ in range(3)] + [
         two_zero_cycles_with_tail()]
-    calls, all_exact = counted_builds(monkeypatch), 0
+    calls, fractional = counted_builds(monkeypatch), 0
     for arr in (m.arr for m in mats):
         a = TropicalMatrix(arr)
         steps = expansions._deflation_steps(a, "canonical")
-        keys = [(st.k_set, st.lambda_mu, st.crit.edges) for st in steps]
-        exact = {k for k, st in zip(keys, steps) if is_exact(a, st)}
+        keys = {(st.k_set, st.lambda_mu, st.crit.edges) for st in steps}
+        fractional += not all(is_exact(a, st) for st in steps)
         calls.clear()
         got = fast_terms(a, 3 * a.n * a.n)
-        assert len(calls) == len(exact)
+        assert len(calls) == len(keys)
         fast_terms(a, 3 * a.n * a.n + 1)
-        assert len(calls) == len(exact)
         nachtigall_expand(a)
-        assert len(calls) == len(set(keys))
-        all_exact += len(exact) == len(set(keys))
+        assert len(calls) == len(keys)
         want = fast_terms(TropicalMatrix(arr), 3 * a.n * a.n)
         assert [m.arr.tobytes() for m in got] == [
             m.arr.tobytes() for m in want]
-    assert all_exact >= 4
+    assert fractional >= 3
 
 
 def fractional_cycles() -> TropicalMatrix:
@@ -784,60 +816,45 @@ def fractional_cycles() -> TropicalMatrix:
     return TropicalMatrix(arr)
 
 
-def test_fast_terms_forms_no_kleene_star_on_fractional_levels(monkeypatch):
-    """A level with fractional lambda is squared: no term, no star."""
+def test_fast_terms_forms_only_the_expansions_stars(monkeypatch):
+    """A cold fast_terms forms exactly the stars the expansion over the
+    same levels forms, on fractional levels too, and a later expansion
+    forms none."""
     arr = fractional_cycles().arr
     levels = [st.lambda_mu for e in expansions_of(TropicalMatrix(arr))
               for st in e.steps]
     assert len(levels) >= 9 and not any(map(is_integral, levels))
-
-    def no_star(*args, **kw):
-        raise AssertionError("kleene_star called")
-
-    runs = (("nachtigall", "canonical"), ("nachtigall", "cycle"),
-            ("ultimate", "canonical"))
-    want = [fast_terms_by_squaring(TropicalMatrix(arr), 192, variant, rule)
-            for variant, rule in runs]
-    calls = counted_builds(monkeypatch)
-    monkeypatch.setattr(kleene, "kleene_star", no_star)
-    monkeypatch.setattr(csr, "kleene_star", no_star)
-    a = TropicalMatrix(arr)
-    for (variant, rule), w in zip(runs, want):
-        got = fast_terms(a, 192, variant=variant, rule=rule)
-        assert [m.arr.tobytes() for m in got] == [x.tobytes() for x in w]
-    assert calls == []
-    with pytest.raises(AssertionError, match="kleene_star"):
-        nachtigall_expand(a)
-    # one fractional level among integer ones: only it is squared
+    # one fractional level among integer ones
     rng = np.random.default_rng(72)
     frac = critical_cycle_matrix(rng, 30, 3)
     frac[1, 0] = 1.0            # the 2-cycle 0 <-> 1 weighs 1: lambda 1/2
-    a = TropicalMatrix(frac)
-    assert expansions._deflation_steps(a, "canonical")[0].lambda_mu == 0.5
-    _, reads = fast_terms_reads(monkeypatch, a, 3 * 30 * 30)
-    assert not reads[0]
-    assert_as_squaring(a, 3 * 30 * 30)
+    assert expansions._deflation_steps(
+        TropicalMatrix(frac), "canonical")[0].lambda_mu == 0.5
+    stars, star = [], csr.kleene_star
 
+    def counted(m):
+        stars.append(m.n)
+        return star(m)
 
-def test_fast_terms_gate_boundary(monkeypatch):
-    """The gate admits |w|max (2 (r + n (gamma + 1)) + 1) < 2**53: a
-    weight just inside reads the term, one just outside squares, and both
-    give the squaring chain's bytes."""
-    rng = np.random.default_rng(72)
-    n, gamma, r = 30, 3, 4096      # r: the power of two >= 3 n^2
-    base = critical_cycle_matrix(rng, n, gamma)
-    w = (2 ** 53 - 1) // (2 * (r + n * (gamma + 1)) + 1)
-    for weight, exact in ((w, True), (w + 1, False)):
-        big = base.copy()
-        big[1, 0] = -float(weight)      # an edge off the critical cycle
-        a = TropicalMatrix(big)
-        assert expansions._deflation_steps(a, "canonical")[0].crit.gamma \
-            == gamma
-        for variant in ("nachtigall", "ultimate"):
-            _, reads = fast_terms_reads(monkeypatch, a, 3 * n * n,
-                                        variant=variant)
-            assert reads[0] is exact
-            assert_as_squaring(a, 3 * n * n, variant)
+    monkeypatch.setattr(csr, "kleene_star", counted)
+    runs = (("nachtigall", "canonical", nachtigall_expand),
+            ("nachtigall", "cycle",
+             lambda m: nachtigall_expand(m, rule="cycle")),
+            ("ultimate", "canonical", ultimate_expand))
+    formed = 0
+    for arr in (arr, frac):
+        for variant, rule, expand in runs:
+            stars.clear()
+            expand(TropicalMatrix(arr))
+            want = list(stars)
+            stars.clear()
+            a = TropicalMatrix(arr)
+            fast_terms(a, 3 * a.n * a.n, variant=variant, rule=rule)
+            expand(a)
+            assert stars == want, (variant, rule)
+            formed += len(want)
+    assert formed
+    assert_term_products(TropicalMatrix(frac), 3 * 30 * 30)
 
 
 def test_fast_terms_reads_zero_sign_long_gamma_and_transient_levels(
@@ -857,6 +874,50 @@ def test_fast_terms_reads_zero_sign_long_gamma_and_transient_levels(
         _, reads = fast_terms_reads(monkeypatch, a, t)
         assert reads[0]
         assert_as_squaring(a, t)
+
+
+@hs.composite
+def small_weighted(draw) -> TropicalMatrix:
+    """n = 2 ... 7, integer weights in [-9, 3] at density 0.3 ... 1 from
+    a drawn seed, divided by q in {1, 3, 7}, with every zero weight -0.0
+    or none."""
+    n = draw(hs.integers(2, 7))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    a = random_matrix(rng, n, density=draw(hs.floats(0.3, 1)))
+    arr = a.arr / draw(hs.sampled_from((1, 3, 7)))
+    if draw(hs.booleans()):
+        arr[arr == 0] = -0.0
+    return TropicalMatrix(arr)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_weighted())
+def test_fast_terms_are_the_evaluated_terms(a):
+    """evaluate's term matrices are lambda t plus fast_terms', byte for
+    byte, for both variants past 3 n^2, and the Nachtigall max is A^t
+    within 1e-9 max(1, |x|); an acyclic draw raises NoCyclesError."""
+    t0 = 3 * a.n * a.n
+    if mat_power(a, a.n).arr.max() == NEG_INF:      # no walk of length n
+        for variant in ("nachtigall", "ultimate"):
+            with pytest.raises(NoCyclesError):
+                fast_terms(a, t0, variant=variant)
+        return
+    eu = ultimate_expand(a)
+    for variant, e in (("nachtigall", nachtigall_expand(a)),
+                       ("ultimate", eu)):
+        for t in (t0, t0 + 1, t0 + eu.gamma_u):
+            ev = evaluate(e, t)
+            got = fast_terms(a, t, variant=variant)
+            assert len(got) == len(ev.per_term)
+            for lam, m, p in zip(e.lambdas, got, ev.per_term):
+                assert p.arr.tobytes() == (np.float64(lam) * t
+                                           + m.arr).tobytes()
+            if variant == "nachtigall":
+                x, y = ev.matrix.arr, mat_power(a, t).arr
+                fin = y != NEG_INF
+                assert np.array_equal(x != NEG_INF, fin)
+                assert np.all(np.abs(x[fin] - y[fin])
+                              <= 1e-9 * np.maximum(1, np.abs(y[fin])))
 
 
 def test_cycle_rule_names_critical_node_without_outgoing_edge():

@@ -373,3 +373,29 @@ def test_bound_scratch_is_bounded():
         tracemalloc.stop()
     assert bound == 143
     assert peak <= 2 ** 20
+
+
+def test_a_repeat_threshold_reads_the_record(monkeypatch):
+    """A proving scan records t' with its t_max.  A later call whose t_max
+    is at least that one forms no product and gives a fresh matrix's
+    answer; a smaller t_max scans again, with a fresh matrix's answer."""
+    rng = np.random.default_rng(76)
+    mats = [disjoint_zero_cycles((2, 3, 5)), random_cyclic(rng, 6),
+            random_cyclic(rng, 10)]
+    products, matmul = [], expansions._mp_matmul
+
+    def counted(x, y):
+        products.append(1)
+        return matmul(x, y)
+
+    monkeypatch.setattr(expansions, "_mp_matmul", counted)
+    for a in mats:
+        tp = ultimate_threshold(a, 3 * a.n * a.n)
+        recorded = a._memo[expansions._THRESHOLD_MEMO][1]
+        assert tp >= 1 and (tp, recorded) == (expansions._known_threshold(a),
+                                              3 * a.n * a.n)
+        for t_max in (recorded, 2 * recorded, 30 * a.n * a.n, tp - 1):
+            want = ultimate_threshold(TropicalMatrix(a.arr), t_max)
+            products.clear()
+            assert ultimate_threshold(a, t_max) == want
+            assert (products == []) is (t_max >= recorded)

@@ -32,10 +32,6 @@ CRIT_TOL = 1e-9
 # to a k-loop of rank-1 updates.
 _BROADCAST_LIMIT = 64
 
-# Floats in one power stack (n x k*n, see _power_stack): bounds the powers
-# per block of the orbit stepping and of the strong-access window.
-_STACK_FLOATS = 2 ** 14
-
 
 def _overflow_checked(fn):
     """fn run with float overflow (a finite sum leaving float64, to +inf or
@@ -59,9 +55,9 @@ class TropicalMatrix:
     read-only array is shared).  That array is read-only, and so is arr;
     operations return new matrices, so instances can be shared and cached.
     The private _memo dict holds per-instance analysis results (critical
-    structure, deflation steps, strong access, the power stack of
-    simulate_orbit's blocks) that `graphs`, `expansions` and `orbit`
-    compute at most once per matrix; it is sound because arr never changes.
+    structure, deflation steps, CSR terms, strong access, support
+    violations) that `graphs`, `expansions` and `orbit` compute at most
+    once per matrix; it is sound because arr never changes.
     """
 
     def __init__(self, entries):
@@ -283,43 +279,18 @@ def _exactness(a: TropicalMatrix) -> tuple:
     return a._cached(_EXACT_MEMO, lambda: _integral_max(a.arr))
 
 
-def _exact_sums(a: TropicalMatrix, steps: int, lam=0.0, y=None) -> bool:
-    """True when every sum of a power (a - lam)^t, t <= steps (with y: of
-    an orbit of y under a up to steps), is exact in float64: a's finite
-    entries (_exactness), lam and y's are integers, y holds no -0.0, and
-    |y|max + (steps + 1) (|a|max + |lam|) < 2**53.  Max-plus products of
-    such input give the same bits in any grouping, and no -0.0 ever
-    appears in the samples."""
+def _exact_sums(a: TropicalMatrix, steps: int, y=None) -> bool:
+    """True when every sum of a power a^t, t <= steps (with y: of an
+    orbit of y under a up to steps), is exact in float64: a's finite
+    entries (_exactness) and y's are integers, y holds no -0.0, and
+    |y|max + (steps + 1) |a|max < 2**53.  Max-plus products of such input
+    give the same bits in any grouping, and no -0.0 ever appears in the
+    samples."""
     integral, amax = _exactness(a)
     y_integral, ymax = (True, 0) if y is None else _integral_max(y)
-    return (integral and y_integral and float(lam).is_integer()
+    return (integral and y_integral
             and (y is None or not np.signbit(y[y == 0]).any())
-            and ymax + (steps + 1) * (amax + abs(int(lam))) < 2 ** 53)
-
-
-def _power_stack(base: np.ndarray, k: int, product) -> np.ndarray:
-    """[base^1 | ... | base^k] side by side, an n x k*n array (k >= 1).
-
-    Built by doubling: with base^1 ... base^m in place, base^m times the
-    first min(m, k - m) of them gives the next ones, so ceil(log2 k)
-    products, each of n x n by n x (at most m*n).
-    """
-    n = base.shape[0]
-    stack = np.empty((n, k * n), dtype=base.dtype)
-    stack[:, :n] = base
-    m = 1
-    while m < k:
-        step = min(m, k - m)
-        stack[:, m * n:(m + step) * n] = product(stack[:, (m - 1) * n:m * n],
-                                                 stack[:, :step * n])
-        m += step
-    return stack
-
-
-def _stack_depth(n: int, k_max: int) -> int:
-    """Powers per stack: as many as _STACK_FLOATS allows, at least 1 and at
-    most k_max."""
-    return max(1, min(k_max, _STACK_FLOATS // (n * n)))
+            and ymax + (steps + 1) * amax < 2 ** 53)
 
 
 @_overflow_checked

@@ -17,9 +17,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _check_node, _count,
-                   _exact_sums, _exceeds, _overflow_checked, _power_chain,
-                   _power_stack, _stack_depth)
+                   _exact_sums, _exceeds, _overflow_checked, _power_chain)
 from .errors import NoCyclesError, NonFiniteError
+
+# Floats in one power stack (n x k*n, see _power_stack): bounds the powers
+# per block of the strong-access window.
+_STACK_FLOATS = 2 ** 14
 
 
 def wielandt(n: int) -> int:
@@ -493,6 +496,32 @@ def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
     return a._cached("strong_access", lambda: _strong_access(a))
 
 
+def _power_stack(base: np.ndarray, k: int) -> np.ndarray:
+    """[base^1 | ... | base^k] side by side under _bool_matmul, an
+    n x k*n array (k >= 1).
+
+    Built by doubling: with base^1 ... base^m in place, base^m times the
+    first min(m, k - m) of them gives the next ones, so ceil(log2 k)
+    products, each of n x n by n x (at most m*n).
+    """
+    n = base.shape[0]
+    stack = np.empty((n, k * n), dtype=base.dtype)
+    stack[:, :n] = base
+    m = 1
+    while m < k:
+        step = min(m, k - m)
+        stack[:, m * n:(m + step) * n] = _bool_matmul(
+            stack[:, (m - 1) * n:m * n], stack[:, :step * n])
+        m += step
+    return stack
+
+
+def _stack_depth(n: int, k_max: int) -> int:
+    """Powers per stack: as many as _STACK_FLOATS allows, at least 1 and at
+    most k_max."""
+    return max(1, min(k_max, _STACK_FLOATS // (n * n)))
+
+
 def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
     """The given rows (all when None) of the strong-access matrix,
     read-only.  A row of a Boolean product reads the same row of its left
@@ -501,7 +530,7 @@ def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
     b = a.finite_mask()
     g = gamma_u(a)
     k = _stack_depth(n, g - 1)
-    stack = _power_stack(b, k, _bool_matmul).astype(np.float32)
+    stack = _power_stack(b, k).astype(np.float32)
     window = _power_chain(b, 3 * n * n, _bool_matmul)
     if rows is not None:
         window = window[rows]

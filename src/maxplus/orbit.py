@@ -21,8 +21,7 @@ import numpy as np
 
 from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _agree, _check_node,
                    _count, _exact_sums, _exceeds, _integral_max, _mp_matmul,
-                   _mp_rank1, _overflow_checked, _power_stack, _shape,
-                   _stack_depth, as_vector)
+                   _overflow_checked, _shape, as_vector)
 from .errors import (DomainError, NotOrbitPeriodicError, TrivialColumnError,
                      ZeroVectorError)
 from .expansions import _known_threshold, _ultimate_terms
@@ -32,11 +31,6 @@ from .graphs import (_critical, _strong_access_rows, gamma_u as _gamma_u,
 
 # Equations compared per block in _detect's backward scan.
 _DETECT_CHUNK = 1024
-
-# Rows the term route steps one at a time before it forms a's stack:
-# forming the stack costs as much as stepping 120-290 rows singly at
-# n = 8 ... 80 (0.3-1.0 ms against 2.7-15 us per row, a 2-core x86-64 VM).
-_STACK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -280,45 +274,17 @@ def _step_rows(arr: np.ndarray, samples: np.ndarray):
         np.maximum.reduce(buf, axis=1, out=samples[t])
 
 
-def _orbit_stack(a: TropicalMatrix, b: int) -> np.ndarray:
-    """stack[j, s*n + i] = (a^(s+1))_ij for s < b: the powers of a^T side
-    by side.  a's memo keeps one stack, the deepest built so far, and
-    shorter requests read its first b blocks."""
-    stack = a._memo.get("orbit_stack")
-    if stack is None or stack.shape[1] < b * a.n:
-        stack = _power_stack(a.arr.T, b, _mp_rank1)
-        stack.setflags(write=False)
-        a._memo["orbit_stack"] = stack
-    return stack[:, :b * a.n]
-
-
-def _step_blocks(stack: np.ndarray, samples: np.ndarray):
-    """The rows of _step_rows, b at a time: rows t+1 ... t+b come from
-    row t and the b powers in stack (see _orbit_stack) in one add and one
-    reduction.  Bit-identical to _step_rows only when _exact_sums holds:
-    then every stack entry is exact whatever depth it was built to, and no
-    sum can overflow."""
-    t_max, n = samples.shape[0] - 1, samples.shape[1]
-    b = stack.shape[1] // n
-    buf = np.empty_like(stack)
-    flat = samples.reshape(-1)
-    for t in range(0, t_max, b):
-        w = min(b, t_max - t) * n
-        np.add(stack[:, :w], samples[t][:, None], out=buf[:, :w])
-        # over the leading axis: a short-last-axis reduction is slower
-        np.maximum.reduce(buf[:, :w], axis=0,
-                          out=flat[(t + 1) * n:(t + 1) * n + w])
-
-
 def _term_bound(a: TropicalMatrix, y: np.ndarray, t_max: int,
                 gamma: int) -> int | None:
     """The threshold t' for the term route (A^t = E(t) at CRIT_TOL for
     every t >= t'), or None when the route does not apply: no t' is
     memoized (an ultimate_threshold scan memoizes the t' it proves), t'
     passes t_max, a component cycle mean is fractional, the terms' gammas
-    sum past _DETECT_CHUNK, or a sum of the terms' factors and y is
-    inexact (each sums at most 4 n (gamma_u + 1) weights of a, plus
-    lam t).
+    sum past _DETECT_CHUNK, or a sum of the orbit or of the terms'
+    factors and y is inexact (_exact_sums over t_max plus the
+    4 n (gamma_u + 1) weights of a factor).  On the input admitted
+    A^t = E(t) holds exactly and lam t is an integer, so the rows read
+    off the terms are the stepped rows bit for bit.
 
     The route never proves t' itself: the scan's bound lines cost about
     2 n^2 m (gamma + 1) floats per term of m cyclic classes, which can
@@ -360,23 +326,6 @@ def _term_rows(a: TropicalMatrix, samples: np.ndarray, start: int):
             np.maximum(out, part, out=out)
 
 
-def _advance(a: TropicalMatrix, samples: np.ndarray, b: int):
-    """samples[1:] stepped from samples[0]: a row at a time when they are
-    fewer than _STACK_ROWS, else b at a time from a's stack of depth b."""
-    if samples.shape[0] <= _STACK_ROWS:
-        _step_rows(a.arr, samples)
-    else:
-        _step_blocks(_orbit_stack(a, b), samples)
-
-
-def _step_to_terms(a: TropicalMatrix, samples: np.ndarray, start: int):
-    """Rows 1 ... start = t' stepped by _advance, then the later ones read
-    off the terms by _term_rows: from t' on A^t = E(t), exactly on the
-    input _term_bound admits, so both give A^t (x) y bit for bit."""
-    _advance(a, samples[:start + 1], _stack_depth(a.n, samples.shape[0] - 1))
-    _term_rows(a, samples, start)
-
-
 def simulate_orbit(a: TropicalMatrix, y,
                    t_max: int | None = None) -> OrbitTrace:
     """Record the orbit of y and look for ultimate linear periodicity.
@@ -388,24 +337,16 @@ def simulate_orbit(a: TropicalMatrix, y,
     one.  A detection must be backed by at least gamma_u + 1 trailing
     steps.  t_max defaults to 6 n^2 + 2 gamma_u.
 
-    When every sum is exact (finite entries of a and y integers, no -0.0
-    in y, |y|max + (t_max + 1) |a|max < 2**53) and _term_bound reads
-    the threshold t' (a^t = E(t) for every t >= t') that
-    ultimate_threshold proved and memoized on a, rows are stepped up to
-    t' and every later row is read off the terms (_step_to_terms); this
-    never proves t' itself.  Other exact input, and the rows up to t',
-    go through _advance: fewer than _STACK_ROWS rows one at a time, else
-    b = min(t_max, 2**14 // n^2) (at least 1) at a time: a^1 ... a^b are
-    stacked by doubling, once per matrix (a's memo keeps the stack), and
-    each block is one add and one reduction from the row before it.
-    Other input steps one row at a time, samples[t] = a (x) samples[t-1]
-    with the arithmetic of TropicalMatrix.apply.  All three give the
-    samples of a repeated apply loop bit for bit: exact sums give the
-    same value in any grouping and leave no -0.0 (lam t is added as an
-    integer).  A sum that overflows float64 raises NonFiniteError.
-    Memory is the (t_max + 1) x n sample array, the stack (at most 2**14
-    floats, or n^2 when n > 128) and O(2**14 + _DETECT_CHUNK * n) scratch
-    floats (_DETECT_CHUNK rows per detection block or block of term rows).
+    Rows are stepped one at a time with the arithmetic of
+    TropicalMatrix.apply (_step_rows).  When _term_bound admits the
+    threshold t' (a^t = E(t) for every t >= t') that ultimate_threshold
+    proved and memoized on a, only the rows up to t' are stepped and
+    every later row is read off the terms (_term_rows), bit for bit the
+    rows of the loop.  This never proves t' itself, so for a long orbit
+    call ultimate_threshold(a) first.  A sum that overflows float64
+    raises NonFiniteError.  Memory is the (t_max + 1) x n sample array
+    and O(n^2 + _DETECT_CHUNK * n) scratch floats (_DETECT_CHUNK rows per
+    detection block or block of term rows).
     """
     y = as_vector(y, a.n)
     t_max = t_max if t_max is None else _count(t_max, "t_max")
@@ -414,14 +355,12 @@ def simulate_orbit(a: TropicalMatrix, y,
         t_max = 6 * a.n * a.n + 2 * gamma
     samples = np.empty(_shape("t_max", t_max + 1, a.n))
     samples[0] = y
-    if t_max and _exact_sums(a, t_max, y=y):
-        start = _term_bound(a, y, t_max, gamma)
-        if start is None:
-            _advance(a, samples, _stack_depth(a.n, t_max))
-        else:
-            _step_to_terms(a, samples, start)
-    else:
+    start = _term_bound(a, y, t_max, gamma) if t_max else None
+    if start is None:
         _step_rows(a.arr, samples)
+    else:
+        _step_rows(a.arr, samples[:start + 1])
+        _term_rows(a, samples, start)
     samples.setflags(write=False)
     period, rate, transient = _detect(samples, gamma, CRIT_TOL)
     return OrbitTrace(y=samples[0], samples=samples, period=period,

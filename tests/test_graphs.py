@@ -15,13 +15,12 @@ import pytest
 from maxplus import (CRIT_TOL, CritSubgraph, DimensionError, NEG_INF,
                      NoCyclesError, NonFiniteError, TropicalMatrix,
                      boolean_power_reach, critical_structure, csr_build, gamma_u, max_cycle_mean,
-                     nachtigall_expand, scc_decompose, strong_access,
+                     mat_power, nachtigall_expand, scc_decompose, strong_access,
                      strong_access_matrix, ultimate_expand, wielandt)
 from maxplus import graphs
-from maxplus.core import _stack_depth
 from maxplus.csr import _shift
 from maxplus.graphs import (_bool_matmul, _component_criticals,
-                            _floyd_warshall_star, _karp)
+                            _floyd_warshall_star, _karp, _stack_depth)
 
 from conftest import (cycle_chain, has_cycle, random_cyclic,
                       random_definite, random_matrix, random_reducible)
@@ -349,6 +348,30 @@ def test_strong_access_matches_full_boolean_chain():
     for a in mats:
         assert np.array_equal(strong_access_matrix(a),
                               _strong_access_full_chain(a))
+
+
+def test_power_stack_blocks_are_powers(monkeypatch):
+    calls = [0]
+
+    def counting(x, y):
+        calls[0] += 1
+        return _bool_matmul(x, y)
+
+    monkeypatch.setattr(graphs, "_bool_matmul", counting)
+    rng = np.random.default_rng(85)
+    for n in (1, 2, 5, 13):
+        a = random_matrix(rng, n, density=0.6)
+        for k in (1, 2, 3, 7, 8, 9, 28):
+            calls[0] = 0
+            bools = graphs._power_stack(a.finite_mask(), k)
+            assert bools.shape == (n, k * n) and bools.dtype == bool
+            assert calls[0] == (k - 1).bit_length()     # ceil(log2 k)
+            for s in range(k):
+                assert np.array_equal(bools[:, s * n:(s + 1) * n],
+                                      mat_power(a, s + 1).finite_mask())
+    assert _stack_depth(24, 10 ** 6) == 28
+    assert _stack_depth(24, 5) == 5
+    assert _stack_depth(200, 10 ** 6) == 1
 
 
 def test_strong_access_blocks_match_boolean_loop():

@@ -352,38 +352,6 @@ def test_levels_are_plain_data():
             assert not dicts & {id(v) for v in m._memo.values()}
 
 
-def level_scan_gate(a: TropicalMatrix, st, r: int) -> bool:
-    """The gate a level had from a scan of its own normalized block:
-    integer entries with (r + 1) |w|max < 2**53."""
-    k = np.array(st.k_set)
-    s = a.arr[np.ix_(k, k)] - st.lambda_mu
-    fin = s[s != NEG_INF]
-    return bool(np.array_equal(fin, np.round(fin))
-                and (r + 1) * int(np.abs(fin).max(initial=0)) < 2 ** 53)
-
-
-def test_root_record_gate_implies_the_level_scan():
-    """The stepping gate read off the root's record admits no level that
-    a scan of the level itself would refuse; it may refuse more (a
-    fractional level whose entries minus lambda are integers)."""
-    rng = np.random.default_rng(45)
-    mats = corpus() + [random_cyclic(rng, int(rng.integers(2, 12)))
-                       for _ in range(20)]
-    mats += [TropicalMatrix(np.where(m.finite_mask(), m.arr / 2 + 0.5,
-                                     NEG_INF)) for m in mats]
-    mats.append(TropicalMatrix([[2.0 ** 40, 1.0], [0.0, 3.0]]))
-    admitted = refused = 0
-    for a in mats:
-        r = 1 << (3 * a.n * a.n - 1).bit_length()
-        for st in (expansions._deflation_steps(a, "canonical")
-                   + expansions._ultimate_steps(a)):
-            exact = core._exact_sums(a, r, st.lambda_mu)
-            assert not exact or level_scan_gate(a, st, r)
-            admitted += exact
-            refused += level_scan_gate(a, st, r) and not exact
-    assert admitted and refused
-
-
 def ulp_pair() -> TropicalMatrix:
     """Components {0} and {1, 2} with cycle means one ulp apart (the
     loops at 0 and 1), and a loop at 2 that outlives both."""
@@ -490,8 +458,7 @@ def test_condition2_reuses_strong_access(monkeypatch):
 
 def test_orbit_reads_the_threshold_bound(monkeypatch):
     """ultimate_threshold forms the bound and proves t', and the term
-    route of both orbits reads t': no second set of lines, and no power
-    stack."""
+    route of both orbits reads t': no second set of lines."""
     calls = []
     tables = expansions._threshold_tables
 
@@ -507,7 +474,6 @@ def test_orbit_reads_the_threshold_bound(monkeypatch):
               np.where(np.arange(a.n) == 3, 0.0, NEG_INF)):
         simulate_orbit(a, y)
     assert calls == ["ultimate"]
-    assert "orbit_stack" not in a._memo
 
 
 def test_growth_rate_reuses_the_support_route(monkeypatch):

@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from maxplus import core, expansions, graphs, orbit
-from maxplus import (NEG_INF, DimensionError, NonFiniteError,
-                     NotOrbitPeriodicError,
+from maxplus import (NEG_INF, DimensionError, NoCyclesError,
+                     NonFiniteError, NotOrbitPeriodicError,
                      TrivialColumnError, TropicalMatrix, ZeroVectorError,
                      column_periodicity, critical_structure, csr_product,
                      gamma_u, is_orbit_periodic, kleene_star, mat_mul,
@@ -18,6 +19,7 @@ from maxplus import (NEG_INF, DimensionError, NonFiniteError,
 from conftest import (cycle_chain, random_cyclic, random_matrix,
                       random_reducible)
 from goldens import EX3_GAMMA_U, EX3A_SEQ_FROM_T4, EX3B_SEQ_FROM_T2
+from test_expansions import small_weighted
 from test_threshold import (disjoint_zero_cycles, reweighted,
                             two_bipartite_levels)
 
@@ -584,11 +586,11 @@ def test_simulate_orbit_samples_equal_apply_loop():
             detect_loop_reference(trace.samples, gamma_u(a), TOL)
 
 
-# ------------------------------------------------------- block stepping
+# ------------------------------------------------------- row stepping
 
 def orbit_loop_reference(a: TropicalMatrix, y, t_max: int) -> np.ndarray:
     """Row-at-a-time stepping with the arithmetic of apply, written out
-    here so that it shares no code with the block path it referees."""
+    here so that it shares no code with the routes it referees."""
     samples = np.empty((t_max + 1, a.n))
     samples[0] = y
     buf = np.empty((a.n, a.n))
@@ -608,7 +610,9 @@ def assert_orbit_matches_loop(a: TropicalMatrix, y, t_max=None):
 
 
 def block_rows(n: int) -> int:
-    return max(1, core._STACK_FLOATS // (n * n))
+    """2**14 // n^2, at least 1: the row-loop comparisons take t_max
+    around it."""
+    return max(1, 2 ** 14 // (n * n))
 
 
 def start_vectors(rng, n: int) -> list:
@@ -619,9 +623,8 @@ def start_vectors(rng, n: int) -> list:
 
 
 def test_block_steps_match_row_loop_on_integer_input():
-    # the default t_max runs first, so the explicit ones read the memoized
-    # stack sliced, or (t_max > default, as for n <= 2) build a deeper one;
-    # fewer than _STACK_ROWS steps go a row at a time
+    # the default t_max runs first, then t_max around block_rows, below
+    # and (as for n <= 2) above the default
     rng = np.random.default_rng(90)
     mats = [random_matrix(rng, n, density=float(rng.choice([0.1, 0.3, 0.6])))
             for n in list(range(1, 31)) + [64, 65]]
@@ -653,14 +656,15 @@ def test_block_steps_match_row_loop_on_dying_orbits():
 
 def test_block_gate_edges():
     rng = np.random.default_rng(92)
-    # -0.0 in y: the block path rounds this zero to +0.0 at t = 2
+    # -0.0 in y: the exact gate refuses it, as a sum of the terms would
+    # round this zero to +0.0 at t = 2
     a = TropicalMatrix([[NEG_INF, NEG_INF, 0.0], [0.0, -0.0, -1.0],
                         [-0.0, -0.0, -0.0]])
     y = np.array([NEG_INF, -0.0, 0.0])
     assert not orbit._exact_sums(a, 6, y=y)
     trace = assert_orbit_matches_loop(a, y, 6)
     assert np.signbit(trace.samples[2:, 1]).all()
-    # -0.0 in the matrix alone keeps the blocks and their bits
+    # -0.0 in the matrix alone keeps the exact gate and the loop's bits
     for _ in range(20):
         n = int(rng.integers(1, 7))
         arr = rng.choice([-0.0, 0.0, NEG_INF, 1.0, -2.0], size=(n, n))
@@ -685,22 +689,6 @@ def test_block_gate_edges():
             assert not orbit._exact_sums(TropicalMatrix(frac[0]), 100,
                                           y=frac[1])
             assert_orbit_matches_loop(TropicalMatrix(frac[0]), frac[1])
-
-
-def test_short_cold_orbit_forms_no_stack():
-    """A cold exact orbit of fewer than _STACK_ROWS steps is stepped a row
-    at a time, as the term route's short spans are, and forms no stack;
-    the default length still steps the stack's blocks."""
-    rng = np.random.default_rng(94)
-    for a in (cycle_chain(rng), random_reducible(rng, 12)):
-        y = rng.integers(-9, 10, a.n).astype(float)
-        for t_max in (1, orbit._STACK_ROWS - 1):
-            assert orbit._exact_sums(a, t_max, y=y)
-            assert_orbit_matches_loop(a, y, t_max)
-        assert "orbit_stack" not in a._memo
-        trace = assert_orbit_matches_loop(a, y)
-        assert trace.samples.shape[0] > orbit._STACK_ROWS
-        assert "orbit_stack" in a._memo
 
 
 def disjoint_cycles(rng, lengths) -> TropicalMatrix:
@@ -745,7 +733,7 @@ def test_overflow_raises_typed_error():
                 simulate_orbit(a, [0.0], t_max=t_max)
         assert simulate_orbit(a, [0.0], t_max=1).samples.tolist() == \
             [[0.0], [v]]
-    # the block path's gate rules these out, and the row loop raises
+    # the exact gate rules these out, and the row loop raises
     a = TropicalMatrix([[0.0, 2.0 ** 1023], [NEG_INF, 0.0]])
     with pytest.raises(NonFiniteError):
         simulate_orbit(a, [0.0, 2.0 ** 1023], t_max=3)
@@ -757,13 +745,13 @@ def test_overflow_raises_typed_error():
 def term_route(monkeypatch) -> list:
     """t_max of every simulate_orbit call that takes the term route."""
     calls = []
-    step = orbit._step_to_terms
+    rows = orbit._term_rows
 
     def counted(a, samples, start):
         calls.append(samples.shape[0] - 1)
-        return step(a, samples, start)
+        return rows(a, samples, start)
 
-    monkeypatch.setattr(orbit, "_step_to_terms", counted)
+    monkeypatch.setattr(orbit, "_term_rows", counted)
     return calls
 
 
@@ -845,7 +833,7 @@ def test_term_route_forms_no_large_gamma_bound(monkeypatch, term_route):
 
 def test_term_route_memory_is_the_samples(term_route):
     """Integer means on cycles 2 ... 13 (n = 43, gamma_u = 30030): a cold
-    orbit forms no bound and steps blocks, and from the t' that
+    orbit forms no bound and steps rows, and from the t' that
     ultimate_threshold proved (its own memory is _threshold_tables', see
     test_threshold) the term route reads the terms; both stay within 1 MB
     of the sample array."""
@@ -867,10 +855,10 @@ def test_term_route_memory_is_the_samples(term_route):
         assert ultimate_threshold(a) == 143
 
 
-def test_term_route_steps_long_transients_in_blocks(term_route):
-    """Rows up to a t' past _STACK_ROWS, also a t' of about W (a 0-loop
-    reaches the -1 loop at node 1 only through an edge of weight -W),
-    come from the stack's blocks."""
+def test_term_route_steps_long_transients(term_route):
+    """Rows up to a t' past 128, also a t' of about W (a 0-loop reaches
+    the -1 loop at node 1 only through an edge of weight -W), are
+    stepped, and the later ones read off the terms."""
     rng = np.random.default_rng(99)
     chain = cycle_chain(rng, (2, 3, 5, 7, 11, 13), (2, 1, 0, -1, -2, -3))
     start = ultimate_threshold(chain)
@@ -882,8 +870,58 @@ def test_term_route_steps_long_transients_in_blocks(term_route):
             arr[v, v % 23 + 1] = -1.0
         cases.append((TropicalMatrix(arr), None))
     for a, t_max in cases:
-        assert ultimate_threshold(a) > orbit._STACK_ROWS
+        assert ultimate_threshold(a) > 128
         for y in start_vectors(rng, a.n) + [unit(a.n, 1)]:
             assert_orbit_matches_loop(a, y, t_max)
-        assert "orbit_stack" in a._memo
     assert len(term_route) == 4 * len(cases)
+
+
+def test_orbit_adds_nothing_to_the_memo(term_route):
+    """Once gamma_u has run, a cold exact orbit of any length adds no key
+    to a's memo, and after ultimate_threshold an orbit on the term route
+    adds none either; the samples are the row loop's bytes."""
+    rng = np.random.default_rng(94)
+    for a in (cycle_chain(rng), random_reducible(rng, 12)):
+        y = rng.integers(-9, 10, a.n).astype(float)
+        default = 6 * a.n * a.n + 2 * gamma_u(a)
+        for t_max in (1, 127, 128, 1000, default):
+            assert orbit._exact_sums(TropicalMatrix(a), t_max, y=y)
+        for warm in (False, True):
+            keys = set(a._memo)
+            for t_max in (1, 127, 128, 1000, None):
+                assert_orbit_matches_loop(a, y, t_max)
+            assert set(a._memo) == keys
+            assert bool(term_route) == warm
+            start = ultimate_threshold(a)
+            term_route.clear()
+        assert start is not None
+
+
+@hs.composite
+def orbit_inputs(draw) -> tuple:
+    """small_weighted's matrix and a start vector: dense integer, one
+    finite entry, or all -inf."""
+    a = draw(small_weighted())
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    return a, start_vectors(rng, a.n)[draw(hs.integers(0, 2))]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(orbit_inputs())
+def test_both_routes_match_row_loop(case):
+    """Cold (row loop) and after ultimate_threshold (term route where it
+    applies), at the default t_max, 0, 1 and, when t' is found, t' and
+    t' + 1: the samples are the row loop's bytes and the detection is
+    the reference detector's.  An acyclic draw has no terms to read."""
+    a, y = case
+    try:
+        start = ultimate_threshold(TropicalMatrix(a))
+    except NoCyclesError:
+        start = None
+    lengths = [None, 0, 1] + ([] if start is None else [start, start + 1])
+    for t_max in lengths:
+        assert_orbit_matches_loop(a, y, t_max)
+    if start is not None:
+        assert ultimate_threshold(a) == start
+        for t_max in lengths:
+            assert_orbit_matches_loop(a, y, t_max)

@@ -20,10 +20,6 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _check_node, _count,
                    _exact_sums, _exceeds, _overflow_checked, _power_chain)
 from .errors import NoCyclesError, NonFiniteError
 
-# Floats in one power stack (n x k*n, see _power_stack): bounds the powers
-# per block of the strong-access window.
-_STACK_FLOATS = 2 ** 14
-
 
 def wielandt(n: int) -> int:
     """Boolean periodicity threshold (n-1)^2 + 1 for an n-node component;
@@ -483,75 +479,38 @@ def gamma_u(a: TropicalMatrix) -> int:
 
 def strong_access_matrix(a: TropicalMatrix) -> np.ndarray:
     """Boolean matrix: entry (i, j) true iff paths i -> j exist of every
-    sufficiently large length.
+    sufficiently large length: _strong_access over all rows, once per
+    matrix (every call returns the same read-only array)."""
+    return a._cached("strong_access", lambda: _strong_access(a, range(a.n)))
 
-    Checked on Boolean powers at t0 = 3 n^2 over a window of gamma_u
-    consecutive exponents; the Boolean power sequence is periodic there and
-    its period divides gamma_u.  Past W = B^t0 the window is ANDed k
-    exponents at a time, k = min(gamma_u - 1, 2**14 // n^2) (at least 1):
-    W times the stack [B^1 | ... | B^k], split into its k blocks, and the
-    last block is the next W.  Computed once per matrix: every call
-    returns the same read-only array.
+
+def _strong_access(a: TropicalMatrix, rows) -> np.ndarray:
+    """The given rows of the strong-access matrix, read-only.
+
+    Past t0 = 3 n^2, beyond every Boolean transient, row i of B^t is
+    periodic in t and row i of B^(t+1) reads row i of B^t alone; so the
+    AND over B^t0 ... B^(t0+r-1), r the row's first return to its B^t0
+    value, is row i.  Each row is stepped by B until it returns, at most
+    gamma_u - 1 steps (the window of gamma_u exponents the period
+    divides).  A node of a nontrivial component C returns within |C|
+    steps (a closed walk at it makes the period divide C's Boolean
+    cyclicity); a trivial node may take the lcm of the cycles it fans
+    out to.
     """
-    return a._cached("strong_access", lambda: _strong_access(a))
-
-
-def _power_stack(base: np.ndarray, k: int) -> np.ndarray:
-    """[base^1 | ... | base^k] side by side under _bool_matmul, an
-    n x k*n array (k >= 1).
-
-    Built by doubling: with base^1 ... base^m in place, base^m times the
-    first min(m, k - m) of them gives the next ones, so ceil(log2 k)
-    products, each of n x n by n x (at most m*n).
-    """
-    n = base.shape[0]
-    stack = np.empty((n, k * n), dtype=base.dtype)
-    stack[:, :n] = base
-    m = 1
-    while m < k:
-        step = min(m, k - m)
-        stack[:, m * n:(m + step) * n] = _bool_matmul(
-            stack[:, (m - 1) * n:m * n], stack[:, :step * n])
-        m += step
-    return stack
-
-
-def _stack_depth(n: int, k_max: int) -> int:
-    """Powers per stack: as many as _STACK_FLOATS allows, at least 1 and at
-    most k_max."""
-    return max(1, min(k_max, _STACK_FLOATS // (n * n)))
-
-
-def _strong_access(a: TropicalMatrix, rows=None) -> np.ndarray:
-    """The given rows (all when None) of the strong-access matrix,
-    read-only.  A row of a Boolean product reads the same row of its left
-    factor only, so the window is carried on those rows alone."""
-    n = a.n
     b = a.finite_mask()
-    g = gamma_u(a)
-    k = _stack_depth(n, g - 1)
-    stack = _power_stack(b, k).astype(np.float32)
-    window = _power_chain(b, 3 * n * n, _bool_matmul)
-    if rows is not None:
-        window = window[rows]
-    acc = window.copy()
-    for s in range(1, g, k):
-        r = min(k, g - s)
-        block = _bool_matmul(window, stack[:, :r * n])
-        acc &= block.reshape(len(window), r, n).all(axis=1)
-        window = block[:, -n:]
+    home = _power_chain(b, 3 * a.n * a.n, _bool_matmul)[rows]
+    acc = home.copy()
+    step = b.astype(np.float32)
+    live, cur = np.arange(len(home)), home
+    for _ in range(gamma_u(a) - 1):
+        if not live.size:
+            break
+        cur = _bool_matmul(cur, step)
+        acc[live] &= cur
+        going = (cur != home[live]).any(axis=1)
+        live, cur = live[going], cur[going]
     acc.setflags(write=False)
     return acc
-
-
-def _strong_access_rows(a: TropicalMatrix, rows: list) -> dict:
-    """The given rows (sorted) of the strong-access matrix by node: read
-    off the full matrix when a's memo holds it, else formed alone, once
-    per matrix and row set."""
-    full = a._memo.get("strong_access")
-    part = full[rows] if full is not None else a._cached(
-        ("strong_access", tuple(rows)), lambda: _strong_access(a, rows))
-    return dict(zip(rows, part))
 
 
 def strong_access(a: TropicalMatrix, i: int, j: int) -> bool:

@@ -26,8 +26,7 @@ from .errors import (DomainError, NotOrbitPeriodicError, TrivialColumnError,
                      ZeroVectorError)
 from .expansions import _known_threshold, _ultimate_terms
 from .csr import _shift, csr_product
-from .graphs import (_critical, _strong_access_rows, gamma_u as _gamma_u,
-                     strong_access_matrix)
+from .graphs import _critical, _strong_access, gamma_u as _gamma_u
 
 # Equations compared per block in _detect's backward scan.
 _DETECT_CHUNK = 1024
@@ -91,7 +90,8 @@ def _condition2_strong(a: TropicalMatrix, cs, above: np.ndarray):
     pairs = _pairs(cs.scc, np.triu(above | above.T, 1))
     if not pairs:
         return ()
-    sa = _strong_access_rows(a, sorted({v for pair in pairs for v in pair}))
+    rows = sorted({v for pair in pairs for v in pair})
+    sa = dict(zip(rows, _strong_access(a, rows)))
     return tuple((i, j) for i, j in pairs if not (sa[i][j] or sa[j][i]))
 
 
@@ -123,7 +123,7 @@ def is_orbit_periodic(a: TropicalMatrix,
 
     method "support" settles condition 2 through the ultimate-expansion
     support inclusions (the production route), "strong-access" through
-    Boolean power windows.
+    the strong-access rows of the component representatives.
     """
     if method not in ("support", "strong-access"):
         raise DomainError("method must be 'support' or 'strong-access'")
@@ -165,7 +165,9 @@ def pair_periodicity(a: TropicalMatrix, i: int, j: int) -> bool:
 
     Requires both single columns to be periodic; then the pair orbit is
     periodic iff one node strongly accesses the other or their component
-    cycle means agree.
+    cycle means agree.  Both nodes lie in nontrivial components, so their
+    two rows of strong access (not memoized) return within the larger
+    component's size in steps.
     """
     for v in (i, j):
         if not column_periodicity(a, v):
@@ -175,8 +177,8 @@ def pair_periodicity(a: TropicalMatrix, i: int, j: int) -> bool:
     lam_j = cs.lambda_of_node(j)
     if _agree(lam_i, lam_j, CRIT_TOL):
         return True
-    sa = strong_access_matrix(a)
-    return bool(sa[i, j] or sa[j, i])
+    sa = _strong_access(a, [i, j])
+    return bool(sa[0, j] or sa[1, i])
 
 
 def orbit_growth_rate(a: TropicalMatrix, y) -> float:

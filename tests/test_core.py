@@ -431,25 +431,6 @@ def test_one_term_builder():
     assert found == {"expansions._term", "cli._cmd_csr"}
 
 
-def test_power_stack_lives_in_graphs():
-    """_power_stack is named in the package source only inside graphs,
-    whose strong-access window is its one user: no other module keeps a
-    stack of powers."""
-    found = set()
-
-    def visit(node, stem):
-        if "_power_stack" in (getattr(node, "id", None),
-                              getattr(node, "attr", None),
-                              getattr(node, "name", None)):
-            found.add(stem)
-        for child in ast.iter_child_nodes(node):
-            visit(child, stem)
-
-    for path in sorted(Path(core.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
-    assert found == {"graphs"}
-
-
 def test_class_factors_come_from_csr_build_only():
     """_class_factors is named in the package source only by its own
     definition and by csr.csr_build: every class factor the library reads

@@ -11,19 +11,22 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from maxplus import (CRIT_TOL, CritSubgraph, DimensionError, NEG_INF,
                      NoCyclesError, NonFiniteError, TropicalMatrix,
                      boolean_power_reach, critical_structure, csr_build, gamma_u, max_cycle_mean,
-                     mat_power, nachtigall_expand, scc_decompose, strong_access,
-                     strong_access_matrix, ultimate_expand, wielandt)
+                     is_orbit_periodic, nachtigall_expand, pair_periodicity,
+                     scc_decompose, strong_access, strong_access_matrix,
+                     ultimate_expand, wielandt)
 from maxplus import graphs
 from maxplus.csr import _shift
 from maxplus.graphs import (_bool_matmul, _component_criticals,
-                            _floyd_warshall_star, _karp, _stack_depth)
+                            _floyd_warshall_star, _karp)
 
 from conftest import (cycle_chain, has_cycle, random_cyclic,
                       random_definite, random_matrix, random_reducible)
+from test_expansions import small_weighted
 
 TOL = 1e-9
 
@@ -350,35 +353,13 @@ def test_strong_access_matches_full_boolean_chain():
                               _strong_access_full_chain(a))
 
 
-def test_power_stack_blocks_are_powers(monkeypatch):
-    calls = [0]
-
-    def counting(x, y):
-        calls[0] += 1
-        return _bool_matmul(x, y)
-
-    monkeypatch.setattr(graphs, "_bool_matmul", counting)
-    rng = np.random.default_rng(85)
-    for n in (1, 2, 5, 13):
-        a = random_matrix(rng, n, density=0.6)
-        for k in (1, 2, 3, 7, 8, 9, 28):
-            calls[0] = 0
-            bools = graphs._power_stack(a.finite_mask(), k)
-            assert bools.shape == (n, k * n) and bools.dtype == bool
-            assert calls[0] == (k - 1).bit_length()     # ceil(log2 k)
-            for s in range(k):
-                assert np.array_equal(bools[:, s * n:(s + 1) * n],
-                                      mat_power(a, s + 1).finite_mask())
-    assert _stack_depth(24, 10 ** 6) == 28
-    assert _stack_depth(24, 5) == 5
-    assert _stack_depth(200, 10 ** 6) == 1
-
-
-def test_strong_access_blocks_match_boolean_loop():
-    """Past B^t0 the window is ANDed k = _stack_depth(n, gamma_u - 1)
-    exponents a block: gamma_u = 1, the rest of the window in one block,
-    in several with a short last one, in an exact multiple of k, and far
-    above k; n = 1 and acyclic input."""
+def test_strong_access_stops_at_first_return(monkeypatch):
+    """Each row is stepped past B^t0 only until it returns, at most
+    gamma_u - 1 steps, and every answer is the gamma_u window's: gamma_u
+    1, short and long windows, n = 1 and acyclic input.  On the 3, 4, 5,
+    7, 11, 13, 17 chain (gamma_u = 1021020) no row takes more than 17
+    products past the power chain, for the matrix, for condition 2 and
+    for pair_periodicity."""
     rng = np.random.default_rng(29)
     acyclic = np.triu(rng.integers(-3, 4, (6, 6)).astype(float), 1)
     acyclic[np.tril_indices(6)] = NEG_INF
@@ -392,24 +373,80 @@ def test_strong_access_blocks_match_boolean_loop():
         zero_cycles[0, start] = 0.0
         start += length
     cases = [
-        (TropicalMatrix([[0.0]]), "one"),
-        (TropicalMatrix.zeros(1), "one"),
-        (TropicalMatrix(acyclic), "one"),
-        (TropicalMatrix(dense), "one"),
-        (cycle_chain(rng, (3, 4), (-1, 0), tail=1), "one block"),
-        (cycle_chain(rng), "short last"),               # n 21, k 37
-        (cycle_chain(rng, tail=5), "short last"),       # n 24, k 28
-        (cycle_chain(rng, (3, 5), (0, 1), tail=38), "multiple"),  # k 7
-        (TropicalMatrix(zero_cycles), "short last"),    # k 9, 30030
+        TropicalMatrix([[0.0]]),
+        TropicalMatrix.zeros(1),
+        TropicalMatrix(acyclic),
+        TropicalMatrix(dense),
+        cycle_chain(rng, (3, 4), (-1, 0), tail=1),
+        cycle_chain(rng),
+        cycle_chain(rng, tail=5),
+        cycle_chain(rng, (3, 5), (0, 1), tail=38),
+        TropicalMatrix(zero_cycles),    # row 0 returns after 30030 steps
     ]
-    for a, regime in cases:
-        g = gamma_u(a)
-        k = _stack_depth(a.n, g - 1)
-        assert regime == ("one" if g == 1 else "one block" if g - 1 == k
-                          else "multiple" if (g - 1) % k == 0
-                          else "short last")
+    for a in cases:
         assert np.array_equal(strong_access_matrix(a),
                               _strong_access_full_chain(a))
+
+    products = [0]
+
+    def counting(x, y):
+        products[0] += 1
+        return _bool_matmul(x, y)
+
+    def chain_then_count(*args):
+        power = chain(*args)
+        products[0] = 0             # count the products past the chain
+        return power
+
+    chain = graphs._power_chain
+    monkeypatch.setattr(graphs, "_bool_matmul", counting)
+    monkeypatch.setattr(graphs, "_power_chain", chain_then_count)
+    arr = cycle_chain(rng, (3, 4, 5, 7, 11, 13, 17),
+                      (-3, -2, -1, 0, 1, 2, 3)).arr
+    first, last = 2, arr.shape[0] - 1      # in the 3-cycle, in the 17-cycle
+    runs = [strong_access_matrix,
+            lambda a: is_orbit_periodic(a, method="strong-access"),
+            lambda a: pair_periodicity(a, first, last)]
+    answers = []
+    for run in runs:
+        a = TropicalMatrix(arr)
+        assert gamma_u(a) == 1021020
+        answers.append(run(a))
+        assert products[0] <= 17
+    assert answers[0][first, last] and answers[1].verdict and answers[2]
+
+
+@hs.composite
+def cut_weighted(draw) -> tuple:
+    """small_weighted's matrix cut into a chain of diagonal blocks along a
+    drawn node order (entries from a later block to an earlier one set to
+    -inf, so trivial nodes and chains of components occur), and a drawn
+    row subset."""
+    a = draw(small_weighted())
+    order = draw(hs.permutations(range(a.n)))
+    cuts = sorted(draw(hs.sets(hs.integers(1, a.n - 1))))
+    block = np.empty(a.n, dtype=int)
+    block[order] = np.searchsorted(cuts, np.arange(a.n), side="right")
+    arr = a.arr.copy()
+    arr[block[:, None] > block] = NEG_INF
+    rows = sorted(draw(hs.sets(hs.integers(0, a.n - 1))))
+    return TropicalMatrix(arr), rows
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(cut_weighted())
+def test_strong_access_matches_oracle_window(case):
+    """strong_access_matrix is the AND of the oracle's Boolean powers over
+    t0 = 3 n^2 <= t < t0 + gamma_u, and _strong_access gives its rows of
+    any row subset."""
+    a, rows = case
+    t0, g = 3 * a.n * a.n, gamma_u(a)
+    want = np.ones((a.n, a.n), dtype=bool)
+    for t in range(t0, t0 + g):
+        want &= np.array(boolean_power_reach(a, t), dtype=bool)
+    assert np.array_equal(strong_access_matrix(a), want)
+    assert np.array_equal(graphs._strong_access(TropicalMatrix(a.arr), rows),
+                          want[rows])
 
 
 def test_strong_access_transitive():

@@ -434,26 +434,30 @@ def test_orbit_and_threshold_skip_the_canonical_deflation(monkeypatch):
 
 
 def test_condition2_reuses_strong_access(monkeypatch):
-    """Condition 2 forms its representatives' rows of strong access once
-    per matrix, and reads the full matrix instead when it is memoized."""
+    """strong_access_matrix forms strong access once per matrix, over all
+    rows, under "strong_access"; condition 2 forms its sorted
+    representatives' rows on each call and never reads or writes that
+    memo."""
     calls = []
     rows_of = graphs._strong_access
 
-    def counted(a, rows=None):
-        calls.append(rows)
+    def counted(a, rows):
+        calls.append(list(rows))
         return rows_of(a, rows)
 
     monkeypatch.setattr(graphs, "_strong_access", counted)
+    monkeypatch.setattr(orbit, "_strong_access", counted)
     arr = cycle_chain(np.random.default_rng(3), (2, 3), (-1, 0), 1).arr
     a = TropicalMatrix(arr)
     first = is_orbit_periodic(a, method="strong-access")
     assert is_orbit_periodic(a, method="strong-access") == first
-    assert calls == [[1, 3]]
+    assert calls == [[1, 3], [1, 3]] and "strong_access" not in a._memo
+    assert strong_access_matrix(a) is strong_access_matrix(a)
+    assert calls == [[1, 3], [1, 3], list(range(a.n))]
     b = TropicalMatrix(arr)
-    strong_access_matrix(b)
-    assert calls == [[1, 3], None]
+    b._memo["strong_access"] = None     # condition 2 never reads the memo
     assert is_orbit_periodic(b, method="strong-access") == first
-    assert calls == [[1, 3], None]
+    assert calls[3:] == [[1, 3]] and b._memo["strong_access"] is None
 
 
 def test_orbit_reads_the_threshold_bound(monkeypatch):

@@ -90,11 +90,12 @@ def test_condition2_reads_representative_rows_of_strong_access(
     seen = []
     rows_of = graphs._strong_access
 
-    def recorded(a, rows=None):
+    def recorded(a, rows):
         seen.append((rows, rows_of(a, rows)))
         return seen[-1][1]
 
     monkeypatch.setattr(graphs, "_strong_access", recorded)
+    monkeypatch.setattr(orbit, "_strong_access", recorded)
     rng = np.random.default_rng(23)
     corpus = [ex3a, ex3b, cycle_chain(rng), cycle_chain(rng, (2, 3), (1, 0))]
     corpus += [random_reducible(rng, int(rng.integers(3, 10)))
@@ -103,7 +104,7 @@ def test_condition2_reads_representative_rows_of_strong_access(
     for a in corpus:
         a = TropicalMatrix(a.arr)
         report = is_orbit_periodic(a, method="strong-access")
-        full = rows_of(TropicalMatrix(a.arr))
+        full = rows_of(TropicalMatrix(a.arr), range(a.n))
         cs = graphs._critical(a)
         if cs is None:
             assert report.verdict and not seen

@@ -3,9 +3,14 @@
 Reports go to stdout and are byte-deterministic for identical inputs and
 flags; timing goes to stderr.  Node and term indices in reports are
 1-based.  -inf is serialized as JSON null.  Exit codes: 0 success,
-1 verification mismatch (verify only), 2 input error (a ParseError, such
-as a bad token, or a file that cannot be read), 3 any other MaxplusError
-(DomainError, NonFiniteError, ...), 64 usage error.
+1 verification mismatch (verify only), 2 input or output error (a
+ParseError, such as a bad token, a file that cannot be read, or a stdout
+that cannot be written), 3 any other MaxplusError (DomainError,
+NonFiniteError, ...), 64 usage error.
+
+Each command imports the library modules it runs when it runs, so a
+fresh process loads only those.  The console entry `_entry` flushes the
+output and ends the process without interpreter teardown.
 
 Every command decides at CRIT_TOL, as the library does: two values are
 equal when both are -inf or both are finite and within CRIT_TOL
@@ -18,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -25,15 +31,8 @@ import time
 import numpy as np
 
 from .core import CRIT_TOL, NEG_INF, TropicalMatrix, mat_eq, mat_power
-from .csr import _check_definite, csr_build, csr_product
 from .errors import (DivergentStarError, MaxplusError, NoCyclesError,
                      NonFiniteError, OracleSizeError, ParseError)
-from .expansions import (_select_crit, evaluate, nachtigall_expand,
-                         ultimate_expand, ultimate_threshold)
-from .graphs import CritSubgraph, critical_structure, gamma_u, scc_decompose
-from .kleene import kleene_star
-from .oracle import boolean_power_reach, enumerate_small, _NODE_CAP
-from .orbit import is_orbit_periodic, simulate_orbit
 
 
 # ---------------------------------------------------------------- parsing
@@ -194,10 +193,12 @@ def _cmd_power(a, args, report):
 
 
 def _cmd_star(a, args, report):
+    from .kleene import kleene_star
     report["matrix"] = _matrix(kleene_star(a))
 
 
 def _cmd_lambda(a, args, report):
+    from .graphs import critical_structure, scc_decompose
     try:
         cs = critical_structure(a)
         lam, per, dec = cs.lambda_global, cs.lambda_of_component, cs.scc
@@ -210,6 +211,7 @@ def _cmd_lambda(a, args, report):
 
 
 def _cmd_critical(a, args, report):
+    from .graphs import critical_structure
     cs = critical_structure(a)
     report["lambda"] = _num(cs.lambda_global)
     report["critical_nodes"] = _nodes1(cs.critical_nodes)
@@ -220,6 +222,7 @@ def _cmd_critical(a, args, report):
 
 
 def _cmd_classes(a, args, report):
+    from .graphs import CritSubgraph, critical_structure
     cs = critical_structure(a)
     crit = CritSubgraph.from_critical_structure(cs)
     comps = []
@@ -234,6 +237,9 @@ def _cmd_classes(a, args, report):
 
 
 def _cmd_csr(a, args, report):
+    from .csr import _check_definite, csr_build, csr_product
+    from .expansions import _select_crit
+    from .graphs import CritSubgraph, critical_structure
     cs = critical_structure(a)
     # before the selection: the cycle rule needs a critical edge
     _check_definite(a)
@@ -251,6 +257,7 @@ def _cmd_csr(a, args, report):
 
 def _expansion_report(a, e, args, report, **extra):
     """e evaluated at args.t into report, extra keys before the matrix."""
+    from .expansions import evaluate
     value = evaluate(e, args.t).matrix
     report["t"] = args.t
     report["lambdas"] = [_num(x) for x in e.lambdas]
@@ -261,6 +268,7 @@ def _expansion_report(a, e, args, report, **extra):
 
 
 def _cmd_nachtigall(a, args, report):
+    from .expansions import nachtigall_expand
     e = nachtigall_expand(a, rule=args.rule)
     report["rule"] = args.rule
     _expansion_report(a, e, args, report,
@@ -268,12 +276,15 @@ def _cmd_nachtigall(a, args, report):
 
 
 def _cmd_ultimate(a, args, report):
+    from .expansions import ultimate_expand
     e = ultimate_expand(a)
     _expansion_report(a, e, args, report, sigma=[int(s) + 1 for s in e.sigma],
                       gamma_u=int(e.gamma_u))
 
 
 def _cmd_threshold(a, args, report):
+    from .expansions import ultimate_threshold
+    from .graphs import gamma_u
     t_max = 30 * a.n * a.n
     found = ultimate_threshold(a, t_max=t_max)
     report["t_max"] = t_max
@@ -282,6 +293,7 @@ def _cmd_threshold(a, args, report):
 
 
 def _cmd_orbit_check(a, args, report):
+    from .orbit import is_orbit_periodic
     r = is_orbit_periodic(a, method="support")
     report["method"] = r.method
     report["verdict"] = bool(r.verdict)
@@ -292,6 +304,7 @@ def _cmd_orbit_check(a, args, report):
 
 
 def _cmd_orbit(a, args, report):
+    from .orbit import simulate_orbit
     with open(args.y, "rb") as fh:
         raw = fh.read()
     y = parse_vector(raw.decode(errors="replace"), args.semiring)
@@ -310,6 +323,12 @@ def _cmd_orbit(a, args, report):
 
 
 def _cmd_verify(a, args, report):
+    from .expansions import (evaluate, nachtigall_expand, ultimate_expand,
+                             ultimate_threshold)
+    from .graphs import critical_structure
+    from .kleene import kleene_star
+    from .oracle import boolean_power_reach, enumerate_small, _NODE_CAP
+    from .orbit import is_orbit_periodic
     if a.n > _NODE_CAP:
         raise OracleSizeError("too large for oracle")
     checks = []
@@ -460,5 +479,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def _entry():
+    """`maxplus` and `python -m maxplus.cli`: main's exit code, then
+    os._exit, which skips interpreter teardown (and so atexit hooks).
+    A failed write or flush of stdout exits 2 with one error line."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as e:
+        sys.stderr.write("error: %s\n" % e)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

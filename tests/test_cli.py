@@ -202,7 +202,7 @@ def test_verify_size_cap_exits_3(tmp_path, capsys):
 def test_verify_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     # force one oracle check to disagree; the report must say so and the
     # exit code must flip to 1
-    monkeypatch.setattr(cli, "boolean_power_reach",
+    monkeypatch.setattr("maxplus.oracle.boolean_power_reach",
                         lambda a, t: [[False] * a.n for _ in range(a.n)])
     code, obj, _ = run(capsys, "verify", EX1)
     assert code == 1
@@ -649,3 +649,108 @@ def test_import_does_not_load_networkx(capsys):
                              text=True, env=env, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout == want
+
+
+# -------------------------------------------------- process entry, imports
+
+SRC = str(Path(maxplus.__file__).resolve().parents[1])
+EX3X = str(DATA / "example3x.txt")
+
+# one argv per command, in the order of --help
+COMMAND_ARGV = {
+    "power": ["--t", "5"], "star": [], "lambda": [], "critical": [],
+    "classes": [], "csr": ["--t", "7"], "nachtigall": ["--t", "110"],
+    "ultimate": ["--t", "9"], "threshold": [], "orbit-check": [],
+    "orbit": ["--y", EX3X], "verify": [],
+}
+
+
+def _child(args, stdout=subprocess.PIPE, **env):
+    """A fresh interpreter on the package source; env entries set to None
+    are removed."""
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=SRC, **env).items()
+           if v is not None}
+    return subprocess.run([sys.executable] + args, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def _without_elapsed(err: str) -> str:
+    return "".join(line for line in err.splitlines(True)
+                   if not line.startswith("elapsed "))
+
+
+def test_module_entry_matches_main(tmp_path, capsys):
+    """`python -m maxplus.cli` prints what main(argv) prints and exits with
+    its code: every command on a bundled matrix (each matrix in turn), a
+    usage error, a bad token and a negative exponent."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2\n0 x\n1 0\n")
+    files = (EX1, EX2, EX3A, EX3B)
+    runs = [[name] + flags + [files[k % 4]]
+            for k, (name, flags) in enumerate(COMMAND_ARGV.items())]
+    runs += [["power", EX1], ["star", str(bad)], ["power", "--t", "-1", EX1]]
+    codes = set()
+    for argv in runs:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        got = _child(["-m", "maxplus.cli"] + argv)
+        assert got.returncode == code, argv
+        assert got.stdout == out.encode(), argv
+        assert _without_elapsed(got.stderr.decode()) == \
+            _without_elapsed(err), argv
+        codes.add(code)
+    assert codes >= {0, 2, 3, 64}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_stdout_exits_2(unbuffered):
+    """A report written to a closed pipe ends in one error line and exit 2,
+    whether the write (unbuffered) or the entry's flush (buffered)
+    fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = _child(["-m", "maxplus.cli", "power", "--t", "2", EX1],
+                     stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    err = _without_elapsed(got.stderr.decode())
+    assert (got.returncode, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def _loaded(code: str) -> set:
+    got = _child(["-c", "import sys\n" + code + "\nprint(' '.join(m for m "
+                  "in sys.modules if m.split('.')[0] == 'maxplus'))"])
+    assert got.returncode == 0, got.stderr
+    return set(got.stdout.decode().splitlines()[-1].split())
+
+
+BASE = {"maxplus", "maxplus.cli", "maxplus.core", "maxplus.errors"}
+GRAPHS = BASE | {"maxplus.graphs"}
+KLEENE = GRAPHS | {"maxplus.kleene"}
+TERMS = KLEENE | {"maxplus.csr", "maxplus.expansions"}
+ORBIT = TERMS | {"maxplus.orbit"}
+LOADS = {"power": BASE, "star": KLEENE, "lambda": GRAPHS, "critical": GRAPHS,
+         "classes": GRAPHS, "csr": TERMS, "nachtigall": TERMS,
+         "ultimate": TERMS, "threshold": TERMS, "orbit-check": ORBIT,
+         "orbit": ORBIT, "verify": ORBIT | {"maxplus.oracle"}}
+
+
+def test_each_command_imports_only_its_modules():
+    assert list(LOADS) == list(COMMAND_ARGV) == list(cli._COMMANDS)
+    assert _loaded("import maxplus") == {"maxplus"}
+    for name, flags in COMMAND_ARGV.items():
+        argv = [name] + flags + [EX3A]
+        assert _loaded("import maxplus.cli\nmaxplus.cli.main(%r)" % argv) \
+            == LOADS[name], name
+
+
+def test_lazy_names_are_the_public_api():
+    names = {}
+    exec("from maxplus import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == sorted(maxplus.__all__)
+    for mod in ("cli", "core", "csr", "errors", "expansions", "graphs",
+                "kleene", "oracle", "orbit"):
+        assert getattr(maxplus, mod).__name__ == "maxplus." + mod
+    with pytest.raises(AttributeError):
+        maxplus.no_such_name

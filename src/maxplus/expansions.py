@@ -384,58 +384,34 @@ def _known_threshold(a: TropicalMatrix) -> int | None:
     return None if record is None else record[0]
 
 
-def _first_equal_past_bound(a: TropicalMatrix, cur: np.ndarray, lo: int,
-                            t_max: int, matches) -> int | None:
-    """Smallest t in (lo, t_max] with matches(A^t, t), given cur = A^lo
-    that does not match; None if there is none.
-
-    Only for a lo past the bound of _threshold_tables, where a match
-    holds at every later exponent once it holds at one, and for input
-    whose powers are the same bits in any grouping: it gallops with
-    A^lo (x) A^(2^j) over j = 0, 1, ... while that fails, then lifts by
-    the same squares, largest first.  O(log(t' - lo)) products, each
-    square formed when a probe first needs it, and no power past t_max.
-    """
-    squares = [a.arr]
-    j = 0
-    while lo + (1 << j) <= t_max:
-        if j == len(squares):
-            squares.append(_mp_matmul(squares[-1], squares[-1]))
-        probe = _mp_matmul(cur, squares[j])
-        if matches(probe, lo + (1 << j)):
-            break
-        cur, lo, j = probe, lo + (1 << j), j + 1
-    for i in range(j - 1, -1, -1):
-        if lo + (1 << i) <= t_max:
-            probe = _mp_matmul(cur, squares[i])
-            if not matches(probe, lo + (1 << i)):
-                cur, lo = probe, lo + (1 << i)
-    return lo + 1 if lo < t_max else None
-
-
 def ultimate_threshold(a: TropicalMatrix,
                        t_max: int | None = None) -> int | None:
     """Smallest t' <= t_max from which the ultimate expansion equals a^t.
 
-    The scan compares a^t with E(t) for t = 0, 1, ... and tracks the
-    current run of equal exponents.  It stops on a proof: a bound T with
-    A (x) E(t) = E(t + 1) for all t >= T (see _threshold_tables), so once
-    the run reaches some t >= T, induction carries a^t = E(t) to every
-    later t and the run's start is t'.  The bound costs a product per term
-    and per chunk of residues, nothing sized by gamma_u.  The scan steps
-    one product for a^t and one for E(t) per exponent (E(t) is one
-    product of the terms' stacked class factors: O(n * classes) memory)
-    until the first unequal exponent at or past T.  From there on a^t =
-    E(t), once true, stays true, so when every power's sums are exact
-    (_exact_sums) the first equal exponent is searched for by galloping
-    and halving over the squares of A (_first_equal_past_bound):
-    O(log(t' - T)) products instead of t' - T.  On other input the scan
-    keeps stepping.
+    The scan stops on a proof: a bound T with A (x) E(t) = E(t + 1) for
+    all t >= T (see _threshold_tables).  From T on, a^t = E(t), once true,
+    stays true, so the unequal exponents at or past T are a prefix.  The
+    bound costs a product per term and per chunk of residues, nothing
+    sized by gamma_u; E(t) is one product of the terms' stacked class
+    factors (O(n * classes) memory).
 
-    When no bound exists, or it lies beyond the window below, the scan
-    falls back to accepting a run of gamma_u + ceil(log2 t_max) extra
-    equal exponents past its start.  A run accepted through the bound
-    never breaks, so both rules name the same t'.  Returns None when no
+    When T <= t_max and every power's sums are exact (_exact_sums), so
+    that any grouping of the products gives the same bits, the scan
+    searches over one ladder of squares A^(2^j), each formed once.  It
+    forms A^T from the ladder.  If A^T differs from E(T), the squares
+    past T are compared with E(2^j); the first equal one brackets t', and
+    A^lo (x) A^(2^i) halves the bracket: O(log t') products plus one per
+    set bit of T.  If A^T = E(T), t' is T when T = 0 or A^(T - 1), also
+    from the ladder, differs from E(T - 1).  Only a t' below T is
+    stepped to.
+
+    Stepping compares a^t with E(t) for t = 0, 1, ..., one product for
+    each, and tracks the current run of equal exponents; a run that
+    reaches some t >= T starts at t'.  It serves t' < T, inexact input,
+    T > t_max and input with no bound.  Before T, or without a bound, it
+    also accepts a run of gamma_u + ceil(log2 t_max) extra equal
+    exponents past its start; a run accepted through the bound never
+    breaks, so both rules name the same t'.  Returns None when no
     qualifying t' exists below t_max (reported, not raised); t_max
     defaults to 30 n^2.
 
@@ -458,29 +434,27 @@ def ultimate_threshold(a: TropicalMatrix,
 
 
 def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
-    """ultimate_threshold's scan of a^t against the ultimate E(t), past
-    the bound (see _threshold_tables) on a proof: a run reaching the bound
-    or the search past it, whose t' a's memo keeps even past t_max,
-    together with that t_max.
+    """ultimate_threshold's scan of a^t against the ultimate E(t): the
+    search over the ladder of squares from the bound T (see
+    _threshold_tables) on exact input with T <= t_max, else stepping.  A
+    t' proven through T, by the search or by a stepped run that reaches
+    T, goes to a's memo even past t_max, together with that t_max.
 
-    A scan at a t_max no smaller than a proving scan's gives its answer,
-    so it is read off the record: t' when t' <= t_max, else None.  The
-    powers and E(t) do not depend on t_max, so both scans meet the same
-    equal and unequal exponents.  Every unequal one up to the proof lay
-    at or below the proving t_max, else that scan had stopped with None.
-    The window gamma_u + ceil(log2 t_max) only grows with t_max, so it
-    fires no earlier than it did in the proving scan, and that scan
-    reached the bound first.  Past the bound a match holds at every later
-    exponent once it holds at one, so stepping and galloping name the
-    same first equal exponent, whichever the exactness gate at the larger
-    t_max allows.
+    A scan at a t_max no smaller than a proving scan's is read off the
+    record: t' when t' <= t_max, else None.  The powers and E(t) do not
+    depend on t_max, so both scans meet the same equal and unequal
+    exponents, and every unequal one up to t' lay at or below the proving
+    t_max, else that scan had stopped with None.  Past T the unequal
+    exponents are a prefix, so stepping and searching name the same t'.
+    Below T only the window could answer otherwise, and only by accepting
+    a run that breaks before T; the recorded t' is the proven one.
     """
     record = a._memo.get(_THRESHOLD_MEMO)
     if record is not None and t_max >= record[1]:
         return record[0] if record[0] <= t_max else None
     e = _ultimate_terms(a)
     bound = _threshold_tables(a, e)
-    n = a.n
+    identity = TropicalMatrix.identity(a.n).arr
     window = e.gamma_u + max(1, math.ceil(math.log2(max(t_max, 2))))
     # all terms side by side: a shift never leaves a term's own slots
     c_all = np.hstack([triple.c_hat for _, triple in e.terms])
@@ -493,8 +467,40 @@ def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
         right = r_all[_shift(slots, t)] + lams * t
         return _arr_eq(power, _mp_matmul(c_all, right), CRIT_TOL)
 
-    search = bound is not None and _exact_sums(a, t_max + window)
-    cur = TropicalMatrix.identity(n).arr
+    if (bound is not None and bound <= t_max
+            and _exact_sums(a, t_max + window)):
+        squares = [a.arr]
+
+        def square(j):  # A^(2^j), each formed once
+            while len(squares) <= j:
+                squares.append(_mp_matmul(squares[-1], squares[-1]))
+            return squares[j]
+
+        def power(t):
+            bits = [square(j) for j in range(t.bit_length()) if t >> j & 1]
+            return reduce(_mp_matmul, bits) if bits else identity
+
+        cur = power(bound)
+        if not matches(cur, bound):
+            # the unequal exponents from T on are a prefix: probe the
+            # squares past T, then halve the bracket with A^lo (x) A^(2^i)
+            lo, j = bound, bound.bit_length()
+            while 1 << j <= t_max and not matches(square(j), 1 << j):
+                cur, lo, j = squares[j], 1 << j, j + 1
+            top = min(t_max, (1 << j) - 1)
+            for i in range(j - 1, -1, -1):
+                if lo + (1 << i) <= top:
+                    probe = _mp_matmul(cur, square(i))
+                    if not matches(probe, lo + (1 << i)):
+                        cur, lo = probe, lo + (1 << i)
+            if lo == t_max:
+                return None
+            a._memo[_THRESHOLD_MEMO] = lo + 1, t_max
+            return lo + 1
+        if bound == 0 or not matches(power(bound - 1), bound - 1):
+            a._memo[_THRESHOLD_MEMO] = bound, t_max
+            return bound
+    cur = identity
     run_start = None
     for t in range(t_max + window + 1):
         if matches(cur, t):
@@ -509,10 +515,5 @@ def _threshold_scan(a: TropicalMatrix, t_max: int) -> int | None:
             run_start = None
             if t > t_max:
                 return None
-            if search and t >= bound:
-                found = _first_equal_past_bound(a, cur, t, t_max, matches)
-                if found is not None:
-                    a._memo[_THRESHOLD_MEMO] = found, t_max
-                return found
         cur = _mp_matmul(cur, a.arr)
     return None

@@ -610,7 +610,7 @@ def assert_orbit_matches_loop(a: TropicalMatrix, y, t_max=None):
     return trace
 
 
-def block_rows(n: int) -> int:
+def loop_t_max(n: int) -> int:
     """2**14 // n^2, at least 1: the row-loop comparisons take t_max
     around it."""
     return max(1, 2 ** 14 // (n * n))
@@ -623,8 +623,8 @@ def start_vectors(rng, n: int) -> list:
             np.full(n, NEG_INF)]
 
 
-def test_block_steps_match_row_loop_on_integer_input():
-    # the default t_max runs first, then t_max around block_rows, below
+def test_row_loop_matches_loop_reference_on_integer_input():
+    # the default t_max runs first, then t_max around loop_t_max, below
     # and (as for n <= 2) above the default
     rng = np.random.default_rng(90)
     mats = [random_matrix(rng, n, density=float(rng.choice([0.1, 0.3, 0.6])))
@@ -633,16 +633,16 @@ def test_block_steps_match_row_loop_on_integer_input():
     chains = [cycle_chain(rng), cycle_chain(rng, tail=5),
               cycle_chain(rng, (2, 3, 5), (1, -2, 0))]
     for k, a in enumerate(mats + chains):
-        b = block_rows(a.n)
+        mid = loop_t_max(a.n)
         vectors = start_vectors(rng, a.n)
         for y in vectors if k >= len(mats) else [vectors[k % 3]]:
             assert orbit._exact_sums(a, 10 ** 4, y=y)
             assert_orbit_matches_loop(a, y)
-        for t_max in sorted({0, 1, b - 1, b, b + 1}):
+        for t_max in sorted({0, 1, mid - 1, mid, mid + 1}):
             assert_orbit_matches_loop(a, vectors[(k + 1) % 3], t_max)
 
 
-def test_block_steps_match_row_loop_on_dying_orbits():
+def test_row_loop_matches_loop_reference_on_dying_orbits():
     # strictly upper triangular: every orbit is all -inf from step n on
     rng = np.random.default_rng(91)
     for n in (1, 2, 5, 24, 40):
@@ -655,7 +655,7 @@ def test_block_steps_match_row_loop_on_dying_orbits():
             assert (trace.samples[n:] == NEG_INF).all()
 
 
-def test_block_gate_edges():
+def test_row_loop_gate_edges():
     rng = np.random.default_rng(92)
     # -0.0 in y: the exact gate refuses it, as a sum of the terms would
     # round this zero to +0.0 at t = 2
@@ -707,7 +707,7 @@ def disjoint_cycles(rng, lengths) -> TropicalMatrix:
     return TropicalMatrix(arr)
 
 
-def test_block_steps_memory_is_the_samples():
+def test_row_loop_memory_is_the_samples():
     """n = 42, gamma_u = 30030: the default t_max is 70644 steps, and
     the scratch stays within 1 MB of the sample array."""
     rng = np.random.default_rng(93)

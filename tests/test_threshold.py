@@ -1,4 +1,4 @@
-"""ultimate_threshold: the certified stop and the search past it against
+"""ultimate_threshold: the certified stop and the search from it against
 the window scan they replaced, soundness of the bound, and the cost of a
 scan."""
 
@@ -92,6 +92,29 @@ def two_loops(k):
     return TropicalMatrix.from_rows([[0, -k], [-k, -1]])
 
 
+def falling_bound(k):
+    """A loop of weight 2 above a loop of weight 1, with one edge of weight
+    2 - k back into the top: T = t' = k - 2, sized by the weights."""
+    return TropicalMatrix.from_rows([[2, -3, 1], [2 - k, -2, -2],
+                                     [None, None, 1]])
+
+
+def late_break(k):
+    """A 2-node component of mean 1 feeding a loop of weight -1 through a
+    -k edge: T = k/2 + 1 and, for even k, t' = T + 1."""
+    return TropicalMatrix.from_rows([[-3, -k, -3], [1, 1, None],
+                                     [None, None, -1]])
+
+
+def run_below_bound():
+    """Integer weights whose last run of equal exponents starts at t' = 3,
+    below the bound T = 9: the scan walks that run from its start."""
+    return TropicalMatrix.from_rows([[-49, None, None, -16],
+                                     [None, -34, -51, None],
+                                     [None, 40, None, None],
+                                     [14, 17, None, None]])
+
+
 def corpus():
     rng = np.random.default_rng(601)
     out = [random_cyclic(rng, n) for n in range(2, 10) for _ in range(8)]
@@ -141,8 +164,9 @@ def test_small_t_max_matches_window_reference(ex1, ex2):
 
 def oracle_corpus(f):
     """Small random_cyclic, random_reducible, cycle_chain and
-    random_definite draws, two_bipartite_levels, a zero-cycle family and
-    two_loops, every weight mapped through f."""
+    random_definite draws, two_bipartite_levels, a zero-cycle family,
+    two_loops, the weight-sized bounds of falling_bound and late_break and
+    run_below_bound, every weight mapped through f."""
     rng = np.random.default_rng(606)
     base = [random_cyclic(rng, int(rng.integers(2, 8))) for _ in range(8)]
     base += [random_reducible(rng, int(rng.integers(4, 10)),
@@ -151,7 +175,8 @@ def oracle_corpus(f):
     base += [random_definite(rng, int(rng.integers(2, 7))) for _ in range(3)]
     base += [cycle_chain(rng, lengths=(2, 3), means=(-1, 1), tail=1),
              two_bipartite_levels(), disjoint_zero_cycles((2, 3)),
-             two_loops(7)]
+             two_loops(7), falling_bound(100), late_break(100),
+             run_below_bound()]
     return [reweighted(a, f) for a in base]
 
 
@@ -163,7 +188,8 @@ def oracle_corpus(f):
         "differently from the class factors")))])
 def test_search_matches_the_stepping_oracle(weights):
     """Over a sweep of t_max, including the small ones where the last
-    stretch below t_max has to be probed and not galloped past."""
+    stretch below t_max has to be probed and not jumped past, and
+    t_max at T - 1, T and T + 1 on the weight-sized bounds."""
     built = 0
     for a in oracle_corpus(WEIGHTS[weights]):
         try:
@@ -203,6 +229,15 @@ def test_bound_is_sound():
             assert mat_eq(mat_mul(a, cur), nxt, TOL), t
 
 
+def test_threshold_below_the_bound():
+    a = run_below_bound()
+    e = ultimate_expand(a)
+    assert expansions._threshold_tables(a, e) == 9
+    for t_max in (None, 8, 9, 10):
+        want = threshold_window_reference(a, e, t_max=t_max)
+        assert ultimate_threshold(TropicalMatrix(a.arr), t_max) == want == 3
+
+
 def test_no_bound_without_an_agreeing_line_above():
     a = two_bipartite_levels()
     bound = expansions._threshold_tables(a, ultimate_expand(a))
@@ -222,18 +257,22 @@ def counting_matmul(monkeypatch):
     return calls
 
 
+def log_cost(e, t_max):
+    """Products a search from the bound may make: one per term for the
+    bound's lines, and per bit of t_max a square, a probe and their two
+    comparisons with E(t)."""
+    return len(e.terms) + 4 * math.ceil(math.log2(t_max + 1))
+
+
 def test_scan_is_not_sized_by_gamma_u(monkeypatch):
-    """Multiplications in one call stay within the cost of stepping every
-    exponent up to t' (A^t and E(t)) plus one per residue of each term and
-    one per term; the bound now batches the residues, and the search past
-    it takes O(log t') products.  The window scan made more than
-    gamma_u."""
+    """Multiplications in one call stay within the log cost of the search
+    from the bound: the bound batches the residues, and no exponent is
+    stepped.  The window scan made more than gamma_u."""
     a = cycle_chain(np.random.default_rng(605))
     e = ultimate_expand(a)
     calls = counting_matmul(monkeypatch)
     tp = ultimate_threshold(a)
-    gammas = [term.triple.gamma for term in e.terms]
-    assert len(calls) <= 2 * (tp + 1) + sum(gammas) + len(gammas)
+    assert len(calls) <= log_cost(e, 30 * a.n * a.n)
     assert len(calls) < e.gamma_u
     assert tp == threshold_window_reference(a, e)
 
@@ -246,11 +285,7 @@ def test_search_past_the_bound_costs_log_products(monkeypatch):
     assert bound == 0
     calls = counting_matmul(monkeypatch)
     assert ultimate_threshold(a) == 100
-    t_max = 30 * a.n * a.n
-    window = e.gamma_u + math.ceil(math.log2(t_max))
-    gammas = [term.triple.gamma for term in e.terms]
-    assert len(calls) <= (sum(gammas) + len(gammas) + 2 * (bound + 1)
-                          + 4 * math.ceil(math.log2(t_max + window + 1)))
+    assert len(calls) <= log_cost(e, 30 * a.n * a.n)
 
 
 def test_weight_sized_threshold_is_found_quickly():
@@ -261,19 +296,42 @@ def test_weight_sized_threshold_is_found_quickly():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("family,bound,want", [
+    (falling_bound, 10 ** 5 - 2, 10 ** 5 - 2),
+    (late_break, 10 ** 5 // 2 + 1, 10 ** 5 // 2 + 2)],
+    ids=["falling_bound", "late_break"])
+def test_weight_sized_bound_is_not_stepped_to(monkeypatch, family, bound,
+                                              want):
+    """k = 10^5: the search starts at T, so no exponent below it is
+    stepped.  Stepping to T took 1.4-2.2 s and about 10^5 products."""
+    a = family(10 ** 5)
+    e = expansions._ultimate_terms(a)
+    assert expansions._threshold_tables(a, e) == bound
+    calls = counting_matmul(monkeypatch)
+    start = time.perf_counter()
+    assert ultimate_threshold(a, t_max=10 ** 6) == want
+    elapsed = time.perf_counter() - start
+    assert len(calls) <= log_cost(e, 10 ** 6)
+    assert elapsed < 0.5
+
+
 @pytest.mark.parametrize("weights,enters", [
     ("integer", True), ("third", False), ("scaled", False)])
 def test_only_exact_input_is_searched(monkeypatch, weights, enters):
-    """Past the bound, inexact weights keep stepping: their powers can
-    round differently when grouped as squares."""
+    """Inexact weights keep stepping: their powers can round differently
+    when grouped as squares.  The search from the bound is entered exactly
+    when the last clause of its gate, _exact_sums(a, t_max + window),
+    holds: the clauses before it need a bound within t_max."""
     found = []
-    search = expansions._first_equal_past_bound
+    gate = expansions._exact_sums
 
     def counted(*args):
-        found.append(1)
-        return search(*args)
+        exact = gate(*args)
+        if exact:
+            found.append(1)
+        return exact
 
-    monkeypatch.setattr(expansions, "_first_equal_past_bound", counted)
+    monkeypatch.setattr(expansions, "_exact_sums", counted)
     mats = oracle_corpus(WEIGHTS[weights])
     if not enters:  # zero weights stay integers under either map
         mats = [a for a in mats

@@ -40,36 +40,42 @@ def _class_product(c_hat: np.ndarray, r_hat: np.ndarray, slots: tuple,
     return _mp_matmul(c_hat, r_hat[_shift(slots, t)])
 
 
-def _class_factors(m: np.ndarray, crit: CritSubgraph,
-                   arr: np.ndarray) -> tuple:
-    """(C^, R^, slots), read-only: the columns of m minus x and its rows
-    plus x at the least node of each cyclic class (slot) of crit, slots
-    numbered component by component; x is the potential of the weights
-    arr, 0 at each component's least node and summed along BFS trees.
-    slots holds per slot that node, its class and the cyclicity of its
-    component."""
-    cyc = crit.cyclicity_of
+def _class_factors(m: np.ndarray, crit: CritSubgraph, arr: np.ndarray,
+                   lam: float, active: np.ndarray) -> tuple:
+    """(C^, R^, slots), read-only: the columns of the star m minus x and
+    its rows plus x at the least node of each cyclic class (slot) of crit,
+    slots numbered component by component; x is the potential of the
+    weights arr - lam, 0 at each component's least node and summed along
+    BFS trees.  m covers the nodes active, the rest of C^ (column-major)
+    and R^ is -inf.  slots holds per slot that node, its class and the
+    cyclicity of its component."""
+    n, cyc = arr.shape[0], crit.cyclicity_of
     rep = np.array([b[0] for buckets in crit.members for b in buckets])
     cls = np.concatenate([np.arange(g) for g in cyc])
-    x = np.zeros(arr.shape[0])
+    x = np.zeros(n)
     _, parent, _ = _bfs(crit.edges, [min(comp) for comp in crit.components])
     for w, v in parent.items():     # in visit order, parents first
         if v is not None:
-            x[w] = x[v] + arr[v, w]
+            x[w] = x[v] + (arr[v, w] - lam)
+    at = np.searchsorted(active, rep)
+    c_hat = np.full((n, rep.size), NEG_INF, order="F")
+    c_hat[active] = m[:, at] - x[rep]
+    r_hat = np.full((rep.size, n), NEG_INF)
+    r_hat[:, active] = m[at, :] + x[rep, None]
     slots = (rep, cls, np.repeat(cyc, cyc))
-    out = (m[:, rep] - x[rep], m[rep, :] + x[rep, None], slots)
-    for part in out[:2] + slots:
+    for part in (c_hat, r_hat) + slots:
         part.setflags(write=False)
-    return out
+    return c_hat, r_hat, slots
 
 
 @dataclass(frozen=True, eq=False)
 class CsrTriple:
-    """Class factors C^, R^ and slots, and the factors C, S, R, which are
-    formed on first access from the star (a^gamma)* and the weights of a
-    that csr_build holds: C keeps the star's critical columns, R its
-    critical rows, S the weights on critical edges (-inf elsewhere).
-    Every field and factor is read-only."""
+    """Class factors C^, R^ and slots, and the factors C, S, R, formed on
+    first access like the star (a^gamma)* and the weights of the level
+    a.restrict(nodes).scale(-lam) from what csr_build keeps (_level: root
+    entries, nodes, lam, active nodes, star on them): C keeps the star's
+    critical columns, R its critical rows, S the weights on critical
+    edges (-inf elsewhere).  Every field and factor is read-only."""
 
     n: int
     crit: CritSubgraph
@@ -78,8 +84,20 @@ class CsrTriple:
     c_hat: np.ndarray
     r_hat: np.ndarray
     slots: tuple
-    star: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    _level: tuple = field(repr=False)
+
+    @cached_property
+    def star(self) -> np.ndarray:
+        _, _, _, active, block = self._level
+        b = np.where(np.eye(self.n, dtype=bool), 0.0, NEG_INF)
+        b[np.ix_(active, active)] = block
+        b.setflags(write=False)
+        return b
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        root, nodes, lam, _, _ = self._level
+        return TropicalMatrix._wrap(root).restrict(nodes).scale(-lam).arr
 
     @property
     def _on_crit(self) -> np.ndarray:
@@ -133,32 +151,9 @@ def _check_definite(a: TropicalMatrix):
                                value=float(lam))
 
 
-def _active_star_power(a: TropicalMatrix, gamma: int,
-                       star: np.ndarray | None) -> np.ndarray:
-    """(a^gamma)* formed on the nodes with a finite entry in their row or
-    column only.  Every other node has no edge, so no path passes through
-    it: its row and column of the star are -inf off a 0 diagonal, and the
-    active block comes out bit for bit as on the full matrix.  A star of
-    the active block already at hand is checked and used instead."""
-    fin = a.finite_mask()
-    active = np.flatnonzero(fin.any(axis=0) | fin.any(axis=1))
-    b = np.full((a.n, a.n), NEG_INF)
-    np.fill_diagonal(b, 0.0)
-    if active.size:
-        block = np.ix_(active, active)
-        sub = TropicalMatrix._wrap(a.arr[block])
-        try:
-            b[block] = (kleene_star(mat_power(sub, gamma)) if star is None
-                        else _diagonal_checked(star)).arr
-        except DivergentStarError as exc:
-            # name the node of a, as the full-matrix star would
-            raise DivergentStarError(node=int(active[exc.node])) from None
-    return b
-
-
 def csr_build(a: TropicalMatrix, crit: CritSubgraph,
               check_definite: bool = True,
-              _star: np.ndarray | None = None) -> CsrTriple:
+              _level: tuple | None = None) -> CsrTriple:
     """Build the triple of a definite matrix for a critical selection.
 
     crit must be a completely reducible subgraph of critical edges of a
@@ -170,23 +165,38 @@ def csr_build(a: TropicalMatrix, crit: CritSubgraph,
     node of a with a diagonal entry above CRIT_TOL, and s_is_boolean
     holds when every critical weight is 0 within CRIT_TOL.  A node of
     crit outside a raises DimensionError (core._check_node), and an empty
-    crit DomainError.  _star, when given, is (a^gamma)* on a's active
-    nodes (see _active_star_power), formed elsewhere and only checked
-    here.
+    crit DomainError.
+
+    The star is formed on the nodes with a finite entry in their row or
+    column only: no path passes through the others, so this active block
+    is bit for bit as on the full matrix.  _level = (sorted nodes, lam,
+    star) builds the triple of a.restrict(nodes).scale(-lam) bit for bit
+    from a's block minus lam; a star not None is that block's, checked.
     """
     if not crit.nodes:
         raise DomainError("critical selection is empty")
     _check_nodes(a, crit.nodes)
     if check_definite:
         _check_definite(a)
-    gamma = crit.gamma
-    b = _active_star_power(a, gamma, _star)
-    b.setflags(write=False)
-    boolean = bool(_agree(a.arr[_edge_index(crit)], 0.0, CRIT_TOL).all())
-    c_hat, r_hat, slots = _class_factors(b, crit, a.arr)
+    nodes, lam, star = _level or (tuple(range(a.n)), 0.0, None)
+    gamma, idx = crit.gamma, np.array(nodes)
+    sub = a.arr[idx][:, idx]
+    live = (sub != NEG_INF).any(axis=0) | (sub != NEG_INF).any(axis=1)
+    active = idx[live]
+    active.setflags(write=False)
+    try:
+        star = (kleene_star(mat_power(TropicalMatrix._wrap(
+            sub[live][:, live] - lam), gamma)) if star is None
+            else _diagonal_checked(star)).arr
+    except DivergentStarError as exc:
+        # name the node of a, as the full-matrix star would
+        raise DivergentStarError(node=int(active[exc.node])) from None
+    boolean = bool(_agree(a.arr[_edge_index(crit)] - lam, 0.0,
+                          CRIT_TOL).all())
+    c_hat, r_hat, slots = _class_factors(star, crit, a.arr, lam, active)
     return CsrTriple(n=a.n, crit=crit, gamma=gamma, s_is_boolean=boolean,
-                     c_hat=c_hat, r_hat=r_hat, slots=slots, star=b,
-                     weights=a.arr)
+                     c_hat=c_hat, r_hat=r_hat, slots=slots,
+                     _level=(a.arr, nodes, lam, active, star))
 
 
 def csr_product_literal(triple: CsrTriple, t: int) -> TropicalMatrix:

@@ -171,8 +171,8 @@ def _shared_star(a: TropicalMatrix, st: DeflationStep) -> np.ndarray | None:
     """The star the component analysis of a formed of the level minus its
     cycle mean, when that is the (A - lam)^gamma* csr_build needs: the
     level is one component (so all its nodes are active), gamma is 1 and
-    lam is the component's.  The entries and the subtraction are the same,
-    so the arrays are equal bit for bit."""
+    lam is the component's.  That star has the relaxation's bytes (see
+    graphs._certified_mean), so the arrays are equal bit for bit."""
     pc = _known_component(a, st.k_set)
     if pc is None or st.crit.gamma != 1 or pc.lam != st.lambda_mu:
         return None
@@ -187,8 +187,8 @@ def _term(a: TropicalMatrix, st: DeflationStep) -> Term:
     return a._cached(
         ("term", st.k_set, st.lambda_mu.hex(), st.crit.edges),
         lambda: Term(st.lambda_mu, csr_build(
-            a.restrict(st.k_set).scale(-st.lambda_mu), st.crit,
-            check_definite=False, _star=_shared_star(a, st))))
+            a, st.crit, check_definite=False,
+            _level=(st.k_set, st.lambda_mu, _shared_star(a, st)))))
 
 
 def _build_expansion(a: TropicalMatrix, variant: str, steps: tuple,

@@ -20,6 +20,9 @@ from .core import (CRIT_TOL, NEG_INF, TropicalMatrix, _check_node, _count,
                    _exact_sums, _exceeds, _overflow_checked, _power_chain)
 from .errors import NoCyclesError, NonFiniteError
 
+# the condensation star's size gate: dense draws lose at 48 nodes, win at 64
+_CONDENSE_ABOVE = 64
+
 
 def wielandt(n: int) -> int:
     """Boolean periodicity threshold (n-1)^2 + 1 for an n-node component;
@@ -74,9 +77,14 @@ def _strong_components(b: np.ndarray):
     # the least node of i's component: the first j with reach both ways
     least = (reach & reach.T).argmax(axis=1)
     comp = np.searchsorted(np.flatnonzero(least == np.arange(n)), least)
+    return reach, _members(comp), comp
+
+
+def _members(comp: np.ndarray) -> list:
+    """Increasing node lists of the components numbered 0, 1, ... by comp."""
     nodes = np.argsort(comp, kind="stable").tolist()
     ends = np.cumsum(np.bincount(comp)).tolist()
-    return reach, [nodes[s:e] for s, e in zip([0] + ends, ends)], comp
+    return [nodes[s:e] for s, e in zip([0] + ends, ends)]
 
 
 def _accessed_first(acc: np.ndarray) -> np.ndarray:
@@ -168,7 +176,7 @@ def _floyd_warshall_star(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ComponentCriticals:
     """Critical data of one nontrivial component, computed in isolation;
-    star is the read-only Kleene star of its block minus lam."""
+    star is the read-only Kleene star of block minus lam, on either route."""
 
     nodes: tuple
     lam: float
@@ -182,34 +190,41 @@ class ComponentCriticals:
 
 def _component_criticals(a: TropicalMatrix, nodes) -> ComponentCriticals:
     """Critical data of one nontrivial component; lam is Karp's unless
-    _certified_mean gives the same float more cheaply."""
+    _certified_mean gives the same float more cheaply.  An edge is
+    critical when it closes a cycle of weight 0 under the star (or as
+    _saturation finds it, with the critical components)."""
     nodes = sorted(nodes)
     block = a.arr[nodes][:, nodes]
-    lam, star = (_certified_mean(block) if _exact_sums(a, 8 * len(nodes) ** 3)
-                 else (None, None))
+    exact = _exact_sums(a, 8 * len(nodes) ** 3)
+    lam, star, sat = _certified_mean(block) if exact else (None,) * 3
     if star is None:
         lam = _karp(a.arr, nodes)
         star = _floyd_warshall_star(block - lam)
-    sub = block - lam
     star.setflags(write=False)
-    # edge (a, b) is critical iff it closes a cycle of weight 0: a -inf
-    # entry of sub never passes, and np.nonzero keeps row-major edge order
-    crit = ~_exceeds(0.0, sub + star.T, CRIT_TOL)
+    # a -inf entry never passes; np.nonzero keeps row-major edge order
+    crit, comp = sat or (~_exceeds(0.0, block - lam + star.T, CRIT_TOL), None)
     aa, bb = np.nonzero(crit)
     idx = np.array(nodes)
     crit_edges = tuple(zip(idx[aa].tolist(), idx[bb].tolist()))
     on = np.flatnonzero(crit.any(axis=0) | crit.any(axis=1))
-    comps, cyc, cls = _mask_classes(idx[on], crit[on][:, on])
+    comps, cyc, cls = _mask_classes(idx[on], crit[on][:, on], comp)
     return ComponentCriticals(tuple(nodes), lam, tuple(idx[on].tolist()),
                               crit_edges, comps, cyc, cls, star)
 
 
 def _certified_mean(block: np.ndarray):
-    """(mu, star of block - mu) when mu, the best cycle mean of the graph
-    keeping each node's heaviest out-edge (Howard's first policy), is
-    certified as the block's maximum cycle mean; (None, None) otherwise.
+    """(mu, star of block - mu, sat) when mu, the best cycle mean of the
+    graph keeping each node's heaviest out-edge (Howard's first policy),
+    is certified as the block's maximum cycle mean, else three Nones; sat
+    is None or _saturation's (critical edges, components).
 
-    The certificate is a star diagonal <= CRIT_TOL.  It is a proof on
+    A block of more than _CONDENSE_ABOVE nodes with an integral mu, no
+    -0.0 entry and 7/8 of its rows peaking at mu goes to _saturation (to
+    Karp if that fails); every sum there is exact and no -0.0 forms, so
+    the star has the relaxation's bytes.  With fewer peaks (sparse or
+    spread weights) the condensation is about as large as the block.
+
+    Otherwise the certificate is a star diagonal <= CRIT_TOL, a proof on
     integer weights with k^3 |w|max < 2**50 (k = block size; the caller
     gates on _exact_sums): a better cycle would weigh at least 1/k under
     block - mu, and rounding takes less than 5/(8k) off it, leaving more
@@ -221,13 +236,56 @@ def _certified_mean(block: np.ndarray):
     """
     num, den = _policy_cycle(block)
     mu = num / den              # Python ints: correctly rounded, never -0.0
+    if (len(block) > _CONDENSE_ABOVE and num % den == 0
+            and 8 * np.count_nonzero(block.max(axis=1) == mu) >= 7 * len(block)
+            and not np.signbit(block[block == 0]).any()):
+        found = _saturation(block - mu)
+        return (None, None, None) if found is None else (mu, *found)
     try:
         star = _floyd_warshall_star(block - mu)
     except NonFiniteError:
-        return None, None
+        return None, None, None
     if _exceeds(star.diagonal().max(), 0.0, CRIT_TOL):
-        return None, None
-    return mu, star
+        return None, None, None
+    return mu, star, None
+
+
+def _saturation(sub: np.ndarray):
+    """(star of sub, (critical edges, their components numbered by least
+    node)) of a strongly connected block sub = A - mu with exact sums,
+    when a potential proves that no cycle of sub is positive; else None.
+
+    The potential x, column 0 of sub*, is swept from e_0 by
+    x <- x (+) sub (x) x: it settles within k rounds (sub (x) x <= x) iff
+    no cycle is positive, so k unsettled rounds or a positive x_0 answer
+    None.  Under reduced weights r_ij = sub_ij + x_j - x_i <= 0 the
+    saturation digraph r = 0 (Butkovic, Max-linear Systems, 2010) holds
+    the cycles of weight 0 and no other: the critical edges are its edges
+    inside one of its strong components.  r* is 0 inside a component and
+    the star of the condensation (edge weights: the largest r between two
+    components) between them, and sub*_ij = r*_ij + x_i - x_j.
+    """
+    x = np.where(np.arange(len(sub)), NEG_INF, 0.0)   # e_0
+    for _ in range(len(sub)):
+        y = np.maximum(x, (sub + x).max(axis=1))
+        if y[0] > 0:
+            return None
+        if np.array_equal(y, x):
+            break
+        x = y
+    else:                       # k rounds did not settle
+        return None
+    r = sub + x - x[:, None]
+    sat = r == 0
+    comp = _strong_components(sat)[2]
+    order = np.argsort(comp, kind="stable")
+    starts = np.flatnonzero(np.diff(comp[order], prepend=-1))
+    cond = np.maximum.reduceat(np.maximum.reduceat(
+        r[np.ix_(order, order)], starts, axis=0), starts, axis=1)
+    star = _floyd_warshall_star(cond)[comp[:, None], comp] + x[:, None] - x
+    crit = sat & (comp[:, None] == comp)
+    return star, (crit, np.unique(comp[crit.any(axis=1)],
+                                  return_inverse=True)[1])
 
 
 def _policy_cycle(block: np.ndarray):
@@ -269,15 +327,17 @@ def _bfs(edges, roots):
     return order, parent, succ
 
 
-def _mask_classes(nodes: np.ndarray, mask: np.ndarray):
+def _mask_classes(nodes: np.ndarray, mask: np.ndarray, comp=None):
     """(components, cyclicities, class_of) of the edges mask[a, b]:
     nodes[a] -> nodes[b], every node on a cycle, all three read-only.
     Components are node tuples ordered by least node; the level of a node
     is its distance from the least node of its component, the cyclicity
     is the gcd over the component's edges (a, b) of level(a) + 1 -
     level(b) (the gcd of its cycle lengths), and class_of maps each node
-    to (component, level mod cyclicity)."""
-    _, members, comp = _strong_components(mask)
+    to (component, level mod cyclicity).  comp, when given, numbers the
+    strong components of mask by least node, and no closure is formed."""
+    _, members, comp = (_strong_components(mask) if comp is None
+                        else (None, _members(comp), comp))
     inner = mask & (comp[:, None] == comp)
     level = np.full(comp.size, -1)
     front, depth = np.zeros(comp.size, dtype=bool), 0

@@ -155,3 +155,34 @@ ORBIT_STDOUT_SHA256 = {
     ("frac", 12):
         "f554236f89ea3d5ba3d5f6da3399b79ea9f20b3a0731f9753224761e2efef033",
 }
+
+# ------------------------------------------------------ n = 80 CLI stdout
+# sha256 of the stdout of `critical`, `classes`, `csr --t 19200`,
+# `nachtigall --t 19200` and `ultimate --t 19200` on
+# conftest.random_definite(default_rng(0), 80) written as a plain matrix
+# file ("%g" entries, * for -inf), and on the same file with every 0
+# written as -0: one component of 80 nodes with cycle mean 0, the size
+# at which the critical analysis reads the saturation condensation.
+
+LARGE_STDOUT_SHA256 = {
+    ("definite80", "critical"):
+        "27e4b00fc0ea66139dacdcb08ed7f44101b29491d94f1714ec8e022ba53d5556",
+    ("definite80", "classes"):
+        "4212cfff508485964f9673c1bc3595297a3e8ce17dca5e57354a562194006942",
+    ("definite80", "csr"):
+        "efa686bab7b4acbd9a25967fabff612b5143f84e75eef38b89aefa89ee04470b",
+    ("definite80", "nachtigall"):
+        "73473fa9b1f22729135c9213e66779ba61d87a8a3c2fd70ff38b5ba8ff1dfad2",
+    ("definite80", "ultimate"):
+        "fd8cae0e50d3560ae7f3ef271c50596b5ce35f796c9ef83395748dfb45628a6d",
+    ("definite80-0", "critical"):
+        "27883282b96e37241e243dade7d66681802e7bfa9d9ea8fb72c8afa1f6bb2d86",
+    ("definite80-0", "classes"):
+        "504bc943088470eabd8134e70ee14bdacbcca29715790089fa9295872066b913",
+    ("definite80-0", "csr"):
+        "fb10e159cfa1535fe676aae82025e05b4c3de1ce692dc498335649ffda6864e2",
+    ("definite80-0", "nachtigall"):
+        "11cd01cc87aaf76070da8aec6e2c5946a05b730d5e15cb41000bd44d49b0de6b",
+    ("definite80-0", "ultimate"):
+        "a90404f8f2d1576970cd87673b1b1abb6e27c5bfc1a8c3e80726f1eb98164c48",
+}

@@ -16,10 +16,10 @@ import pytest
 import maxplus
 import maxplus.cli as cli
 from conftest import (DATA, dead_end_critical_matrix, random_cyclic,
-                      scaled_hang_matrix)
+                      random_definite, scaled_hang_matrix)
 from goldens import (EX1_A2, EX1_N1_0, EX1_THRESHOLD, EX2_THRESHOLD,
-                     EX3_GAMMA_U, ORBIT_FRAC_MATRIX, ORBIT_FRAC_Y,
-                     ORBIT_STDOUT_SHA256)
+                     EX3_GAMMA_U, LARGE_STDOUT_SHA256, ORBIT_FRAC_MATRIX,
+                     ORBIT_FRAC_Y, ORBIT_STDOUT_SHA256)
 
 EX1 = str(DATA / "example1.txt")
 EX2 = str(DATA / "example2.txt")
@@ -387,6 +387,24 @@ def test_orbit_stdout_bytes(tmp_path, capsys):
         assert cli.main(["orbit", "--y", y] + extra + [m]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, (name, tmax)
+
+
+def test_large_block_stdout_bytes(tmp_path, capsys):
+    """Past 64 nodes, on an exact block with and without -0.0 entries,
+    the analysis commands keep their recorded stdout."""
+    arr = random_definite(np.random.default_rng(0), 80).arr
+    files = {}
+    for name, entries in (("definite80", arr),
+                          ("definite80-0", np.where(arr == 0, -0.0, arr))):
+        files[name] = tmp_path / (name + ".txt")
+        files[name].write_text("80\n" + "".join(
+            " ".join("*" if v == maxplus.NEG_INF else "%g" % v for v in row)
+            + "\n" for row in entries))
+    for (name, command), digest in LARGE_STDOUT_SHA256.items():
+        extra = [] if command in ("critical", "classes") else ["--t", "19200"]
+        assert cli.main([command] + extra + [str(files[name])]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, (name, command)
 
 
 def test_orbit_flags_and_errors(tmp_path, capsys):

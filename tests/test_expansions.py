@@ -622,8 +622,8 @@ def fast_terms_by_squaring(a, t, variant="nachtigall", rule="canonical"):
         level = TropicalMatrix(a.arr[block])
         powered = np.full((n, n), NEG_INF)
         powered[block] = mat_power(level.scale(-st.lambda_mu), r).arr
-        factors = csr._class_factors(powered, st.crit,
-                                     a.arr - st.lambda_mu)
+        factors = csr._class_factors(powered, st.crit, a.arr - st.lambda_mu,
+                                     0.0, np.arange(n))
         out.append(csr._class_product(*factors,
                                       (t - 2 * r) % st.crit.gamma))
     return out
@@ -814,6 +814,38 @@ def fractional_cycles() -> TropicalMatrix:
                     (4, 5, -6), (7, 6, 2)):
         arr[i, j] = w
     return TropicalMatrix(arr)
+
+
+def test_terms_equal_builds_on_their_level_matrix():
+    """Every expansion term, built on its level's active node block of the
+    root, has the bytes of csr_build on the full level matrix
+    a.restrict(k_set).scale(-lam): class factors and slots, the column-major
+    C^, s_is_boolean, and C, S, R, the star and the weights formed on
+    first access."""
+    rng = np.random.default_rng(431)
+    mats = literal_corpus() + [fractional_cycles(), cycle_chain(rng)]
+    mats += [random_cyclic(rng, 80), random_reducible(rng, 80, blocks=5),
+             random_cyclic(rng, 80, density=3 / 80)]
+    mats += [TropicalMatrix(np.where(a.arr == 0, -0.0, a.arr))
+             for a in mats[-3:] + [mats[0]]]
+    compared = 0
+    for a in mats:
+        for e in expansions_of(a):
+            for st, (_, triple) in zip(e.steps, e.terms):
+                want = csr.csr_build(a.restrict(st.k_set).scale(-st.lambda_mu),
+                                     st.crit, check_definite=False)
+                assert triple.c_hat.flags.f_contiguous
+                assert triple.s_is_boolean == want.s_is_boolean
+                assert triple.gamma == want.gamma
+                for got, ref in zip(
+                        (triple.c_hat, triple.r_hat, *triple.slots,
+                         triple.c.arr, triple.s.arr, triple.r.arr,
+                         triple.star, triple.weights),
+                        (want.c_hat, want.r_hat, *want.slots, want.c.arr,
+                         want.s.arr, want.r.arr, want.star, want.weights)):
+                    assert got.tobytes() == ref.tobytes()
+                compared += 1
+    assert compared > 300
 
 
 def test_fast_terms_forms_only_the_expansions_stars(monkeypatch):

@@ -696,22 +696,64 @@ def exact_corpus(rng):
         mats.append(random_matrix(rng, n, hi=0))       # lambda 0 mostly
     mats += [cycle_chain(rng) for _ in range(4)]
     mats += [negative_zeros(m) for m in mats[::2]]
-    return mats
+    return mats + large_blocks(rng)
+
+
+def large_blocks(rng):
+    """Blocks past _CONDENSE_ABOVE, where integral candidates without
+    -0.0 on blocks whose rows mostly peak at them are certified by the
+    saturation condensation: dense, sparse, +-60, all-zero and x1000
+    weights, one fractional candidate mean, three first policies that are
+    not optimal, and the -0.0 variant of each."""
+    mats = []
+    for n in (65, 80, 128):
+        mats += [random_matrix(rng, n), random_matrix(rng, n, density=3 / n),
+                 random_matrix(rng, n, lo=-60, hi=60),
+                 random_matrix(rng, n, lo=0, hi=0),
+                 TropicalMatrix(1000 * random_matrix(rng, n).arr)]
+    # below a 3-cycle of mean 1/3, or below the gadget of CANDIDATE_MISS
+    # (first policy 0 <-> 1 of mean 0, lambda 3 on 1 <-> 2), weights <= -20
+    for gadget in ([(0, 1, 0.0), (1, 2, 0.0), (2, 0, 1.0)],
+                   [(0, 1, 3.0), (1, 0, -3.0), (1, 2, -4.0), (2, 1, 10.0)]):
+        arr = random_matrix(rng, 80, lo=-40, hi=-20).arr.copy()
+        for i, j, w in gadget:
+            arr[i, j] = w
+        mats.append(TropicalMatrix(arr))
+    # weights -100..-90 with a ring of 0 through all nodes but 3, whose
+    # rows keep the first policy's mean 0 and 77 of 80 rows peaking at it
+    # (a swept candidate); on those 3 the gadget with lambda 1 on 1 <-> 2
+    # ends the sweep by x_0 > 0 at node 0, at node 40 after k rounds
+    for at in (0, 40):
+        arr = random_matrix(rng, 80, lo=-100, hi=-90).arr.copy()
+        ring = [v for v in range(80) if not at <= v < at + 3]
+        arr[ring, np.roll(ring, -1)] = 0.0
+        for i, j, w in [(0, 1, 3.0), (1, 0, -3.0), (1, 2, -4.0), (2, 1, 6.0)]:
+            arr[at + i, at + j] = w
+        mats.append(TropicalMatrix(arr))
+    return mats + [negative_zeros(m) for m in mats]
 
 
 def test_certified_route_is_bit_identical_to_karp_first(monkeypatch):
     """On exact input, lambda and every ComponentCriticals field equal the
     Karp-first analysis bit for bit, star included; the certificate
-    carries most of the corpus."""
-    certify = graphs._certified_mean
-    hits = []
+    carries most of the corpus, and the saturation condensation the
+    large blocks it is gated for; a sweep that ends unsettled, early or
+    after k rounds, falls back to Karp."""
+    certify, saturate = graphs._certified_mean, graphs._saturation
+    hits, condensed = [], []
 
     def counted(block):
-        mu, star = certify(block)
-        hits.append(star is not None)
-        return mu, star
+        found = certify(block)
+        hits.append(found[1] is not None)
+        return found
+
+    def counted_saturation(sub):
+        found = saturate(sub)
+        condensed.append(found is not None)
+        return found
 
     monkeypatch.setattr(graphs, "_certified_mean", counted)
+    monkeypatch.setattr(graphs, "_saturation", counted_saturation)
     for a in exact_corpus(np.random.default_rng(151)):
         dec = scc_decompose(a)
         for c in dec.nontrivial():
@@ -721,10 +763,12 @@ def test_certified_route_is_bit_identical_to_karp_first(monkeypatch):
             assert bits(got.lam) == bits(lam)
             assert got.star.tobytes() == star.tobytes()
             with monkeypatch.context() as m:
-                m.setattr(graphs, "_certified_mean", lambda _: (None, None))
+                m.setattr(graphs, "_certified_mean",
+                          lambda _: (None, None, None))
                 want = _component_criticals(a, nodes)
             assert component_fields(got) == component_fields(want)
     assert sum(hits) > 0.6 * len(hits) and not all(hits)
+    assert sum(condensed) >= 8 and not all(condensed)
 
 
 def count_karp(monkeypatch):
